@@ -66,7 +66,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -96,7 +96,7 @@ from ..serve.simulator import ServeConfig, ServeReport, \
     ServingSimulator, emit_batch_trace, emit_fault_trace, \
     emit_integrity_trace
 from ..serve.workload import ClosedLoopConfig, spike_arrival_times, \
-    trace_arrivals
+    validate_arrival_times
 from ..simcore.elastic import OverdueTracker
 from .controller import SCALE_DOWN, SCALE_UP, BurnRateController
 from .policy import AutoscalePolicy, PoolBoundsError, ScalePolicy, \
@@ -164,17 +164,8 @@ class ScaleConfig:
             if self.closed_loop is not None:
                 raise ScaleConfigError(
                     "arrivals and closed_loop are mutually exclusive")
-            times = tuple(float(t) for t in self.arrivals)
-            if not times:
-                raise ScaleConfigError(
-                    "arrivals must contain at least one timestamp")
-            if any(t < 0 for t in times):
-                raise ScaleConfigError(
-                    "arrival times must be non-negative")
-            if any(b < a for a, b in zip(times, times[1:])):
-                raise ScaleConfigError(
-                    "arrival times must be sorted ascending")
-            object.__setattr__(self, "arrivals", times)
+            times = validate_arrival_times(self.arrivals, ScaleConfigError)
+            object.__setattr__(self, "arrivals", tuple(times.tolist()))
         if self.policy is None:
             if self.closed_loop is not None:
                 raise ScaleConfigError(
@@ -416,10 +407,10 @@ class ScaleSimulator:
             self._merge_memo[n_required] = cost
         return cost
 
-    def _static_requests(self) -> Optional[Sequence[Any]]:
+    def _static_requests(self) -> Optional[np.ndarray]:
         if self.config.arrivals is None:
             return None
-        return trace_arrivals(self.config.arrivals)
+        return np.asarray(self.config.arrivals, dtype=np.float64)
 
     # ------------------------------------------------------------------
     def run(self) -> Union[ServeReport, ScaleReport]:

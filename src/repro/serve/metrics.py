@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Union
+
+import numpy as np
 
 __all__ = ["EmptySampleError", "ZeroDurationError",
            "nearest_rank_percentile", "LatencyStats", "slo_attainment",
@@ -33,15 +35,18 @@ class ZeroDurationError(ValueError):
     """
 
 
+def _rank(ordered: Sequence[float], pct: float) -> float:
+    """Nearest-rank percentile of an already-sorted sample."""
+    return ordered[max(1, math.ceil(pct / 100.0 * len(ordered))) - 1]
+
+
 def nearest_rank_percentile(values: Sequence[float], pct: float) -> float:
     """Nearest-rank percentile of an unsorted sample."""
     if not values:
         raise EmptySampleError("percentile of an empty sample")
     if not 0 < pct <= 100:
         raise ValueError(f"percentile must be in (0, 100], got {pct!r}")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
-    return ordered[rank - 1]
+    return _rank(sorted(values), pct)
 
 
 @dataclass(frozen=True)
@@ -56,16 +61,29 @@ class LatencyStats:
     max_s: float
 
     @classmethod
-    def from_samples(cls, samples: Sequence[float]) -> "LatencyStats":
-        if not samples:
+    def from_samples(cls, samples: Union[Sequence[float], np.ndarray]
+                     ) -> "LatencyStats":
+        """Stats of a list or a 1-d float array, sorted once.
+
+        The mean adds the samples in their given order with Python's
+        ``sum`` (not NumPy's pairwise sum), so a list and the array
+        holding the same values give bit-identical stats.
+        """
+        if not len(samples):
             raise EmptySampleError("latency stats need at least one sample")
+        if isinstance(samples, np.ndarray):
+            values = samples.tolist()
+            ordered = np.sort(samples).tolist()
+        else:
+            values = samples
+            ordered = sorted(samples)
         return cls(
-            n=len(samples),
-            mean_s=sum(samples) / len(samples),
-            p50_s=nearest_rank_percentile(samples, 50),
-            p95_s=nearest_rank_percentile(samples, 95),
-            p99_s=nearest_rank_percentile(samples, 99),
-            max_s=max(samples),
+            n=len(values),
+            mean_s=sum(values) / len(values),
+            p50_s=_rank(ordered, 50),
+            p95_s=_rank(ordered, 95),
+            p99_s=_rank(ordered, 99),
+            max_s=ordered[-1],
         )
 
     def as_ms(self) -> Dict[str, float]:
@@ -79,13 +97,15 @@ class LatencyStats:
         }
 
 
-def slo_attainment(latencies_s: Sequence[float], slo_s: float) -> float:
+def slo_attainment(latencies_s: Union[Sequence[float], np.ndarray],
+                   slo_s: float) -> float:
     """Fraction of requests at or under the latency SLO."""
     if slo_s <= 0:
         raise ZeroDurationError(f"SLO must be positive, got {slo_s!r}")
-    if not latencies_s:
+    if not len(latencies_s):
         raise EmptySampleError("SLO attainment of an empty sample")
-    return sum(1 for lat in latencies_s if lat <= slo_s) / len(latencies_s)
+    within = np.asarray(latencies_s, dtype=np.float64) <= slo_s
+    return int(np.count_nonzero(within)) / len(latencies_s)
 
 
 def utilization(busy_seconds: Sequence[float],

@@ -70,7 +70,7 @@ import numpy as np
 
 from ..ecc import ECCModel
 from ..faults import FaultInjector, FaultLogEntry
-from .workload import Request
+from .workload import Request, validate_arrival_times
 
 __all__ = [
     "BatchPolicy",
@@ -759,7 +759,9 @@ class DiscreteEventScheduler:
     # ------------------------------------------------------------------
     @staticmethod
     def _ordered(requests: Sequence[Request]) -> List[Request]:
-        """Requests in arrival order (ties by id); ids must be unique."""
+        """Requests in arrival order (ties by id); ids must be unique
+        and the arrival times must pass
+        :func:`~repro.serve.workload.validate_arrival_times`."""
         if not requests:
             raise ValueError("at least one request is required")
         ordered = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
@@ -768,6 +770,7 @@ class DiscreteEventScheduler:
             if request.req_id in seen:
                 raise ValueError(f"duplicate req_id {request.req_id}")
             seen.add(request.req_id)
+        validate_arrival_times([r.arrival_s for r in ordered])
         return ordered
 
     def _rules(self) -> Optional[FaultRules]:

@@ -54,7 +54,9 @@ flips, detections, recomputes, scrub passes, SDC escapes) on the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..core.params import APUParams, DEFAULT_PARAMS
 from ..ecc import ECCConfig, ECCCostModel, ECCModel, make_codec
@@ -78,7 +80,8 @@ from .scheduler import (
 )
 from .sharding import merge_cycles, merge_seconds, shard_chunk_counts, \
     shard_specs
-from .workload import Request, poisson_arrivals
+from .workload import Request, poisson_arrival_times, poisson_arrivals, \
+    trace_arrivals
 
 __all__ = [
     "FAILOVER_POLICIES",
@@ -94,6 +97,10 @@ __all__ = [
     "golden_integrity_config",
     "golden_ecc_config",
 ]
+
+#: A request stream: ``Request`` objects, or sorted arrival times with
+#: positional ids.
+Arrivals = Union[Sequence[Request], np.ndarray]
 
 #: Supported responses to a shard death.
 FAILOVER_POLICIES = ("reroute", "degraded")
@@ -599,12 +606,17 @@ class ServingSimulator:
         return max(0.0, 1.0 - min(missing, total) / total)
 
     # ------------------------------------------------------------------
-    def run(self, requests: Optional[Sequence[Request]] = None) -> ServeReport:
-        """Simulate the configured (or a supplied) request stream."""
+    def run(self, requests: Optional[Arrivals] = None) -> ServeReport:
+        """Simulate the configured (or a supplied) request stream.
+
+        ``requests`` is a sequence of :class:`~repro.serve.workload.Request`
+        or a sorted array of arrival times (ids positional); ``None``
+        draws the config's Poisson stream.
+        """
         report, _ = self._simulate(requests)
         return report
 
-    def run_with_telemetry(self, requests: Optional[Sequence[Request]] = None):
+    def run_with_telemetry(self, requests: Optional[Arrivals] = None):
         """Simulate and derive request-level causal telemetry.
 
         Returns ``(report, telemetry)`` where the report is **bit-
@@ -640,7 +652,7 @@ class ServingSimulator:
                                 ",".join(sources) or "unknown"
         return report, telemetry
 
-    def run_with_monitor(self, requests: Optional[Sequence[Request]] = None,
+    def run_with_monitor(self, requests: Optional[Arrivals] = None,
                          *, cadence_s: Optional[float] = None,
                          workload: str = "serve"):
         """Simulate, derive telemetry, and sample the monitor series.
@@ -681,8 +693,7 @@ class ServingSimulator:
         )
         return report, telemetry, monitor
 
-    def _simulate_capturing(self, requests: Optional[Sequence[Request]]
-                            = None):
+    def _simulate_capturing(self, requests: Optional[Arrivals] = None):
         """Simulate with the in-loop stage capture (no span build).
 
         The telemetry *collection* cost lives here: one stage table per
@@ -691,6 +702,7 @@ class ServingSimulator:
         """
         tables: List[Any] = []
         report, result = self._simulate(requests, tables)
+        assert result is not None
         return report, result, tables
 
     def _run_recording(self, requests: Sequence[Request], stages: bool
@@ -757,18 +769,38 @@ class ServingSimulator:
         return [int(specs[batch.shard_id].embedding_bytes)
                 for batch in result.batches]
 
-    def _simulate(self, requests: Optional[Sequence[Request]] = None,
+    def _simulate(self, requests: Optional[Arrivals] = None,
                   stage_tables: Optional[List[Any]] = None
-                  ) -> Tuple[ServeReport, ScheduleResult]:
+                  ) -> Tuple[ServeReport, Optional[ScheduleResult]]:
         """One full simulation: (report, raw schedule record).
 
         ``stage_tables``, when given, receives one stage table per
-        executed batch (the telemetry capture).
+        executed batch (the telemetry capture).  A fault-free
+        vectorized run without it reports straight from the
+        :class:`~repro.simcore.arrays.ArraySchedule` columns and
+        materializes the object record only for an active trace
+        collector; otherwise the record comes back as ``None``.
         """
         cfg = self.config
+        self._dispatch_bytes = None
+        if self.injector is None and stage_tables is None \
+                and cfg.engine == "vectorized":
+            schedule = self.scheduler.run_arrays(
+                *self._arrival_columns(requests))
+            columnar: Optional[ScheduleResult] = None
+            trace = _trace_collector.ACTIVE
+            if trace is not None and trace.enabled:
+                columnar = schedule.to_schedule_result()
+                self._emit_trace(columnar)
+            by_id = np.argsort(schedule.req_ids, kind="stable")
+            return self._report(
+                schedule.latency_s()[by_id], schedule.horizon_s,
+                schedule.busy_seconds.tolist(), schedule.batch_size), \
+                columnar
         if requests is None:
             requests = poisson_arrivals(cfg.qps, cfg.n_requests, cfg.seed)
-        self._dispatch_bytes = None
+        elif isinstance(requests, np.ndarray):
+            requests = trace_arrivals(requests)
         if self.injector is not None:
             # Replays must start from the calibrated placement.
             self.service_model.reset()
@@ -785,52 +817,82 @@ class ServingSimulator:
             if self.injector is not None:
                 self._dispatch_bytes = [nbytes for _, nbytes in recorded]
         self._emit_trace(result)
+        latency = np.asarray([r.retrieval_latency_s for r in result.records],
+                             dtype=np.float64)
+        sizes = np.asarray([batch.batch_size for batch in result.batches],
+                           dtype=np.int64)
+        return self._report(latency, result.horizon_s, result.busy_seconds,
+                            sizes, result), result
 
-        retrieval_lat = [r.retrieval_latency_s + self.merge_s
-                         for r in result.records]
-        tti_lat = [lat + self.prefill_s for lat in retrieval_lat]
-        makespan = result.horizon_s + self.merge_s + self.prefill_s
-        sizes = [batch.batch_size for batch in result.batches]
-        if self.injector is None:
-            coverages = None
-            intact = None
-        else:
+    def _arrival_columns(self, requests: Optional[Arrivals]
+                         ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(arrival times, request ids or None for positional)``."""
+        if requests is None:
+            cfg = self.config
+            return poisson_arrival_times(cfg.qps, cfg.n_requests,
+                                         cfg.seed), None
+        if isinstance(requests, np.ndarray):
+            return requests, None
+        from ..simcore.vectorized import request_columns
+
+        return request_columns(requests)
+
+    def _report(self, latency_s: np.ndarray, horizon_s: float,
+                busy_seconds: Sequence[float], batch_sizes: np.ndarray,
+                result: Optional[ScheduleResult] = None) -> ServeReport:
+        """The report of one run, from its columns.
+
+        ``latency_s`` is arrival -> scatter-gather resolution per
+        request in ``req_id`` order, ``batch_sizes`` one entry per
+        executed batch.  Fault runs also pass their ``result`` for the
+        fault counters and per-request coverage.  Every run entry point
+        ends here, columnar and object paths alike.
+        """
+        cfg = self.config
+        retrieval_lat = latency_s + self.merge_s
+        tti_lat = retrieval_lat + self.prefill_s
+        makespan = horizon_s + self.merge_s + self.prefill_s
+        n_completed = int(latency_s.size)
+        n_batches = int(batch_sizes.size)
+        faults: Dict[str, Any] = {}
+        if self.injector is not None:
+            assert result is not None
             coverages = [self._coverage(r, result.death_times)
                          for r in result.records]
             intact = [
                 max(0, r.n_required - len(r.failed_shards)
                     - len(r.corrupted_shards)) / r.n_required
                 for r in result.records if r.n_required > 0]
-        report = ServeReport(
+            faults = dict(
+                n_timeouts=result.n_timeouts,
+                n_retries=result.n_retries,
+                n_shard_failures=len(result.death_times),
+                degraded_requests=sum(1 for c in coverages if c < 1.0),
+                mean_coverage=sum(coverages) / len(coverages),
+                min_coverage=min(coverages),
+                n_corruptions_detected=result.n_corruptions_detected,
+                n_sdc_escapes=result.n_sdc,
+                n_recomputes=result.n_recomputes,
+                n_ecc_corrected=result.n_ecc_corrected,
+                n_ecc_detected=result.n_ecc_detected,
+                n_ecc_miscorrections=result.n_ecc_miscorrections,
+                mean_intact_coverage=1.0 if not intact
+                else sum(intact) / len(intact),
+            )
+        return ServeReport(
             config=cfg,
-            n_completed=len(result.records),
+            n_completed=n_completed,
             makespan_s=makespan,
-            throughput_qps=len(result.records) / makespan,
+            throughput_qps=n_completed / makespan,
             retrieval=LatencyStats.from_samples(retrieval_lat),
             tti=LatencyStats.from_samples(tti_lat),
             slo_attainment=slo_attainment(tti_lat, cfg.slo_s),
-            shard_utilization=tuple(
-                utilization(result.busy_seconds, result.horizon_s)),
-            n_batches=len(result.batches),
-            mean_batch_size=sum(sizes) / len(sizes) if sizes else 0.0,
-            n_timeouts=result.n_timeouts,
-            n_retries=result.n_retries,
-            n_shard_failures=len(result.death_times),
-            degraded_requests=0 if coverages is None
-            else sum(1 for c in coverages if c < 1.0),
-            mean_coverage=1.0 if coverages is None
-            else sum(coverages) / len(coverages),
-            min_coverage=1.0 if coverages is None else min(coverages),
-            n_corruptions_detected=result.n_corruptions_detected,
-            n_sdc_escapes=result.n_sdc,
-            n_recomputes=result.n_recomputes,
-            n_ecc_corrected=result.n_ecc_corrected,
-            n_ecc_detected=result.n_ecc_detected,
-            n_ecc_miscorrections=result.n_ecc_miscorrections,
-            mean_intact_coverage=1.0 if not intact
-            else sum(intact) / len(intact),
+            shard_utilization=tuple(utilization(busy_seconds, horizon_s)),
+            n_batches=n_batches,
+            mean_batch_size=int(batch_sizes.sum()) / n_batches
+            if n_batches else 0.0,
+            **faults,
         )
-        return report, result
 
     # ------------------------------------------------------------------
     def _emit_trace(self, result: ScheduleResult) -> None:

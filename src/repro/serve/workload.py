@@ -21,7 +21,7 @@ Arrival processes driving the discrete-event schedulers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List
+from typing import Callable, Iterable, List, Type
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "poisson_arrival_times",
     "poisson_arrivals",
     "trace_arrivals",
+    "validate_arrival_times",
     "bursty_arrival_times",
     "diurnal_arrival_times",
     "spike_arrival_times",
@@ -128,15 +129,39 @@ def poisson_arrivals(qps: float, n_requests: int,
             for i, t in enumerate(times)]
 
 
+def validate_arrival_times(times_s: Iterable[float],
+                           error: Type[ValueError] = WorkloadConfigError
+                           ) -> np.ndarray:
+    """Explicit arrival timestamps as a float64 array, or ``error``.
+
+    The one check behind every entry point that accepts explicit
+    arrivals (:func:`trace_arrivals`, ``ScaleConfig.arrivals``, the
+    schedulers): the stream must be a non-empty 1-d sequence of finite,
+    non-negative times sorted ascending.  A NaN or infinite time would
+    otherwise slip past every ordering comparison and stall or poison
+    the run.
+    """
+    if not isinstance(times_s, np.ndarray):
+        times_s = list(times_s)
+    try:
+        times = np.asarray(times_s, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise error(f"arrival times must be numbers: {exc}") from None
+    if times.ndim != 1 or times.size == 0:
+        raise error("arrival times must be a non-empty 1-d sequence")
+    if not bool(np.isfinite(times).all()):
+        raise error("arrival times must be finite")
+    if float(times[0]) < 0:
+        raise error("arrival times must be non-negative")
+    if bool((times[1:] < times[:-1]).any()):
+        raise error("arrival times must be sorted ascending")
+    return times
+
+
 def trace_arrivals(times_s: Iterable[float]) -> List[Request]:
-    """Replay explicit arrival timestamps (must be sorted, non-negative)."""
-    times = [float(t) for t in times_s]
-    if not times:
-        raise ValueError("arrival trace must contain at least one request")
-    if any(t < 0 for t in times):
-        raise ValueError("arrival times must be non-negative")
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("arrival times must be sorted ascending")
+    """Replay explicit arrival timestamps (see
+    :func:`validate_arrival_times`)."""
+    times = validate_arrival_times(times_s).tolist()
     return [Request(req_id=i, arrival_s=t) for i, t in enumerate(times)]
 
 

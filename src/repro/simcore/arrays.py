@@ -1,13 +1,24 @@
-"""Array-native schedule record for million-query runs.
+"""Array-native schedule record of a fault-free vectorized run.
 
 The vectorized core keeps its hot path entirely in NumPy; materializing
 one :class:`~repro.serve.scheduler.ExecutedBatch` and
 :class:`~repro.serve.scheduler.RequestRecord` per event would dominate
-the runtime at 1M queries.  :class:`ArraySchedule` is the columnar
-answer: per-batch and per-request arrays plus the summary statistics
-benchmarks and autoscalers actually consume.  ``to_schedule_result()``
-materializes the full object form on demand (differential tests do
-this; benchmarks never do).
+the runtime.  :class:`ArraySchedule` is the columnar answer: per-batch
+and per-request arrays plus the summary statistics reports consume.
+
+Static ``ServingSimulator.run()`` (and ``ScaleSimulator.run()`` on a
+static config) with ``engine="vectorized"`` and no fault plan reports
+straight from these columns, as do the million-query ``run_arrays``
+benchmarks.  ``to_schedule_result()`` materializes the object form
+only where a consumer needs objects:
+
+* ``run()`` under an active :mod:`repro.obs` trace collector (the
+  per-batch and merge trace events);
+* ``run_with_telemetry()`` and ``run_with_monitor()`` (span trees,
+  critical paths and monitor series walk the records), which go
+  through ``VectorizedScheduler.run``;
+* ``VectorizedScheduler.run`` itself, the drop-in ``ScheduleResult``
+  API the differential tests compare.
 
 Only the fault-free path is available in columnar form -- fault runs
 carry per-event structure (logs, retries, deaths) that the object

@@ -11,6 +11,14 @@ completion.  This core exploits the structure of the problem instead:
   (:func:`_scan_fault_free`) whose saturated stretches -- runs of
   consecutive full batches launching the instant the device frees --
   collapse into NumPy ``cumsum`` chunks.
+* **One scan per service class.**  A shard's scan reads nothing but
+  the arrivals and its service times for batch sizes
+  ``1..max_batch``, so shards with equal service tables share one scan
+  (:meth:`VectorizedScheduler._service_classes`).  Every paper corpus
+  split evenly is a single class, so an 8-shard 200 GB fleet scans
+  once, not eight times; the same class table tells the heap-tie
+  repair below which shards share a timeline.  Static ``run()``
+  reports straight from the resulting columns (:mod:`.arrays`).
 * **Global event order is reconstructible.**  The scalar heap orders
   ties by push sequence; pushes happen at known times (arrivals at
   setup in request order, timers/wakes/completions at derivable
@@ -39,10 +47,9 @@ dispatching at the same float instant with equal push values -- which
 genuinely happens when different service-time sums round to the same
 double -- are re-ordered by walking their lineage levels
 (:func:`_lineage_levels`), reproducing the scalar heap's push-sequence
-recursion.  Shards with identical service values scan in lockstep, so
-their ties resolve to ascending shard id (the fan-out loop's order)
-without any walk; the saturated million-query path never pays more
-than the adjacency scan that proves no repair is needed.
+recursion.  Shards of one service class scan in lockstep, so their
+ties resolve to ascending shard id (the fan-out loop's order) without
+any walk; a single-class fleet skips the repair entirely.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from ..serve.scheduler import (
     RequestRecord,
     ScheduleResult,
 )
-from ..serve.workload import Request
+from ..serve.workload import Request, validate_arrival_times
 from .arrays import ArraySchedule
 
 __all__ = ["VectorizedScheduler"]
@@ -97,7 +104,16 @@ CaptureFn = Callable[[int, int], object]
 
 
 def _searchsorted(a: np.ndarray, v: float, side: str) -> int:
-    return int(np.searchsorted(a, v, side=side))
+    return int(a.searchsorted(v, side))
+
+
+def request_columns(requests: Sequence[Request]
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(arrival times, request ids)`` in the schedulers' processing
+    order (arrival, then id), validated as the scalar loop validates."""
+    ordered = DiscreteEventScheduler._ordered(requests)
+    return (np.asarray([r.arrival_s for r in ordered], dtype=np.float64),
+            np.asarray([r.req_id for r in ordered], dtype=np.int64))
 
 
 # ----------------------------------------------------------------------
@@ -107,11 +123,14 @@ def _scan_fault_free(
     arrivals: np.ndarray,
     max_batch: int,
     max_wait: float,
-    svc: Callable[[int], float],
+    svc: Sequence[float],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
            np.ndarray]:
     """One shard's full schedule: arrays of (dispatch, start, size,
     tier, push value, occupied seconds), in dispatch order.
+
+    ``svc[m - 1]`` is the service time of a batch of ``m``, for every
+    size the run can form.
 
     Bit-identical to the scalar loop on a single shard: dispatch times
     are produced by the same sequence of float additions, and the
@@ -151,12 +170,12 @@ def _scan_fault_free(
                 m = b if cnt >= b else cnt
                 emit(t_free, i, m, _TIER_RUNTIME, last_dispatch)
                 last_dispatch = t_free
-                t_free = t_free + svc(m)
+                t_free = t_free + svc[m - 1]
                 i += m
                 if m == b:
                     # Saturated run: consecutive full batches, each
                     # launching the instant the previous completes.
-                    s_full = svc(b)
+                    s_full = svc[b - 1]
                     while n - i >= b:
                         k = min(_BULK, (n - i) // b)
                         launch = np.empty(k, dtype=np.float64)
@@ -192,7 +211,7 @@ def _scan_fault_free(
         if fill_t < deadline:
             emit(fill_t, i, b, _TIER_ARRIVAL, float(jf))
             last_dispatch = fill_t
-            t_free = fill_t + svc(b)
+            t_free = fill_t + svc[b - 1]
             i += b
         else:
             lo = _searchsorted(arrivals, deadline, "left")
@@ -210,7 +229,7 @@ def _scan_fault_free(
                 armed = t_free if (has_prev and t_free >= head) else head
                 emit(deadline, i, m, _TIER_RUNTIME, armed)
             last_dispatch = deadline
-            t_free = deadline + svc(m)
+            t_free = deadline + svc[m - 1]
             i += m
         has_prev = True
 
@@ -235,9 +254,7 @@ def _scan_fault_free(
         size = np.concatenate([size, c_size])[order]
         tier = np.concatenate([tier, c_tier])[order]
         val = np.concatenate([val, c_val])[order]
-    occ = np.empty(disp.size, dtype=np.float64)
-    for batch_size in np.unique(size):
-        occ[size == batch_size] = svc(int(batch_size))
+    occ = np.asarray(svc, dtype=np.float64)[size - 1]
     return disp, start, size, tier, val, occ
 
 
@@ -615,10 +632,7 @@ class VectorizedScheduler(DiscreteEventScheduler):
     # -- public API ----------------------------------------------------
     def run(self, requests: Sequence[Request]) -> ScheduleResult:
         """Run to completion; bit-identical to the scalar scheduler."""
-        ordered = self._ordered(requests)
-        arrivals = np.asarray([r.arrival_s for r in ordered],
-                              dtype=np.float64)
-        req_ids = np.asarray([r.req_id for r in ordered], dtype=np.int64)
+        arrivals, req_ids = request_columns(requests)
         self.captured_tables = []
         self._svc_cache.clear()
         if self.injector is None:
@@ -640,46 +654,61 @@ class VectorizedScheduler(DiscreteEventScheduler):
         """Columnar fast path over a sorted arrival-time array.
 
         Fault-free only (an attached injector needs the event-faithful
-        path -- call :meth:`run`).  ``arrival_s`` must be sorted
-        ascending and non-negative; ``req_ids`` defaults to positional.
+        path -- call :meth:`run`).  ``arrival_s`` must pass
+        :func:`~repro.serve.workload.validate_arrival_times`;
+        ``req_ids`` (one per arrival, in the same order) defaults to
+        positional.
         """
         if self.injector is not None:
             raise ValueError(
                 "run_arrays supports fault-free runs only; "
                 "use run() when a FaultInjector is attached")
-        arrivals = np.ascontiguousarray(arrival_s, dtype=np.float64)
-        if arrivals.ndim != 1 or arrivals.size == 0:
-            raise ValueError("arrival_s must be a non-empty 1-d array")
-        if float(arrivals[0]) < 0 or bool(np.any(np.diff(arrivals) < 0)):
-            raise ValueError(
-                "arrival times must be sorted ascending and non-negative")
+        arrivals = validate_arrival_times(arrival_s)
         if req_ids is None:
             req_ids = np.arange(arrivals.size, dtype=np.int64)
         self._svc_cache.clear()
         return self._run_fault_free(arrivals, req_ids)
 
     # -- fault-free path -------------------------------------------------
+    def _service_classes(self, n: int
+                         ) -> Tuple[np.ndarray, List[Tuple[float, ...]]]:
+        """Shard -> service-class id, and each class's service table.
+
+        A shard's fault-free scan is a deterministic function of the
+        arrivals and its service times for the batch sizes a run can
+        form (``1..min(max_batch, n)``), so shards with equal tables
+        scan bit-identically: one scan per class serves all of its
+        shards.  Evenly split fleets (every paper corpus) are a single
+        class.
+        """
+        sizes = range(1, min(self.policy.max_batch, n) + 1)
+        sig_to_cls: Dict[Tuple[float, ...], int] = {}
+        cls = np.empty(self.n_shards, dtype=np.int64)
+        for shard in range(self.n_shards):
+            sig = tuple(self._svc(shard, m) for m in sizes)
+            cls[shard] = sig_to_cls.setdefault(sig, len(sig_to_cls))
+        return cls, list(sig_to_cls)
+
     def _run_fault_free(self, arrivals: np.ndarray,
                         req_ids: np.ndarray) -> ArraySchedule:
-        n = int(arrivals.size)
-        per_shard = [
+        cls, tables = self._service_classes(int(arrivals.size))
+        scans = [
             _scan_fault_free(arrivals, self.policy.max_batch,
-                             self.policy.max_wait_s,
-                             lambda m, s=shard: self._svc(s, m))
-            for shard in range(self.n_shards)]
+                             self.policy.max_wait_s, table)
+            for table in tables]
         retrieval_done: Optional[np.ndarray] = None
-        busy = np.empty(self.n_shards, dtype=np.float64)
-        for shard, (disp, start, size, _tier, _val, occ) in \
-                enumerate(per_shard):
-            complete = disp + occ
-            per_req = np.repeat(complete, size)
+        class_busy: List[float] = []
+        for disp, _start, size, _tier, _val, occ in scans:
+            per_req = np.repeat(disp + occ, size)
             if retrieval_done is None:
                 retrieval_done = per_req
             else:
                 np.maximum(retrieval_done, per_req, out=retrieval_done)
             # Sequential accumulation, matching the scalar += order.
-            busy[shard] = np.cumsum(occ)[-1] if occ.size else 0.0
+            class_busy.append(np.cumsum(occ)[-1] if occ.size else 0.0)
         assert retrieval_done is not None
+        busy = np.asarray([class_busy[c] for c in cls], dtype=np.float64)
+        per_shard = [scans[c] for c in cls]
         shard_col = np.concatenate([
             np.full(per_shard[s][0].size, s, dtype=np.int64)
             for s in range(self.n_shards)])
@@ -690,8 +719,10 @@ class VectorizedScheduler(DiscreteEventScheduler):
         val_col = np.concatenate([p[4] for p in per_shard])
         occ_col = np.concatenate([p[5] for p in per_shard])
         order = np.lexsort((shard_col, val_col, tier_col, disp_col))
-        order = self._repair_heap_ties(
-            order, per_shard, shard_col, disp_col, tier_col, val_col)
+        if len(tables) > 1:
+            order = self._repair_heap_ties(
+                order, per_shard, cls, shard_col, disp_col, tier_col,
+                val_col)
         start_sorted = start_col[order]
         return ArraySchedule(
             n_shards=self.n_shards,
@@ -710,7 +741,7 @@ class VectorizedScheduler(DiscreteEventScheduler):
 
     def _repair_heap_ties(
             self, order: np.ndarray,
-            per_shard: List[Tuple[np.ndarray, ...]],
+            per_shard: List[Tuple[np.ndarray, ...]], cls: np.ndarray,
             shard_col: np.ndarray, disp_col: np.ndarray,
             tier_col: np.ndarray, val_col: np.ndarray) -> np.ndarray:
         """Re-order cross-shard heap ties the flat lexsort cannot see.
@@ -718,27 +749,15 @@ class VectorizedScheduler(DiscreteEventScheduler):
         Two shards dispatching at the same float instant with equal
         (tier, push value) tie under the lexsort's shard-id fallback,
         but the scalar heap resolves them by push sequence, which
-        recurses into the triggering events' own order.  Shards with
-        identical service values produce identical scans, for which the
-        shard-id fallback is already exact (identical lineages bottom
-        at a shared arrival whose fan-out loop runs in ascending shard
-        order), so only ties spanning *different* scan histories --
-        exact float collisions between unequal timelines -- are walked
-        with :func:`_lineage_levels` and re-sorted.
+        recurses into the triggering events' own order.  Shards of one
+        service class (``cls``, see :meth:`_service_classes`) share one
+        scan, for which the shard-id fallback is already exact
+        (identical lineages bottom at a shared arrival whose fan-out
+        loop runs in ascending shard order), so only ties spanning
+        *different* classes -- exact float collisions between unequal
+        timelines -- are walked with :func:`_lineage_levels` and
+        re-sorted.
         """
-        # Shard equivalence classes: equal service values over every
-        # batch size any shard consumed imply bit-identical scans (the
-        # scan is a deterministic function of the values it reads).
-        # One class covers every shard in the common homogeneous case,
-        # where all ties are already exact -- no row scan needed.
-        sizes = sorted({size for _shard, size in self._svc_cache})
-        sig_to_cls: Dict[Tuple[float, ...], int] = {}
-        cls = np.empty(self.n_shards, dtype=np.int64)
-        for shard in range(self.n_shards):
-            sig = tuple(self._svc(shard, m) for m in sizes)
-            cls[shard] = sig_to_cls.setdefault(sig, len(sig_to_cls))
-        if len(sig_to_cls) == 1:
-            return order
         d = disp_col[order]
         t = tier_col[order]
         v = val_col[order]

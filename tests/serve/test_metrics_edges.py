@@ -8,6 +8,7 @@ raise typed errors that remain ``ValueError`` subclasses so existing
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.serve.metrics import (
@@ -67,6 +68,42 @@ class TestHappyPathUnchanged:
     def test_attainment_and_utilization(self):
         assert slo_attainment([0.5, 2.0], slo_s=1.0) == 0.5
         assert utilization([0.5, 3.0], 2.0) == [0.25, 1.0]
+
+
+class TestArraySamples:
+    """Reports pass NumPy columns; lists and arrays must agree bitwise."""
+
+    @staticmethod
+    def _samples():
+        return np.random.default_rng(7).exponential(0.01, 4097) + 0.5
+
+    def test_array_and_list_stats_are_identical(self):
+        samples = self._samples()
+        as_list = samples.tolist()
+        from_array = LatencyStats.from_samples(samples)
+        assert from_array == LatencyStats.from_samples(as_list)
+        assert repr(from_array) == repr(LatencyStats.from_samples(as_list))
+        for pct, field in ((50, "p50_s"), (95, "p95_s"), (99, "p99_s")):
+            assert getattr(from_array, field) \
+                == nearest_rank_percentile(as_list, pct)
+        assert type(from_array.p99_s) is float
+
+    def test_mean_adds_in_order_not_pairwise(self):
+        """NumPy's pairwise sum differs in the last bits on this sample;
+        the stats keep the sequential sum the list path always used."""
+        samples = self._samples()
+        assert float(np.sum(samples)) != sum(samples.tolist())
+        assert LatencyStats.from_samples(samples).mean_s \
+            == sum(samples.tolist()) / samples.size
+
+    def test_attainment_of_an_array(self):
+        samples = self._samples()
+        assert slo_attainment(samples, 0.51) \
+            == slo_attainment(samples.tolist(), 0.51)
+        with pytest.raises(EmptySampleError):
+            slo_attainment(np.empty(0), 1.0)
+        with pytest.raises(EmptySampleError):
+            LatencyStats.from_samples(np.empty(0))
 
 
 class TestIntegrityMetricsExport:

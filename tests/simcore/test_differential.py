@@ -1,6 +1,6 @@
 """Differential proof: the vectorized core is bit-identical to scalar.
 
-Three layers of evidence, from cheapest to broadest:
+Layers of evidence, from cheapest to broadest:
 
 1. **Golden replays.**  The three canonical workloads (plain serving,
    the chaos plan, the SDC plan) run under both engines; reports,
@@ -14,6 +14,12 @@ Three layers of evidence, from cheapest to broadest:
 3. **Simulator-level hypothesis sweep.**  Whole ``ServeConfig``
    deployments (anchored service models, failover, integrity,
    telemetry on or off) compared end to end.
+4. **The columnar report.**  Fault-free vectorized ``run()`` reports
+   from ``ArraySchedule`` columns; its report must equal the scalar
+   engine's, ``run_with_telemetry()``'s, and list arithmetic over the
+   materialized records, on tied / on-deadline arrivals, shuffled
+   request ids, and fleets of several service classes.
+5. **A guard** that plain ``run()`` never materializes records.
 
 Cross-shard ties at the exact same float64 instant are not hypothetical
 -- different per-shard service sums really do round to the same double
@@ -23,26 +29,35 @@ assertion here is strict equality with no tolerance.
 """
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultInjector, FaultPlan, OutageFault, StallFault
+from repro.obs import render_trace_golden
 from repro.obs.collector import collecting
 from repro.rag.corpus import PAPER_CORPORA
+from repro.scale import ScaleConfig, ScaleSimulator
 from repro.serve import (
     BatchPolicy,
     DiscreteEventScheduler,
+    Request,
     RetryPolicy,
     ServeConfig,
+    ServeReport,
     ServingSimulator,
     golden_fault_config,
     golden_integrity_config,
     golden_serve_config,
+    poisson_arrival_times,
     poisson_arrivals,
+    trace_arrivals,
 )
-from repro.simcore import VectorizedScheduler
+from repro.serve.metrics import LatencyStats, nearest_rank_percentile
+from repro.simcore import ArraySchedule, VectorizedScheduler
+from repro.simcore.vectorized import request_columns
 
 GOLDEN_FACTORIES = {
     "serve": golden_serve_config,
@@ -316,3 +331,178 @@ def serve_configs(draw):
 def test_simulator_agrees_end_to_end(case):
     config, with_telemetry = case
     _assert_configs_agree(config, with_telemetry=with_telemetry)
+
+
+# ----------------------------------------------------------------------
+# 4. The columnar run() report (fault-free vectorized runs report from
+#    the ArraySchedule columns without materializing records)
+# ----------------------------------------------------------------------
+#: Dyadic time quantum: arrivals and max-wait deadlines built from it
+#: add exactly, so arrivals land *on* deadlines and tie one another.
+_QUANTUM = 2.0 ** -10
+
+
+def _materialized_report(sim: ServingSimulator, result) -> ServeReport:
+    """The report as list arithmetic over materialized records -- the
+    object path ``run()`` took before it went columnar."""
+    cfg = sim.config
+    retrieval = [r.retrieval_latency_s + sim.merge_s for r in result.records]
+    tti = [lat + sim.prefill_s for lat in retrieval]
+
+    def stats(xs):
+        return LatencyStats(
+            n=len(xs), mean_s=sum(xs) / len(xs),
+            p50_s=nearest_rank_percentile(xs, 50),
+            p95_s=nearest_rank_percentile(xs, 95),
+            p99_s=nearest_rank_percentile(xs, 99), max_s=max(xs))
+
+    horizon = result.horizon_s
+    makespan = horizon + sim.merge_s + sim.prefill_s
+    sizes = [batch.batch_size for batch in result.batches]
+    return ServeReport(
+        config=cfg, n_completed=len(result.records), makespan_s=makespan,
+        throughput_qps=len(result.records) / makespan,
+        retrieval=stats(retrieval), tti=stats(tti),
+        slo_attainment=sum(1 for t in tti if t <= cfg.slo_s) / len(tti),
+        shard_utilization=tuple(min(1.0, busy / horizon)
+                                for busy in result.busy_seconds),
+        n_batches=len(sizes), mean_batch_size=sum(sizes) / len(sizes))
+
+
+def _assert_columnar_report_agrees(config: ServeConfig, requests=None):
+    """The columnar ``run()`` report equals the scalar engine's, the
+    telemetry run's, and the materialized-record report, bit for bit."""
+    vec_cfg = dataclasses.replace(config, engine="vectorized")
+    sim = ServingSimulator(vec_cfg)
+    columnar = sim.run(requests)
+    scalar = ServingSimulator(
+        dataclasses.replace(config, engine="scalar")).run(requests)
+    assert dataclasses.replace(scalar, config=vec_cfg) == columnar
+    with_telemetry, _ = ServingSimulator(vec_cfg).run_with_telemetry(
+        requests)
+    assert with_telemetry == columnar
+    stream = requests if requests is not None else poisson_arrivals(
+        config.qps, config.n_requests, config.seed)
+    assert _materialized_report(sim, sim.scheduler.run(stream)) == columnar
+    # repr pins what == cannot see (e.g. the sign of a zero).
+    assert repr(columnar) == repr(with_telemetry)
+
+
+def test_golden_serve_columnar_report():
+    _assert_columnar_report_agrees(golden_serve_config())
+
+
+def test_explicit_arrays_match_request_streams():
+    """An arrival array (positional ids) is the same stream as the
+    ``Request`` list built from it, on the columnar and object paths."""
+    config = dataclasses.replace(golden_serve_config(), engine="vectorized")
+    times = poisson_arrival_times(config.qps, config.n_requests, 3)
+    from_array = ServingSimulator(config).run(times)
+    assert from_array == ServingSimulator(config).run(trace_arrivals(times))
+    report, _ = ServingSimulator(config).run_with_telemetry(times)
+    assert report == from_array
+
+
+def _class_service(n_classes: int, base: int, step: int, inc: int):
+    """Dyadic synthetic service where shards ``s`` and ``s + n_classes``
+    share a class.  Exact sums make different classes collide at the
+    same instant often (the heap-tie repair fires in roughly one run in
+    six), so per-class scan reuse and cross-class repair meet."""
+    def service(shard_id: int, batch_size: int) -> float:
+        return (base + step * (shard_id % n_classes)
+                + inc * (batch_size - 1)) * _QUANTUM / 4
+    return service
+
+
+@st.composite
+def quantized_streams(draw, max_requests=60):
+    """Tied arrivals on a dyadic grid (many land exactly on a max-wait
+    deadline), with shuffled, non-positional request ids."""
+    ticks = sorted(draw(st.lists(st.integers(min_value=0, max_value=160),
+                                 min_size=1, max_size=max_requests)))
+    ids = draw(st.permutations(range(len(ticks))))
+    offset = draw(st.integers(min_value=0, max_value=1000))
+    requests = [Request(req_id=offset + 3 * pid, arrival_s=t * _QUANTUM)
+                for pid, t in zip(ids, ticks)]
+    return draw(st.permutations(requests))
+
+
+@settings(deadline=None, max_examples=60)
+@given(requests=quantized_streams(),
+       n_shards=st.integers(min_value=1, max_value=8),
+       n_classes=st.integers(min_value=1, max_value=3),
+       max_batch=st.integers(min_value=1, max_value=8),
+       wait_quanta=st.integers(min_value=0, max_value=3),
+       base=st.integers(min_value=1, max_value=6),
+       step=st.integers(min_value=1, max_value=3),
+       inc=st.integers(min_value=0, max_value=2))
+def test_schedulers_agree_on_quantized_class_fleets(
+        requests, n_shards, n_classes, max_batch, wait_quanta, base, step,
+        inc):
+    policy = BatchPolicy(max_batch=max_batch,
+                         max_wait_s=wait_quanta * _QUANTUM)
+    service = _class_service(n_classes, base, step, inc)
+    res_s = DiscreteEventScheduler(n_shards, policy, service).run(requests)
+    sched = VectorizedScheduler(n_shards, policy, service)
+    _assert_results_equal(res_s, sched.run(requests))
+    arrivals, req_ids = request_columns(requests)
+    assert sched.run_arrays(arrivals, req_ids).to_schedule_result() == res_s
+
+
+@pytest.mark.simcore
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(requests=quantized_streams(max_requests=40),
+       n_shards=st.integers(min_value=1, max_value=6),
+       extra_chunks=st.integers(min_value=0, max_value=5),
+       max_batch=st.integers(min_value=1, max_value=12),
+       wait_quanta=st.integers(min_value=0, max_value=4))
+def test_columnar_report_agrees_on_uneven_fleets(
+        requests, n_shards, extra_chunks, max_batch, wait_quanta):
+    """Uneven chunk splits put shards into more than one service class
+    (shards holding one extra chunk scan a larger slice)."""
+    base = PAPER_CORPORA["10GB"]
+    spec = dataclasses.replace(base, label="10GB+uneven",
+                               n_chunks=base.n_chunks + extra_chunks)
+    config = ServeConfig(
+        spec=spec, n_shards=n_shards,
+        batch=BatchPolicy(max_batch=max_batch,
+                          max_wait_s=wait_quanta * _QUANTUM),
+        # Just above the ~501.6 ms prefill: attainment lands in (0, 1).
+        k=5, slo_s=0.504)
+    _assert_columnar_report_agrees(config, requests)
+
+
+def test_uneven_split_yields_several_service_classes():
+    """The uneven-fleet sweep above really exercises per-class reuse."""
+    base = PAPER_CORPORA["10GB"]
+    spec = dataclasses.replace(base, n_chunks=base.n_chunks + 2)
+    sim = ServingSimulator(ServeConfig(spec=spec, n_shards=4,
+                                       engine="vectorized"))
+    cls, tables = sim.scheduler._service_classes(64)
+    assert len(tables) == 2
+    assert cls.tolist() == [0, 0, 1, 1]
+
+
+# ----------------------------------------------------------------------
+# 5. Guard: plain run() never materializes the object record
+# ----------------------------------------------------------------------
+def test_columnar_run_does_not_materialize(monkeypatch):
+    def refuse(self):
+        raise AssertionError("fault-free run() materialized its records")
+
+    config = dataclasses.replace(golden_serve_config(), engine="vectorized")
+    with monkeypatch.context() as patch:
+        patch.setattr(ArraySchedule, "to_schedule_result", refuse)
+        report = ServingSimulator(config).run()
+        assert report.n_completed == config.n_requests
+        static = ScaleSimulator(ScaleConfig(
+            serve=config, arrivals=(0.0, 1e-3, 1e-3, 4e-3))).run()
+        assert static.n_completed == 4
+    # An active trace collector is a consumer that needs the objects.
+    with collecting() as trace:
+        ServingSimulator(config).run()
+    expected = (Path(__file__).parents[1] / "goldens"
+                / "trace_serve.txt").read_text()
+    assert render_trace_golden(trace, "sharded serving") == expected
