@@ -277,30 +277,33 @@ def _run_serve(args) -> None:
             raise SystemExit(f"bad ECC configuration: {exc}")
     elif args.ecc_tier is not None:
         raise SystemExit("--ecc-tier requires --ecc")
-    retry = RetryPolicy(
-        timeout_s=math.inf if args.timeout_ms is None
-        else args.timeout_ms * 1e-3,
-        max_retries=args.max_retries,
-        backoff_base_s=args.backoff_ms * 1e-3,
-        backoff_cap_s=args.backoff_cap_ms * 1e-3,
-    )
-    config = ServeConfig(
-        spec=PAPER_CORPORA[args.corpus],
-        n_shards=args.shards,
-        batch=BatchPolicy(max_batch=args.max_batch,
-                          max_wait_s=args.max_wait_ms * 1e-3),
-        k=args.topk,
-        qps=args.qps,
-        n_requests=args.requests,
-        seed=args.seed,
-        slo_s=args.slo_ms * 1e-3,
-        faults=faults,
-        retry=retry,
-        failover=args.failover,
-        integrity=integrity,
-        ecc=ecc,
-        engine=args.engine,
-    )
+    try:
+        retry = RetryPolicy(
+            timeout_s=math.inf if args.timeout_ms is None
+            else args.timeout_ms * 1e-3,
+            max_retries=args.max_retries,
+            backoff_base_s=args.backoff_ms * 1e-3,
+            backoff_cap_s=args.backoff_cap_ms * 1e-3,
+        )
+        config = ServeConfig(
+            spec=PAPER_CORPORA[args.corpus],
+            n_shards=args.shards,
+            batch=BatchPolicy(max_batch=args.max_batch,
+                              max_wait_s=args.max_wait_ms * 1e-3),
+            k=args.topk,
+            qps=args.qps,
+            n_requests=args.requests,
+            seed=args.seed,
+            slo_s=args.slo_ms * 1e-3,
+            faults=faults,
+            retry=retry,
+            failover=args.failover,
+            integrity=integrity,
+            ecc=ecc,
+            engine=args.engine,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"bad serve configuration: {exc}")
     from .scale import ScaleSimulator
 
     scale_config = _build_scale_config(args, config)

@@ -332,13 +332,13 @@ def build_run_monitor(
             bi += 1
         overdue = [int(overdue_by_instant[cls][i])
                    for cls in range(n_classes)]
-        windows = replay.class_windows(i, t, overdue)
+        burns = replay.class_burns(t, overdue, error_budget)
         recorded = tick_burns.get(t)
         for cls in range(n_classes):
             if recorded is not None and cls < len(recorded):
                 burn = recorded[cls]
             else:
-                burn = windows[cls].burn_rate(error_budget)
+                burn = burns[cls]
             burn_points[cls].append((t, burn))
 
     # -- cumulative counters --------------------------------------------

@@ -10,18 +10,21 @@ suite pins that the burn values the monitor samples at control ticks
 are bit-identical to the ones the controller acted on (the elastic
 loop records them on each tick action).
 
-State is per-class deques of ``(completion time, violated)`` plus a
-deque of fault timestamps; windows are answered with the same
+State is per-class deques of ``(completion time, violated)`` with a
+running violation count per class, plus a deque of fault timestamps;
+a window reading costs ``O(classes)`` (after the amortized deque
+trim), answered with the same
 :class:`~repro.telemetry.metrics.BurnWindow` arithmetic the post-run
 telemetry pipeline reports.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, List, Sequence, Tuple
 
-from ..telemetry.metrics import BurnWindow
+from ..telemetry.metrics import BurnWindow, window_burn_rate
 
 __all__ = ["BurnSignal"]
 
@@ -36,10 +39,12 @@ class BurnSignal:
     """
 
     def __init__(self, window_s: float, slo_s: float, n_classes: int = 1):
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {window_s!r}")
-        if slo_s <= 0:
-            raise ValueError(f"slo_s must be positive, got {slo_s!r}")
+        if not (math.isfinite(window_s) and window_s > 0):
+            raise ValueError(
+                f"window_s must be positive and finite, got {window_s!r}")
+        if not (math.isfinite(slo_s) and slo_s > 0):
+            raise ValueError(
+                f"slo_s must be positive and finite, got {slo_s!r}")
         if n_classes < 1:
             raise ValueError(f"n_classes must be >= 1, got {n_classes!r}")
         self.window_s = window_s
@@ -48,14 +53,18 @@ class BurnSignal:
         #: Per-class (completion time, violated) in completion order.
         self._completions: List[Deque[Tuple[float, bool]]] = [
             deque() for _ in range(n_classes)]
+        #: Per-class count of violating entries in ``_completions``.
+        self._violations = [0] * n_classes
         #: Fault-event timestamps (deaths, stall onsets) in event order.
         self._faults: Deque[float] = deque()
 
     def note_completion(self, done_s: float, tti_latency_s: float,
                         priority: int = 0) -> None:
         """Record one resolved request (call in completion order)."""
-        self._completions[priority].append(
-            (done_s, tti_latency_s > self.slo_s))
+        violated = tti_latency_s > self.slo_s
+        self._completions[priority].append((done_s, violated))
+        if violated:
+            self._violations[priority] += 1
 
     def note_fault(self, t_s: float) -> None:
         """Record one fault event (call in event order)."""
@@ -63,9 +72,11 @@ class BurnSignal:
 
     def advance(self, start_s: float) -> None:
         """Drop completions and faults older than ``start_s``."""
-        for completions in self._completions:
+        violations = self._violations
+        for cls, completions in enumerate(self._completions):
             while completions and completions[0][0] < start_s:
-                completions.popleft()
+                if completions.popleft()[1]:
+                    violations[cls] -= 1
         while self._faults and self._faults[0] < start_s:
             self._faults.popleft()
 
@@ -87,17 +98,31 @@ class BurnSignal:
         """
         start_s = now_s - self.window_s
         self.advance(start_s)
-        windows = []
+        return tuple(
+            BurnWindow(index=index, start_s=start_s, end_s=now_s,
+                       n_requests=n_requests, n_violations=n_violations)
+            for n_requests, n_violations in self._counts(overdue_by_class))
+
+    def class_burns(self, now_s: float, overdue_by_class: Sequence[int],
+                    budget: float) -> List[float]:
+        """Per-class burn rates of :meth:`class_windows` at ``now_s``.
+
+        Bitwise ``[w.burn_rate(budget) for w in class_windows(...)]``,
+        read straight from the running counts without building the
+        windows (the per-tick path of the controller and the monitor).
+        """
+        self.advance(now_s - self.window_s)
+        return [window_burn_rate(n_requests, n_violations, budget)
+                for n_requests, n_violations
+                in self._counts(overdue_by_class)]
+
+    def _counts(self, overdue_by_class: Sequence[int]
+                ) -> List[Tuple[int, int]]:
+        """Per-class ``(n_requests, n_violations)`` of the current
+        window, each overdue request counted as a violation."""
+        counts = []
         for cls, completions in enumerate(self._completions):
-            n_done = len(completions)
-            n_violations = sum(1 for _, violated in completions
-                               if violated)
             overdue = int(overdue_by_class[cls])
-            windows.append(BurnWindow(
-                index=index,
-                start_s=start_s,
-                end_s=now_s,
-                n_requests=n_done + overdue,
-                n_violations=n_violations + overdue,
-            ))
-        return tuple(windows)
+            counts.append((len(completions) + overdue,
+                           self._violations[cls] + overdue))
+        return counts

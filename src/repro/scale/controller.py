@@ -20,8 +20,9 @@ tick action, and the differential suite pins the monitor's samples to
 them bit-for-bit).
 
 The controller tracks one burn window **per priority class**
-(:meth:`class_windows`) and the elastic loop scales on the *worst*
-class, so a starving background class asks for capacity even while the
+(:meth:`class_windows`; a tick reads their burns through
+:meth:`class_burns`) and the elastic loop scales on the *worst* class,
+so a starving background class asks for capacity even while the
 interactive class is green.  Fault events (shard deaths, sustained
 stalls) feed in through :meth:`note_fault` as violation pressure: a
 non-zero ``fault_pressure`` at :meth:`decide` forces the scale-up
@@ -37,7 +38,8 @@ input it sees is an event-loop timestamp.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+import math
+from typing import List, Optional, Sequence, Tuple
 
 from ..monitor.signal import BurnSignal
 from ..telemetry.metrics import BurnWindow
@@ -55,8 +57,9 @@ class BurnRateController:
 
     def __init__(self, policy: AutoscalePolicy, slo_s: float,
                  n_classes: int = 1):
-        if slo_s <= 0:
-            raise ValueError(f"slo_s must be positive, got {slo_s!r}")
+        if not (math.isfinite(slo_s) and slo_s > 0):
+            raise ValueError(
+                f"slo_s must be positive and finite, got {slo_s!r}")
         if n_classes < 1:
             raise ValueError(
                 f"n_classes must be >= 1, got {n_classes!r}")
@@ -103,6 +106,18 @@ class BurnRateController:
         self._tick_index += 1
         return self.signal.class_windows(index, now_s, overdue_by_class)
 
+    def class_burns(self, now_s: float,
+                    overdue_by_class: Sequence[int]) -> List[float]:
+        """Per-class burn rates of the trailing control window.
+
+        Bitwise each :meth:`class_windows` window's burn rate against
+        the policy's error budget, read from the signal's running
+        counts (one tick costs ``O(classes)``, however many completions
+        the window holds).
+        """
+        return self.signal.class_burns(now_s, overdue_by_class,
+                                       self.policy.error_budget)
+
     def window(self, now_s: float, n_overdue_pending: int) -> BurnWindow:
         """The aggregate trailing control window ending at ``now_s``.
 
@@ -123,9 +138,6 @@ class BurnRateController:
             n_requests=sum(w.n_requests for w in windows),
             n_violations=sum(w.n_violations for w in windows),
         )
-
-    def burn_rate(self, window: BurnWindow) -> float:
-        return window.burn_rate(self.policy.error_budget)
 
     def decide(self, now_s: float, burn: float, n_serving: int,
                n_warming: int, fault_pressure: int = 0) -> Optional[str]:

@@ -13,9 +13,10 @@ simulator's reroute failover, applied in reverse when the pool grows.
 Service times stay anchored at Table 8: a batch of one on a slice of
 ``c`` chunks costs exactly the single-device latency of that slice, and
 each extra query adds the :class:`~repro.rag.batching.BatchedAPURetrieval`
-amortized increment.  Anchors are memoized per chunk count, so the
-event loop pays a dict probe per dispatch no matter how often the
-topology changes.
+amortized increment.  Anchors are memoized per chunk count and batch
+service times per ``(chunk count, batch size)``, so the event loop
+pays a dict probe per dispatch no matter how often the topology
+changes.
 
 Attaching a cold device is not free: before it can serve, its corpus
 slice must stream from host memory into the accelerator -- the warm-up
@@ -93,6 +94,8 @@ class ElasticAPUDevicePool:
         self._anchors: Dict[
             int, Tuple[float, float, RetrievalBreakdown]] = {}
         self._warmups: Dict[int, float] = {}
+        #: (chunk count, batch size) -> batch service seconds.
+        self._services: Dict[Tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------
     def counts_for(self, attached: Sequence[int]) -> Dict[int, int]:
@@ -208,14 +211,18 @@ class ElasticAPUDevicePool:
 
     def service_seconds(self, chunk_count: int, batch_size: int) -> float:
         """One batch's service time on a slot holding ``chunk_count``."""
-        single, increment, _ = self._anchor(chunk_count)
-        base = single + (batch_size - 1) * increment
-        if self._ecc_costs is not None:
-            base += self.ecc_seconds(batch_size)
-        if self._costs is None:
-            return base
-        base += batch_size * self.verify_seconds(chunk_count)
-        return base * self.scrub_duty_factor
+        key = (chunk_count, batch_size)
+        cost = self._services.get(key)
+        if cost is None:
+            single, increment, _ = self._anchor(chunk_count)
+            cost = single + (batch_size - 1) * increment
+            if self._ecc_costs is not None:
+                cost += self.ecc_seconds(batch_size)
+            if self._costs is not None:
+                cost += batch_size * self.verify_seconds(chunk_count)
+                cost *= self.scrub_duty_factor
+            self._services[key] = cost
+        return cost
 
     def stage_seconds(self, chunk_count: int, batch_size: int
                       ) -> Tuple[Tuple[str, float], ...]:

@@ -35,13 +35,16 @@ and shedding, controller ticks, attach/warm-up/detach/drain, and the
 failover reaction to a death.  Open-loop arrivals are pointer-merged
 against the event heap instead of heap-pushed (taken first at equal
 times, exactly as if pushed before every other event), admission runs
-in bulk while every serving device is busy, and the per-tick overdue
+in bulk while every serving device is busy, the per-tick overdue
 count is the amortized-O(1)
-:class:`~repro.simcore.elastic.OverdueTracker`; ``ServeConfig.engine``
-selects only the static backend.  Every random draw (arrival process,
-priority classes, closed-loop think times) comes from seeded
-generators, so runs are bit-deterministic -- including across processes
-and ``PYTHONHASHSEED`` values.
+:class:`~repro.simcore.elastic.OverdueTracker`, and the per-tick burn
+comes from the signal's running violation counts;
+``ServeConfig.engine`` selects only the static backend.  Per-request
+state stays in the machine's flat columns, so a plain :meth:`run`
+reports from them without building a ``RequestRecord``.  Every random
+draw (arrival process, priority classes, closed-loop think times) comes
+from seeded generators, so runs are bit-deterministic -- including
+across processes and ``PYTHONHASHSEED`` values.
 
 **Fault plans and ABFT integrity compose with the elastic loop**, which
 closes the control loop over the shared fault machinery:
@@ -66,6 +69,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -86,7 +90,6 @@ from ..serve.scheduler import (
     BatchPolicy,
     ExecutedBatch,
     FaultRules,
-    RequestRecord,
     RetryPolicy,
     ScheduleResult,
     ShardMachine,
@@ -350,18 +353,41 @@ class _Slot:
 
 @dataclass
 class _ElasticRun:
-    """Raw artifacts of one elastic run (for traces + telemetry)."""
+    """Raw artifacts of one elastic run (for traces, telemetry and the
+    monitor).
+
+    Per-request state stays in the run's
+    :class:`~repro.serve.scheduler.ShardMachine` columns; :attr:`result`
+    builds the :class:`~repro.serve.scheduler.ScheduleResult` (with its
+    ``RequestRecord`` objects) on first access and caches it, so a plain
+    ``run()`` with no trace collector never builds a record.
+    """
 
     report: ScaleReport
-    result: ScheduleResult
+    machine: ShardMachine
     priorities: Dict[int, int]
     stage_tables: List[Any]
     batch_bytes: List[int]
     merge_by_required: Dict[int, float]
+    #: ``req_id`` -> the TTI the loop computed at resolution (the value
+    #: the controller's burn signal saw).
+    tti_by_req: Dict[int, float]
+
+    @cached_property
+    def result(self) -> ScheduleResult:
+        return self.machine.result()
 
 
 class ScaleSimulator:
-    """Drive a request stream through the elastic serving stack."""
+    """Drive a request stream through the elastic serving stack.
+
+    Every elastic entry point runs one loop (:meth:`_run_elastic`) and
+    one report function (:meth:`_build_report`, which reads the shard
+    machine's per-request columns).  The run's raw artifacts stay on
+    ``_last_run``; its ``result`` -- the ``ScheduleResult`` with its
+    ``RequestRecord`` objects -- is built only when a consumer reads
+    it: an active trace collector, telemetry, or the monitor.
+    """
 
     def __init__(self, config: ScaleConfig,
                  params: APUParams = DEFAULT_PARAMS,
@@ -467,13 +493,6 @@ class ScaleSimulator:
             and self._pool is not None
         pool = self._pool
         cfg = self.config.serve
-        # Bitwise the in-loop completion arithmetic: (now - arrival) +
-        # merge + prefill, with now == retrieval_done_s.
-        tti_by_req = {
-            r.req_id: (r.retrieval_done_s - r.arrival_s)
-            + self._merge_for(r.n_required) + self.prefill_s
-            for r in run.result.records
-            if r.retrieval_done_s is not None}
         attach_bytes = {
             j: pool.embedding_bytes(pool.base_counts[j])
             for j in range(pool.capacity)}
@@ -484,7 +503,7 @@ class ScaleSimulator:
             error_budget=policy.autoscale.error_budget,
             class_names=tuple(c.name for c in policy.priorities),
             priorities=run.priorities,
-            tti_by_req=tti_by_req,
+            tti_by_req=run.tti_by_req,
             batch_bytes=run.batch_bytes,
             pool_initial=cfg.n_shards,
             registry_exposition=telemetry.registry.expose(),
@@ -550,14 +569,14 @@ class ScaleSimulator:
                                        stages=table.stages)
                 stage_tables.append(table)
 
-        def on_resolved(record: RequestRecord, now: float) -> None:
+        def on_resolved(req_id: int, now: float) -> None:
             nonlocal n_open
             n_open -= 1
-            overdue.resolve(record.req_id)
-            merge = self._merge_for(record.n_required)
-            lat = (now - record.arrival_s) + merge + self.prefill_s
-            tti_latency[record.req_id] = lat
-            controller.note_completion(now, lat, priorities[record.req_id])
+            overdue.resolve(req_id)
+            merge = self._merge_for(required_col[req_id])
+            lat = (now - arrival_col[req_id]) + merge + self.prefill_s
+            tti_latency[req_id] = lat
+            controller.note_completion(now, lat, priorities[req_id])
             if closed is not None:
                 next_think(now + merge + self.prefill_s)
 
@@ -592,7 +611,8 @@ class ScaleSimulator:
             on_dispatch=on_dispatch, on_resolved=on_resolved,
             on_death=on_death)
         heap, push, step = machine.heap, machine.push, machine.step
-        shards, records = machine.shards, machine.records
+        shards, register = machine.shards, machine.register
+        arrival_col, required_col = machine.arrival_s, machine.n_required
         maybe_dispatch = machine.maybe_dispatch
 
         # Open-loop arrivals are never heap-pushed: they are
@@ -603,19 +623,17 @@ class ScaleSimulator:
         issues_pending = 0
         if closed is None:
             if self.config.arrivals is not None:
-                times = list(self.config.arrivals)
+                arr_times = list(self.config.arrivals)
             else:
                 rng_arrival = np.random.default_rng(cfg.seed)
                 gaps = rng_arrival.exponential(
                     1.0 / cfg.qps, size=cfg.n_requests)
-                times = list(np.cumsum(gaps))
+                arr_times = np.cumsum(gaps).tolist()
             rng_priority = np.random.default_rng([cfg.seed, 101])
             assigned = rng_priority.choice(
-                len(classes), size=len(times), p=shares)
-            n_expected = issued = len(times)
-            for req_id in range(n_expected):
-                priorities[req_id] = int(assigned[req_id])
-            arr_times = [float(t) for t in times]
+                len(classes), size=len(arr_times), p=shares)
+            n_expected = issued = len(arr_times)
+            priorities.update(enumerate(assigned.tolist()))
         else:
             rng_priority = np.random.default_rng([closed.seed, 101])
             rng_think = np.random.default_rng([closed.seed, 211])
@@ -658,8 +676,7 @@ class ScaleSimulator:
                     kind="shed", t_s=now, pool_size=len(serving),
                     priority=classes[prio].name))
                 return False
-            records[req_id] = RequestRecord(
-                req_id=req_id, arrival_s=now, n_required=len(serving))
+            register(req_id, now, len(serving))
             n_open += 1
             overdue.admit(req_id, now, prio)
             return True
@@ -671,12 +688,9 @@ class ScaleSimulator:
                 # the request resolves empty-handed (the static
                 # scheduler's no-live-shards arrival), still counted
                 # against goodput.
-                record = RequestRecord(req_id=req_id, arrival_s=now,
-                                       n_required=0)
-                records[req_id] = record
                 n_open += 1
                 overdue.admit(req_id, now, prio)
-                machine.resolve(record, now)
+                register(req_id, now, 0)
                 return
             queued = sum(len(shards[j].queue) for j in serving)
             if admit(req_id, now, prio,
@@ -738,12 +752,9 @@ class ScaleSimulator:
 
         def control_tick(now: float) -> None:
             nonlocal peak_burn
-            windows = controller.class_windows(now, overdue.counts(now))
+            class_burns = controller.class_burns(now, overdue.counts(now))
             burn = 0.0
-            class_burns = []
-            for i, window in enumerate(windows):
-                class_burn = controller.burn_rate(window)
-                class_burns.append(class_burn)
+            for i, class_burn in enumerate(class_burns):
                 if class_burn > class_burn_peaks[i]:
                     class_burn_peaks[i] = class_burn
                 if class_burn > burn:
@@ -838,9 +849,9 @@ class ScaleSimulator:
                 priorities[req_id] = prio
                 handle_arrival(req_id, now, prio)
 
-        if not records:  # pragma: no cover - first arrival always admits
+        if not arrival_col:  # pragma: no cover - first arrival admits
             raise RuntimeError("every offered request was shed")
-        run = self._build_report(machine.result(), priorities, tti_latency,
+        run = self._build_report(machine, priorities, tti_latency,
                                  shed_counts, actions, pool_min, pool_max,
                                  len(serving), peak_burn, warmup_total,
                                  class_burn_peaks, stage_tables,
@@ -850,7 +861,7 @@ class ScaleSimulator:
         return run
 
     # ------------------------------------------------------------------
-    def _build_report(self, result: ScheduleResult,
+    def _build_report(self, machine: ShardMachine,
                       priorities: Dict[int, int],
                       tti_latency: Dict[int, float],
                       shed_counts: List[int],
@@ -860,27 +871,39 @@ class ScaleSimulator:
                       class_burn_peaks: List[float],
                       stage_tables: List[Any],
                       batch_bytes: List[int]) -> _ElasticRun:
+        """The report, read from the machine's per-request columns.
+
+        Samples run in ``req_id`` order with the record arithmetic
+        (``(done - arrival) + merge``), elementwise in float64, so the
+        report is bitwise the one a pass over materialized records
+        gives.
+        """
         cfg = self.config.serve
         policy = self.config.policy
         assert policy is not None
         classes = policy.priorities
+        machine.check_complete()
+        # Every admitted request resolved through ``on_resolved``, which
+        # memoized its fan-out width's merge cost.
         merge_by_required = dict(self._merge_memo)
-
-        retrieval_lat = [r.retrieval_latency_s
-                         + self._merge_for(r.n_required)
-                         for r in result.records]
-        tti_lat = [tti_latency[r.req_id] for r in result.records]
-        makespan = max(r.retrieval_done_s + self._merge_for(r.n_required)
-                       for r in result.records
-                       if r.retrieval_done_s is not None) + self.prefill_s
-        sizes = [batch.batch_size for batch in result.batches]
-        n_admitted = len(result.records)
+        req_ids = sorted(machine.arrival_s)
+        arrival_col, done_col = machine.arrival_s, machine.done_s
+        required_col = machine.n_required
+        arrival = np.array([arrival_col[r] for r in req_ids])
+        done = np.array([done_col[r] for r in req_ids])
+        merge = np.array([merge_by_required[required_col[r]]
+                          for r in req_ids])
+        tti_lat = np.array([tti_latency[r] for r in req_ids])
+        batches = machine.batches
+        n_admitted = len(req_ids)
         n_shed = sum(shed_counts)
         n_offered = n_admitted + n_shed
-        n_good = sum(1 for lat in tti_lat if lat <= cfg.slo_s)
-        completed_by_class = [0 for _ in classes]
-        for record in result.records:
-            completed_by_class[priorities[record.req_id]] += 1
+        n_good = int(np.count_nonzero(tti_lat <= cfg.slo_s))
+        completed_by_class = np.bincount(
+            [priorities[r] for r in req_ids],
+            minlength=len(classes)).tolist()
+        makespan = float((done + merge).max()) + self.prefill_s
+        n_sizes = sum(len(batch.request_ids) for batch in batches)
         report = ScaleReport(
             config=self.config,
             n_offered=n_offered,
@@ -890,7 +913,7 @@ class ScaleSimulator:
             makespan_s=makespan,
             throughput_qps=n_admitted / makespan,
             goodput=n_good / n_offered,
-            retrieval=LatencyStats.from_samples(retrieval_lat),
+            retrieval=LatencyStats.from_samples((done - arrival) + merge),
             tti=LatencyStats.from_samples(tti_lat),
             slo_attainment=slo_attainment(tti_lat, cfg.slo_s),
             pool_min=pool_min,
@@ -899,10 +922,11 @@ class ScaleSimulator:
             n_attaches=sum(1 for a in actions if a.kind == "attach"),
             n_detaches=sum(1 for a in actions if a.kind == "detach"),
             warmup_total_s=warmup_total,
-            shard_utilization=tuple(
-                utilization(result.busy_seconds, result.horizon_s)),
-            n_batches=len(result.batches),
-            mean_batch_size=sum(sizes) / len(sizes) if sizes else 0.0,
+            shard_utilization=tuple(utilization(
+                [state.busy_s for state in machine.shards],
+                float(done.max()))),
+            n_batches=len(batches),
+            mean_batch_size=n_sizes / len(batches) if batches else 0.0,
             peak_burn_rate=peak_burn,
             shed_by_class=tuple(
                 (cls.name, shed_counts[i])
@@ -914,25 +938,25 @@ class ScaleSimulator:
             class_burn_peaks=tuple(
                 (cls.name, class_burn_peaks[i])
                 for i, cls in enumerate(classes)),
-            n_shard_failures=len(result.death_times),
+            n_shard_failures=len(machine.death_times),
             n_failovers=sum(1 for a in actions if a.kind == "attach"
                             and a.reason == "failover"),
-            n_timeouts=result.n_timeouts,
-            n_interrupted=result.n_interrupted,
-            n_retries=result.n_retries,
-            n_corruptions_detected=result.n_corruptions_detected,
-            n_sdc_escapes=result.n_sdc,
-            n_recomputes=result.n_recomputes,
-            n_ecc_corrected=result.n_ecc_corrected,
-            n_ecc_detected=result.n_ecc_detected,
-            n_ecc_miscorrections=result.n_ecc_miscorrections,
-            degraded_requests=sum(
-                1 for r in result.records if r.failed_shards),
+            n_timeouts=machine.n_timeouts,
+            n_interrupted=machine.n_interrupted,
+            n_retries=machine.n_retries,
+            n_corruptions_detected=machine.n_corruptions_detected,
+            n_sdc_escapes=machine.n_sdc,
+            n_recomputes=machine.n_recomputes,
+            n_ecc_corrected=machine.n_ecc_corrected,
+            n_ecc_detected=machine.n_ecc_detected,
+            n_ecc_miscorrections=machine.n_ecc_miscorrections,
+            degraded_requests=len(
+                {req_id for req_id, _shard in machine.failed}),
         )
         return _ElasticRun(
-            report=report, result=result, priorities=dict(priorities),
+            report=report, machine=machine, priorities=dict(priorities),
             stage_tables=stage_tables, batch_bytes=batch_bytes,
-            merge_by_required=merge_by_required)
+            merge_by_required=merge_by_required, tti_by_req=tti_latency)
 
     # ------------------------------------------------------------------
     def _emit_trace(self, run: _ElasticRun) -> None:

@@ -237,25 +237,13 @@ class RequestRecord:
         return not self.failed_shards and not self.corrupted_shards
 
 
-@dataclass(frozen=True)
-class ScheduleResult:
-    """Everything the simulation produced, in deterministic order."""
+class _FaultTallies:
+    """Fault and integrity tallies over ``batches`` and ``fault_log``,
+    shared by the finished :class:`ScheduleResult` and the live
+    :class:`ShardMachine` (whose report needs no records)."""
 
-    n_shards: int
-    policy: BatchPolicy
-    batches: Tuple[ExecutedBatch, ...]
-    records: Tuple[RequestRecord, ...]
-    busy_seconds: Tuple[float, ...]
-    #: Dynamic fault-handling actions, in event order.
-    fault_log: Tuple[FaultLogEntry, ...] = ()
-    #: Shard id -> time it was declared dead.
-    death_times: Dict[int, float] = field(default_factory=dict)
-
-    @property
-    def horizon_s(self) -> float:
-        """Last retrieval completion (the simulated makespan)."""
-        return max(r.retrieval_done_s for r in self.records
-                   if r.retrieval_done_s is not None)
+    batches: Sequence[ExecutedBatch]
+    fault_log: Sequence[FaultLogEntry]
 
     @property
     def n_timeouts(self) -> int:
@@ -309,6 +297,25 @@ class ScheduleResult:
                    if entry.kind == "ecc_miscorrect")
 
 
+@dataclass(frozen=True)
+class ScheduleResult(_FaultTallies):
+    """Everything the simulation produced, in deterministic order."""
+
+    n_shards: int
+    policy: BatchPolicy
+    batches: Tuple[ExecutedBatch, ...]
+    records: Tuple[RequestRecord, ...]
+    busy_seconds: Tuple[float, ...]
+    #: Dynamic fault-handling actions, in event order.
+    fault_log: Tuple[FaultLogEntry, ...] = ()
+    #: Shard id -> time it was declared dead.
+    death_times: Dict[int, float] = field(default_factory=dict)
+
+    @property
+    def horizon_s(self) -> float:
+        """Last retrieval completion (the simulated makespan)."""
+        return max(r.retrieval_done_s for r in self.records
+                   if r.retrieval_done_s is not None)
 
 
 @dataclass(frozen=True)
@@ -454,27 +461,36 @@ class _ShardState:
         self.flip_cursor = 0
 
 
-class ShardMachine:
+class ShardMachine(_FaultTallies):
     """Heap-driven per-shard machine shared by the event-loop drivers.
 
     Owns every shard's FIFO queue, the max-batch / max-wait batcher,
     backoff and outage wakes, completions, failures and death, plus the
-    run's causal record (:attr:`records`, :attr:`batches`,
-    :attr:`fault_log`, :attr:`death_times`).  A driver owns the clock:
-    it pushes its own event kinds (numbered from
+    run's causal record (:attr:`batches`, :attr:`fault_log`,
+    :attr:`death_times` and the per-request columns).  A driver owns
+    the clock: it pushes its own event kinds (numbered from
     :data:`FIRST_DRIVER_KIND`) on :attr:`heap` through :meth:`push`,
     pops every event itself, and hands the machine's kinds to
-    :meth:`step`.  To fan an arrival out, the driver registers its
-    :class:`RequestRecord` in :attr:`records`, appends ``(req_id,
-    now)`` to each target shard's queue and calls :meth:`maybe_dispatch`
-    (or, while the shard is busy, only appends).
+    :meth:`step`.  To fan an arrival out, the driver calls
+    :meth:`register`, appends ``(req_id, now)`` to each target shard's
+    queue and calls :meth:`maybe_dispatch` (or, while the shard is
+    busy, only appends).
+
+    Per-request state is flat columns keyed by ``req_id`` --
+    :attr:`arrival_s`, :attr:`n_required`, :attr:`outstanding` (answers
+    still due) and :attr:`done_s` (scatter-gather resolution) -- plus
+    the :attr:`failed` list of ``(req_id, shard_id)`` pairs shard deaths
+    drained.  Each answer or death decrements the request's outstanding
+    count; at zero it resolves.  No :class:`RequestRecord` exists during
+    the run: :meth:`result` builds them from the columns and the
+    batches, for consumers that want the object form.
 
     Hooks:
 
     * ``service_time(shard_id, batch_size) -> seconds`` at every
       dispatch (so a failover may re-anchor it mid-run);
     * ``on_dispatch(batch)`` after every dispatch;
-    * ``on_resolved(record, t_s)`` when a request's scatter-gather
+    * ``on_resolved(req_id, t_s)`` when a request's scatter-gather
       resolves;
     * ``on_death(shard_id, t_s)`` once per death, after the dead
       shard's queue has drained.
@@ -484,8 +500,7 @@ class ShardMachine:
                  service_time: Callable[[int, int], float],
                  rules: Optional[FaultRules] = None,
                  on_dispatch: Optional[Callable[[ExecutedBatch], None]] = None,
-                 on_resolved: Optional[
-                     Callable[[RequestRecord, float], None]] = None,
+                 on_resolved: Optional[Callable[[int, float], None]] = None,
                  on_death: Optional[Callable[[int, float], None]] = None):
         self.policy = policy
         self.max_batch = policy.max_batch
@@ -500,7 +515,14 @@ class ShardMachine:
         self.heap: List[tuple] = []
         self._next_seq = itertools.count().__next__
         self.shards = [_ShardState() for _ in range(n_shards)]
-        self.records: Dict[int, RequestRecord] = {}
+        #: Per-request columns, keyed by ``req_id`` in registration
+        #: order (:attr:`done_s` in resolution order).
+        self.arrival_s: Dict[int, float] = {}
+        self.n_required: Dict[int, int] = {}
+        self.outstanding: Dict[int, int] = {}
+        self.done_s: Dict[int, float] = {}
+        #: ``(req_id, shard_id)`` pairs failed by shard deaths.
+        self.failed: List[Tuple[int, int]] = []
         self.batches: List[ExecutedBatch] = []
         self.fault_log: List[FaultLogEntry] = []
         #: Shard id -> time it was declared dead.
@@ -513,15 +535,26 @@ class ShardMachine:
     def push(self, time_s: float, kind: int, payload) -> None:
         heapq.heappush(self.heap, (time_s, self._next_seq(), kind, payload))
 
-    def resolve(self, record: RequestRecord, now: float) -> None:
-        """Resolve ``record`` once every required shard answered/failed."""
-        if record.retrieval_done_s is not None:
-            return
-        if len(record.shard_done_s) + len(record.failed_shards) \
-                >= record.n_required:
-            record.retrieval_done_s = now
-            if self.on_resolved is not None:
-                self.on_resolved(record, now)
+    def register(self, req_id: int, arrival_s: float,
+                 n_required: int) -> None:
+        """Open one request fanned out to ``n_required`` shards; with
+        none to ask it resolves empty-handed at once."""
+        self.arrival_s[req_id] = arrival_s
+        self.n_required[req_id] = n_required
+        self.outstanding[req_id] = n_required
+        if n_required <= 0:
+            self._resolve(req_id, arrival_s)
+
+    def _resolve(self, req_id: int, now: float) -> None:
+        self.done_s[req_id] = now
+        if self.on_resolved is not None:
+            self.on_resolved(req_id, now)
+
+    @staticmethod
+    def _served_twice(req_id: int, shard_id: int) -> RuntimeError:
+        return RuntimeError(
+            f"request {req_id} served twice: shard {shard_id} settled "
+            f"it more times than the request fanned out")
 
     def _declare_dead(self, shard_id: int, now: float) -> None:
         state = self.shards[shard_id]
@@ -533,11 +566,15 @@ class ShardMachine:
         self.fault_log.append(FaultLogEntry(
             kind="dead", shard_id=shard_id, t_s=now,
             attempt=state.failures))
-        records = self.records
+        outstanding = self.outstanding
         for req_id, _enqueue in state.queue:
-            record = records[req_id]
-            record.failed_shards.add(shard_id)
-            self.resolve(record, now)
+            self.failed.append((req_id, shard_id))
+            left = outstanding[req_id] - 1
+            outstanding[req_id] = left
+            if left <= 0:
+                if left < 0:
+                    raise self._served_twice(req_id, shard_id)
+                self._resolve(req_id, now)
         state.queue.clear()
         if self.on_death is not None:
             self.on_death(shard_id, now)
@@ -570,7 +607,7 @@ class ShardMachine:
         batch = ExecutedBatch(
             shard_id=shard_id, seq=state.batch_seq, dispatch_s=now,
             service_s=occupied,
-            request_ids=tuple(req_id for req_id, _ in taken),
+            request_ids=tuple([req_id for req_id, _ in taken]),
             head_enqueue_s=head_enqueue, attempt=state.failures,
             multiplier=multiplier, outcome=outcome,
             corrupted=corrupted, recompute=recompute)
@@ -621,31 +658,23 @@ class ShardMachine:
             state.busy = False
             state.busy_s += batch.service_s
             state.failures = 0
-            corrupted = batch.corrupted
-            if corrupted:
+            if batch.corrupted:
                 # Unprotected serving: the corrupted answer ships.
                 self.fault_log.append(FaultLogEntry(
                     kind="sdc", shard_id=shard_id, t_s=batch.dispatch_s,
                     duration_s=batch.service_s))
-            records = self.records
+            outstanding, done_s = self.outstanding, self.done_s
             on_resolved = self.on_resolved
             for req_id in batch.request_ids:
-                record = records[req_id]
-                done = record.shard_done_s
-                if shard_id in done:
-                    raise RuntimeError(
-                        f"request {req_id} served twice on shard "
-                        f"{shard_id}")
-                done[shard_id] = now
-                if corrupted:
-                    record.corrupted_shards.add(shard_id)
-                # :meth:`resolve`, inlined on the hottest path.
-                if record.retrieval_done_s is None and \
-                        len(done) + len(record.failed_shards) \
-                        >= record.n_required:
-                    record.retrieval_done_s = now
+                left = outstanding[req_id] - 1
+                outstanding[req_id] = left
+                if left <= 0:
+                    if left < 0:
+                        raise self._served_twice(req_id, shard_id)
+                    # :meth:`_resolve`, inlined on the hottest path.
+                    done_s[req_id] = now
                     if on_resolved is not None:
-                        on_resolved(record, now)
+                        on_resolved(req_id, now)
             self.maybe_dispatch(shard_id, now)
         elif kind == TIMER:
             shard_id, gen = payload
@@ -671,18 +700,57 @@ class ShardMachine:
             else:
                 self.maybe_dispatch(shard_id, now)
 
-    def result(self) -> ScheduleResult:
-        """The run's causal record (every request must have resolved)."""
-        records = self.records
-        incomplete = [r.req_id for r in records.values()
-                      if r.retrieval_done_s is None]
-        if incomplete:  # pragma: no cover - guarded by construction
+    def check_complete(self) -> None:
+        """Raise unless every registered request has resolved."""
+        if len(self.done_s) < len(self.arrival_s):
+            incomplete = [req_id for req_id in self.arrival_s
+                          if req_id not in self.done_s]
             raise RuntimeError(f"requests never completed: {incomplete}")
+
+    def result(self) -> ScheduleResult:
+        """The run's causal record (every request must have resolved).
+
+        Builds the :class:`RequestRecord` objects from the columns: a
+        request's ``shard_done_s`` holds the completion time of each
+        successful batch that carried it -- ``dispatch_s + service_s``,
+        the very float the heap popped -- entered in pop order (done
+        time, then dispatch order); ``failed_shards`` comes from the
+        death-drained pairs and ``corrupted_shards`` from successful
+        batches that shipped corrupted data.
+        """
+        self.check_complete()
+        shard_done: Dict[int, Dict[int, float]] = {
+            req_id: {} for req_id in self.arrival_s}
+        corrupted: Dict[int, Set[int]] = {}
+        succeeded = [batch for batch in self.batches
+                     if batch.outcome == OUTCOME_OK]
+        succeeded.sort(key=lambda batch: batch.dispatch_s + batch.service_s)
+        for batch in succeeded:
+            shard_id = batch.shard_id
+            done_s = batch.dispatch_s + batch.service_s
+            for req_id in batch.request_ids:
+                shard_done[req_id][shard_id] = done_s
+                if batch.corrupted:
+                    corrupted.setdefault(req_id, set()).add(shard_id)
+        failed: Dict[int, Set[int]] = {}
+        for req_id, shard_id in self.failed:
+            failed.setdefault(req_id, set()).add(shard_id)
+        records = tuple(
+            RequestRecord(
+                req_id=req_id,
+                arrival_s=self.arrival_s[req_id],
+                shard_done_s=shard_done[req_id],
+                failed_shards=failed.get(req_id, set()),
+                corrupted_shards=corrupted.get(req_id, set()),
+                n_required=self.n_required[req_id],
+                retrieval_done_s=self.done_s[req_id],
+            )
+            for req_id in sorted(self.arrival_s))
         return ScheduleResult(
             n_shards=len(self.shards),
             policy=self.policy,
             batches=tuple(self.batches),
-            records=tuple(records[req_id] for req_id in sorted(records)),
+            records=records,
             busy_seconds=tuple(state.busy_s for state in self.shards),
             fault_log=tuple(self.fault_log),
             death_times=self.death_times,
@@ -784,10 +852,7 @@ class DiscreteEventScheduler:
         machine = ShardMachine(self.n_shards, self.policy,
                                self.service_time, self._rules(),
                                on_death=self.on_death)
-        records = machine.records
         for request in self._ordered(requests):
-            records[request.req_id] = RequestRecord(
-                req_id=request.req_id, arrival_s=request.arrival_s)
             machine.push(request.arrival_s, _ARRIVE, request.req_id)
 
         heap, shards, step = machine.heap, machine.shards, machine.step
@@ -797,13 +862,10 @@ class DiscreteEventScheduler:
             if kind != _ARRIVE:
                 step(kind, payload, now)
                 continue
-            record = records[payload]
             live = [shard_id for shard_id, state in enumerate(shards)
                     if not state.dead]
-            record.n_required = len(live)
-            if not live:
-                # Nothing left to serve from: resolve empty-handed.
-                machine.resolve(record, now)
+            # With no live shard left it resolves empty-handed.
+            machine.register(payload, now, len(live))
             for shard_id in live:
                 shards[shard_id].queue.append((payload, now))
                 maybe_dispatch(shard_id, now)

@@ -53,6 +53,7 @@ flips, detections, recomputes, scrub passes, SDC escapes) on the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -147,8 +148,9 @@ class ServeConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k!r}")
-        if self.slo_s <= 0:
-            raise ValueError(f"slo_s must be positive, got {self.slo_s!r}")
+        if not (math.isfinite(self.slo_s) and self.slo_s > 0):
+            raise ValueError(
+                f"slo_s must be positive and finite, got {self.slo_s!r}")
         if self.n_shards > self.spec.n_chunks:
             raise ValueError(
                 f"{self.n_shards} shards for {self.spec.n_chunks} chunks "

@@ -13,6 +13,7 @@ brute-force oracle in ``tests/simcore`` pins the equivalence).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Tuple
 
 __all__ = ["OverdueTracker"]
@@ -40,8 +41,9 @@ class OverdueTracker:
                  "_resolved", "_pos", "_cursor", "_counts")
 
     def __init__(self, slo_s: float, n_classes: int):
-        if slo_s <= 0:
-            raise ValueError(f"slo_s must be positive, got {slo_s!r}")
+        if not (math.isfinite(slo_s) and slo_s > 0):
+            raise ValueError(
+                f"slo_s must be positive and finite, got {slo_s!r}")
         if n_classes < 1:
             raise ValueError(
                 f"n_classes must be >= 1, got {n_classes!r}")

@@ -33,6 +33,7 @@ __all__ = [
     "MetricRegistrationError",
     "MetricsRegistry",
     "BurnWindow",
+    "window_burn_rate",
     "slo_burn_windows",
     "DEFAULT_LATENCY_BOUNDS_S",
 ]
@@ -349,10 +350,18 @@ class BurnWindow:
 
     def burn_rate(self, budget: float) -> float:
         """Error rate over budget (1.0 = burning exactly at budget)."""
-        if budget <= 0:
-            raise ValueError(f"error budget must be positive, "
-                             f"got {budget!r}")
-        return self.error_rate() / budget
+        return window_burn_rate(self.n_requests, self.n_violations, budget)
+
+
+def window_burn_rate(n_requests: int, n_violations: int,
+                     budget: float) -> float:
+    """:meth:`BurnWindow.burn_rate` of a window's counts, without
+    building the window."""
+    if budget <= 0:
+        raise ValueError(f"error budget must be positive, "
+                         f"got {budget!r}")
+    rate = n_violations / n_requests if n_requests else 0.0
+    return rate / budget
 
 
 def slo_burn_windows(arrivals_s: Sequence[float],

@@ -1,6 +1,10 @@
 """The shared burn signal: one window engine for controller and monitor."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.monitor import BurnSignal
 from repro.scale import ScalePolicy, ScaleSimulator, golden_autoscale_config
@@ -66,6 +70,57 @@ def test_signal_validation():
         BurnSignal(window_s=1.0, slo_s=0.0)
     with pytest.raises(ValueError):
         BurnSignal(window_s=1.0, slo_s=1.0, n_classes=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_signal_rejects_non_finite_window_and_slo(bad):
+    with pytest.raises(ValueError, match="finite"):
+        BurnSignal(window_s=bad, slo_s=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        BurnSignal(window_s=1.0, slo_s=bad)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_running_counts_equal_a_brute_force_resum(data):
+    """The per-class violation counts a tick reads equal a re-sum of
+    the trailing deque, and the tick's burns equal the window
+    arithmetic over the full completion history."""
+    n_classes = data.draw(st.integers(min_value=1, max_value=3))
+    window_s, slo_s, budget = 0.010, 0.050, 0.01
+    signal = BurnSignal(window_s, slo_s, n_classes)
+    history = []  # (done_s, violated, class)
+    now_s = 0.0
+    ops = data.draw(st.lists(st.tuples(
+        st.sampled_from(["complete", "advance", "tick"]),
+        st.integers(min_value=0, max_value=6),      # time step, ms
+        st.sampled_from([10, 50, 51, 90]),          # latency, ms
+        st.integers(min_value=0, max_value=n_classes - 1),
+        st.integers(min_value=0, max_value=3)),     # overdue
+        max_size=80))
+    for op, step_ms, latency_ms, cls, overdue in ops:
+        now_s += step_ms * 1e-3
+        if op == "complete":
+            signal.note_completion(now_s, latency_ms * 1e-3, cls)
+            history.append((now_s, latency_ms * 1e-3 > slo_s, cls))
+            continue
+        if op == "advance":
+            signal.advance(now_s - window_s)
+        else:
+            overdue_by_class = [overdue] * n_classes
+            burns = signal.class_burns(now_s, overdue_by_class, budget)
+            start_s = now_s - window_s
+            for c in range(n_classes):
+                live = [v for t, v, k in history if k == c and t >= start_s]
+                n_requests = len(live) + overdue
+                n_violations = sum(live) + overdue
+                rate = n_violations / n_requests if n_requests else 0.0
+                assert burns[c] == rate / budget
+            windows = signal.class_windows(0, now_s, overdue_by_class)
+            assert [w.burn_rate(budget) for w in windows] == burns
+        for c, completions in enumerate(signal._completions):
+            assert signal._violations[c] \
+                == sum(1 for _, violated in completions if violated)
 
 
 @pytest.mark.monitor

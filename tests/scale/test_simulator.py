@@ -1,9 +1,11 @@
 """Elastic-simulator invariants on the canonical autoscale workload."""
 
 import dataclasses
+import math
 
 import pytest
 
+from repro.monitor import BurnSignal
 from repro.obs import LANE_SCALE, collecting
 from repro.rag.corpus import PAPER_CORPORA
 from repro.scale import (
@@ -18,9 +20,30 @@ from repro.scale import (
     ScaleSimulator,
     golden_autoscale_config,
 )
-from repro.serve import ClosedLoopConfig, ServeReport
+from repro.serve import ClosedLoopConfig, ServeConfig, ServeReport
 from repro.serve.simulator import golden_fault_config, \
     golden_integrity_config, golden_serve_config
+from repro.simcore.elastic import OverdueTracker
+
+#: Every constructor that classifies completions against the SLO.
+SLO_CONSUMERS = {
+    "ServeConfig": lambda slo_s: ServeConfig(
+        spec=PAPER_CORPORA["10GB"], slo_s=slo_s),
+    "BurnSignal": lambda slo_s: BurnSignal(window_s=0.010, slo_s=slo_s),
+    "OverdueTracker": lambda slo_s: OverdueTracker(slo_s, 1),
+    "BurnRateController": lambda slo_s: BurnRateController(
+        AutoscalePolicy(), slo_s),
+}
+
+
+@pytest.mark.parametrize("slo_s", [math.nan, math.inf, -math.inf, 0.0,
+                                   -1e-3])
+@pytest.mark.parametrize("consumer", sorted(SLO_CONSUMERS))
+def test_slo_must_be_positive_and_finite(consumer, slo_s):
+    # A NaN SLO never counts a violation, so it used to pass silently
+    # and leave the controller reading zero burn on a failing run.
+    with pytest.raises(ValueError, match="slo_s must be positive"):
+        SLO_CONSUMERS[consumer](slo_s)
 
 
 @pytest.fixture(scope="module")

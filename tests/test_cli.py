@@ -66,6 +66,15 @@ class TestServeCommand:
         assert "over 2 shard(s)" in out
         assert "50 qps offered" in out
 
+    @pytest.mark.parametrize("slo_ms", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("autoscale", [[], ["--autoscale"]])
+    def test_serve_bad_slo_exits_cleanly(self, slo_ms, autoscale):
+        with pytest.raises(SystemExit,
+                           match="bad serve configuration: slo_s must be "
+                                 "positive and finite"):
+            main(["serve", "--corpus", "10GB", "--requests", "8",
+                  f"--slo-ms={slo_ms}", *autoscale])
+
     def test_serve_rejects_bad_shards(self):
         with pytest.raises(ValueError):
             main(["serve", "--shards", "0", "--requests", "8",
