@@ -250,10 +250,13 @@ def _run_serve(args) -> None:
     from .serve import BatchPolicy, RetryPolicy, ServeConfig
 
     faults = FaultPlan()
-    if args.fault_plan:
-        faults = FaultPlan.load(args.fault_plan)
-    if args.bit_flip_plan:
-        faults = faults.merged_with(FaultPlan.load(args.bit_flip_plan))
+    try:
+        if args.fault_plan:
+            faults = FaultPlan.load(args.fault_plan)
+        if args.bit_flip_plan:
+            faults = faults.merged_with(FaultPlan.load(args.bit_flip_plan))
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"bad fault plan: {exc}")
     integrity = IntegrityConfig()
     if args.integrity:
         integrity = IntegrityConfig(
@@ -815,10 +818,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser.add_argument("--engine", choices=list(ENGINES),
                         default=DEFAULT_ENGINE,
-                        help="serve only, static runs only: simulation "
-                             "backend (the vectorized core is bit-identical "
-                             "to the scalar reference and ~100x faster); "
-                             "--autoscale runs ignore it")
+                        help="serve only, static fault-free runs only: "
+                             "simulation backend (the vectorized core is "
+                             "bit-identical to the scalar reference and "
+                             "~100x faster); fault-plan runs use the scalar "
+                             "event loop on either engine and --autoscale "
+                             "runs ignore it")
     return parser
 
 

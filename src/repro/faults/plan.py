@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -273,6 +273,53 @@ def check_outage_consistency(outages: Sequence[OutageFault]) -> None:
                             f"overlaps {_describe(b)}")
 
 
+def _duration(raw: object) -> float:
+    """An outage duration from JSON: ``null`` is a permanent outage."""
+    return math.inf if raw is None else float(raw)  # type: ignore[arg-type]
+
+
+#: What each JSON field converter accepts, for error messages.
+_EXPECTED = {int: "an integer", float: "a number", str: "a string",
+             _duration: "a number or null"}
+
+
+def _parse_faults(data: Dict[str, object], key: str, fault_cls: type,
+                  convert: Dict[str, Callable[[object], object]]) -> tuple:
+    """The ``fault_cls`` entries listed under ``key`` (fields not in
+    ``convert`` are floats; absent ones take the dataclass default).
+
+    Every error is a :class:`ValueError` naming the entry and field.
+    """
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise ValueError(f"fault plan {key!r} must be a list of objects, "
+                         f"got {type(entries).__name__}")
+    faults = []
+    for index, entry in enumerate(entries):
+        where = f"{key}[{index}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be an object, "
+                             f"got {type(entry).__name__}")
+        kwargs = {}
+        for spec in fields(fault_cls):
+            if spec.name not in entry:
+                if spec.default is MISSING:
+                    raise ValueError(f"{where}: missing field {spec.name!r}")
+                continue
+            raw = entry[spec.name]
+            parse = convert.get(spec.name, float)
+            try:
+                kwargs[spec.name] = parse(raw)
+            except (TypeError, ValueError):
+                raise ValueError(f"{where}: field {spec.name!r} must be "
+                                 f"{_EXPECTED[parse]}, got {raw!r}") from None
+        try:
+            faults.append(fault_cls(**kwargs))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return tuple(faults)
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """A deterministic script of faults for one simulation run."""
@@ -378,7 +425,11 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FaultPlan":
-        """Inverse of :meth:`to_dict` (null duration = permanent)."""
+        """Inverse of :meth:`to_dict` (null duration = permanent).
+
+        A malformed plan raises :class:`ValueError` naming the entry and
+        the field, e.g. ``outages[0]: missing field 'start_s'``.
+        """
         if not isinstance(data, dict):
             raise ValueError(f"fault plan must be a JSON object, "
                              f"got {type(data).__name__}")
@@ -386,36 +437,16 @@ class FaultPlan:
         if unknown:
             raise ValueError(f"unknown fault plan keys: {sorted(unknown)}")
 
-        def _dur(raw: object) -> float:
-            return math.inf if raw is None else float(raw)  # type: ignore[arg-type]
-
-        stalls = tuple(
-            StallFault(shard_id=int(entry["shard_id"]),
-                       start_s=float(entry["start_s"]),
-                       duration_s=float(entry["duration_s"]),
-                       slowdown=float(entry["slowdown"]))
-            for entry in data.get("stalls", ())  # type: ignore[union-attr]
+        return cls(
+            stalls=_parse_faults(data, "stalls", StallFault,
+                                 {"shard_id": int}),
+            outages=_parse_faults(data, "outages", OutageFault,
+                                  {"shard_id": int, "duration_s": _duration}),
+            bit_flips=_parse_faults(data, "bit_flips", BitFlipFault,
+                                    {"shard_id": int, "target": str,
+                                     "vr": int, "bit": int, "element": int,
+                                     "burst_bits": int}),
         )
-        outages = tuple(
-            OutageFault(shard_id=int(entry["shard_id"]),
-                        start_s=float(entry["start_s"]),
-                        duration_s=_dur(entry.get("duration_s")),
-                        recovery_s=float(entry.get("recovery_s", 0.0)),
-                        recovery_slowdown=float(
-                            entry.get("recovery_slowdown", 1.0)))
-            for entry in data.get("outages", ())  # type: ignore[union-attr]
-        )
-        bit_flips = tuple(
-            BitFlipFault(shard_id=int(entry["shard_id"]),
-                         t_s=float(entry["t_s"]),
-                         target=str(entry.get("target", "vr")),
-                         vr=int(entry.get("vr", 4)),
-                         bit=int(entry.get("bit", 0)),
-                         element=int(entry.get("element", 0)),
-                         burst_bits=int(entry.get("burst_bits", 1)))
-            for entry in data.get("bit_flips", ())  # type: ignore[union-attr]
-        )
-        return cls(stalls=stalls, outages=outages, bit_flips=bit_flips)
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         """The plan as a JSON string."""

@@ -89,7 +89,6 @@ from ..serve.scheduler import (
     FIRST_DRIVER_KIND,
     BatchPolicy,
     ExecutedBatch,
-    FaultRules,
     RetryPolicy,
     ScheduleResult,
     ShardMachine,
@@ -605,9 +604,9 @@ class ScaleSimulator:
         machine = ShardMachine(
             pool.capacity, cfg.batch,
             lambda j, take: pool.service_seconds(slots[j].chunk_count, take),
-            rules=None if injector is None else FaultRules(
-                injector, cfg.retry, cfg.integrity.enabled,
-                ECCModel(cfg.ecc) if cfg.ecc.enabled else None),
+            injector=injector, retry=cfg.retry,
+            protected=cfg.integrity.enabled,
+            ecc=ECCModel(cfg.ecc) if cfg.ecc.enabled else None,
             on_dispatch=on_dispatch, on_resolved=on_resolved,
             on_death=on_death)
         heap, push, step = machine.heap, machine.push, machine.step

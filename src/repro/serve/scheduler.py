@@ -40,14 +40,14 @@ death/failover.  Unprotected, the batch "succeeds" and the corruption
 escapes silently: the affected requests record the shard in
 ``corrupted_shards`` and the log gains an ``"sdc"`` entry.
 
-These per-shard rules are written once.  :class:`FaultRules` holds the
-two fault transitions (judging a dispatch; booking a failed attempt),
-and :class:`ShardMachine` runs queues, batching timers, wakes,
-completions and death on a binary heap ordered by ``(time,
-sequence)``.  :class:`DiscreteEventScheduler` drives the machine over a
-static fleet, the elastic :class:`~repro.scale.simulator.ScaleSimulator`
-drives it over an autoscaled pool, and the vectorized core's analytic
-scan calls the same two transitions.  The sequence number makes
+These per-shard rules are written once, in :class:`ShardMachine`: it
+runs queues, batching timers, wakes, completions, the two fault
+transitions (judging a dispatch; booking a failed attempt) and death
+on a binary heap ordered by ``(time, sequence)``.
+:class:`DiscreteEventScheduler` drives the machine over a static
+fleet, on either engine whenever a fault injector is attached, and the
+elastic :class:`~repro.scale.simulator.ScaleSimulator` drives it over
+an autoscaled pool.  The sequence number makes
 simultaneous events process in insertion order, so the whole
 simulation is bit-deterministic for a fixed request stream, fault plan,
 and service model -- and with no injector the fault paths are never
@@ -78,7 +78,6 @@ __all__ = [
     "ExecutedBatch",
     "RequestRecord",
     "ScheduleResult",
-    "FaultRules",
     "ShardMachine",
     "DiscreteEventScheduler",
 ]
@@ -318,119 +317,6 @@ class ScheduleResult(_FaultTallies):
                    if r.retrieval_done_s is not None)
 
 
-@dataclass(frozen=True)
-class FaultRules:
-    """The per-shard fault rules, shared by every driver.
-
-    Two transitions on one shard's state and nothing else -- no heap, no
-    clock -- so the heap-driven :class:`ShardMachine` and the vectorized
-    core's analytic scan run the same code.  ``shard`` is any object
-    with ``failures``, ``last_corrupted``, ``flip_cursor`` and
-    ``blocked_until`` attributes; both transitions update it in place
-    and return the fault-log entries they produce.
-    """
-
-    injector: FaultInjector
-    retry: RetryPolicy
-    protected: bool = False
-    ecc: Optional[ECCModel] = None
-
-    def judge(self, shard, shard_id: int, now: float, base_s: float
-              ) -> Tuple[float, str, float, bool, bool, List[FaultLogEntry]]:
-        """Decide one dispatch: ``(multiplier, outcome, occupied_s,
-        corrupted, recompute, entries)``.
-
-        The stall multiplier is evaluated at dispatch; a timeout or an
-        outage opening mid-flight truncates the occupied window; an
-        attempt that runs to completion consumes the transient flips
-        landed since the last one (and any stuck-at cell active by its
-        end), judged through the ECC decoder when one is configured.
-        """
-        injector = self.injector
-        multiplier = injector.multiplier(shard_id, now)
-        service = base_s * multiplier
-        outcome = OUTCOME_OK
-        fail_at = math.inf
-        if self.retry.timeout_s < service:
-            fail_at = now + self.retry.timeout_s
-            outcome = OUTCOME_TIMEOUT
-        next_outage = injector.next_outage_start(shard_id, now)
-        if next_outage < min(now + service, fail_at):
-            fail_at = next_outage
-            outcome = OUTCOME_INTERRUPTED
-        corrupted = recompute = False
-        entries: List[FaultLogEntry] = []
-        if outcome == OUTCOME_OK and injector.has_bit_flips(shard_id):
-            # An attempt that completes computes on whatever the memory
-            # held: the first batch to finish after a transient flip
-            # lands consumes the corrupted data (even if the flip struck
-            # while the device idled), and any stuck-at cell active by
-            # completion corrupts every attempt.
-            flips = injector.transient_flips(shard_id)
-            cursor = shard.flip_cursor
-            while cursor < len(flips) and flips[cursor].t_s < now + service:
-                cursor += 1
-            consumed = flips[shard.flip_cursor:cursor]
-            stuck = injector.stuck_active(shard_id, now + service)
-            shard.flip_cursor = cursor
-            detected = False
-            if self.ecc is None:
-                corrupted = bool(consumed) or bool(stuck)
-            elif consumed or stuck:
-                # ECC sits between the memory and the batch: corrected
-                # codewords leave the data clean, a decoder-flagged
-                # uncorrectable fails the attempt even without ABFT, and
-                # a silent miscorrection rides the sdc path unless ABFT
-                # is also on.
-                corrupted, detected, ecc_kinds = \
-                    self.ecc.judge(consumed, stuck)
-                entries.extend(
-                    FaultLogEntry(kind=ecc_kind, shard_id=shard_id, t_s=now,
-                                  attempt=shard.failures)
-                    for ecc_kind in ecc_kinds)
-            if corrupted and (self.protected or detected):
-                outcome = OUTCOME_CORRUPTED
-            if shard.last_corrupted:
-                # This dispatch re-runs work a verification rejected:
-                # the recompute leg of detect/heal.
-                shard.last_corrupted = False
-                recompute = True
-                entries.append(FaultLogEntry(
-                    kind="recompute", shard_id=shard_id, t_s=now,
-                    duration_s=service, attempt=shard.failures))
-        # A corrupted attempt still runs to completion -- the
-        # verification that rejects it happens at the end.
-        occupied = service if outcome in (OUTCOME_OK, OUTCOME_CORRUPTED) \
-            else fail_at - now
-        return multiplier, outcome, occupied, corrupted, recompute, entries
-
-    def fail(self, shard, shard_id: int, queue: List[Tuple[int, float]],
-             taken: Sequence[Tuple[int, float]], outcome: str,
-             dispatch_s: float, occupied_s: float, now: float
-             ) -> Tuple[List[FaultLogEntry], bool]:
-        """Book one failed attempt: ``(entries, died)``.
-
-        Counts the failure, re-enqueues the attempt's ``(req_id,
-        enqueue_s)`` pairs at the head of ``queue`` in FIFO order, and
-        either gates the shard behind its next backoff or -- once the
-        retry budget is exhausted -- reports it dead.
-        """
-        shard.failures += 1
-        shard.last_corrupted = outcome == OUTCOME_CORRUPTED
-        entries = [FaultLogEntry(kind=outcome, shard_id=shard_id,
-                                 t_s=dispatch_s, duration_s=occupied_s,
-                                 attempt=shard.failures)]
-        queue[0:0] = taken
-        if shard.failures > self.retry.max_retries:
-            return entries, True
-        backoff = self.retry.backoff_s(shard.failures)
-        shard.blocked_until = now + backoff
-        entries.append(FaultLogEntry(kind="backoff", shard_id=shard_id,
-                                     t_s=now, duration_s=backoff,
-                                     attempt=shard.failures))
-        return entries, False
-
-
 class _ShardState:
     """Mutable per-shard queue/device state during a run."""
 
@@ -485,6 +371,11 @@ class ShardMachine(_FaultTallies):
     the run: :meth:`result` builds them from the columns and the
     batches, for consumers that want the object form.
 
+    With an ``injector`` attached the machine also applies the fault
+    rules (see the module docstring) under the ``retry`` policy, with
+    ``protected`` ABFT verification and an optional ``ecc`` decoder;
+    with none, no fault path is ever entered.
+
     Hooks:
 
     * ``service_time(shard_id, batch_size) -> seconds`` at every
@@ -498,7 +389,10 @@ class ShardMachine(_FaultTallies):
 
     def __init__(self, n_shards: int, policy: BatchPolicy,
                  service_time: Callable[[int, int], float],
-                 rules: Optional[FaultRules] = None,
+                 injector: Optional[FaultInjector] = None,
+                 retry: RetryPolicy = RetryPolicy(),
+                 protected: bool = False,
+                 ecc: Optional[ECCModel] = None,
                  on_dispatch: Optional[Callable[[ExecutedBatch], None]] = None,
                  on_resolved: Optional[Callable[[int, float], None]] = None,
                  on_death: Optional[Callable[[int, float], None]] = None):
@@ -506,7 +400,10 @@ class ShardMachine(_FaultTallies):
         self.max_batch = policy.max_batch
         self.max_wait_s = policy.max_wait_s
         self.service_time = service_time
-        self.rules = rules
+        self.injector = injector
+        self.retry = retry
+        self.protected = protected
+        self.ecc = ecc
         self.on_dispatch = on_dispatch
         self.on_resolved = on_resolved
         self.on_death = on_death
@@ -597,40 +494,138 @@ class ShardMachine(_FaultTallies):
             raise ValueError(
                 f"service_time must be positive and finite, got "
                 f"{base!r} for shard {shard_id} batch {take}")
-        if self.rules is None:
-            multiplier, outcome, occupied = 1.0, OUTCOME_OK, base
-            corrupted = recompute = False
+        request_ids = tuple([req_id for req_id, _ in taken])
+        if self.injector is None:
+            batch = ExecutedBatch(
+                shard_id=shard_id, seq=state.batch_seq, dispatch_s=now,
+                service_s=base, request_ids=request_ids,
+                head_enqueue_s=head_enqueue, attempt=state.failures)
         else:
-            multiplier, outcome, occupied, corrupted, recompute, entries = \
-                self.rules.judge(state, shard_id, now, base)
-            self.fault_log.extend(entries)
-        batch = ExecutedBatch(
-            shard_id=shard_id, seq=state.batch_seq, dispatch_s=now,
-            service_s=occupied,
-            request_ids=tuple([req_id for req_id, _ in taken]),
-            head_enqueue_s=head_enqueue, attempt=state.failures,
-            multiplier=multiplier, outcome=outcome,
-            corrupted=corrupted, recompute=recompute)
+            batch = self._judge(shard_id, now, base, request_ids,
+                                head_enqueue)
         state.batch_seq += 1
         state.busy = True
         state.gen += 1  # stale any armed max-wait timer
         self.batches.append(batch)
         if self.on_dispatch is not None:
             self.on_dispatch(batch)
-        if outcome == OUTCOME_OK:
-            self.push(now + occupied, DONE, batch)
+        if batch.outcome == OUTCOME_OK:
+            self.push(now + batch.service_s, DONE, batch)
         else:
             self._pending_retry[(shard_id, batch.seq)] = taken
-            self.push(now + occupied, FAIL, batch)
+            self.push(now + batch.service_s, FAIL, batch)
+
+    def _judge(self, shard_id: int, now: float, base_s: float,
+               request_ids: Tuple[int, ...], head_enqueue_s: float
+               ) -> ExecutedBatch:
+        """The attempt dispatched at ``now`` as the fault script runs it.
+
+        The stall multiplier is evaluated at dispatch; a timeout or an
+        outage opening mid-flight truncates the occupied window; an
+        attempt that runs to completion consumes the transient flips
+        landed since the last one (and any stuck-at cell active by its
+        end), judged through the ECC decoder when one is configured.
+        """
+        injector = self.injector
+        assert injector is not None
+        state = self.shards[shard_id]
+        multiplier = injector.multiplier(shard_id, now)
+        service = base_s * multiplier
+        outcome = OUTCOME_OK
+        fail_at = math.inf
+        if self.retry.timeout_s < service:
+            fail_at = now + self.retry.timeout_s
+            outcome = OUTCOME_TIMEOUT
+        next_outage = injector.next_outage_start(shard_id, now)
+        if next_outage < min(now + service, fail_at):
+            fail_at = next_outage
+            outcome = OUTCOME_INTERRUPTED
+        corrupted = recompute = False
+        if outcome == OUTCOME_OK and injector.has_bit_flips(shard_id):
+            # An attempt that completes computes on whatever the memory
+            # held: the first batch to finish after a transient flip
+            # lands consumes the corrupted data (even if the flip struck
+            # while the device idled), and any stuck-at cell active by
+            # completion corrupts every attempt.
+            flips = injector.transient_flips(shard_id)
+            cursor = state.flip_cursor
+            while cursor < len(flips) and flips[cursor].t_s < now + service:
+                cursor += 1
+            consumed = flips[state.flip_cursor:cursor]
+            stuck = injector.stuck_active(shard_id, now + service)
+            state.flip_cursor = cursor
+            detected = False
+            if self.ecc is None:
+                corrupted = bool(consumed) or bool(stuck)
+            elif consumed or stuck:
+                # ECC sits between the memory and the batch: corrected
+                # codewords leave the data clean, a decoder-flagged
+                # uncorrectable fails the attempt even without ABFT, and
+                # a silent miscorrection rides the sdc path unless ABFT
+                # is also on.
+                corrupted, detected, ecc_kinds = \
+                    self.ecc.judge(consumed, stuck)
+                self.fault_log.extend(
+                    FaultLogEntry(kind=ecc_kind, shard_id=shard_id, t_s=now,
+                                  attempt=state.failures)
+                    for ecc_kind in ecc_kinds)
+            if corrupted and (self.protected or detected):
+                outcome = OUTCOME_CORRUPTED
+            if state.last_corrupted:
+                # This dispatch re-runs work a verification rejected:
+                # the recompute leg of detect/heal.
+                state.last_corrupted = False
+                recompute = True
+                self.fault_log.append(FaultLogEntry(
+                    kind="recompute", shard_id=shard_id, t_s=now,
+                    duration_s=service, attempt=state.failures))
+        # A corrupted attempt still runs to completion -- the
+        # verification that rejects it happens at the end.
+        occupied = service if outcome in (OUTCOME_OK, OUTCOME_CORRUPTED) \
+            else fail_at - now
+        return ExecutedBatch(
+            shard_id=shard_id, seq=state.batch_seq, dispatch_s=now,
+            service_s=occupied, request_ids=request_ids,
+            head_enqueue_s=head_enqueue_s, attempt=state.failures,
+            multiplier=multiplier, outcome=outcome,
+            corrupted=corrupted, recompute=recompute)
+
+    def _fail(self, batch: ExecutedBatch, now: float) -> None:
+        """Book one failed attempt completing at ``now``.
+
+        Counts the failure, re-enqueues the attempt's ``(req_id,
+        enqueue_s)`` pairs at the head of the queue in FIFO order, and
+        either gates the shard behind its next backoff or -- once the
+        retry budget is exhausted -- declares it dead.
+        """
+        shard_id = batch.shard_id
+        state = self.shards[shard_id]
+        state.busy = False
+        state.busy_s += batch.service_s  # wasted work still occupies
+        state.failures += 1
+        state.last_corrupted = batch.outcome == OUTCOME_CORRUPTED
+        self.fault_log.append(FaultLogEntry(
+            kind=batch.outcome, shard_id=shard_id, t_s=batch.dispatch_s,
+            duration_s=batch.service_s, attempt=state.failures))
+        state.queue[0:0] = self._pending_retry.pop((shard_id, batch.seq))
+        if state.failures > self.retry.max_retries:
+            self._declare_dead(shard_id, now)
+            return
+        backoff = self.retry.backoff_s(state.failures)
+        state.blocked_until = now + backoff
+        self.fault_log.append(FaultLogEntry(
+            kind="backoff", shard_id=shard_id, t_s=now,
+            duration_s=backoff, attempt=state.failures))
+        self.maybe_dispatch(shard_id, now)
 
     def maybe_dispatch(self, shard_id: int, now: float) -> None:
         """Dispatch, arm a timer/wake, or discover death for one shard."""
         state = self.shards[shard_id]
         if state.dead or state.busy or not state.queue:
             return
-        rules = self.rules
-        if rules is not None and rules.injector.is_down(shard_id, now):
-            up_at = rules.injector.next_up(shard_id, now)
+        injector = self.injector
+        if injector is not None and injector.is_down(shard_id, now):
+            up_at = injector.next_up(shard_id, now)
             if math.isinf(up_at):
                 self._declare_dead(shard_id, now)
             else:
@@ -684,21 +679,7 @@ class ShardMachine(_FaultTallies):
             self.shards[payload].wake_at = math.inf
             self.maybe_dispatch(payload, now)
         else:  # FAIL
-            batch = payload
-            shard_id = batch.shard_id
-            state = self.shards[shard_id]
-            state.busy = False
-            state.busy_s += batch.service_s  # wasted work still occupies
-            assert self.rules is not None
-            entries, died = self.rules.fail(
-                state, shard_id, state.queue,
-                self._pending_retry.pop((shard_id, batch.seq)),
-                batch.outcome, batch.dispatch_s, batch.service_s, now)
-            self.fault_log.extend(entries)
-            if died:
-                self._declare_dead(shard_id, now)
-            else:
-                self.maybe_dispatch(shard_id, now)
+            self._fail(payload, now)
 
     def check_complete(self) -> None:
         """Raise unless every registered request has resolved."""
@@ -841,16 +822,11 @@ class DiscreteEventScheduler:
         validate_arrival_times([r.arrival_s for r in ordered])
         return ordered
 
-    def _rules(self) -> Optional[FaultRules]:
-        if self.injector is None:
-            return None
-        return FaultRules(self.injector, self.retry, self.protected,
-                          self.ecc)
-
     def run(self, requests: Sequence[Request]) -> ScheduleResult:
         """Run the simulation to completion (no open requests remain)."""
         machine = ShardMachine(self.n_shards, self.policy,
-                               self.service_time, self._rules(),
+                               self.service_time, self.injector, self.retry,
+                               self.protected, self.ecc,
                                on_death=self.on_death)
         for request in self._ordered(requests):
             machine.push(request.arrival_s, _ARRIVE, request.req_id)

@@ -140,9 +140,10 @@ class ServeConfig:
     #: charges the check-bit storage inflation plus the per-query
     #: encode/decode cycles.
     ecc: ECCConfig = field(default_factory=ECCConfig)
-    #: Execution backend: ``"scalar"`` (the reference event loop) or
-    #: ``"vectorized"`` (the NumPy core, validated bit-identical
-    #: against it by ``tests/simcore``).
+    #: Execution backend for fault-free runs: ``"scalar"`` (the
+    #: reference event loop) or ``"vectorized"`` (the NumPy core,
+    #: validated bit-identical against it by ``tests/simcore``).  Fault
+    #: runs use the scalar event loop on either engine.
     engine: str = DEFAULT_ENGINE
 
     def __post_init__(self):
@@ -734,18 +735,13 @@ class ServingSimulator:
                     table, int(model.shard_specs[shard_id].embedding_bytes))
             return entry
 
-        if self.config.engine == "vectorized":
-            # The vectorized core memoizes service costs, so a
-            # per-dispatch wrapper would under-count: it exposes a
-            # native capture hook instead, invoked once per (shard,
-            # size) per failover epoch and emitted in global batch
-            # order -- the same entries the wrapper records.
-            self.scheduler.capture = capture
-            try:
-                result = self.scheduler.run(requests)
-            finally:
-                self.scheduler.capture = None
-            return result, list(self.scheduler.captured_tables)
+        if self.injector is None:
+            # A fault-free run never re-anchors the service model, so
+            # each batch's entry is built after the run, in the
+            # record's dispatch order.
+            result = self.scheduler.run(requests)
+            return result, [capture(batch.shard_id, batch.batch_size)
+                            for batch in result.batches]
 
         recorded: List[Tuple[Any, int]] = []
         orig = self.scheduler.service_time

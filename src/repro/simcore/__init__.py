@@ -3,7 +3,9 @@
 A NumPy execution backend for the serving simulator that reproduces
 the scalar :class:`~repro.serve.scheduler.DiscreteEventScheduler`
 bit-identically (``tests/simcore`` is the proof) at two-plus orders of
-magnitude more simulated queries per wall-second.  Select it with
+magnitude more simulated queries per wall-second.  It accelerates
+fault-free static runs only; with a fault plan it runs the scalar
+:class:`~repro.serve.scheduler.ShardMachine`.  Select it with
 ``ServeConfig(engine="vectorized")`` or ``repro serve --engine``.
 """
 

@@ -20,10 +20,9 @@ only where a consumer needs objects:
 * ``VectorizedScheduler.run`` itself, the drop-in ``ScheduleResult``
   API the differential tests compare.
 
-Only the fault-free path is available in columnar form -- fault runs
-carry per-event structure (logs, retries, deaths) that the object
-materialization in :class:`~repro.simcore.vectorized.VectorizedScheduler`
-handles directly.
+Only fault-free runs have a columnar form: a fault run goes through
+the scalar :class:`~repro.serve.scheduler.ShardMachine` on either
+engine and returns its object record.
 """
 
 from __future__ import annotations

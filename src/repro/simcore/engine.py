@@ -11,10 +11,12 @@ for a static (autoscaler-off) deployment:
   reconstructs the global event order from push keys.  Validated
   bit-identical against the scalar core by ``tests/simcore``.
 
-Elastic (autoscaled) runs have a single event loop and ignore the
-setting.  This module owns only the names and the validation so that
-config and CLI layers can import it without pulling in the heavy
-backends.
+The setting only picks the backend of fault-free static runs: a run
+with a fault plan goes through the scalar
+:class:`~repro.serve.scheduler.ShardMachine` on either engine, and
+elastic (autoscaled) runs have a single event loop.  This module owns
+only the names and the validation so that config and CLI layers can
+import it without pulling in the heavy backends.
 """
 
 from __future__ import annotations

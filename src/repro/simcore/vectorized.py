@@ -2,15 +2,18 @@
 
 The scalar :class:`~repro.serve.scheduler.DiscreteEventScheduler` pays
 Python-level heap traffic for every arrival, timer, wake, dispatch and
-completion.  This core exploits the structure of the problem instead:
+completion.  For fault-free static runs this core exploits the
+structure of the problem instead; a run with a fault injector attached
+goes through the scalar :class:`~repro.serve.scheduler.ShardMachine`
+unchanged, so fault semantics live in exactly one place.
 
-* **Shard timelines are independent between shard deaths.**  Every
-  admitted request fans out to all live shards, so with no injector the
-  per-shard schedule is a pure function of the arrival array and the
-  batching policy.  Each shard is evaluated by a closed-form scan
-  (:func:`_scan_fault_free`) whose saturated stretches -- runs of
-  consecutive full batches launching the instant the device frees --
-  collapse into NumPy ``cumsum`` chunks.
+* **Shard timelines are independent.**  Every request fans out to all
+  shards, so with no injector the per-shard schedule is a pure
+  function of the arrival array and the batching policy.  Each shard
+  is evaluated by a closed-form scan (:func:`_scan_fault_free`) whose
+  saturated stretches -- runs of consecutive full batches launching
+  the instant the device frees -- collapse into NumPy ``cumsum``
+  chunks.
 * **One scan per service class.**  A shard's scan reads nothing but
   the arrivals and its service times for batch sizes
   ``1..max_batch``, so shards with equal service tables share one scan
@@ -21,28 +24,15 @@ completion.  This core exploits the structure of the problem instead:
   reports straight from the resulting columns (:mod:`.arrays`).
 * **Global event order is reconstructible.**  The scalar heap orders
   ties by push sequence; pushes happen at known times (arrivals at
-  setup in request order, timers/wakes/completions at derivable
-  instants).  The fault path attaches a recursive *lineage token* to
-  every emitted row (see ``_Token`` below): the token encodes the full
-  chain of triggering events back to an arrival, and comparing tokens
-  lexicographically reproduces the heap's push-sequence tie-breaking
-  exactly.  The fault-free path keeps a flatter per-batch key
-  ``(dispatch, tier, push_value, shard)`` suited to a NumPy lexsort;
-  tier 0 is arrival-triggered work (push value = arrival index; setup
-  pushes outrank every runtime push at equal times), tier 1 is
-  everything else (push value = the time the triggering event was
-  pushed).
-* **Fault runs couple shards only through deaths.**  With an injector
-  attached, shards are scanned optimistically to completion; the
-  earliest death ``T*`` is committed, survivors are re-scanned up to
-  the barrier ``T*``, failover (``on_death``) re-anchors the service
-  model, and the next epoch resumes the survivors -- exactly the order
-  the scalar loop interleaves death and takeover.
+  setup in request order, timers/completions at derivable instants).
+  Each batch carries a flat key ``(dispatch, tier, push_value,
+  shard)`` suited to a NumPy lexsort; tier 0 is arrival-triggered work
+  (push value = arrival index; setup pushes outrank every runtime push
+  at equal times), tier 1 is everything else (push value = the time
+  the triggering event was pushed).
 
-Cross-shard heap ties are resolved exactly in both paths.  The fault
-path keys every row by its lineage token directly.  The fault-free
-lexsort orders by the flat key and then *repairs* the rare groups it
-cannot see (:meth:`VectorizedScheduler._repair_heap_ties`): two shards
+The lexsort then *repairs* the rare cross-shard heap ties it cannot
+see (:meth:`VectorizedScheduler._repair_heap_ties`): two shards
 dispatching at the same float instant with equal push values -- which
 genuinely happens when different service-time sums round to the same
 double -- are re-ordered by walking their lineage levels
@@ -55,23 +45,12 @@ any walk; a single-class fleet skips the repair entirely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cmp_to_key
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, \
-    Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..faults import FaultLogEntry
-from ..serve.scheduler import (
-    OUTCOME_OK,
-    BatchPolicy,
-    DiscreteEventScheduler,
-    ExecutedBatch,
-    FaultRules,
-    RequestRecord,
-    ScheduleResult,
-)
+from ..serve.scheduler import DiscreteEventScheduler, ScheduleResult
 from ..serve.workload import Request, validate_arrival_times
 from .arrays import ArraySchedule
 
@@ -83,24 +62,6 @@ _BULK = 4096
 #: Push-key tiers (see module docstring).
 _TIER_ARRIVAL = 0
 _TIER_RUNTIME = 1
-
-#: Heap-lineage token: ``(fire_time, tier, sub)`` where ``sub`` is the
-#: arrival index (tier 0) or the parent event's token (tier 1).  Two
-#: scalar heap events at the same fire time pop in push-sequence
-#: order; pushes happen in their parents' pop order, so comparing
-#: lineage tokens lexicographically (and recursively) reproduces the
-#: heap's exact interleaving.  Chains bottom out at arrivals, whose
-#: setup pushes (tier 0) outrank every runtime push at equal times and
-#: order by index; two events with fully identical chains were pushed
-#: by one shared processing event, which iterates shards in ascending
-#: order -- hence the shard id that follows the token in a row key.
-_Token = Tuple[float, int, object]
-
-#: Sort key of one emitted row: (lineage token, shard id, step seq).
-_RowKey = Tuple[_Token, int, int]
-
-#: Optional per-batch capture hook: ``(shard_id, batch_size) -> table``.
-CaptureFn = Callable[[int, int], object]
 
 
 def _searchsorted(a: np.ndarray, v: float, side: str) -> int:
@@ -297,301 +258,6 @@ def _lineage_levels(
 
 
 # ----------------------------------------------------------------------
-# Fault-path per-shard scan
-# ----------------------------------------------------------------------
-@dataclass
-class _InFlight:
-    """A dispatched batch whose completion has not been processed."""
-
-    dispatch_s: float
-    occupied_s: float
-    outcome: str
-    corrupted: bool
-    recompute: bool
-    multiplier: float
-    seq: int
-    attempt: int
-    head_enqueue_s: float
-    taken: List[Tuple[int, float]]  # (request index, enqueue time)
-    token: _Token  # lineage token of the event that triggered dispatch
-
-
-@dataclass
-class _ShardState:
-    """Resumable per-shard scan state (cloneable for tentative scans)."""
-
-    i: int = 0  # next arrival index not yet taken into a batch
-    retry: List[Tuple[int, float]] = field(default_factory=list)
-    busy: Optional[_InFlight] = None
-    t_free: float = 0.0
-    last_token: Optional[_Token] = None  # trigger of the last dispatch
-    has_prev: bool = False
-    failures: int = 0
-    blocked_until: float = 0.0
-    last_corrupted: bool = False
-    flip_cursor: int = 0
-    busy_s: float = 0.0
-    batch_seq: int = 0
-    log_seq: int = 0
-    dead: bool = False
-    death_s: float = math.inf
-    death_token: Optional[_Token] = None  # trigger that declared death
-
-    def clone(self) -> "_ShardState":
-        twin = _ShardState(**{name: getattr(self, name)
-                              for name in self.__dataclass_fields__
-                              if name not in ("retry", "busy")})
-        twin.retry = list(self.retry)
-        twin.busy = self.busy  # _InFlight is never mutated once built
-        return twin
-
-
-@dataclass
-class _ShardOutput:
-    """Rows one shard produced during one scan (keys included)."""
-
-    # (lineage token, shard, step seq): key; then row payload.
-    batches: List[Tuple[_RowKey, int, _InFlight]] = \
-        field(default_factory=list)
-    logs: List[Tuple[_RowKey, FaultLogEntry]] = field(default_factory=list)
-    #: (request index, time) completions.
-    done: List[Tuple[int, float]] = field(default_factory=list)
-    #: Request indices answered with silent corruption.
-    corrupt: List[int] = field(default_factory=list)
-    #: (request index, time) failover losses.
-    failed: List[Tuple[int, float]] = field(default_factory=list)
-    #: Request indices enqueued at the instant of death (required).
-    drained: List[int] = field(default_factory=list)
-
-
-class _FaultScan:
-    """Replays the scalar loop's fault semantics shard by shard."""
-
-    def __init__(self, shard: int, arrivals: np.ndarray,
-                 policy: BatchPolicy, rules: FaultRules,
-                 svc: Callable[[int], float]):
-        self.shard = shard
-        self.arrivals = arrivals
-        self.n = int(arrivals.size)
-        self.b = policy.max_batch
-        self.wait = policy.max_wait_s
-        self.rules = rules
-        self.injector = rules.injector
-        self.svc = svc
-
-    # -- idle chain ----------------------------------------------------
-    def _next_idle_action(
-        self, st: _ShardState
-    ) -> Optional[Tuple[str, float, _Token, int, int]]:
-        """Next dispatch or death for an idle shard.
-
-        Returns ``(kind, t, token, size, consumed)`` where ``token`` is
-        the lineage token of the triggering event and ``consumed``
-        bounds the arrival indices that have popped by it -- or ``None``
-        when no work remains.  Pure: the chain re-derives identically
-        after an epoch barrier.
-        """
-        arr, n, b = self.arrivals, self.n, self.b
-        r = len(st.retry)
-        if r == 0 and st.i >= n:
-            return None
-        if st.has_prev and (
-                r > 0 or (st.i < n and float(arr[st.i]) <= st.t_free)):
-            # The completion event: pushed while its batch dispatched.
-            t = st.t_free
-            trig: _Token = (t, _TIER_RUNTIME, st.last_token)
-            consumed = max(st.i, _searchsorted(arr, t, "right"))
-        else:
-            t = float(arr[st.i])
-            trig = (t, _TIER_ARRIVAL, float(st.i))
-            consumed = st.i + 1
-        timer_token: Optional[_Token] = None
-        while True:
-            if self.injector.is_down(self.shard, t):
-                up = self.injector.next_up(self.shard, t)
-                if math.isinf(up):
-                    return ("die", t, trig, 0, consumed)
-                trig = (up, _TIER_RUNTIME, trig)  # wake armed now
-                t = up
-                consumed = max(consumed, _searchsorted(arr, t, "right"))
-                continue
-            if t < st.blocked_until:
-                # The scalar loop re-evaluates on every arrival inside
-                # the backoff window, and its down-check precedes the
-                # blocked-check: an arrival during a *permanent* outage
-                # declares death at the arrival instant, not at the
-                # backoff wake.  (A finite outage observed mid-backoff
-                # only arms a wake; the chain below already converges
-                # to the same dispatch time.)
-                o = self.injector.next_outage_start(self.shard, t)
-                ja = max(consumed, _searchsorted(arr, max(t, o), "left"))
-                while ja < n and float(arr[ja]) < st.blocked_until:
-                    ta = float(arr[ja])
-                    if self.injector.is_down(self.shard, ta) and \
-                            math.isinf(self.injector.next_up(
-                                self.shard, ta)):
-                        return ("die", ta,
-                                (ta, _TIER_ARRIVAL, float(ja)),
-                                0, ja + 1)
-                    ja += 1
-                trig = (st.blocked_until, _TIER_RUNTIME, trig)  # wake
-                t = st.blocked_until
-                consumed = max(consumed, _searchsorted(arr, t, "right"))
-                continue
-            qlen = r + (consumed - st.i)
-            if qlen >= b:
-                return ("dispatch", t, trig, b, consumed)
-            head_enq = st.retry[0][1] if r else float(arr[st.i])
-            deadline = head_enq + self.wait
-            if t >= deadline:
-                return ("dispatch", t, trig, qlen, consumed)
-            if timer_token is None:
-                timer_token = trig  # first eligible-not-ready evaluation
-            # Next evaluation: the queue-filling arrival, an arrival
-            # exactly on the deadline, or the max-wait timer itself.
-            jf = st.i + b - r - 1
-            fill_t = float(arr[jf]) if jf < n else math.inf
-            if fill_t < deadline:
-                nxt, ntrig, ncons = fill_t, \
-                    (fill_t, _TIER_ARRIVAL, float(jf)), jf + 1
-            else:
-                lo = _searchsorted(arr, deadline, "left")
-                hi = _searchsorted(arr, deadline, "right")
-                j0 = max(consumed, lo)
-                if j0 < hi:
-                    nxt, ntrig, ncons = deadline, \
-                        (deadline, _TIER_ARRIVAL, float(j0)), j0 + 1
-                else:
-                    nxt, ntrig, ncons = deadline, \
-                        (deadline, _TIER_RUNTIME, timer_token), \
-                        max(consumed,
-                            _searchsorted(arr, deadline, "right"))
-            # An outage opening before that evaluation is observed by
-            # the first arrival inside it (that arrival arms the wake).
-            o = self.injector.next_outage_start(self.shard, t)
-            if o < nxt:
-                ja = max(consumed, _searchsorted(arr, o, "left"))
-                if ja < n and float(arr[ja]) < nxt:
-                    nxt, ntrig, ncons = float(arr[ja]), \
-                        (float(arr[ja]), _TIER_ARRIVAL, float(ja)), ja + 1
-            t, trig, consumed = nxt, ntrig, ncons
-            continue
-
-    # -- step handlers ---------------------------------------------------
-    def _log(self, st: _ShardState, out: _ShardOutput,
-             trig: _Token, entry: FaultLogEntry) -> None:
-        out.logs.append(((trig, self.shard, st.log_seq), entry))
-        st.log_seq += 1
-
-    def _dispatch(self, st: _ShardState, out: _ShardOutput, now: float,
-                  trig: _Token, size: int) -> None:
-        k_r = min(len(st.retry), size)
-        k_a = size - k_r
-        taken = st.retry[:k_r] + [
-            (idx, float(self.arrivals[idx]))
-            for idx in range(st.i, st.i + k_a)]
-        head_enqueue = taken[0][1]
-        st.retry = st.retry[k_r:]
-        st.i += k_a
-        multiplier, outcome, occupied, corrupted, recompute, entries = \
-            self.rules.judge(st, self.shard, now, self.svc(size))
-        for entry in entries:
-            self._log(st, out, trig, entry)
-        st.busy = _InFlight(
-            dispatch_s=now, occupied_s=occupied, outcome=outcome,
-            corrupted=corrupted, recompute=recompute,
-            multiplier=multiplier, seq=st.batch_seq,
-            attempt=st.failures, head_enqueue_s=head_enqueue, taken=taken,
-            token=trig)
-        out.batches.append(((trig, self.shard, st.batch_seq),
-                            size, st.busy))
-        st.batch_seq += 1
-        st.last_token = trig
-        st.has_prev = True
-        st.t_free = now + occupied
-
-    def _die(self, st: _ShardState, out: _ShardOutput, now: float,
-             trig: _Token, consumed: int) -> None:
-        st.dead = True
-        st.death_s = now
-        st.death_token = trig
-        self._log(st, out, trig, FaultLogEntry(
-            kind="dead", shard_id=self.shard, t_s=now,
-            attempt=st.failures))
-        for idx, _enqueue in st.retry:
-            out.failed.append((idx, now))
-            out.drained.append(idx)
-        for idx in range(st.i, consumed):
-            out.failed.append((idx, now))
-            out.drained.append(idx)
-        st.retry = []
-        st.i = max(st.i, consumed)
-
-    def _complete(self, st: _ShardState, out: _ShardOutput) -> None:
-        batch = st.busy
-        assert batch is not None
-        st.busy = None
-        now = batch.dispatch_s + batch.occupied_s
-        st.busy_s += batch.occupied_s
-        # The completion event was pushed while its batch dispatched.
-        trig: _Token = (now, _TIER_RUNTIME, batch.token)
-        if batch.outcome == OUTCOME_OK:
-            st.failures = 0
-            if batch.corrupted:
-                self._log(st, out, trig, FaultLogEntry(
-                    kind="sdc", shard_id=self.shard,
-                    t_s=batch.dispatch_s, duration_s=batch.occupied_s))
-            for idx, _enqueue in batch.taken:
-                out.done.append((idx, now))
-                if batch.corrupted:
-                    out.corrupt.append(idx)
-            return
-        entries, died = self.rules.fail(
-            st, self.shard, st.retry, batch.taken, batch.outcome,
-            batch.dispatch_s, batch.occupied_s, now)
-        for entry in entries:
-            self._log(st, out, trig, entry)
-        if died:
-            self._die(st, out, now, trig,
-                      max(st.i, _searchsorted(self.arrivals, now, "right")))
-
-    # -- driver ----------------------------------------------------------
-    def advance(self, st: _ShardState, out: _ShardOutput,
-                barrier: Optional[Tuple[_Token, int]]) -> None:
-        """Process every event strictly before ``barrier``.
-
-        ``barrier`` is a ``(lineage token, shard id)`` event key --
-        normally another shard's death -- or ``None`` to run to
-        completion.  Keyed (not timed) barriers matter because the
-        scalar loop invokes ``on_death`` *mid-event*: work at exactly
-        the death time but ordered before the death (e.g. lower shard
-        ids inside the same arrival's fan-out loop) dispatches with the
-        pre-failover service model.
-        """
-        while True:
-            if st.dead:
-                return
-            if st.busy is not None:
-                done_t = st.busy.dispatch_s + st.busy.occupied_s
-                if barrier is not None and \
-                        ((done_t, _TIER_RUNTIME, st.busy.token),
-                         self.shard) >= barrier:
-                    return
-                self._complete(st, out)
-                continue
-            action = self._next_idle_action(st)
-            if action is None:
-                return
-            kind, t, trig, size, consumed = action
-            if barrier is not None and (trig, self.shard) >= barrier:
-                return
-            if kind == "die":
-                self._die(st, out, t, trig, consumed)
-            else:
-                self._dispatch(st, out, t, trig, size)
-
-
-# ----------------------------------------------------------------------
 # The scheduler
 # ----------------------------------------------------------------------
 class VectorizedScheduler(DiscreteEventScheduler):
@@ -601,19 +267,11 @@ class VectorizedScheduler(DiscreteEventScheduler):
     :class:`~repro.serve.scheduler.ScheduleResult` (the differential
     suite in ``tests/simcore`` is the proof); plus :meth:`run_arrays`,
     the allocation-free columnar path for million-query fault-free runs.
-
-    ``capture`` (an optional ``(shard_id, batch_size) -> table`` hook
-    with per-epoch memoization semantics) replaces the scalar path's
-    service-time wrapper for telemetry stage capture; captured tables
-    land in :attr:`captured_tables` in global batch order.
+    With an injector attached, :meth:`run` is the scalar event loop.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: Set before run() to capture one stage table per batch.
-        self.capture: Optional[CaptureFn] = None
-        #: Tables captured by the last run, in global batch order.
-        self.captured_tables: List[object] = []
         self._svc_cache: Dict[Tuple[int, int], float] = {}
 
     # -- service memo ------------------------------------------------
@@ -632,22 +290,11 @@ class VectorizedScheduler(DiscreteEventScheduler):
     # -- public API ----------------------------------------------------
     def run(self, requests: Sequence[Request]) -> ScheduleResult:
         """Run to completion; bit-identical to the scalar scheduler."""
-        arrivals, req_ids = request_columns(requests)
-        self.captured_tables = []
+        if self.injector is not None:
+            return super().run(requests)
         self._svc_cache.clear()
-        if self.injector is None:
-            schedule = self._run_fault_free(arrivals, req_ids)
-            result = schedule.to_schedule_result()
-            if self.capture is not None:
-                memo: Dict[Tuple[int, int], object] = {}
-                for batch in result.batches:
-                    key = (batch.shard_id, batch.batch_size)
-                    table = memo.get(key)
-                    if table is None:
-                        table = memo[key] = self.capture(*key)
-                    self.captured_tables.append(table)
-            return result
-        return self._run_fault(arrivals, req_ids)
+        return self._run_fault_free(
+            *request_columns(requests)).to_schedule_result()
 
     def run_arrays(self, arrival_s: np.ndarray,
                    req_ids: Optional[np.ndarray] = None) -> ArraySchedule:
@@ -802,166 +449,3 @@ class VectorizedScheduler(DiscreteEventScheduler):
             if la != lb:
                 return -1 if la < lb else 1
         return -1 if sa < sb else 1
-
-    # -- fault path --------------------------------------------------
-    def _run_fault(self, arrivals: np.ndarray,
-                   req_ids: np.ndarray) -> ScheduleResult:
-        rules = self._rules()
-        assert rules is not None
-        states = [_ShardState() for _ in range(self.n_shards)]
-        scans = [
-            _FaultScan(shard, arrivals, self.policy, rules,
-                       lambda m, s=shard: self._svc(s, m))
-            for shard in range(self.n_shards)]
-        committed = _ShardOutput()
-        tables: List[Tuple[_RowKey, object]] = []
-        capture_memo: Dict[Tuple[int, int], object] = {}
-        drained_by_shard: Dict[int, Set[int]] = {}
-        death_order: List[Tuple[float, int]] = []
-        live = list(range(self.n_shards))
-
-        def commit(out: _ShardOutput) -> None:
-            committed.batches.extend(out.batches)
-            committed.logs.extend(out.logs)
-            committed.done.extend(out.done)
-            committed.corrupt.extend(out.corrupt)
-            committed.failed.extend(out.failed)
-            if self.capture is not None:
-                for _key, size, flight in out.batches:
-                    shard = _key[1]
-                    memo_key = (shard, size)
-                    table = capture_memo.get(memo_key)
-                    if table is None:
-                        table = capture_memo[memo_key] = \
-                            self.capture(shard, size)
-                    # Order fixed later; pair with the batch key.
-                    tables.append((_key, table))
-
-        while live:
-            self._svc_cache.clear()
-            capture_memo.clear()
-            # Optimistic full scans on cloned state.
-            tentative: Dict[int, Tuple[_ShardState, _ShardOutput]] = {}
-            dying: Optional[Tuple[Tuple[_Token, int], float]] = None
-            for shard in live:
-                twin = states[shard].clone()
-                out = _ShardOutput()
-                scans[shard].advance(twin, out, None)
-                tentative[shard] = (twin, out)
-                if twin.dead:
-                    assert twin.death_token is not None
-                    dkey = (twin.death_token, shard)
-                    if dying is None or dkey < dying[0]:
-                        dying = (dkey, twin.death_s)
-            if dying is None:
-                for shard in live:
-                    states[shard], out = tentative[shard]
-                    commit(out)
-                break
-            barrier, death_s = dying
-            dead_shard = barrier[1]
-            # The heap-order-earliest death is exact: nothing ordered
-            # before it can be perturbed by it.  Commit the dead shard,
-            # replay survivors up to the death's event key, then apply
-            # failover and re-anchor -- matching the scalar loop, which
-            # calls ``on_death`` mid-event.
-            states[dead_shard], out = tentative[dead_shard]
-            commit(out)
-            drained_by_shard[dead_shard] = {
-                idx for idx, _t in out.failed}
-            death_order.append((death_s, dead_shard))
-            for shard in live:
-                if shard == dead_shard:
-                    continue
-                out = _ShardOutput()
-                scans[shard].advance(states[shard], out, barrier)
-                commit(out)
-            live.remove(dead_shard)
-            if self.on_death is not None:
-                self.on_death(dead_shard, death_s)
-
-        return self._materialize(arrivals, req_ids, states, committed,
-                                 drained_by_shard, death_order, tables)
-
-    def _materialize(self, arrivals: np.ndarray, req_ids: np.ndarray,
-                     states: List[_ShardState], out: _ShardOutput,
-                     drained_by_shard: Dict[int, Set[int]],
-                     death_order: List[Tuple[float, int]],
-                     tables: List[Tuple[_RowKey, object]]
-                     ) -> ScheduleResult:
-        n = int(arrivals.size)
-        # Per-request assembly.
-        shard_done: List[Dict[int, float]] = [dict() for _ in range(n)]
-        failed: List[Set[int]] = [set() for _ in range(n)]
-        corrupted: List[Set[int]] = [set() for _ in range(n)]
-        resolve: List[float] = [-math.inf] * n
-        out.batches.sort(key=lambda row: row[0])
-        for key, _size, flight in out.batches:
-            shard = key[1]
-            if flight.outcome == OUTCOME_OK:
-                done_t = flight.dispatch_s + flight.occupied_s
-                for idx, _enq in flight.taken:
-                    shard_done[idx][shard] = done_t
-                    if done_t > resolve[idx]:
-                        resolve[idx] = done_t
-                    if flight.corrupted:
-                        corrupted[idx].add(shard)
-        for idx, t in out.failed:
-            if t > resolve[idx]:
-                resolve[idx] = t
-        for death_t, shard in death_order:
-            for idx in drained_by_shard[shard]:
-                failed[idx].add(shard)
-        # Fan-out width: shards live when the arrival popped.
-        death_s = np.full(self.n_shards, math.inf, dtype=np.float64)
-        for death_t, shard in death_order:
-            death_s[shard] = death_t
-        n_required = np.zeros(n, dtype=np.int64)
-        for shard in range(self.n_shards):
-            if math.isinf(death_s[shard]):
-                n_required += 1
-            else:
-                n_required += arrivals < death_s[shard]
-                for idx in drained_by_shard.get(shard, ()):
-                    if not (arrivals[idx] < death_s[shard]):
-                        n_required[idx] += 1
-        records = []
-        for idx in range(n):
-            required = int(n_required[idx])
-            records.append(RequestRecord(
-                req_id=int(req_ids[idx]),
-                arrival_s=float(arrivals[idx]),
-                shard_done_s=shard_done[idx],
-                failed_shards=failed[idx],
-                corrupted_shards=corrupted[idx],
-                n_required=required,
-                retrieval_done_s=float(arrivals[idx]) if required == 0
-                else resolve[idx],
-            ))
-        records.sort(key=lambda r: r.req_id)
-        batches = tuple(
-            ExecutedBatch(
-                shard_id=key[1], seq=flight.seq,
-                dispatch_s=flight.dispatch_s,
-                service_s=flight.occupied_s,
-                request_ids=tuple(int(req_ids[idx])
-                                  for idx, _enq in flight.taken),
-                head_enqueue_s=flight.head_enqueue_s,
-                attempt=flight.attempt, multiplier=flight.multiplier,
-                outcome=flight.outcome, corrupted=flight.corrupted,
-                recompute=flight.recompute)
-            for key, _size, flight in out.batches)
-        out.logs.sort(key=lambda row: row[0])
-        if self.capture is not None:
-            tables.sort(key=lambda pair: pair[0])
-            self.captured_tables = [table for _key, table in tables]
-        death_times = {shard: t for t, shard in death_order}
-        return ScheduleResult(
-            n_shards=self.n_shards,
-            policy=self.policy,
-            batches=batches,
-            records=tuple(records),
-            busy_seconds=tuple(st.busy_s for st in states),
-            fault_log=tuple(entry for _key, entry in out.logs),
-            death_times=death_times,
-        )

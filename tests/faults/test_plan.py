@@ -112,6 +112,19 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="object"):
             FaultPlan.from_dict([1, 2, 3])
 
+    @pytest.mark.parametrize("data, message", [
+        ({"outages": [{"shard_id": 0}]},
+         r"outages\[0\]: missing field 'start_s'"),
+        ({"outages": 5}, "'outages' must be a list of objects, got int"),
+        ({"stalls": [{"shard_id": 0, "start_s": 0.1, "duration_s": None,
+                      "slowdown": 2.0}]},
+         r"stalls\[0\]: field 'duration_s' must be a number, got None"),
+    ])
+    def test_from_dict_names_the_bad_entry_and_field(self, data, message):
+        # These used to escape as a bare KeyError / TypeError.
+        with pytest.raises(ValueError, match=message):
+            FaultPlan.from_dict(data)
+
 
 class TestBitFlipFault:
     def test_defaults_and_persistence(self):

@@ -8,10 +8,6 @@ Three families of pins:
   byte-identical to ``ServingSimulator`` on the same config, for both
   engines and including the fault-plan and integrity variants.  This is
   what lets the elastic path land without re-golden-ing anything.
-* **The engine flag is a no-op for elastic runs.**  Both settings run
-  the one elastic loop, so every elastic run, including the
-  fault/failover and SDC/integrity variants, produces bit-identical
-  reports, action logs, trace events, and telemetry under either.
 * **Arrivals pop before simultaneous heap events.**  The elastic loop
   pointer-merges open-loop arrivals against its event heap; an arrival
   landing exactly on a control tick or a max-wait deadline is handled
@@ -34,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.core.params import DEFAULT_PARAMS
 from repro.ecc import ECCConfig
-from repro.faults import BitFlipFault, FaultPlan
+from repro.faults import FaultPlan
 from repro.integrity import IntegrityConfig
 from repro.obs import collecting, render_trace_golden
 from repro.rag.corpus import PAPER_CORPORA
@@ -56,6 +52,7 @@ from repro.serve.simulator import ServingSimulator, golden_fault_config, \
 from repro.telemetry import render_attribution, render_spans_report
 
 from .test_properties import elastic_configs
+from .test_simulator import _sdc_autoscale_config
 
 pytestmark = pytest.mark.scale
 
@@ -109,79 +106,6 @@ def test_telemetry_bit_identical(name, engine):
                 + "\n")
 
     assert spans_text(actual) == spans_text(expected)
-    assert actual.registry.expose() == expected.registry.expose()
-
-
-# ---------------------------------------------------------------------------
-# Elastic runs ignore the engine flag.
-
-def _sdc_autoscale_config():
-    """Elastic run with SDC upsets + ABFT but no outages or stalls."""
-    base = golden_autoscale_config()
-    serve = dataclasses.replace(
-        base.serve,
-        faults=FaultPlan(bit_flips=(
-            BitFlipFault(shard_id=0, t_s=0.080, target="vr", vr=2,
-                         bit=7, element=96),
-            BitFlipFault(shard_id=1, t_s=0.140, target="vr", vr=6,
-                         bit=13, element=1024),
-        )),
-        retry=RetryPolicy(timeout_s=0.012, max_retries=2,
-                          backoff_base_s=1e-3, backoff_cap_s=8e-3),
-        integrity=IntegrityConfig(enabled=True, max_recomputes=3,
-                                  scrub_interval_s=0.050, scrub_vrs=8),
-    )
-    return dataclasses.replace(base, serve=serve)
-
-
-ELASTIC_CONFIGS = {
-    "plain": golden_autoscale_config,
-    "faults": golden_autoscale_fault_config,
-    "sdc": _sdc_autoscale_config,
-}
-
-
-def _elastic_pair(name):
-    base = ELASTIC_CONFIGS[name]()
-    return tuple(
-        ScaleSimulator(dataclasses.replace(
-            base, serve=dataclasses.replace(base.serve, engine=engine)))
-        for engine in ENGINES)
-
-
-@pytest.mark.parametrize("name", sorted(ELASTIC_CONFIGS))
-def test_elastic_reports_engine_invariant(name):
-    scalar, vector = _elastic_pair(name)
-    expected = scalar.run()
-    actual = vector.run()
-    for field in dataclasses.fields(expected):
-        if field.name == "config":  # differs only in the engine flag
-            continue
-        assert getattr(actual, field.name) \
-            == getattr(expected, field.name), field.name
-    # The raw schedule artifacts behind the report too: every record,
-    # batch attempt, fault-log entry, and death time.
-    assert scalar._last_run.result == vector._last_run.result
-
-
-@pytest.mark.parametrize("name", sorted(ELASTIC_CONFIGS))
-def test_elastic_trace_events_engine_invariant(name):
-    scalar, vector = _elastic_pair(name)
-    with collecting() as expected:
-        scalar.run()
-    with collecting() as actual:
-        vector.run()
-    assert len(actual.events) == len(expected.events) > 0
-    assert actual.events == expected.events
-
-
-@pytest.mark.parametrize("name", sorted(ELASTIC_CONFIGS))
-def test_elastic_telemetry_engine_invariant(name):
-    scalar, vector = _elastic_pair(name)
-    _, expected = scalar.run_with_telemetry()
-    _, actual = vector.run_with_telemetry()
-    assert actual.traces == expected.traces
-    assert actual.critical_paths == expected.critical_paths
     assert actual.registry.expose() == expected.registry.expose()
 
 

@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from repro.faults import BitFlipFault, FaultPlan
+from repro.integrity import IntegrityConfig
 from repro.monitor import BurnSignal
 from repro.obs import LANE_SCALE, collecting
 from repro.rag.corpus import PAPER_CORPORA
@@ -19,8 +21,10 @@ from repro.scale import (
     ScaleReport,
     ScaleSimulator,
     golden_autoscale_config,
+    golden_autoscale_fault_config,
 )
-from repro.serve import ClosedLoopConfig, ServeConfig, ServeReport
+from repro.serve import ClosedLoopConfig, RetryPolicy, ServeConfig, \
+    ServeReport
 from repro.serve.simulator import golden_fault_config, \
     golden_integrity_config, golden_serve_config
 from repro.simcore.elastic import OverdueTracker
@@ -44,6 +48,60 @@ def test_slo_must_be_positive_and_finite(consumer, slo_s):
     # and leave the controller reading zero burn on a failing run.
     with pytest.raises(ValueError, match="slo_s must be positive"):
         SLO_CONSUMERS[consumer](slo_s)
+
+
+def _sdc_autoscale_config():
+    """Elastic run with SDC upsets + ABFT but no outages or stalls."""
+    base = golden_autoscale_config()
+    serve = dataclasses.replace(
+        base.serve,
+        faults=FaultPlan(bit_flips=(
+            BitFlipFault(shard_id=0, t_s=0.080, target="vr", vr=2,
+                         bit=7, element=96),
+            BitFlipFault(shard_id=1, t_s=0.140, target="vr", vr=6,
+                         bit=13, element=1024),
+        )),
+        retry=RetryPolicy(timeout_s=0.012, max_retries=2,
+                          backoff_base_s=1e-3, backoff_cap_s=8e-3),
+        integrity=IntegrityConfig(enabled=True, max_recomputes=3,
+                                  scrub_interval_s=0.050, scrub_vrs=8),
+    )
+    return dataclasses.replace(base, serve=serve)
+
+
+ELASTIC_CONFIGS = {
+    "plain": golden_autoscale_config,
+    "faults": golden_autoscale_fault_config,
+    "sdc": _sdc_autoscale_config,
+}
+
+
+def _elastic_artifacts(config):
+    """Everything one elastic config exposes, minus the config itself."""
+
+    def report_fields(report):
+        return {field.name: getattr(report, field.name)
+                for field in dataclasses.fields(report)
+                if field.name != "config"}
+
+    def telemetry_bytes(report, telemetry):
+        return (report_fields(report), report.format(), telemetry.traces,
+                telemetry.critical_paths, telemetry.registry.expose())
+
+    simulator = ScaleSimulator(config)
+    report = simulator.run()
+    with collecting() as trace:
+        ScaleSimulator(config).run()
+    *monitored, monitor = ScaleSimulator(config).run_with_monitor()
+    return {
+        "report": report_fields(report),
+        "result": simulator._last_run.result,
+        "trace_events": trace.events,
+        "telemetry": telemetry_bytes(
+            *ScaleSimulator(config).run_with_telemetry()),
+        "monitored": telemetry_bytes(*monitored),
+        "monitor": monitor,
+    }
 
 
 @pytest.fixture(scope="module")
@@ -151,17 +209,24 @@ class TestDeterminismAndParity:
         again = ScaleSimulator(config).run()
         assert again == report
 
-    def test_engine_flag_does_not_change_the_elastic_loop(self, golden_run):
-        config, _, report = golden_run
-        vec = dataclasses.replace(
-            config, serve=dataclasses.replace(config.serve,
-                                              engine="vectorized"))
-        other = ScaleSimulator(vec).run()
-        for field in dataclasses.fields(report):
-            if field.name == "config":
-                continue
-            assert getattr(other, field.name) \
-                == getattr(report, field.name), field.name
+    def test_engine_flag_does_not_change_the_elastic_loop(self):
+        # Both settings run the one elastic loop, so a plain, a
+        # fault/failover and an SDC/integrity elastic run expose the
+        # same artifacts under either: report, raw schedule, trace
+        # events, telemetry, and a monitored run byte-identical to the
+        # unmonitored one.
+        for name, make_config in ELASTIC_CONFIGS.items():
+            config = make_config()
+            scalar, vector = (
+                _elastic_artifacts(dataclasses.replace(
+                    config, serve=dataclasses.replace(config.serve,
+                                                      engine=engine)))
+                for engine in ("scalar", "vectorized"))
+            assert vector.keys() == scalar.keys()
+            for key in scalar:
+                assert vector[key] == scalar[key], (name, key)
+            assert len(scalar["trace_events"]) > 0
+            assert vector["monitored"] == vector["telemetry"], name
 
     def test_telemetry_does_not_perturb_the_run(self, golden_run):
         config, _, report = golden_run

@@ -23,9 +23,10 @@ Layers of evidence, from cheapest to broadest:
 
 Cross-shard ties at the exact same float64 instant are not hypothetical
 -- different per-shard service sums really do round to the same double
-under these sweeps -- and they are resolved exactly (lineage tokens in
-the fault path, heap-tie repair in the fault-free merge), so every
-assertion here is strict equality with no tolerance.
+under these sweeps -- and the fault-free merge resolves them exactly
+(heap-tie repair), so every assertion here is strict equality with no
+tolerance.  Fault runs take the scalar event loop on either engine, so
+their comparisons hold by construction and pin that hand-off.
 """
 
 import dataclasses
@@ -53,6 +54,7 @@ from repro.serve import (
     golden_serve_config,
     poisson_arrival_times,
     poisson_arrivals,
+    spike_arrival_times,
     trace_arrivals,
 )
 from repro.serve.metrics import LatencyStats, nearest_rank_percentile
@@ -169,8 +171,7 @@ def test_death_observed_by_arrival_inside_backoff():
     window with the shard permanently down.  The scalar loop's
     down-check precedes its blocked-check, so the shard dies at that
     arrival's instant -- not at the backoff wake.  Hypothesis-found
-    (fault_seed=1057); exercises the in-backoff arrival scan in the
-    vectorized idle chain."""
+    (fault_seed=1057)."""
     policy = BatchPolicy(max_batch=3, max_wait_s=5e-4)
     requests = poisson_arrivals(800.0, 63, 3)
     horizon = requests[-1].arrival_s + 0.05
@@ -196,7 +197,7 @@ def test_death_barrier_splits_simultaneous_fanout():
     shards 0 and 1 dispatch inside the same fan-out loop *before*
     shard 2's death invokes failover, so they must use the
     pre-reroute service model even though they dispatch at exactly
-    the death time.  Exercises the keyed (mid-event) epoch barrier."""
+    the death time."""
     plan = FaultPlan(
         stalls=(
             StallFault(shard_id=0, start_s=0.04322286998466605,
@@ -227,6 +228,27 @@ def test_death_barrier_splits_simultaneous_fanout():
                           backoff_base_s=0.001, backoff_cap_s=0.008),
     )
     _assert_configs_agree(config, with_telemetry=False)
+
+
+@pytest.mark.simcore
+def test_two_death_spike_completes_on_both_engines():
+    """30k spiky requests on 10 GB over 8 shards, with shards 2 and 5
+    failing for good a quarter and half way in.  A vectorized replica
+    of the fault loop once raised ``RecursionError`` here; fault runs
+    must finish on either engine with one report."""
+    arrivals = spike_arrival_times(4000.0, 30000, 0, spike_multiplier=6.0)
+    plan = FaultPlan(outages=(
+        OutageFault(shard_id=2, start_s=float(arrivals[7500])),
+        OutageFault(shard_id=5, start_s=float(arrivals[15000]))))
+    reports = {
+        engine: ServingSimulator(ServeConfig(
+            spec=PAPER_CORPORA["10GB"], n_shards=8, qps=4000.0,
+            n_requests=30000, faults=plan, engine=engine)).run(arrivals)
+        for engine in ("scalar", "vectorized")}
+    scalar = reports["scalar"]
+    assert scalar.n_shard_failures == 2
+    assert dataclasses.replace(reports["vectorized"],
+                               config=scalar.config) == scalar
 
 
 @settings(deadline=None, max_examples=60)

@@ -75,6 +75,16 @@ class TestServeCommand:
             main(["serve", "--corpus", "10GB", "--requests", "8",
                   f"--slo-ms={slo_ms}", *autoscale])
 
+    @pytest.mark.parametrize("flag", ["--fault-plan", "--bit-flip-plan"])
+    def test_serve_bad_fault_plan_exits_cleanly(self, tmp_path, flag):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text('{"outages": [{"shard_id": 0}]}')
+        with pytest.raises(SystemExit,
+                           match=r"bad fault plan: outages\[0\]: missing "
+                                 r"field 'start_s'"):
+            main(["serve", "--corpus", "10GB", "--requests", "8",
+                  flag, str(plan_path)])
+
     def test_serve_rejects_bad_shards(self):
         with pytest.raises(ValueError):
             main(["serve", "--shards", "0", "--requests", "8",
