@@ -17,7 +17,10 @@ Telemetry is collected in two phases with very different budgets:
 
 The deterministic shape of the derived telemetry (span counts, chain
 lengths, conservation error) *is* gated exactly -- any drift there is
-a model change, not noise.
+a model change, not noise.  ``n_spans`` counts every tree's spans (a
+batch span shared by its member requests counts once per member);
+``n_distinct_spans`` counts span objects, so a builder that rebuilt
+each batch span per member would show up as drift.
 
 Same dual entry points as the other serving benchmarks: a
 pytest-benchmark ``test_`` (marked ``telemetry``, so it runs in the
@@ -65,9 +68,12 @@ def _shape():
         ServingSimulator(golden_serve_config()).run_with_telemetry()
     worst = max(abs(conservation_error_cycles(path, CLOCK))
                 for path in telemetry.critical_paths)
+    distinct = {id(span) for trace in telemetry.traces
+                for _, span in trace.root.walk()}
     return {
         "n_traces": len(telemetry.traces),
         "n_spans": sum(t.n_spans() for t in telemetry.traces),
+        "n_distinct_spans": len(distinct),
         "n_chain_segments": sum(len(p.segments)
                                 for p in telemetry.critical_paths),
         "n_metrics": len(telemetry.registry),

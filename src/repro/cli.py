@@ -526,7 +526,7 @@ def _run_spans(args) -> None:
         except KeyError:
             raise SystemExit(
                 f"no query {args.query} in workload {workload!r} "
-                f"(ids 0..{len(telemetry.traces) - 1})")
+                f"(ids 0..{len(telemetry.critical_paths) - 1})")
         print(render_query_trace(query_trace))
         print()
         print(render_critical_path(telemetry.path_for(args.query), clock))

@@ -62,6 +62,10 @@ MONITOR_PREFIX = "repro_monitor_"
 
 #: TTI quantiles streamed from the cumulative sketch.
 _QUANTILES = (50.0, 95.0, 99.0)
+#: ``q / 100`` per quantile, as the nearest-rank rule computes it.
+_QUANTILE_FRACTIONS = np.asarray(_QUANTILES)[None, :] / 100.0
+#: The sketch's bucket boundaries, then ``inf`` for its overflow bucket.
+_SKETCH_BOUNDS = np.asarray(QuantileSketch().boundaries + (math.inf,))
 
 
 def sample_instants(horizon_s: float, cadence_s: float,
@@ -114,29 +118,6 @@ def _step_value(steps: Sequence[Tuple[float, float]], initial: float,
     return value
 
 
-def _scan_quantiles(sketch: QuantileSketch,
-                    ranks: Sequence[int]) -> List[float]:
-    """All quantile answers in one cumulative pass (ranks ascending).
-
-    Same smallest-boundary >= nearest-rank rule as
-    :meth:`QuantileSketch.quantile`, answered for every rank at once.
-    """
-    values: List[float] = []
-    cumulative = 0
-    index = 0
-    for bound, n in zip(sketch.boundaries, sketch.counts):
-        cumulative += n
-        while index < len(ranks) and cumulative >= ranks[index]:
-            values.append(bound)
-            index += 1
-        if index == len(ranks):
-            break
-    while index < len(ranks):
-        values.append(math.inf)
-        index += 1
-    return values
-
-
 def _cumulative_points(instants: Sequence[float],
                        event_times: Sequence[float],
                        weights: Optional[Sequence[float]] = None,
@@ -154,6 +135,43 @@ def _cumulative_points(instants: Sequence[float],
         prefix.append(prefix[-1] + float(w))
     return [(t, prefix[bisect.bisect_right(sorted_times, t)])
             for t in instants]
+
+
+def overdue_counts(instants: np.ndarray, arrival_s: np.ndarray,
+                   done_s: np.ndarray, slo_s: float,
+                   classes: Optional[np.ndarray] = None,
+                   n_classes: int = 1) -> np.ndarray:
+    """Per instant ``t`` and class: requests with ``t - arrival > slo``
+    and ``done > t``, as an ``(instants, classes)`` array.
+
+    Both predicates are monotone in ``t``, so each request is overdue
+    over one contiguous run of (sorted) instants: one ``searchsorted``
+    finds each end, and a difference array sums the runs in
+    O((N + I) log I) time and O(N + I) memory.  The start search uses
+    ``arrival + slo``, whose rounding can miss the boundary of the exact
+    float predicate, so the start then steps until the predicate itself
+    fails one instant earlier and holds at the start.
+    """
+    n = instants.size
+    padded = np.concatenate(([-np.inf], instants, [np.inf]))
+    start = np.searchsorted(instants, arrival_s + slo_s, side="right")
+    while True:  # padded[start] is the instant before the start
+        back = padded[start] - arrival_s > slo_s
+        if not back.any():
+            break
+        start -= back
+    while True:  # padded[start + 1] is the start instant
+        ahead = padded[start + 1] - arrival_s <= slo_s
+        if not ahead.any():
+            break
+        start += ahead
+    end = np.searchsorted(instants, done_s, side="left")
+    live = start < end
+    offset = 0 if classes is None else classes[live] * (n + 1)
+    size = n_classes * (n + 1)
+    diff = (np.bincount(start[live] + offset, minlength=size)
+            - np.bincount(end[live] + offset, minlength=size))
+    return np.cumsum(diff.reshape(n_classes, n + 1)[:, :n], axis=1).T
 
 
 def build_run_monitor(
@@ -194,9 +212,11 @@ def build_run_monitor(
 
     # -- the event streams everything below samples from ---------------
     records = result.records
+    arrival_s = [r.arrival_s for r in records]
+    done_s = [r.retrieval_done_s for r in records]
     completions = sorted(
-        (r.retrieval_done_s, r.req_id) for r in records
-        if r.retrieval_done_s is not None)
+        (done, r.req_id) for r, done in zip(records, done_s)
+        if done is not None)
     completion_times = [t for t, _ in completions]
     ticks = [a for a in actions if a.kind == "tick"]
     fault_times = [e.t_s for e in result.fault_log]
@@ -209,6 +229,7 @@ def build_run_monitor(
         horizon = max(horizon, max(fault_times))
     instants = sample_instants(horizon, cadence_s,
                                extra=[t.t_s for t in ticks])
+    ts = np.asarray(instants, dtype=np.float64)
     tick_burns: Dict[float, Tuple[float, ...]] = {
         t.t_s: tuple(t.class_burns) for t in ticks
         if getattr(t, "class_burns", ())}
@@ -227,41 +248,41 @@ def build_run_monitor(
     pool_points = [(t, _step_value(pool_steps, float(pool_initial), t))
                    for t in instants]
 
-    # -- queue depth: replay enqueue/dispatch/re-enqueue/clear ----------
-    # Ordering codes break exact-time ties deterministically; gauges
-    # sample strictly before the instant so same-time order within one
-    # instant never leaks into a sample.
-    _ENQ, _DEQ, _REENQ, _CLEAR = 0, 1, 2, 3
-    queue_events: List[Tuple[float, int, int, int]] = []
-    for r in records:
-        touched = set(r.shard_done_s) | set(r.failed_shards)
-        for shard in touched:
-            queue_events.append((r.arrival_s, _ENQ, shard, 1))
+    # -- queue depth: enqueue/dispatch/re-enqueue steps, deaths clear --
+    # Gauges sample strictly before the instant.  The depth is a sum of
+    # integer steps, except that a death clears its shard's queue: that
+    # is a step of minus the shard's depth just before the clear (every
+    # step on the shard up to the death instant, same-instant steps
+    # included).
+    step_times = list(arrival_s)
+    steps = [len(r.shard_done_s.keys() | r.failed_shards) for r in records]
     for b in result.batches:
-        queue_events.append((b.dispatch_s, _DEQ, b.shard_id, b.batch_size))
+        step_times.append(b.dispatch_s)
+        steps.append(-len(b.request_ids))
         if b.outcome != "ok":
-            queue_events.append((b.dispatch_s + b.service_s, _REENQ,
-                                 b.shard_id, b.batch_size))
+            step_times.append(b.dispatch_s + b.service_s)
+            steps.append(len(b.request_ids))
     for shard, when in result.death_times.items():
-        queue_events.append((when, _CLEAR, shard, 0))
-    queue_events.sort()
-    depth_by_shard: Dict[int, int] = {}
-    queue_points: List[Tuple[float, float]] = []
-    qi = 0
-    for t in instants:
-        while qi < len(queue_events) and queue_events[qi][0] < t:
-            when, code, shard, n = queue_events[qi]
-            if code == _ENQ or code == _REENQ:
-                depth_by_shard[shard] = depth_by_shard.get(shard, 0) + n
-            elif code == _DEQ:
-                depth_by_shard[shard] = depth_by_shard.get(shard, 0) - n
-            else:
-                depth_by_shard[shard] = 0
-            qi += 1
-        queue_points.append((t, float(sum(depth_by_shard.values()))))
+        depth = sum(1 for r in records if r.arrival_s <= when and (
+            shard in r.shard_done_s or shard in r.failed_shards))
+        for b in result.batches:
+            if b.shard_id != shard:
+                continue
+            if b.dispatch_s <= when:
+                depth -= len(b.request_ids)
+            if b.outcome != "ok" and b.dispatch_s + b.service_s <= when:
+                depth += len(b.request_ids)
+        step_times.append(when)
+        steps.append(-depth)
+    step_t = np.asarray(step_times, dtype=np.float64)
+    order = np.argsort(step_t, kind="stable")
+    depth_before = np.concatenate(
+        ([0], np.cumsum(np.asarray(steps, dtype=np.int64)[order])))
+    queue_points = list(zip(instants, depth_before[np.searchsorted(
+        step_t[order], ts, side="left")].astype(np.float64).tolist()))
 
     # -- inflight requests: admitted and not yet resolved ---------------
-    arrivals_sorted = sorted(r.arrival_s for r in records)
+    arrivals_sorted = sorted(arrival_s)
     inflight_points = [
         (t, float(bisect.bisect_left(arrivals_sorted, t)
                   - bisect.bisect_left(completion_times, t)))
@@ -275,51 +296,38 @@ def build_run_monitor(
         for t in instants]
 
     # -- TTI quantiles from the cumulative mergeable sketch -------------
-    # One cumulative scan answers all three quantiles (the ranks are
-    # ascending with the percentiles), bit-identical to calling
-    # ``sketch.quantile`` per percentile but ~3x cheaper per instant.
-    sketch = QuantileSketch()
-    quantile_points: Dict[float, List[Tuple[float, float]]] = {
-        q: [] for q in _QUANTILES}
-    ci = 0
-    total = 0
-    for t in instants:
-        while ci < len(completions) and completions[ci][0] <= t:
-            _, req_id = completions[ci]
-            sketch.observe(tti_by_req[req_id])
-            ci += 1
-            total += 1
-        if not total:
-            for q in _QUANTILES:
-                quantile_points[q].append((t, 0.0))
-            continue
-        ranks = [max(1, math.ceil(q / 100.0 * total)) for q in _QUANTILES]
-        values = _scan_quantiles(sketch, ranks)
-        for q, value in zip(_QUANTILES, values):
-            quantile_points[q].append((t, value))
+    # The sketch's rule (smallest boundary whose cumulative count
+    # reaches the nearest rank, inf in the overflow bucket) answered
+    # for every instant at once.  A completion first counts at the
+    # first instant past it; at_or_below[i, b] is how many completions
+    # by instant i landed in bucket b or below (the overflow bucket,
+    # last, holds them all).
+    n_buckets = _SKETCH_BOUNDS.size
+    totals = np.searchsorted(completion_times, ts, side="right")
+    bucket = np.searchsorted(_SKETCH_BOUNDS[:-1], np.asarray(
+        [tti_by_req[req_id] for _, req_id in completions],
+        dtype=np.float64), side="left")
+    first_instant = np.searchsorted(totals, np.arange(bucket.size),
+                                    side="right")
+    at_or_below = np.bincount(
+        first_instant * n_buckets + bucket,
+        minlength=(ts.size + 1) * n_buckets).reshape(-1, n_buckets)
+    at_or_below = at_or_below.cumsum(axis=0).cumsum(axis=1)[:-1]
+    ranks = np.maximum(1.0, np.ceil(_QUANTILE_FRACTIONS * totals[:, None]))
+    # First bucket reaching each rank; none does before any completion.
+    first = (at_or_below[:, None, :] >= ranks[:, :, None]).argmax(axis=2)
+    values = np.where(totals[:, None] > 0, _SKETCH_BOUNDS[first], 0.0)
+    quantile_points = {q: list(zip(instants, column))
+                       for q, column in zip(_QUANTILES, values.T.tolist())}
 
     # -- per-class SLO burn: recorded at ticks, replayed between --------
-    class_of: Dict[int, int] = {}
-    arr_lists: List[List[float]] = [[] for _ in range(n_classes)]
-    done_lists: List[List[float]] = [[] for _ in range(n_classes)]
-    for r in records:
-        cls = int(priorities.get(r.req_id, 0))
-        class_of[r.req_id] = cls
-        arr_lists[cls].append(r.arrival_s)
-        done_lists[cls].append(
-            r.retrieval_done_s if r.retrieval_done_s is not None
-            else np.inf)
-    arr_by_class = [np.asarray(a, dtype=np.float64) for a in arr_lists]
-    done_by_class = [np.asarray(d, dtype=np.float64) for d in done_lists]
-    # One broadcast per class beats a numpy call per instant: the
-    # elementwise comparisons are identical floats either way.
-    ts = np.asarray(instants, dtype=np.float64)
-    overdue_by_instant = [
-        ((ts[:, None] - arr_by_class[cls][None, :] > slo_s)
-         & (done_by_class[cls][None, :] > ts[:, None])).sum(axis=1)
-        if arr_by_class[cls].size
-        else np.zeros(len(instants), dtype=np.int64)
-        for cls in range(n_classes)]
+    classes = None if n_classes == 1 else np.asarray(
+        [priorities.get(r.req_id, 0) for r in records], dtype=np.int64)
+    overdue_by_instant = overdue_counts(
+        ts, np.asarray(arrival_s, dtype=np.float64),
+        np.asarray([np.inf if done is None else done for done in done_s],
+                   dtype=np.float64),
+        slo_s, classes, n_classes).tolist()
     replay = BurnSignal(cadence_s, slo_s, n_classes)
     burn_points: List[List[Tuple[float, float]]] = [
         [] for _ in range(n_classes)]
@@ -328,18 +336,16 @@ def build_run_monitor(
         while bi < len(completions) and completions[bi][0] <= t:
             done_s, req_id = completions[bi]
             replay.note_completion(done_s, tti_by_req[req_id],
-                                   class_of[req_id])
+                                   int(priorities.get(req_id, 0)))
             bi += 1
-        overdue = [int(overdue_by_instant[cls][i])
-                   for cls in range(n_classes)]
-        burns = replay.class_burns(t, overdue, error_budget)
-        recorded = tick_burns.get(t)
+        burns = list(tick_burns.get(t, ()))
+        if len(burns) < n_classes:
+            # The replay fills the classes no tick recorded.  Skipping it
+            # elsewhere is safe: its window only ever advances.
+            burns += replay.class_burns(
+                t, overdue_by_instant[i], error_budget)[len(burns):]
         for cls in range(n_classes):
-            if recorded is not None and cls < len(recorded):
-                burn = recorded[cls]
-            else:
-                burn = burns[cls]
-            burn_points[cls].append((t, burn))
+            burn_points[cls].append((t, burns[cls]))
 
     # -- cumulative counters --------------------------------------------
     completed_points = _cumulative_points(instants, completion_times)

@@ -93,9 +93,10 @@ class RunMonitor:
     def __post_init__(self) -> None:
         index: Dict[str, Series] = {}
         for s in self.series:
-            if s.key in index:
-                raise MonitorError(f"duplicate series {s.key}")
-            index[s.key] = s
+            key = s.key
+            if key in index:
+                raise MonitorError(f"duplicate series {key}")
+            index[key] = s
         object.__setattr__(self, "_index", index)
 
     def get(self, name: str, **labels: str) -> Series:

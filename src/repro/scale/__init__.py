@@ -41,11 +41,7 @@ from .simulator import (
     golden_autoscale_config,
     golden_autoscale_fault_config,
 )
-from .telemetry import (
-    build_scale_metrics,
-    build_scale_telemetry,
-    build_scale_traces,
-)
+from .telemetry import build_scale_metrics, build_scale_telemetry
 
 __all__ = [
     "AdmissionPolicy",
@@ -69,7 +65,6 @@ __all__ = [
     "ScaleSimulator",
     "build_scale_metrics",
     "build_scale_telemetry",
-    "build_scale_traces",
     "golden_autoscale_config",
     "golden_autoscale_fault_config",
     "parse_priority_map",

@@ -455,8 +455,9 @@ class ScaleSimulator:
 
         Static configurations return the static simulator's
         ``(ServeReport, RunTelemetry)`` unchanged; elastic ones return
-        ``(ScaleReport, ScaleTelemetry)`` with span trees built per
-        admitted request and a scale-specific metrics registry.
+        ``(ScaleReport, RunTelemetry)`` with critical paths per admitted
+        request, a scale-specific metrics registry, and span trees built
+        on first access.
         """
         if self._static is not None:
             return self._static.run_with_telemetry(self._static_requests())

@@ -1,13 +1,13 @@
-"""Span trees and metrics for elastic serving runs.
+"""Metrics and the telemetry bundle for elastic serving runs.
 
-The static telemetry builder (:mod:`repro.telemetry.build`) assumes one
-merge cost for every request -- correct when the pool size never
-changes.  Under autoscaling a request's scatter-gather width is the
-pool size *at its admission*, so the merge cost varies per request:
-:func:`build_scale_traces` rebuilds the span trees with each record's
-own ``n_required`` merge, reusing the static builder's shard-chain and
-stage-table machinery so a fixed-size elastic run degenerates to the
-static trees exactly.
+Span trees and critical paths come from the one
+:class:`~repro.telemetry.build.TraceBuilder` the static pipeline uses.
+Under autoscaling a request's scatter-gather width is the pool size
+*at its admission*, so the merge cost varies per request: the builder
+takes the simulator's per-``n_required`` merge memo instead of one
+value, and a fixed-size elastic run degenerates to the static trees
+exactly.  As in static runs, the trees are built only on first access
+to ``telemetry.traces``.
 
 Everything here is derivational (post-run, from the synthesized
 :class:`~repro.serve.scheduler.ScheduleResult` and the action log), so
@@ -17,129 +17,31 @@ same property the static pipeline pins.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Mapping, Sequence
 
 from ..telemetry.build import (
-    BATCH_SIZE_BOUNDS,
+    MergeCost,
     RunTelemetry,
-    StageTable,
-    _shard_chain,
+    TraceBuilder,
+    latency_metrics,
+    throughput_metrics,
 )
-from ..telemetry.critical import (
-    CriticalPath,
-    critical_path,
-    stage_attribution,
-)
-from ..telemetry.metrics import (
-    DEFAULT_LATENCY_BOUNDS_S,
-    MetricsRegistry,
-    slo_burn_windows,
-)
-from ..telemetry.spans import (
-    SPAN_MERGE,
-    SPAN_PREFILL,
-    SPAN_QUERY,
-    SPAN_QUEUE_WAIT,
-    QueryTrace,
-    Span,
-)
+from ..telemetry.critical import CriticalPath
+from ..telemetry.metrics import MetricsRegistry
 
 __all__ = [
-    "build_scale_traces",
     "build_scale_metrics",
     "build_scale_telemetry",
 ]
 
 
-def build_scale_traces(result: Any,
-                       merge_by_required: Mapping[int, float],
-                       prefill_s: float,
-                       stage_tables: Optional[Sequence[StageTable]] = None,
-                       ) -> List[QueryTrace]:
-    """One :class:`QueryTrace` per admitted request, in req-id order.
-
-    ``merge_by_required`` maps a record's scatter-gather width to its
-    top-k merge cost (the simulator's memo) -- the only place the
-    elastic trees diverge from the static builder's single scalar.
-    """
-    tables: Dict[Tuple[int, int], StageTable] = {}
-    if stage_tables is not None:
-        if len(stage_tables) != len(result.batches):
-            raise ValueError(
-                f"{len(stage_tables)} stage tables for "
-                f"{len(result.batches)} executed batches")
-        for batch, table in zip(result.batches, stage_tables):
-            if table.shard_id != batch.shard_id \
-                    or table.batch_size != batch.batch_size:
-                raise ValueError(
-                    f"stage table ({table.shard_id}, {table.batch_size}) "
-                    f"does not match batch ({batch.shard_id}, "
-                    f"{batch.batch_size})")
-            tables[(batch.shard_id, batch.seq)] = table
-
-    by_request: Dict[int, Dict[int, List[Any]]] = {}
-    for batch in result.batches:
-        for req_id in batch.request_ids:
-            by_request.setdefault(req_id, {}).setdefault(
-                batch.shard_id, []).append(batch)
-
-    traces: List[QueryTrace] = []
-    for record in result.records:
-        done = record.retrieval_done_s
-        if done is None:  # pragma: no cover - simulator invariant
-            raise ValueError(f"request {record.req_id} never resolved")
-        merge_s = merge_by_required[record.n_required]
-        tti_end = (done + merge_s) + prefill_s
-        root = Span(name=SPAN_QUERY, start_s=record.arrival_s,
-                    end_s=tti_end,
-                    labels={"n_required": str(record.n_required)})
-        shard_ids = sorted(set(record.shard_done_s)
-                           | set(record.failed_shards))
-        leg_ends: Dict[int, float] = {}
-        for shard_id in shard_ids:
-            attempts = sorted(
-                by_request.get(record.req_id, {}).get(shard_id, []),
-                key=lambda b: b.dispatch_s)
-            leg = _shard_chain(record, shard_id, attempts, tables,
-                               result.death_times.get(shard_id))
-            leg_ends[shard_id] = leg.end_s
-            root.children.append(leg)
-        determining: Optional[int] = None
-        for shard_id in shard_ids:
-            if leg_ends[shard_id] == done:
-                determining = shard_id
-                break
-        if determining is None and shard_ids:
-            # pragma: no cover - resolution is a shard event
-            raise ValueError(
-                f"request {record.req_id}: no shard leg ends at the "
-                f"recorded resolution time {done!r}")
-        merge_end = done + merge_s
-        root.children.append(Span(name=SPAN_MERGE, start_s=done,
-                                  end_s=merge_end))
-        root.children.append(Span(name=SPAN_PREFILL, start_s=merge_end,
-                                  end_s=merge_end + prefill_s))
-        traces.append(QueryTrace(
-            req_id=record.req_id,
-            arrival_s=record.arrival_s,
-            retrieval_done_s=done,
-            merge_s=merge_s,
-            prefill_s=prefill_s,
-            root=root,
-            determining_shard=determining,
-            n_required=record.n_required,
-            failed_shards=tuple(sorted(record.failed_shards)),
-            corrupted_shards=tuple(sorted(record.corrupted_shards)),
-        ))
-    return traces
-
-
 def build_scale_metrics(report: Any, result: Any,
                         paths: Sequence[CriticalPath],
-                        traces: Sequence[QueryTrace],
+                        merge: MergeCost,
                         priorities: Mapping[int, int],
                         n_burn_windows: int = 4) -> MetricsRegistry:
-    """Populate a registry from one elastic run.
+    """Populate a registry from one elastic run (``paths`` in record
+    order).
 
     The serve-level series keep their static names (throughput,
     attainment, latency histograms, burn windows) so dashboards span
@@ -215,18 +117,7 @@ def build_scale_metrics(report: Any, result: Any,
     for batch in result.batches:
         batches.inc(shard=str(batch.shard_id), outcome=batch.outcome)
 
-    critical = registry.counter(
-        "repro_critical_path_seconds_total",
-        "Critical-path seconds attributed per stage")
-    for stage, seconds in sorted(stage_attribution(paths).items()):
-        critical.inc(seconds, stage=stage)
-
-    throughput = registry.gauge(
-        "repro_throughput_qps", "Sustained queries per second")
-    throughput.set(report.throughput_qps)
-    makespan = registry.gauge(
-        "repro_makespan_seconds", "Simulated makespan")
-    makespan.set(report.makespan_s)
+    throughput_metrics(registry, report, paths)
     attainment = registry.gauge(
         "repro_slo_attainment_ratio",
         "Fraction of completed requests at or under the TTI SLO")
@@ -237,61 +128,32 @@ def build_scale_metrics(report: Any, result: Any,
     for slot_id, value in enumerate(report.shard_utilization):
         util.set(value, shard=str(slot_id))
 
-    tti_hist = registry.histogram(
-        "repro_tti_seconds",
+    latency_metrics(
+        registry, result, paths, merge,
         "Time-to-interactive distribution, by priority class",
-        DEFAULT_LATENCY_BOUNDS_S)
-    retrieval_hist = registry.histogram(
-        "repro_retrieval_seconds",
-        "Arrival-to-merged-top-k latency distribution",
-        DEFAULT_LATENCY_BOUNDS_S)
-    queue_hist = registry.histogram(
-        "repro_queue_wait_seconds",
-        "Per-request queue-wait on the critical path",
-        DEFAULT_LATENCY_BOUNDS_S)
-    size_hist = registry.histogram(
-        "repro_batch_size", "Executed batch sizes", BATCH_SIZE_BOUNDS)
-    for trace in traces:
-        cls_name = classes[priorities[trace.req_id]].name
-        tti_hist.observe(trace.tti_s, **{"class": cls_name})
-        retrieval_hist.observe(trace.retrieval_latency_s + trace.merge_s)
-    for path in paths:
-        waited = path.stage_totals().get(SPAN_QUEUE_WAIT, 0.0)
-        queue_hist.observe(waited)
-    for batch in result.batches:
-        size_hist.observe(batch.batch_size, shard=str(batch.shard_id))
-
-    burn = registry.gauge(
-        "repro_slo_burn_rate",
-        f"SLO error-budget burn rate per window "
-        f"(target {policy.autoscale.slo_target:g})")
-    budget = policy.autoscale.error_budget
-    windows = slo_burn_windows(
-        [t.arrival_s for t in traces], [t.tti_s for t in traces],
-        cfg.slo_s, report.makespan_s, n_burn_windows)
-    for window in windows:
-        burn.set(window.burn_rate(budget), window=str(window.index))
+        lambda path: {"class": classes[priorities[path.req_id]].name},
+        cfg.slo_s, report.makespan_s, policy.autoscale.slo_target,
+        policy.autoscale.error_budget, n_burn_windows)
     return registry
 
 
 def build_scale_telemetry(run: Any, prefill_s: float,
                           clock_hz: float) -> RunTelemetry:
-    """Derive the full telemetry bundle from one elastic run.
+    """Derive the telemetry bundle from one elastic run.
 
     ``run`` is the simulator's internal ``_ElasticRun`` artifact; the
     result is the same :class:`~repro.telemetry.build.RunTelemetry`
     bundle the static pipeline produces, so every downstream renderer
     (span reports, attribution, flamegraphs, Perfetto export) works
-    unchanged.
+    unchanged.  Slowdown spans carry no ``source`` label here.
     """
-    traces = build_scale_traces(run.result, run.merge_by_required,
-                                prefill_s, run.stage_tables)
-    paths = tuple(critical_path(trace) for trace in traces)
-    registry = build_scale_metrics(run.report, run.result, paths, traces,
-                                   run.priorities)
+    builder = TraceBuilder(run.result, run.merge_by_required, prefill_s,
+                           run.stage_tables)
+    paths = builder.critical_paths()
     return RunTelemetry(
-        traces=tuple(traces),
         critical_paths=paths,
-        registry=registry,
+        registry=build_scale_metrics(run.report, run.result, paths,
+                                     run.merge_by_required, run.priorities),
         clock_hz=clock_hz,
+        builder=builder,
     )

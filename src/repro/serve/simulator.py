@@ -628,31 +628,21 @@ class ServingSimulator:
         on the service-time callable that records each dispatch's stage
         decomposition (one :class:`~repro.telemetry.build.StageTable`
         per executed batch, captured against the service model's state
-        at that instant, so takeover re-anchors are honored); span
-        trees, critical paths, and the metrics registry are all derived
-        after the run from the scheduler's causal record.
+        at that instant, so takeover re-anchors are honored); critical
+        paths and the metrics registry are derived after the run from
+        the scheduler's causal record, and the span trees on first
+        access to ``telemetry.traces``.
         """
-        from ..telemetry.build import RunTelemetry, build_run_telemetry
+        from ..telemetry.build import build_run_telemetry
 
         report, result, tables = self._simulate_capturing(requests)
         self._last_result = result
-        telemetry: RunTelemetry = build_run_telemetry(
+        # The injector labels each slowdown span with *why* the batch
+        # stretched (stall window vs slow-start recovery), evaluated at
+        # the batch's dispatch instant.
+        telemetry = build_run_telemetry(
             report, result, self.merge_s, self.prefill_s, tables,
-            self.params.clock_hz)
-        if self.injector is not None:
-            # Annotate slowdown spans with *why* the batch stretched
-            # (stall window vs slow-start recovery), evaluated at the
-            # same dispatch instant the scheduler used.
-            for query_trace in telemetry.traces:
-                for shard_id, leg in query_trace.shard_spans.items():
-                    for span in leg.children:
-                        for child in span.children:
-                            if child.name != "slowdown":
-                                continue
-                            sources = self.injector.multiplier_sources(
-                                shard_id, span.start_s)
-                            child.labels["source"] = \
-                                ",".join(sources) or "unknown"
+            self.params.clock_hz, injector=self.injector)
         return report, telemetry
 
     def run_with_monitor(self, requests: Optional[Arrivals] = None,
@@ -763,9 +753,9 @@ class ServingSimulator:
         if self._dispatch_bytes is not None:
             return self._dispatch_bytes
         # No faults, no takeover: the placement never changed.
-        specs = self.service_model.shard_specs
-        return [int(specs[batch.shard_id].embedding_bytes)
-                for batch in result.batches]
+        nbytes = [int(spec.embedding_bytes)
+                  for spec in self.service_model.shard_specs]
+        return [nbytes[batch.shard_id] for batch in result.batches]
 
     def _simulate(self, requests: Optional[Arrivals] = None,
                   stage_tables: Optional[List[Any]] = None

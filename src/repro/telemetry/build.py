@@ -9,6 +9,16 @@ runs during the event loop, so telemetry-on and telemetry-off
 simulations are bit-identical by construction (and the property suite
 proves it).
 
+A run pays only for what its callers read.  :func:`build_run_telemetry`
+finds each request's determining shard straight from the record and
+builds just that leg to extract the critical path; the registry reads
+arrival and TTI from the records and paths.  The full span trees
+(:attr:`RunTelemetry.traces`) are built on first access and cached,
+with each executed batch's span built once and shared by every member
+request's leg.  Static and elastic runs share one
+:class:`TraceBuilder`; they differ only in the merge cost, one value or
+one per scatter-gather width.
+
 Every boundary in a tree is a float the event loop itself produced
 (arrival times, dispatch times, ``dispatch + service`` completions,
 death times), so sibling spans partition their parent bitwise and the
@@ -24,7 +34,9 @@ proves it event by event.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from .critical import CriticalPath, critical_path, stage_attribution
 from .metrics import (
@@ -47,6 +59,8 @@ from .spans import (
 
 __all__ = [
     "StageTable",
+    "MergeCost",
+    "TraceBuilder",
     "RunTelemetry",
     "ReconcileReport",
     "build_query_traces",
@@ -72,16 +86,16 @@ class StageTable:
     batch_size: int
     stages: Tuple[Tuple[str, float], ...]
 
-    def base_seconds(self) -> float:
-        total = 0.0
-        for _, seconds in self.stages:
-            total += seconds
-        return total
 
-
-def _batch_span(batch: Any, stage_table: Optional[StageTable]) -> Span:
+def _batch_span(batch: Any, stage_table: Optional[StageTable],
+                injector: Any = None) -> Span:
     """The span of one executed attempt, with stage children when the
-    attempt ran to completion (truncated attempts stay leaves)."""
+    attempt ran to completion (truncated attempts stay leaves).
+
+    With an ``injector``, a slowdown child is labelled with the fault
+    kinds (``stall`` / ``recovery``) that stretched the batch at its
+    dispatch instant.
+    """
     end_s = batch.dispatch_s + batch.service_s
     outcome = batch.outcome
     if batch.recompute and outcome == "ok":
@@ -111,143 +125,305 @@ def _batch_span(batch: Any, stage_table: Optional[StageTable]) -> Span:
     # carries a slowdown span, so residue never masquerades as a fault.
     slowdown = end_s - cursor
     if slowdown > 0 and float(batch.multiplier) != 1.0:
+        labels = {"multiplier": repr(float(batch.multiplier))}
+        if injector is not None:
+            sources = injector.multiplier_sources(batch.shard_id,
+                                                  batch.dispatch_s)
+            labels["source"] = ",".join(sources) or "unknown"
         span.children.append(Span(
             name="slowdown", start_s=cursor, end_s=end_s,
-            shard_id=batch.shard_id,
-            labels={"multiplier": repr(float(batch.multiplier))}))
+            shard_id=batch.shard_id, labels=labels))
     return span
 
 
-def _shard_chain(record: Any, shard_id: int,
-                 attempts: Sequence[Any],
-                 stage_tables: Mapping[Tuple[int, int], StageTable],
-                 death_time: Optional[float]) -> Span:
-    """One shard leg: spans that partition [arrival, leg end] bitwise."""
+def _leg_end(record: Any, shard_id: int,
+             death_times: Mapping[int, float]) -> float:
+    """Where one shard leg ends: the shard's death if it failed the
+    request, else its completion."""
+    if shard_id in record.failed_shards:
+        return death_times[shard_id]
+    return record.shard_done_s[shard_id]
+
+
+def _leg_shards(record: Any) -> List[int]:
+    return sorted(set(record.shard_done_s) | set(record.failed_shards))
+
+
+def _determining_shard(record: Any,
+                       death_times: Mapping[int, float]) -> Optional[int]:
+    """The first shard (in id order) whose leg ends at the resolution;
+    ``None`` when the request resolved with no shard legs."""
+    done = record.retrieval_done_s
+    shard_ids = _leg_shards(record)
+    for shard_id in shard_ids:
+        if _leg_end(record, shard_id, death_times) == done:
+            return shard_id
+    if shard_ids:  # pragma: no cover - every resolution is a shard event
+        raise ValueError(
+            f"request {record.req_id}: no shard leg ends at the "
+            f"recorded resolution time {done!r}")
+    return None
+
+
+def _shard_chain(record: Any, shard_id: int, attempts: Sequence[Span],
+                 death_times: Mapping[int, float]) -> Span:
+    """One shard leg: spans that partition [arrival, leg end] bitwise.
+
+    ``attempts`` are the leg's batch spans in dispatch order.
+    """
+    leg_end = _leg_end(record, shard_id, death_times)
     failed = shard_id in record.failed_shards
-    if failed:
-        if death_time is None:  # pragma: no cover - scheduler invariant
-            raise ValueError(
-                f"request {record.req_id}: shard {shard_id} failed "
-                f"without a recorded death time")
-        leg_end = death_time
-    else:
-        leg_end = record.shard_done_s[shard_id]
-    shard_span = Span(name=SPAN_SHARD, start_s=record.arrival_s,
-                      end_s=leg_end, shard_id=shard_id,
-                      labels={"failed": "1"} if failed else {})
+    children: List[Span] = []
     cursor = record.arrival_s
     previous_failed = False
-    for batch in attempts:
-        if batch.dispatch_s > cursor:
+    for span in attempts:
+        if span.start_s > cursor:
             gap_name = SPAN_BACKOFF if previous_failed else SPAN_QUEUE_WAIT
-            shard_span.children.append(Span(
-                name=gap_name, start_s=cursor, end_s=batch.dispatch_s,
-                shard_id=shard_id))
-        table = stage_tables.get((batch.shard_id, batch.seq))
-        span = _batch_span(batch, table)
-        shard_span.children.append(span)
+            children.append(Span(name=gap_name, start_s=cursor,
+                                 end_s=span.start_s, shard_id=shard_id))
+        children.append(span)
         cursor = span.end_s
-        previous_failed = not batch.succeeded
+        # Only an attempt whose batch outcome is "ok" succeeded.
+        previous_failed = span.labels["outcome"] not in ("ok", "recompute")
     if failed and leg_end > cursor:
-        shard_span.children.append(Span(
-            name=SPAN_FAILOVER_WAIT, start_s=cursor, end_s=leg_end,
-            shard_id=shard_id))
-    return shard_span
+        children.append(Span(name=SPAN_FAILOVER_WAIT, start_s=cursor,
+                             end_s=leg_end, shard_id=shard_id))
+    return Span(name=SPAN_SHARD, start_s=record.arrival_s, end_s=leg_end,
+                shard_id=shard_id,
+                labels={"failed": "1"} if failed else {},
+                children=children)
 
 
-def build_query_traces(result: Any, merge_s: float, prefill_s: float,
-                       stage_tables: Optional[Sequence[StageTable]] = None,
-                       ) -> List[QueryTrace]:
-    """One :class:`QueryTrace` per completed request, in req-id order.
+#: A run's merge cost: one value (static runs), or one per scatter-gather
+#: width ``n_required`` (elastic runs, whose width is the pool size at
+#: admission).
+MergeCost = Union[float, Mapping[int, float]]
 
-    ``stage_tables`` is the dispatch-ordered capture from
-    ``ServingSimulator.run_with_telemetry`` (one entry per executed
-    batch); omitted, batch spans stay leaves.
+
+def _merge_lookup(merge: MergeCost) -> Callable[[int], float]:
+    if isinstance(merge, Mapping):
+        return merge.__getitem__
+    return lambda _n_required: merge
+
+
+class TraceBuilder:
+    """Builds span trees and critical paths from one run's record.
+
+    ``result`` is the :class:`~repro.serve.scheduler.ScheduleResult`;
+    ``stage_tables`` the dispatch-ordered capture (one
+    :class:`StageTable` per executed batch; without it batch spans stay
+    leaves); ``injector`` (static fault runs) labels slowdown spans
+    with their cause.
     """
-    tables: Dict[Tuple[int, int], StageTable] = {}
-    if stage_tables is not None:
-        if len(stage_tables) != len(result.batches):
-            raise ValueError(
-                f"{len(stage_tables)} stage tables for "
-                f"{len(result.batches)} executed batches")
-        for batch, table in zip(result.batches, stage_tables):
-            if table.shard_id != batch.shard_id \
-                    or table.batch_size != batch.batch_size:
+
+    def __init__(self, result: Any, merge: MergeCost, prefill_s: float,
+                 stage_tables: Optional[Sequence[StageTable]] = None,
+                 injector: Any = None):
+        if stage_tables is not None:
+            if len(stage_tables) != len(result.batches):
                 raise ValueError(
-                    f"stage table ({table.shard_id}, {table.batch_size}) "
-                    f"does not match batch ({batch.shard_id}, "
-                    f"{batch.batch_size})")
-            tables[(batch.shard_id, batch.seq)] = table
+                    f"{len(stage_tables)} stage tables for "
+                    f"{len(result.batches)} executed batches")
+            for batch, table in zip(result.batches, stage_tables):
+                if table.shard_id != batch.shard_id \
+                        or table.batch_size != batch.batch_size:
+                    raise ValueError(
+                        f"stage table ({table.shard_id}, "
+                        f"{table.batch_size}) does not match batch "
+                        f"({batch.shard_id}, {batch.batch_size})")
+        self.result = result
+        self.merge_for = _merge_lookup(merge)
+        self.prefill_s = prefill_s
+        self.stage_tables = stage_tables
+        self.injector = injector
 
-    by_request: Dict[int, Dict[int, List[Any]]] = {}
-    for batch in result.batches:
-        for req_id in batch.request_ids:
-            by_request.setdefault(req_id, {}).setdefault(
-                batch.shard_id, []).append(batch)
+    def _attempts(self, wanted: Callable[[int, int], bool], stages: bool
+                  ) -> Dict[int, Dict[int, List[Span]]]:
+        """``req_id`` -> shard id -> the leg's batch spans in dispatch
+        order, for the (request, shard) pairs ``wanted`` accepts.  Each
+        batch span is built once and shared by all its member legs;
+        ``stages`` adds its stage children."""
+        batches = self.result.batches
+        tables = self.stage_tables if stages else None
+        attempts: Dict[int, Dict[int, List[Span]]] = {}
+        for index in sorted(range(len(batches)),
+                            key=lambda i: batches[i].dispatch_s):
+            batch = batches[index]
+            members = [req_id for req_id in batch.request_ids
+                       if wanted(req_id, batch.shard_id)]
+            if not members:
+                continue
+            span = _batch_span(batch,
+                               None if tables is None else tables[index],
+                               self.injector)
+            for req_id in members:
+                attempts.setdefault(req_id, {}).setdefault(
+                    batch.shard_id, []).append(span)
+        return attempts
 
-    traces: List[QueryTrace] = []
-    for record in result.records:
+    def _tree(self, record: Any, shard_ids: Sequence[int],
+              attempts: Mapping[int, Mapping[int, List[Span]]],
+              determining: Optional[int]) -> QueryTrace:
+        """``record``'s trace with the legs of ``shard_ids``."""
         done = record.retrieval_done_s
-        if done is None:  # pragma: no cover - scheduler invariant
-            raise ValueError(f"request {record.req_id} never resolved")
-        tti_end = (done + merge_s) + prefill_s
-        root = Span(name=SPAN_QUERY, start_s=record.arrival_s,
-                    end_s=tti_end,
-                    labels={"n_required": str(record.n_required)})
-        shard_ids = sorted(set(record.shard_done_s)
-                           | set(record.failed_shards))
-        leg_ends: Dict[int, float] = {}
-        for shard_id in shard_ids:
-            attempts = sorted(
-                by_request.get(record.req_id, {}).get(shard_id, []),
-                key=lambda b: b.dispatch_s)
-            leg = _shard_chain(record, shard_id, attempts, tables,
-                               result.death_times.get(shard_id))
-            leg_ends[shard_id] = leg.end_s
-            root.children.append(leg)
-        determining: Optional[int] = None
-        for shard_id in shard_ids:
-            if leg_ends[shard_id] == done:
-                determining = shard_id
-                break
-        if determining is None and shard_ids:
-            # pragma: no cover - every resolution is a shard event
-            raise ValueError(
-                f"request {record.req_id}: no shard leg ends at the "
-                f"recorded resolution time {done!r}")
+        legs = attempts.get(record.req_id, {})
+        merge_s = self.merge_for(record.n_required)
         merge_end = done + merge_s
-        root.children.append(Span(name=SPAN_MERGE, start_s=done,
-                                  end_s=merge_end))
-        root.children.append(Span(name=SPAN_PREFILL, start_s=merge_end,
-                                  end_s=merge_end + prefill_s))
-        traces.append(QueryTrace(
+        children = [
+            _shard_chain(record, shard_id, legs.get(shard_id, ()),
+                         self.result.death_times)
+            for shard_id in shard_ids]
+        children.append(Span(name=SPAN_MERGE, start_s=done,
+                             end_s=merge_end))
+        children.append(Span(name=SPAN_PREFILL, start_s=merge_end,
+                             end_s=merge_end + self.prefill_s))
+        root = Span(name=SPAN_QUERY, start_s=record.arrival_s,
+                    end_s=merge_end + self.prefill_s,
+                    labels={"n_required": str(record.n_required)},
+                    children=children)
+        return QueryTrace(
             req_id=record.req_id,
             arrival_s=record.arrival_s,
             retrieval_done_s=done,
             merge_s=merge_s,
-            prefill_s=prefill_s,
+            prefill_s=self.prefill_s,
             root=root,
             determining_shard=determining,
             n_required=record.n_required,
             failed_shards=tuple(sorted(record.failed_shards)),
             corrupted_shards=tuple(sorted(record.corrupted_shards)),
-        ))
-    return traces
+        )
+
+    def _full(self, record: Any,
+              attempts: Mapping[int, Mapping[int, List[Span]]]
+              ) -> QueryTrace:
+        return self._tree(
+            record, _leg_shards(record), attempts,
+            _determining_shard(record, self.result.death_times))
+
+    def traces(self) -> List[QueryTrace]:
+        """Every request's full tree, in record (req-id) order."""
+        attempts = self._attempts(lambda req_id, shard_id: True, True)
+        return [self._full(record, attempts)
+                for record in self.result.records]
+
+    def trace(self, index: int) -> QueryTrace:
+        """The full tree of ``result.records[index]`` alone."""
+        record = self.result.records[index]
+        return self._full(record, self._attempts(
+            lambda req_id, shard_id: req_id == record.req_id, True))
+
+    def critical_paths(self) -> Tuple[CriticalPath, ...]:
+        """Every request's critical path, in record order, each from a
+        tree holding only the determining leg, with leaf batch spans."""
+        records = self.result.records
+        determining = {
+            record.req_id: _determining_shard(
+                record, self.result.death_times)
+            for record in records}
+        attempts = self._attempts(
+            lambda req_id, shard_id: determining.get(req_id) == shard_id,
+            False)
+        paths = []
+        for record in records:
+            shard_id = determining[record.req_id]
+            paths.append(critical_path(self._tree(
+                record, () if shard_id is None else (shard_id,), attempts,
+                shard_id)))
+        return tuple(paths)
+
+
+def build_query_traces(result: Any, merge: MergeCost, prefill_s: float,
+                       stage_tables: Optional[Sequence[StageTable]] = None,
+                       injector: Any = None) -> List[QueryTrace]:
+    """One :class:`QueryTrace` per completed request, in req-id order.
+
+    ``merge`` is the run's merge cost (one value, or one per
+    ``n_required``); ``stage_tables`` is the dispatch-ordered capture
+    (one entry per executed batch); omitted, batch spans stay leaves.
+    """
+    return TraceBuilder(result, merge, prefill_s, stage_tables,
+                        injector).traces()
 
 
 # ----------------------------------------------------------------------
 # Metrics pipeline
 # ----------------------------------------------------------------------
+def throughput_metrics(registry: MetricsRegistry, report: Any,
+                       paths: Sequence[CriticalPath]) -> None:
+    """Register the critical-path stage totals, throughput and makespan
+    static and elastic registries share."""
+    critical = registry.counter(
+        "repro_critical_path_seconds_total",
+        "Critical-path seconds attributed per stage")
+    for stage, seconds in sorted(stage_attribution(paths).items()):
+        critical.inc(seconds, stage=stage)
+    throughput = registry.gauge(
+        "repro_throughput_qps", "Sustained queries per second")
+    throughput.set(report.throughput_qps)
+    makespan = registry.gauge(
+        "repro_makespan_seconds", "Simulated makespan")
+    makespan.set(report.makespan_s)
+
+
+def latency_metrics(registry: MetricsRegistry, result: Any,
+                    paths: Sequence[CriticalPath], merge: MergeCost,
+                    tti_help: str,
+                    tti_labels: Callable[[CriticalPath], Dict[str, str]],
+                    slo_s: float, makespan_s: float, slo_target: float,
+                    budget: float, n_burn_windows: int) -> None:
+    """Register the latency histograms and SLO burn windows static and
+    elastic registries share.
+
+    Arrivals and resolutions come from the records, TTI and queue wait
+    from the critical paths (in record order); the retrieval sample is
+    bitwise ``QueryTrace.retrieval_latency_s + merge_s``.
+    """
+    tti_hist = registry.histogram(
+        "repro_tti_seconds", tti_help, DEFAULT_LATENCY_BOUNDS_S)
+    retrieval_hist = registry.histogram(
+        "repro_retrieval_seconds",
+        "Arrival-to-merged-top-k latency distribution",
+        DEFAULT_LATENCY_BOUNDS_S)
+    queue_hist = registry.histogram(
+        "repro_queue_wait_seconds",
+        "Per-request queue-wait on the critical path",
+        DEFAULT_LATENCY_BOUNDS_S)
+    size_hist = registry.histogram(
+        "repro_batch_size", "Executed batch sizes", BATCH_SIZE_BOUNDS)
+    merge_for = _merge_lookup(merge)
+    for path in paths:
+        tti_hist.observe(path.tti_s, **tti_labels(path))
+    for r in result.records:
+        retrieval_hist.observe(
+            (r.retrieval_done_s - r.arrival_s) + merge_for(r.n_required))
+    for path in paths:
+        queue_hist.observe(path.stage_totals().get(SPAN_QUEUE_WAIT, 0.0))
+    for batch in result.batches:
+        size_hist.observe(batch.batch_size, shard=str(batch.shard_id))
+
+    burn = registry.gauge(
+        "repro_slo_burn_rate",
+        f"SLO error-budget burn rate per window (target {slo_target:g})")
+    windows = slo_burn_windows(
+        [r.arrival_s for r in result.records], [p.tti_s for p in paths],
+        slo_s, makespan_s, n_burn_windows)
+    for window in windows:
+        burn.set(window.burn_rate(budget), window=str(window.index))
+
+
 def build_serve_metrics(report: Any, result: Any,
                         paths: Sequence[CriticalPath],
-                        traces: Sequence[QueryTrace],
+                        merge: MergeCost,
                         n_burn_windows: int = 4,
                         slo_target: float = 0.99) -> MetricsRegistry:
     """Populate a registry from one serving run.
 
     The same derivational hooks as the span trees: everything comes
-    from the schedule record and the report, so the registry is
-    bit-deterministic and golden-pinnable.
+    from the schedule record (arrivals, resolutions), the critical
+    paths (TTI, queue wait) and the report, so the registry is
+    bit-deterministic and golden-pinnable.  ``paths`` are in record
+    order.
     """
     registry = MetricsRegistry()
     cfg = report.config
@@ -311,18 +487,7 @@ def build_serve_metrics(report: Any, result: Any,
                 and ecc_miscorrected is not None:
             ecc_miscorrected.inc(shard=shard)
 
-    critical = registry.counter(
-        "repro_critical_path_seconds_total",
-        "Critical-path seconds attributed per stage")
-    for stage, seconds in sorted(stage_attribution(paths).items()):
-        critical.inc(seconds, stage=stage)
-
-    throughput = registry.gauge(
-        "repro_throughput_qps", "Sustained queries per second")
-    throughput.set(report.throughput_qps)
-    makespan = registry.gauge(
-        "repro_makespan_seconds", "Simulated makespan")
-    makespan.set(report.makespan_s)
+    throughput_metrics(registry, report, paths)
     attainment = registry.gauge(
         "repro_slo_attainment_ratio",
         "Fraction of requests at or under the TTI SLO")
@@ -341,38 +506,10 @@ def build_serve_metrics(report: Any, result: Any,
         "Mean fraction of shard answers neither lost nor corrupted")
     intact.set(report.mean_intact_coverage)
 
-    tti_hist = registry.histogram(
-        "repro_tti_seconds", "Time-to-interactive distribution",
-        DEFAULT_LATENCY_BOUNDS_S)
-    retrieval_hist = registry.histogram(
-        "repro_retrieval_seconds",
-        "Arrival-to-merged-top-k latency distribution",
-        DEFAULT_LATENCY_BOUNDS_S)
-    queue_hist = registry.histogram(
-        "repro_queue_wait_seconds",
-        "Per-request queue-wait on the critical path",
-        DEFAULT_LATENCY_BOUNDS_S)
-    size_hist = registry.histogram(
-        "repro_batch_size", "Executed batch sizes", BATCH_SIZE_BOUNDS)
-    for trace in traces:
-        tti_hist.observe(trace.tti_s)
-        retrieval_hist.observe(trace.retrieval_latency_s + trace.merge_s)
-    for path in paths:
-        waited = path.stage_totals().get(SPAN_QUEUE_WAIT, 0.0)
-        queue_hist.observe(waited)
-    for batch in result.batches:
-        size_hist.observe(batch.batch_size, shard=str(batch.shard_id))
-
-    burn = registry.gauge(
-        "repro_slo_burn_rate",
-        f"SLO error-budget burn rate per window "
-        f"(target {slo_target:g})")
-    budget = 1.0 - slo_target
-    windows = slo_burn_windows(
-        [t.arrival_s for t in traces], [t.tti_s for t in traces],
-        cfg.slo_s, report.makespan_s, n_burn_windows)
-    for window in windows:
-        burn.set(window.burn_rate(budget), window=str(window.index))
+    latency_metrics(registry, result, paths, merge,
+                    "Time-to-interactive distribution", lambda path: {},
+                    cfg.slo_s, report.makespan_s, slo_target,
+                    1.0 - slo_target, n_burn_windows)
     return registry
 
 
@@ -462,41 +599,60 @@ def reconcile_with_trace(traces: Sequence[QueryTrace], collector: Any,
 # ----------------------------------------------------------------------
 @dataclass
 class RunTelemetry:
-    """Everything one telemetry-enabled serving run derived."""
+    """Everything one telemetry-enabled serving run derived.
 
-    traces: Tuple[QueryTrace, ...]
+    ``critical_paths`` and ``registry`` come with the run; the span
+    trees (:attr:`traces`) are built from ``builder`` on first access
+    and cached.
+    """
+
     critical_paths: Tuple[CriticalPath, ...]
     registry: MetricsRegistry
     clock_hz: float
+    builder: TraceBuilder = field(repr=False, compare=False)
+
+    @cached_property
+    def traces(self) -> Tuple[QueryTrace, ...]:
+        return tuple(self.builder.traces())
+
+    @cached_property
+    def _index(self) -> Dict[int, int]:
+        """``req_id`` -> position in record order."""
+        return {path.req_id: i for i, path in enumerate(self.critical_paths)}
+
+    def _position(self, req_id: int, what: str) -> int:
+        index = self._index.get(req_id)
+        if index is None:
+            raise KeyError(f"no {what} for request {req_id}")
+        return index
 
     def path_for(self, req_id: int) -> CriticalPath:
-        for path in self.critical_paths:
-            if path.req_id == req_id:
-                return path
-        raise KeyError(f"no critical path for request {req_id}")
+        return self.critical_paths[self._position(req_id, "critical path")]
 
     def trace_for(self, req_id: int) -> QueryTrace:
-        for trace in self.traces:
-            if trace.req_id == req_id:
-                return trace
-        raise KeyError(f"no query trace for request {req_id}")
-
-    @property
-    def n_spans(self) -> int:
-        return sum(trace.n_spans() for trace in self.traces)
+        """One request's tree; builds only that tree unless
+        :attr:`traces` is already built."""
+        index = self._position(req_id, "query trace")
+        if "traces" in self.__dict__:
+            return self.traces[index]
+        return self.builder.trace(index)
 
 
 def build_run_telemetry(report: Any, result: Any, merge_s: float,
                         prefill_s: float,
                         stage_tables: Optional[Sequence[StageTable]],
-                        clock_hz: float) -> RunTelemetry:
-    """Derive the full telemetry bundle from one completed run."""
-    traces = build_query_traces(result, merge_s, prefill_s, stage_tables)
-    paths = tuple(critical_path(trace) for trace in traces)
-    registry = build_serve_metrics(report, result, paths, traces)
+                        clock_hz: float,
+                        injector: Any = None) -> RunTelemetry:
+    """Derive the telemetry bundle from one completed static run.
+
+    ``injector`` (a fault run's) labels slowdown spans with their cause.
+    """
+    builder = TraceBuilder(result, merge_s, prefill_s, stage_tables,
+                           injector)
+    paths = builder.critical_paths()
     return RunTelemetry(
-        traces=tuple(traces),
         critical_paths=paths,
-        registry=registry,
+        registry=build_serve_metrics(report, result, paths, merge_s),
         clock_hz=clock_hz,
+        builder=builder,
     )

@@ -22,13 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .spans import (
-    SPAN_BATCH,
-    SPAN_MERGE,
-    SPAN_PREFILL,
-    QueryTrace,
-    Span,
-)
+from .spans import SPAN_BATCH, SPAN_MERGE, SPAN_PREFILL, QueryTrace
 
 __all__ = [
     "Segment",
@@ -90,21 +84,6 @@ class CriticalPath:
         return totals
 
 
-def _chain_segments(shard_span: Span) -> List[Segment]:
-    """The shard span's child chain as critical-path segments."""
-    segments: List[Segment] = []
-    for child in shard_span.children:
-        segments.append(Segment(
-            name=child.name,
-            start_s=child.start_s,
-            end_s=child.end_s,
-            shard_id=shard_span.shard_id
-            if shard_span.shard_id is not None else -1,
-            detail=child.labels.get("outcome", ""),
-        ))
-    return segments
-
-
 def critical_path(trace: QueryTrace) -> CriticalPath:
     """Extract the blocking chain for one request.
 
@@ -119,7 +98,11 @@ def critical_path(trace: QueryTrace) -> CriticalPath:
             raise ValueError(
                 f"request {trace.req_id}: determining shard "
                 f"{trace.determining_shard} has no span")
-        segments.extend(_chain_segments(shard_span))
+        segments.extend(
+            Segment(name=child.name, start_s=child.start_s,
+                    end_s=child.end_s, shard_id=trace.determining_shard,
+                    detail=child.labels.get("outcome", ""))
+            for child in shard_span.children)
     for child in trace.root.children:
         if child.name in (SPAN_MERGE, SPAN_PREFILL):
             segments.append(Segment(

@@ -218,21 +218,20 @@ class Histogram(_Metric):
 
     def expose_lines(self) -> List[str]:
         lines = self.header_lines()
+        # Bucket lines append ``le`` after the series' own labels.
+        les = [f'le="{_fmt_value(bound)}"}} ' for bound in self.boundaries]
         for key in sorted(self._series):
             series = self._series[key]
+            labels = _fmt_labels(key)
+            bucket = f"{self.name}_bucket{{{labels[1:-1]}{',' if key else ''}"
             cumulative = 0
-            for i, bound in enumerate(self.boundaries):
-                cumulative += series.bucket_counts[i]
-                le_key = key + (("le", _fmt_value(bound)),)
-                lines.append(f"{self.name}_bucket{_fmt_labels(le_key)} "
-                             f"{cumulative}")
-            inf_key = key + (("le", "+Inf"),)
-            lines.append(f"{self.name}_bucket{_fmt_labels(inf_key)} "
-                         f"{series.count}")
-            lines.append(f"{self.name}_sum{_fmt_labels(key)} "
+            for le, count in zip(les, series.bucket_counts):
+                cumulative += count
+                lines.append(f"{bucket}{le}{cumulative}")
+            lines.append(f'{bucket}le="+Inf"}} {series.count}')
+            lines.append(f"{self.name}_sum{labels} "
                          f"{_fmt_value(series.total)}")
-            lines.append(f"{self.name}_count{_fmt_labels(key)} "
-                         f"{series.count}")
+            lines.append(f"{self.name}_count{labels} {series.count}")
         return lines
 
     def snapshot(self) -> List[Dict[str, object]]:

@@ -1,7 +1,9 @@
 """Builder semantics: sampling rules, instants, and input validation."""
 
 import dataclasses
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.monitor import (
@@ -11,7 +13,9 @@ from repro.monitor import (
     build_run_monitor,
     sample_instants,
 )
+from repro.monitor.build import overdue_counts
 from repro.scale import ScaleSimulator, golden_autoscale_config
+from repro.serve.scheduler import BatchPolicy
 from repro.serve.simulator import ServingSimulator, golden_serve_config
 
 ENGINES = ("scalar", "vectorized")
@@ -163,3 +167,90 @@ def test_monitor_round_trip():
 
     again = RM.from_dict(monitor.to_dict())
     assert again == monitor
+
+
+# -- overdue counts ------------------------------------------------------
+
+
+def _broadcast_overdue(instants, arrival, done, slo_s, classes, n_classes):
+    """The instants x requests reference the searchsorted form replaces."""
+    overdue = ((instants[:, None] - arrival[None, :] > slo_s)
+               & (done[None, :] > instants[:, None]))
+    return np.stack([overdue[:, classes == cls].sum(axis=1)
+                     for cls in range(n_classes)], axis=1)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_overdue_counts_equal_the_broadcast(seed):
+    rng = np.random.default_rng(seed)
+    n_instants = int(rng.integers(1, 40))
+    n_requests = int(rng.integers(0, 60))
+    instants = np.unique(rng.uniform(0.0, 1.0, n_instants))
+    slo_s = float(rng.choice([0.05, 0.1, 0.3, 1e-9]))
+    arrival = rng.uniform(-0.2, 1.0, n_requests)
+    # Put some arrivals exactly one SLO before an instant: the
+    # predicate ``t - arrival > slo`` is then decided by float rounding
+    # of the subtraction, where ``arrival + slo`` alone would misplace
+    # the boundary.
+    hits = rng.random(n_requests) < 0.5
+    picks = rng.choice(instants, n_requests)
+    arrival[hits] = picks[hits] - slo_s
+    nudge = rng.integers(-2, 3, n_requests)
+    arrival = np.array([np.nextafter(a, np.inf * np.sign(k)) if k else a
+                        for a, k in zip(arrival, nudge)])
+    done = arrival + rng.uniform(0.0, 1.5, n_requests)
+    done[rng.random(n_requests) < 0.2] = np.inf   # never resolved
+    done[rng.random(n_requests) < 0.2] = rng.choice(instants)
+    n_classes = int(rng.integers(1, 4))
+    classes = rng.integers(0, n_classes, n_requests)
+    got = overdue_counts(instants, arrival, done, slo_s, classes, n_classes)
+    want = _broadcast_overdue(instants, arrival, done, slo_s, classes,
+                              n_classes)
+    assert got.shape == (instants.size, n_classes)
+    assert np.array_equal(got, want)
+    single = overdue_counts(instants, arrival, done, slo_s)
+    assert np.array_equal(single[:, 0], want.sum(axis=1))
+
+
+def test_overdue_counts_exact_boundary():
+    """Ties ``t - arrival == slo`` are not overdue, and arrivals whose
+    ``arrival + slo`` rounds to the other side of an instant than the
+    exact predicate still count by the predicate."""
+    slo_s = 0.1
+    instants = np.unique(np.random.default_rng(7).uniform(0.1, 1.0, 200))
+    ties, flips = [], []
+    for t in instants:
+        for a in (t - slo_s, np.nextafter(t - slo_s, 0.0),
+                  np.nextafter(t - slo_s, 1.0)):
+            if t - a == slo_s:
+                ties.append(a)
+            elif (t - a > slo_s) != (t > a + slo_s):
+                flips.append(a)
+    assert ties and flips
+    arrival = np.array(ties + flips)
+    done = np.full(arrival.size, np.inf)
+    got = overdue_counts(instants, arrival, done, slo_s)
+    want = _broadcast_overdue(instants, arrival, done, slo_s,
+                              np.zeros(arrival.size, dtype=np.int64), 1)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.slow
+@pytest.mark.monitor
+def test_100k_request_monitor_runs_in_bounded_memory():
+    """An observed 100k-request run stays far below the instants x
+    requests matrix (~2.5e9 cells here) a broadcast overdue count
+    would allocate."""
+    config = dataclasses.replace(
+        golden_serve_config(), n_shards=1, n_requests=100_000,
+        batch=BatchPolicy(max_batch=16, max_wait_s=2e-3))
+    tracemalloc.start()
+    try:
+        report, _telemetry, monitor = \
+            ServingSimulator(config).run_with_monitor()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.n_completed == 100_000
+    assert len(monitor.instants) * report.n_completed > 2e9
+    assert peak < 512 * 2**20

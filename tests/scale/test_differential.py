@@ -51,6 +51,7 @@ from repro.serve.simulator import ServingSimulator, golden_fault_config, \
     golden_integrity_config, golden_serve_config
 from repro.telemetry import render_attribution, render_spans_report
 
+from ..telemetry.test_properties import assert_lazy_trees_exact
 from .test_properties import elastic_configs
 from .test_simulator import _sdc_autoscale_config
 
@@ -254,6 +255,16 @@ def chaotic_elastic_configs(draw):
 @given(config=chaotic_elastic_configs())
 def test_columnar_report_matches_record_report_generated(config):
     _assert_columnar_report_is_record_report(config)
+
+
+@settings(deadline=None, max_examples=15,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config=chaotic_elastic_configs())
+def test_lazy_trees_are_exact_generated(config):
+    sim = ScaleSimulator(config)
+    _report, telemetry = sim.run_with_telemetry()
+    run = sim._last_run
+    assert_lazy_trees_exact(telemetry, run.result, run.merge_by_required)
 
 
 def test_plain_run_builds_no_records(monkeypatch):

@@ -11,6 +11,10 @@ arrival processes, shard counts, batching knobs, and fault plans):
 3. **Histogram/quantile agreement** — a fixed-boundary histogram's
    quantile is always the smallest boundary at or above the exact
    ``nearest_rank_percentile`` of the raw samples.
+4. **Lazy trees are exact** — the critical paths built from each
+   request's determining leg alone equal those of the full trees, the
+   lazily built trees equal an eager build, and every member of one
+   batch shares a single batch-span object.
 """
 
 import math
@@ -25,7 +29,12 @@ from repro.rag.corpus import PAPER_CORPORA
 from repro.serve.metrics import nearest_rank_percentile
 from repro.serve.scheduler import BatchPolicy
 from repro.serve.simulator import ServeConfig, ServingSimulator
-from repro.telemetry import conservation_error_cycles
+from repro.telemetry import (
+    SPAN_BATCH,
+    build_query_traces,
+    conservation_error_cycles,
+    critical_path,
+)
 from repro.telemetry.metrics import DEFAULT_LATENCY_BOUNDS_S, Histogram
 
 pytestmark = [pytest.mark.slow, pytest.mark.telemetry]
@@ -80,6 +89,39 @@ def test_telemetry_is_bit_identical_to_plain_run(config):
     report, telemetry = ServingSimulator(config).run_with_telemetry()
     assert report == baseline
     assert len(telemetry.traces) == report.n_completed
+
+
+def assert_lazy_trees_exact(telemetry, result, merge, injector=None):
+    """Law 4 for one run's telemetry (``merge``: the run's merge cost,
+    one value or one per ``n_required``)."""
+    builder = telemetry.builder
+    assert "traces" not in vars(telemetry)  # nothing built them yet
+    if telemetry.critical_paths:
+        req_id = telemetry.critical_paths[-1].req_id
+        single = telemetry.trace_for(req_id)
+        assert "traces" not in vars(telemetry)
+    traces = telemetry.traces
+    assert telemetry.critical_paths == tuple(
+        critical_path(trace) for trace in traces)
+    assert list(traces) == build_query_traces(
+        result, merge, builder.prefill_s, builder.stage_tables, injector)
+    if traces:
+        assert single == telemetry.trace_for(req_id) == traces[-1]
+    spans = [span for trace in traces
+             for leg in trace.shard_spans.values()
+             for span in leg.children if span.name == SPAN_BATCH]
+    assert len(spans) == sum(len(b.request_ids) for b in result.batches)
+    assert len({id(span) for span in spans}) == len(result.batches)
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config=serve_configs())
+def test_lazy_trees_are_exact(config):
+    sim = ServingSimulator(config)
+    _report, telemetry = sim.run_with_telemetry()
+    assert_lazy_trees_exact(telemetry, sim._last_result, sim.merge_s,
+                            sim.injector)
 
 
 @settings(max_examples=50, deadline=None)
