@@ -249,11 +249,8 @@ def build_run_monitor(
                    for t in instants]
 
     # -- queue depth: enqueue/dispatch/re-enqueue steps, deaths clear --
-    # Gauges sample strictly before the instant.  The depth is a sum of
-    # integer steps, except that a death clears its shard's queue: that
-    # is a step of minus the shard's depth just before the clear (every
-    # step on the shard up to the death instant, same-instant steps
-    # included).
+    # Sampled strictly before the instant.  A death's clear is a step of
+    # minus its shard's depth (every step on it up to the death, ties in).
     step_times = list(arrival_s)
     steps = [len(r.shard_done_s.keys() | r.failed_shards) for r in records]
     for b in result.batches:
@@ -297,11 +294,9 @@ def build_run_monitor(
 
     # -- TTI quantiles from the cumulative mergeable sketch -------------
     # The sketch's rule (smallest boundary whose cumulative count
-    # reaches the nearest rank, inf in the overflow bucket) answered
-    # for every instant at once.  A completion first counts at the
-    # first instant past it; at_or_below[i, b] is how many completions
-    # by instant i landed in bucket b or below (the overflow bucket,
-    # last, holds them all).
+    # reaches the nearest rank; inf in the overflow bucket) for every
+    # instant at once.  at_or_below[i, b]: completions by instant i in
+    # bucket b or below (the last, overflow, bucket holds them all).
     n_buckets = _SKETCH_BOUNDS.size
     totals = np.searchsorted(completion_times, ts, side="right")
     bucket = np.searchsorted(_SKETCH_BOUNDS[:-1], np.asarray(
@@ -348,7 +343,7 @@ def build_run_monitor(
             burn_points[cls].append((t, burns[cls]))
 
     # -- cumulative counters --------------------------------------------
-    completed_points = _cumulative_points(instants, completion_times)
+    completed_points = list(zip(instants, totals.astype(np.float64).tolist()))
     retry_times = [e.t_s for e in result.fault_log if e.kind == "backoff"]
     retry_points = _cumulative_points(instants, retry_times)
     byte_times = [b.dispatch_s for b in result.batches]

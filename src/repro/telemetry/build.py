@@ -304,8 +304,7 @@ class TraceBuilder:
     def traces(self) -> List[QueryTrace]:
         """Every request's full tree, in record (req-id) order."""
         attempts = self._attempts(lambda req_id, shard_id: True, True)
-        return [self._full(record, attempts)
-                for record in self.result.records]
+        return [self._full(r, attempts) for r in self.result.records]
 
     def trace(self, index: int) -> QueryTrace:
         """The full tree of ``result.records[index]`` alone."""

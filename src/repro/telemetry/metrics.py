@@ -21,6 +21,7 @@ exactly as fast as it accrues; above 1 it is burning toward violation.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -156,6 +157,13 @@ class _HistogramSeries:
         self.count = 0
 
 
+@functools.lru_cache(maxsize=None)
+def _bucket_suffixes(boundaries: Tuple[float, ...]) -> Tuple[str, ...]:
+    """Each bucket line's ``le`` label (last, after the series' own
+    labels) and the line's closing brace."""
+    return tuple(f'le="{_fmt_value(bound)}"}} ' for bound in boundaries)
+
+
 class Histogram(_Metric):
     """Exact fixed-boundary histogram with nearest-rank quantiles."""
 
@@ -218,8 +226,7 @@ class Histogram(_Metric):
 
     def expose_lines(self) -> List[str]:
         lines = self.header_lines()
-        # Bucket lines append ``le`` after the series' own labels.
-        les = [f'le="{_fmt_value(bound)}"}} ' for bound in self.boundaries]
+        les = _bucket_suffixes(self.boundaries)
         for key in sorted(self._series):
             series = self._series[key]
             labels = _fmt_labels(key)
