@@ -2,9 +2,12 @@
 
 ``monitor_serve.om`` / ``monitor_serve_autoscale.om`` pin the
 timestamped OpenMetrics scrape text (registry exposition plus every
-per-instant sample row); ``monitor_serve_autoscale.html`` pins the
+per-instant sample row), and ``monitor_serve_faults.om``,
+``monitor_serve_ecc.om`` and ``monitor_serve_autoscale_faults.om`` the
+same text for the static chaos, static ECC and elastic chaos golden
+workloads; ``monitor_serve_autoscale.html`` pins the
 self-contained dashboard; ``diff_serve_self.txt`` pins the differ's
-text rendering of a run diffed against itself.  All four are
+text rendering of a run diffed against itself.  All are
 byte-deterministic functions of the golden configs, so any sampling
 or cost-model change shows up as a reviewable diff (regenerate
 deliberately with ``pytest --update-goldens``).
@@ -19,8 +22,17 @@ from repro.monitor import (
     openmetrics_text,
     render_dashboard,
 )
-from repro.scale import ScaleSimulator, golden_autoscale_config
-from repro.serve.simulator import ServingSimulator, golden_serve_config
+from repro.scale import (
+    ScaleSimulator,
+    golden_autoscale_config,
+    golden_autoscale_fault_config,
+)
+from repro.serve.simulator import (
+    ServingSimulator,
+    golden_ecc_config,
+    golden_fault_config,
+    golden_serve_config,
+)
 
 #: Picked up by the golden-freshness CI job via the marker, and by the
 #: slow monitor lane via the monitor marker.
@@ -35,6 +47,20 @@ def serve_run():
 @pytest.fixture(scope="module")
 def autoscale_run():
     return ScaleSimulator(golden_autoscale_config()).run_with_monitor()
+
+
+@pytest.mark.parametrize("name, run", [
+    ("monitor_serve_faults.om",
+     lambda: ServingSimulator(golden_fault_config()).run_with_monitor()),
+    ("monitor_serve_ecc.om",
+     lambda: ServingSimulator(golden_ecc_config()).run_with_monitor()),
+    ("monitor_serve_autoscale_faults.om",
+     lambda: ScaleSimulator(
+         golden_autoscale_fault_config()).run_with_monitor()),
+], ids=["serve_faults", "serve_ecc", "serve_autoscale_faults"])
+def test_monitor_scrape_fault_goldens(name, run, golden):
+    _report, _telemetry, monitor = run()
+    golden(name, openmetrics_text(monitor))
 
 
 def test_monitor_scrape_serve_golden(serve_run, golden):
