@@ -56,7 +56,7 @@ def _timings():
     config = golden_serve_config()
     plain_s = _best_wall_s(lambda: ServingSimulator(config).run())
     collecting_s = _best_wall_s(
-        lambda: ServingSimulator(config)._simulate_capturing())
+        lambda: ServingSimulator(config)._simulate(capture=True))
     full_s = _best_wall_s(
         lambda: ServingSimulator(config).run_with_telemetry())
     return plain_s, collecting_s, full_s

@@ -41,7 +41,7 @@ from .simulator import (
     golden_autoscale_config,
     golden_autoscale_fault_config,
 )
-from .telemetry import build_scale_metrics, build_scale_telemetry
+from .telemetry import build_scale_metrics
 
 __all__ = [
     "AdmissionPolicy",
@@ -64,7 +64,6 @@ __all__ = [
     "ScaleReport",
     "ScaleSimulator",
     "build_scale_metrics",
-    "build_scale_telemetry",
     "golden_autoscale_config",
     "golden_autoscale_fault_config",
     "parse_priority_map",

@@ -19,17 +19,16 @@ see one signal (the elastic loop records the per-class burns on every
 tick action, and the differential suite pins the monitor's samples to
 them bit-for-bit).
 
-The controller tracks one burn window **per priority class**
-(:meth:`class_windows`; a tick reads their burns through
-:meth:`class_burns`) and the elastic loop scales on the *worst* class,
-so a starving background class asks for capacity even while the
-interactive class is green.  Fault events (shard deaths, sustained
-stalls) feed in through :meth:`note_fault` as violation pressure: a
-non-zero ``fault_pressure`` at :meth:`decide` forces the scale-up
-branch and vetoes scale-down, and :meth:`decide_failover` answers a
-shard death immediately -- failover replacement bypasses the cooldown,
-because waiting out a thrash guard while capacity is already gone only
-deepens the burn.
+The controller tracks one burn window **per priority class** (a tick
+reads their burns through :meth:`class_burns`) and the elastic loop
+scales on the *worst* class, so a starving background class asks for
+capacity even while the interactive class is green.  Fault events
+(shard deaths, sustained stalls) feed in through :meth:`note_fault` as
+violation pressure: a non-zero ``fault_pressure`` at :meth:`decide`
+forces the scale-up branch and vetoes scale-down, and
+:meth:`decide_failover` answers a shard death immediately -- failover
+replacement bypasses the cooldown, because waiting out a thrash guard
+while capacity is already gone only deepens the burn.
 
 The controller is plain sequential state -- deques of completions and
 a couple of floats -- so the simulation stays bit-deterministic: every
@@ -39,10 +38,9 @@ input it sees is an event-loop timestamp.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..monitor.signal import BurnSignal
-from ..telemetry.metrics import BurnWindow
 from .policy import AutoscalePolicy
 
 __all__ = ["BurnRateController"]
@@ -65,11 +63,9 @@ class BurnRateController:
                 f"n_classes must be >= 1, got {n_classes!r}")
         self.policy = policy
         self.slo_s = slo_s
-        self.n_classes = n_classes
         #: The shared trailing-window signal (monitor replays a twin).
         self.signal = BurnSignal(
             policy.control_interval_s, slo_s, n_classes)
-        self._tick_index = 0
         self._last_action_s = -float("inf")
 
     def note_completion(self, done_s: float, tti_latency_s: float,
@@ -91,53 +87,21 @@ class BurnRateController:
         """Fault events still inside the last-advanced window."""
         return self.signal.recent_faults()
 
-    def class_windows(self, now_s: float,
-                      overdue_by_class: Sequence[int]
-                      ) -> Tuple[BurnWindow, ...]:
-        """One trailing control window per priority class.
-
-        ``overdue_by_class[i]`` is class ``i``'s count of admitted,
-        unresolved requests already older than the SLO -- each is a
-        violation the window has effectively observed even though it
-        has no completion timestamp yet.  All class windows of one tick
-        share one index.
-        """
-        index = self._tick_index
-        self._tick_index += 1
-        return self.signal.class_windows(index, now_s, overdue_by_class)
-
     def class_burns(self, now_s: float,
                     overdue_by_class: Sequence[int]) -> List[float]:
         """Per-class burn rates of the trailing control window.
 
-        Bitwise each :meth:`class_windows` window's burn rate against
-        the policy's error budget, read from the signal's running
-        counts (one tick costs ``O(classes)``, however many completions
-        the window holds).
+        ``overdue_by_class[i]`` is class ``i``'s count of admitted,
+        unresolved requests already older than the SLO -- each is a
+        violation the window has effectively observed even though it
+        has no completion timestamp yet.  Bitwise each
+        :meth:`~repro.monitor.signal.BurnSignal.class_windows` window's
+        burn rate against the policy's error budget, read from the
+        signal's running counts (one tick costs ``O(classes)``, however
+        many completions the window holds).
         """
         return self.signal.class_burns(now_s, overdue_by_class,
                                        self.policy.error_budget)
-
-    def window(self, now_s: float, n_overdue_pending: int) -> BurnWindow:
-        """The aggregate trailing control window ending at ``now_s``.
-
-        The single-SLO view: every class's counts folded into one
-        window, with the overdue backlog attributed globally.  Kept as
-        the one-class fast path and for callers that predate per-class
-        tracking.
-        """
-        overdue = [0] * self.n_classes
-        overdue[0] = n_overdue_pending
-        windows = self.class_windows(now_s, overdue)
-        if len(windows) == 1:
-            return windows[0]
-        return BurnWindow(
-            index=windows[0].index,
-            start_s=windows[0].start_s,
-            end_s=now_s,
-            n_requests=sum(w.n_requests for w in windows),
-            n_violations=sum(w.n_violations for w in windows),
-        )
 
     def decide(self, now_s: float, burn: float, n_serving: int,
                n_warming: int, fault_pressure: int = 0) -> Optional[str]:

@@ -2,10 +2,12 @@
 
 :class:`ScaleSimulator` drives a request stream through an *elastic*
 pool of simulated APU shard devices.  With no :class:`ScalePolicy` the
-configuration is a plain static deployment and the simulator delegates
-wholesale to :class:`~repro.serve.simulator.ServingSimulator` -- same
-event loop, same engines, same reports, traces, and spans, bit for bit
-(the differential suite in ``tests/scale`` proves it).  With a policy
+configuration is a plain static deployment and the simulator runs it
+through :class:`~repro.serve.simulator.ServingSimulator` -- same event
+loop, same engines, same reports, bit for bit (the differential suite
+in ``tests/scale`` proves it).  Either way a run ends in one
+:class:`~repro.serve.record.RunRecord`, and traces, telemetry and the
+monitor are the same views of it in both modes.  With a policy
 attached, the run becomes a closed control loop:
 
 * arrivals carry a **priority class** (assigned by a seeded draw over
@@ -69,7 +71,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -80,7 +81,6 @@ from ..faults import BitFlipFault, FaultInjector, FaultPlan, \
     OutageFault, StallFault
 from ..integrity.config import IntegrityConfig
 from ..obs import collector as _trace_collector
-from ..obs.events import LANE_SCALE, LANE_VCU, TraceEvent
 from ..rag.corpus import PAPER_CORPORA
 from ..rag.generation import GenerationModel
 from ..serve.metrics import LatencyStats, slo_attainment, utilization
@@ -93,17 +93,19 @@ from ..serve.scheduler import (
     ScheduleResult,
     ShardMachine,
 )
+from ..serve.record import RunRecord, emit_run_trace, observe_run
 from ..serve.sharding import merge_cycles, merge_seconds
 from ..serve.simulator import ServeConfig, ServeReport, \
-    ServingSimulator, emit_batch_trace, emit_fault_trace, \
-    emit_integrity_trace
+    ServingSimulator, ecc_line, latency_lines
 from ..serve.workload import ClosedLoopConfig, spike_arrival_times, \
     validate_arrival_times
 from ..simcore.elastic import OverdueTracker
+from ..telemetry.build import StageTable
 from .controller import SCALE_DOWN, SCALE_UP, BurnRateController
 from .policy import AutoscalePolicy, PoolBoundsError, ScalePolicy, \
     ScalePolicyError
 from .pool import ElasticAPUDevicePool
+from .telemetry import build_scale_metrics
 
 __all__ = [
     "ScaleConfigError",
@@ -286,15 +288,7 @@ class ScaleReport:
             f"{self.n_batches} batches, "
             f"mean size {self.mean_batch_size:.2f}",
         ]
-        retrieval, tti = self.retrieval.as_ms(), self.tti.as_ms()
-        lines.append(
-            "  retrieval ms: "
-            + "  ".join(f"{name} {retrieval[name]:8.2f}"
-                        for name in ("p50", "p95", "p99", "max")))
-        lines.append(
-            "  tti       ms: "
-            + "  ".join(f"{name} {tti[name]:8.2f}"
-                        for name in ("p50", "p95", "p99", "max")))
+        lines += latency_lines(self)
         lines.append(
             f"  SLO {cfg.slo_s * 1e3:g} ms: "
             f"{self.slo_attainment * 100:.1f}% attained among completed, "
@@ -325,14 +319,7 @@ class ScaleReport:
                 f"{self.n_recomputes} recomputed, "
                 f"{self.n_sdc_escapes} escaped")
         if cfg.ecc.enabled:
-            tier = cfg.ecc.tier
-            if tier == "bch":
-                tier = f"bch t={cfg.ecc.t}"
-            lines.append(
-                f"  ecc ({tier}, {cfg.ecc.data_bits}b codewords): "
-                f"{self.n_ecc_corrected} corrected, "
-                f"{self.n_ecc_detected} detected-uncorrectable, "
-                f"{self.n_ecc_miscorrections} miscorrected")
+            lines.append(ecc_line(cfg.ecc, self))
         return "\n".join(lines)
 
 
@@ -350,42 +337,17 @@ class _Slot:
         self.draining = False
 
 
-@dataclass
-class _ElasticRun:
-    """Raw artifacts of one elastic run (for traces, telemetry and the
-    monitor).
-
-    Per-request state stays in the run's
-    :class:`~repro.serve.scheduler.ShardMachine` columns; :attr:`result`
-    builds the :class:`~repro.serve.scheduler.ScheduleResult` (with its
-    ``RequestRecord`` objects) on first access and caches it, so a plain
-    ``run()`` with no trace collector never builds a record.
-    """
-
-    report: ScaleReport
-    machine: ShardMachine
-    priorities: Dict[int, int]
-    stage_tables: List[Any]
-    batch_bytes: List[int]
-    merge_by_required: Dict[int, float]
-    #: ``req_id`` -> the TTI the loop computed at resolution (the value
-    #: the controller's burn signal saw).
-    tti_by_req: Dict[int, float]
-
-    @cached_property
-    def result(self) -> ScheduleResult:
-        return self.machine.result()
-
-
 class ScaleSimulator:
     """Drive a request stream through the elastic serving stack.
 
     Every elastic entry point runs one loop (:meth:`_run_elastic`) and
     one report function (:meth:`_build_report`, which reads the shard
-    machine's per-request columns).  The run's raw artifacts stay on
-    ``_last_run``; its ``result`` -- the ``ScheduleResult`` with its
-    ``RequestRecord`` objects -- is built only when a consumer reads
-    it: an active trace collector, telemetry, or the monitor.
+    machine's per-request columns), and ends with the run's
+    :class:`~repro.serve.record.RunRecord` -- the same record a static
+    configuration's :meth:`ServingSimulator._simulate` leaves, read by
+    the same views.  Its ``result`` -- the ``ScheduleResult`` with its
+    ``RequestRecord`` objects -- is built only when a view reads it: an
+    active trace collector, telemetry, or the monitor.
     """
 
     def __init__(self, config: ScaleConfig,
@@ -415,7 +377,6 @@ class ScaleSimulator:
                     config.serve.faults, self._pool.capacity)
         self.prefill_s = self.generator.prefill_seconds()
         self._merge_memo: Dict[int, float] = {}
-        self._last_run: Optional[_ElasticRun] = None
 
     # ------------------------------------------------------------------
     @property
@@ -438,6 +399,13 @@ class ScaleSimulator:
         return np.asarray(self.config.arrivals, dtype=np.float64)
 
     # ------------------------------------------------------------------
+    def _run_record(self, capture: bool) -> RunRecord:
+        """One run of either mode, as its record (``capture`` adds the
+        telemetry capture)."""
+        if self._static is not None:
+            return self._static._simulate(self._static_requests(), capture)
+        return self._run_elastic(capture)
+
     def run(self) -> Union[ServeReport, ScaleReport]:
         """Simulate the configured stream.
 
@@ -446,26 +414,21 @@ class ScaleSimulator:
         produces (and emit the identical trace events); elastic ones
         return a :class:`ScaleReport`.
         """
-        if self._static is not None:
-            return self._static.run(self._static_requests())
-        return self._run_elastic(capture=False).report
+        return self._run_record(capture=False).report
 
     def run_with_telemetry(self) -> Tuple[Any, Any]:
         """Simulate and derive request-level telemetry.
 
-        Static configurations return the static simulator's
-        ``(ServeReport, RunTelemetry)`` unchanged; elastic ones return
+        Returns ``(report, telemetry)``: static configurations give the
+        static simulator's ``(ServeReport, RunTelemetry)``; elastic ones
         ``(ScaleReport, RunTelemetry)`` with critical paths per admitted
         request, a scale-specific metrics registry, and span trees built
         on first access.
         """
-        if self._static is not None:
-            return self._static.run_with_telemetry(self._static_requests())
-        from .telemetry import build_scale_telemetry
+        from ..telemetry.build import build_run_telemetry
 
-        run = self._run_elastic(capture=True)
-        return run.report, build_scale_telemetry(
-            run, self.prefill_s, self.params.clock_hz)
+        record = self._run_record(capture=True)
+        return record.report, build_run_telemetry(record)
 
     def run_with_monitor(self, *, cadence_s: Optional[float] = None,
                          workload: str = "serve_autoscale"
@@ -474,48 +437,19 @@ class ScaleSimulator:
 
         Returns ``(report, telemetry, monitor)``; report and telemetry
         are bit-identical to :meth:`run_with_telemetry` because the
-        monitor is a pure post-hoc derivation from the same causal
-        record.  Elastic runs default the sampling cadence to the
-        autoscaler's control interval so cadence samples land exactly
-        on tick instants, where the burn series takes the controller's
-        recorded per-class readings (``ScaleAction.class_burns``).
+        monitor is a pure post-hoc derivation from the same run record.
+        Elastic runs default the sampling cadence to the autoscaler's
+        control interval so cadence samples land exactly on tick
+        instants, where the burn series takes the controller's recorded
+        per-class readings (``ScaleAction.class_burns``).
         """
-        if self._static is not None:
-            return self._static.run_with_monitor(
-                self._static_requests(), cadence_s=cadence_s,
-                workload=workload)
-        from ..monitor import build_run_monitor
-
-        report, telemetry = self.run_with_telemetry()
-        run = self._last_run
-        policy = self.config.policy
-        assert run is not None and policy is not None \
-            and self._pool is not None
-        pool = self._pool
-        cfg = self.config.serve
-        attach_bytes = {
-            j: pool.embedding_bytes(pool.base_counts[j])
-            for j in range(pool.capacity)}
-        monitor = build_run_monitor(
-            workload=workload,
-            result=run.result,
-            slo_s=cfg.slo_s,
-            error_budget=policy.autoscale.error_budget,
-            class_names=tuple(c.name for c in policy.priorities),
-            priorities=run.priorities,
-            tti_by_req=run.tti_by_req,
-            batch_bytes=run.batch_bytes,
-            pool_initial=cfg.n_shards,
-            registry_exposition=telemetry.registry.expose(),
-            cadence_s=(cadence_s if cadence_s is not None
-                       else policy.autoscale.control_interval_s),
-            actions=report.actions,
-            attach_bytes=attach_bytes,
-        )
-        return report, telemetry, monitor
+        record = self._run_record(capture=True)
+        telemetry, monitor = observe_run(record, workload=workload,
+                                         cadence_s=cadence_s)
+        return record.report, telemetry, monitor
 
     # ------------------------------------------------------------------
-    def _run_elastic(self, capture: bool) -> _ElasticRun:
+    def _run_elastic(self, capture: bool) -> RunRecord:
         cfg = self.config.serve
         policy = self.config.policy
         assert policy is not None and self._pool is not None
@@ -528,9 +462,7 @@ class ScaleSimulator:
                                         n_classes=len(classes))
         injector = self._injector
 
-        if capture:
-            from ..telemetry.build import StageTable
-            stage_memo: Dict[Tuple[int, int], Any] = {}
+        stage_memo: Dict[Tuple[int, int], StageTable] = {}
 
         slots = [_Slot() for _ in range(pool.capacity)]
         serving: List[int] = list(range(cfg.n_shards))
@@ -541,7 +473,7 @@ class ScaleSimulator:
 
         priorities: Dict[int, int] = {}
         tti_latency: Dict[int, float] = {}
-        stage_tables: List[Any] = []
+        stage_tables: List[StageTable] = []
         batch_bytes: List[int] = []
         actions: List[ScaleAction] = []
         shed_counts = [0 for _ in classes]
@@ -851,26 +783,49 @@ class ScaleSimulator:
 
         if not arrival_col:  # pragma: no cover - first arrival admits
             raise RuntimeError("every offered request was shed")
-        run = self._build_report(machine, priorities, tti_latency,
-                                 shed_counts, actions, pool_min, pool_max,
-                                 len(serving), peak_burn, warmup_total,
-                                 class_burn_peaks, stage_tables,
-                                 batch_bytes)
-        self._emit_trace(run)
-        self._last_run = run
-        return run
+        merge_by_required = dict(self._merge_memo)
+        report = self._build_report(machine, priorities, tti_latency,
+                                    merge_by_required, shed_counts, actions,
+                                    pool_min, pool_max, len(serving),
+                                    peak_burn, warmup_total,
+                                    class_burn_peaks)
+        record = RunRecord(
+            report=report, config=cfg, params=self.params,
+            materialize=lambda: (machine.result(), batch_bytes),
+            merge=merge_by_required,
+            # A zero-width request (admitted while every device was
+            # dead) merges nothing.
+            merge_cycles={
+                n: merge_cycles(n, cfg.k, self.params) if n > 0 else 0.0
+                for n in merge_by_required},
+            prefill_s=self.prefill_s,
+            metrics=build_scale_metrics,
+            error_budget=auto.error_budget,
+            host_lane=pool.capacity,
+            cadence_s=auto.control_interval_s,
+            stage_tables=stage_tables if capture else None,
+            tti_by_req=tti_latency,
+            class_names=tuple(cls.name for cls in classes),
+            priorities=priorities,
+            actions=report.actions,
+            attach_bytes={j: pool.embedding_bytes(pool.base_counts[j])
+                          for j in range(pool.capacity)},
+        )
+        trace = _trace_collector.ACTIVE
+        if trace is not None and trace.enabled:
+            emit_run_trace(record, trace)
+        return record
 
     # ------------------------------------------------------------------
     def _build_report(self, machine: ShardMachine,
                       priorities: Dict[int, int],
                       tti_latency: Dict[int, float],
+                      merge_by_required: Dict[int, float],
                       shed_counts: List[int],
                       actions: List[ScaleAction],
                       pool_min: int, pool_max: int, pool_final: int,
                       peak_burn: float, warmup_total: float,
-                      class_burn_peaks: List[float],
-                      stage_tables: List[Any],
-                      batch_bytes: List[int]) -> _ElasticRun:
+                      class_burn_peaks: List[float]) -> ScaleReport:
         """The report, read from the machine's per-request columns.
 
         Samples run in ``req_id`` order with the record arithmetic
@@ -885,7 +840,6 @@ class ScaleSimulator:
         machine.check_complete()
         # Every admitted request resolved through ``on_resolved``, which
         # memoized its fan-out width's merge cost.
-        merge_by_required = dict(self._merge_memo)
         req_ids = sorted(machine.arrival_s)
         arrival_col, done_col = machine.arrival_s, machine.done_s
         required_col = machine.n_required
@@ -904,7 +858,7 @@ class ScaleSimulator:
             minlength=len(classes)).tolist()
         makespan = float((done + merge).max()) + self.prefill_s
         n_sizes = sum(len(batch.request_ids) for batch in batches)
-        report = ScaleReport(
+        return ScaleReport(
             config=self.config,
             n_offered=n_offered,
             n_admitted=n_admitted,
@@ -953,71 +907,6 @@ class ScaleSimulator:
             degraded_requests=len(
                 {req_id for req_id, _shard in machine.failed}),
         )
-        return _ElasticRun(
-            report=report, machine=machine, priorities=dict(priorities),
-            stage_tables=stage_tables, batch_bytes=batch_bytes,
-            merge_by_required=merge_by_required, tti_by_req=tti_latency)
-
-    # ------------------------------------------------------------------
-    def _emit_trace(self, run: _ElasticRun) -> None:
-        """Serve-lane batches/merges plus the SCALE decision lane."""
-        trace = _trace_collector.ACTIVE
-        if trace is None or not trace.enabled:
-            return
-        clock = self.params.clock_hz
-        result = run.result
-        emit_batch_trace(trace, result, run.batch_bytes, clock)
-        capacity = result.n_shards
-        for record in result.records:
-            if record.retrieval_done_s is None:  # pragma: no cover
-                continue
-            if record.n_required <= 0:
-                # Admitted while every device was dead: nothing merged.
-                continue
-            cycles = merge_cycles(record.n_required,
-                                  self.config.serve.k, self.params)
-            if cycles <= 0:  # pragma: no cover - k >= 1 merges cost > 0
-                continue
-            trace.emit(TraceEvent(
-                name="serve_merge", lane=LANE_VCU,
-                start_cycle=record.retrieval_done_s * clock,
-                cycles=cycles,
-                section="serve/merge",
-                core_id=capacity))
-        pool = self._pool
-        assert pool is not None
-        for action in run.report.actions:
-            if action.kind == "warm":
-                continue
-            if action.kind in ("tick", "attach", "shed"):
-                # Pool-wide decisions land on the host lane.
-                section = "scale/admission" if action.kind == "shed" \
-                    else "scale/controller"
-                core_id = capacity
-            else:  # detach / drained / dead: one device's lane
-                section = f"scale/shard{action.shard_id}"
-                core_id = action.shard_id
-            name = "scale_failover" if action.reason == "failover" \
-                else f"scale_{action.kind}"
-            trace.emit(TraceEvent(
-                name=name, lane=LANE_SCALE,
-                start_cycle=action.t_s * clock, cycles=0.0,
-                section=section, core_id=core_id))
-            if action.kind == "attach":
-                trace.emit(TraceEvent(
-                    name="scale_warmup", lane=LANE_SCALE,
-                    start_cycle=action.t_s * clock,
-                    cycles=action.duration_s * clock,
-                    section=f"scale/shard{action.shard_id}",
-                    bytes_moved=pool.embedding_bytes(
-                        pool.base_counts[action.shard_id]),
-                    core_id=action.shard_id))
-        if self._injector is not None:
-            cfg = self.config.serve
-            emit_fault_trace(trace, result, clock, cfg.faults)
-            emit_integrity_trace(trace, result, clock, cfg.faults,
-                                 cfg.integrity, self.params,
-                                 pool.capacity)
 
 
 def golden_autoscale_config() -> ScaleConfig:

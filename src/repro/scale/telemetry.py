@@ -1,47 +1,35 @@
-"""Metrics and the telemetry bundle for elastic serving runs.
+"""The metrics registry of elastic serving runs.
 
-Span trees and critical paths come from the one
-:class:`~repro.telemetry.build.TraceBuilder` the static pipeline uses.
-Under autoscaling a request's scatter-gather width is the pool size
-*at its admission*, so the merge cost varies per request: the builder
-takes the simulator's per-``n_required`` merge memo instead of one
-value, and a fixed-size elastic run degenerates to the static trees
-exactly.  As in static runs, the trees are built only on first access
-to ``telemetry.traces``.
+Elastic runs leave the same :class:`~repro.serve.record.RunRecord` as
+static ones, so span trees, critical paths and the telemetry bundle
+come from the one :func:`~repro.telemetry.build.build_run_telemetry`
+view.  Under autoscaling a request's scatter-gather width is the pool
+size *at its admission*, so the record's merge cost is one value per
+``n_required``, and a fixed-size elastic run degenerates to the static
+trees exactly.  This module holds only what differs: the elastic
+record's registry populator, :func:`build_scale_metrics`.
 
-Everything here is derivational (post-run, from the synthesized
-:class:`~repro.serve.scheduler.ScheduleResult` and the action log), so
+Everything here is derivational (post-run, from the record's
+:class:`~repro.serve.scheduler.ScheduleResult` and the report), so
 telemetry-on and telemetry-off elastic runs stay bit-identical -- the
 same property the static pipeline pins.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
-from ..telemetry.build import (
-    MergeCost,
-    RunTelemetry,
-    TraceBuilder,
-    latency_metrics,
-    throughput_metrics,
-)
+from ..telemetry.build import latency_metrics, throughput_metrics
 from ..telemetry.critical import CriticalPath
 from ..telemetry.metrics import MetricsRegistry
 
-__all__ = [
-    "build_scale_metrics",
-    "build_scale_telemetry",
-]
+__all__ = ["build_scale_metrics"]
 
 
-def build_scale_metrics(report: Any, result: Any,
-                        paths: Sequence[CriticalPath],
-                        merge: MergeCost,
-                        priorities: Mapping[int, int],
-                        n_burn_windows: int = 4) -> MetricsRegistry:
-    """Populate a registry from one elastic run (``paths`` in record
-    order).
+def build_scale_metrics(record: Any,
+                        paths: Sequence[CriticalPath]) -> MetricsRegistry:
+    """Populate a registry from one elastic run's record (``paths`` in
+    record order).
 
     The serve-level series keep their static names (throughput,
     attainment, latency histograms, burn windows) so dashboards span
@@ -49,7 +37,8 @@ def build_scale_metrics(report: Any, result: Any,
     series for admission, shedding, pool motion, and warm-up cost.
     """
     registry = MetricsRegistry()
-    cfg = report.config.serve
+    report, result = record.report, record.result
+    priorities = record.priorities
     policy = report.config.policy
     classes = policy.priorities
 
@@ -129,31 +118,8 @@ def build_scale_metrics(report: Any, result: Any,
         util.set(value, shard=str(slot_id))
 
     latency_metrics(
-        registry, result, paths, merge,
+        registry, record, paths,
         "Time-to-interactive distribution, by priority class",
         lambda path: {"class": classes[priorities[path.req_id]].name},
-        cfg.slo_s, report.makespan_s, policy.autoscale.slo_target,
-        policy.autoscale.error_budget, n_burn_windows)
+        policy.autoscale.slo_target)
     return registry
-
-
-def build_scale_telemetry(run: Any, prefill_s: float,
-                          clock_hz: float) -> RunTelemetry:
-    """Derive the telemetry bundle from one elastic run.
-
-    ``run`` is the simulator's internal ``_ElasticRun`` artifact; the
-    result is the same :class:`~repro.telemetry.build.RunTelemetry`
-    bundle the static pipeline produces, so every downstream renderer
-    (span reports, attribution, flamegraphs, Perfetto export) works
-    unchanged.  Slowdown spans carry no ``source`` label here.
-    """
-    builder = TraceBuilder(run.result, run.merge_by_required, prefill_s,
-                           run.stage_tables)
-    paths = builder.critical_paths()
-    return RunTelemetry(
-        critical_paths=paths,
-        registry=build_scale_metrics(run.report, run.result, paths,
-                                     run.merge_by_required, run.priorities),
-        clock_hz=clock_hz,
-        builder=builder,
-    )

@@ -41,10 +41,12 @@ the same plan ships corrupted answers: the report counts the escapes
 (``n_sdc_escapes``) and the **intact coverage** -- the fraction of each
 request's shard answers that were neither lost nor corrupted.
 
-When a :mod:`repro.obs` collector is active, every executed batch and
-host merge is emitted as a shard-tagged
-:class:`~repro.obs.events.TraceEvent` (``core_id`` = shard id), so the
-Chrome-trace export shows one Perfetto lane per device; faults and the
+Every run ends in a :class:`~repro.serve.record.RunRecord`, the input
+of every post-run view (trace events, telemetry, the monitor).  When a
+:mod:`repro.obs` collector is active, every executed batch and host
+merge is emitted as a shard-tagged :class:`~repro.obs.events.TraceEvent`
+(``core_id`` = shard id), so the Chrome-trace export shows one Perfetto
+lane per device; faults and the
 stack's reactions (stalls, outages, timeouts, backoff, failover) land
 on the dedicated ``FAULT`` lane, and the corruption story (scripted
 flips, detections, recomputes, scrub passes, SDC escapes) on the
@@ -55,7 +57,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, \
+    Union
 
 import numpy as np
 
@@ -64,14 +67,17 @@ from ..ecc import ECCConfig, ECCCostModel, ECCModel, make_codec
 from ..faults import BitFlipFault, FaultInjector, FaultPlan, OutageFault, \
     StallFault
 from ..integrity.config import IntegrityConfig, get_cost_model
+from ..monitor.build import DEFAULT_CADENCE_S
 from ..obs import collector as _trace_collector
-from ..obs.events import LANE_FAULT, LANE_INTEGRITY, LANE_VCU, TraceEvent
 from ..rag.batching import BatchedAPURetrieval
 from ..rag.corpus import CorpusSpec, PAPER_CORPORA
 from ..rag.generation import GenerationModel
 from ..rag.retrieval import APURetriever, RetrievalBreakdown
 from ..simcore.engine import DEFAULT_ENGINE, validate_engine
+from ..telemetry.build import SERVE_SLO_TARGET, StageTable, \
+    build_serve_metrics
 from .metrics import LatencyStats, slo_attainment, utilization
+from .record import RunRecord, emit_run_trace, observe_run
 from .scheduler import (
     BatchPolicy,
     DiscreteEventScheduler,
@@ -90,9 +96,6 @@ __all__ = [
     "ShardServiceModel",
     "ServeReport",
     "ServingSimulator",
-    "emit_batch_trace",
-    "emit_fault_trace",
-    "emit_integrity_trace",
     "golden_serve_config",
     "golden_fault_config",
     "golden_integrity_config",
@@ -486,15 +489,7 @@ class ServeReport:
             f"  throughput: {self.throughput_qps:8.1f} qps sustained "
             f"({self.n_completed} completed in {self.makespan_s:.3f} s)",
         ]
-        retrieval, tti = self.retrieval.as_ms(), self.tti.as_ms()
-        lines.append(
-            "  retrieval ms: "
-            + "  ".join(f"{name} {retrieval[name]:8.2f}"
-                        for name in ("p50", "p95", "p99", "max")))
-        lines.append(
-            "  tti       ms: "
-            + "  ".join(f"{name} {tti[name]:8.2f}"
-                        for name in ("p50", "p95", "p99", "max")))
+        lines += latency_lines(self)
         lines.append(
             f"  SLO {cfg.slo_s * 1e3:g} ms: "
             f"{self.slo_attainment * 100:.1f}% attained")
@@ -523,15 +518,33 @@ class ServeReport:
                 f"{self.n_sdc_escapes} escaped; "
                 f"intact coverage {self.mean_intact_coverage * 100:.2f}%")
         if cfg.ecc.enabled:
-            tier = cfg.ecc.tier
-            if tier == "bch":
-                tier = f"bch t={cfg.ecc.t}"
-            lines.append(
-                f"  ecc ({tier}, {cfg.ecc.data_bits}b codewords): "
-                f"{self.n_ecc_corrected} corrected, "
-                f"{self.n_ecc_detected} detected-uncorrectable, "
-                f"{self.n_ecc_miscorrections} miscorrected")
+            lines.append(ecc_line(cfg.ecc, self))
         return "\n".join(lines)
+
+
+def latency_lines(report: Any) -> List[str]:
+    """The retrieval and TTI percentile lines of a serve or scale
+    report."""
+    lines = []
+    for label, stats in (("retrieval", report.retrieval),
+                         ("tti", report.tti)):
+        ms = stats.as_ms()
+        lines.append(
+            f"  {label:<9s} ms: "
+            + "  ".join(f"{name} {ms[name]:8.2f}"
+                        for name in ("p50", "p95", "p99", "max")))
+    return lines
+
+
+def ecc_line(ecc: ECCConfig, report: Any) -> str:
+    """The ECC verdict line of a serve or scale report."""
+    tier = ecc.tier
+    if tier == "bch":
+        tier = f"bch t={ecc.t}"
+    return (f"  ecc ({tier}, {ecc.data_bits}b codewords): "
+            f"{report.n_ecc_corrected} corrected, "
+            f"{report.n_ecc_detected} detected-uncorrectable, "
+            f"{report.n_ecc_miscorrections} miscorrected")
 
 
 class ServingSimulator:
@@ -556,11 +569,6 @@ class ServingSimulator:
         #: these chunks stay missing for every later arrival.
         self._permanent_loss: Dict[int, int] = {}
         self._dead_shards: set = set()
-        #: Causal record of the last telemetry run (monitor input).
-        self._last_result: Optional[ScheduleResult] = None
-        #: Per-batch bytes recorded at dispatch by the last fault run
-        #: (a takeover changes a survivor's slice mid-run).
-        self._dispatch_bytes: Optional[List[int]] = None
         if config.engine == "vectorized":
             # Imported lazily to keep repro.serve importable while
             # repro.simcore (which imports the scalar scheduler) loads.
@@ -616,8 +624,7 @@ class ServingSimulator:
         or a sorted array of arrival times (ids positional); ``None``
         draws the config's Poisson stream.
         """
-        report, _ = self._simulate(requests)
-        return report
+        return self._simulate(requests).report
 
     def run_with_telemetry(self, requests: Optional[Arrivals] = None):
         """Simulate and derive request-level causal telemetry.
@@ -630,20 +637,13 @@ class ServingSimulator:
         per executed batch, captured against the service model's state
         at that instant, so takeover re-anchors are honored); critical
         paths and the metrics registry are derived after the run from
-        the scheduler's causal record, and the span trees on first
-        access to ``telemetry.traces``.
+        its :class:`~repro.serve.record.RunRecord`, and the span trees
+        on first access to ``telemetry.traces``.
         """
         from ..telemetry.build import build_run_telemetry
 
-        report, result, tables = self._simulate_capturing(requests)
-        self._last_result = result
-        # The injector labels each slowdown span with *why* the batch
-        # stretched (stall window vs slow-start recovery), evaluated at
-        # the batch's dispatch instant.
-        telemetry = build_run_telemetry(
-            report, result, self.merge_s, self.prefill_s, tables,
-            self.params.clock_hz, injector=self.injector)
-        return report, telemetry
+        record = self._simulate(requests, capture=True)
+        return record.report, build_run_telemetry(record)
 
     def run_with_monitor(self, requests: Optional[Arrivals] = None,
                          *, cadence_s: Optional[float] = None,
@@ -653,50 +653,14 @@ class ServingSimulator:
         Returns ``(report, telemetry, monitor)`` where report and
         telemetry are **bit-identical** to :meth:`run_with_telemetry`
         on the same stream: the monitor is derived post-hoc from the
-        same causal record, with no extra instrumentation inside the
+        same run record, with no extra instrumentation inside the
         event loop (the differential suite pins monitoring-off
         byte-identity on both engines).
         """
-        from ..monitor import DEFAULT_CADENCE_S, build_run_monitor
-
-        report, telemetry = self.run_with_telemetry(requests)
-        result = self._last_result
-        assert result is not None
-        batch_bytes = self._batch_bytes(result)
-        # Bitwise the report's TTI arithmetic: retrieval latency plus
-        # merge, plus prefill.
-        tti_by_req = {
-            r.req_id: (r.retrieval_done_s - r.arrival_s + self.merge_s)
-            + self.prefill_s
-            for r in result.records if r.retrieval_done_s is not None}
-        monitor = build_run_monitor(
-            workload=workload,
-            result=result,
-            slo_s=self.config.slo_s,
-            # The registry's default SLO burn budget (slo_target=0.99).
-            error_budget=1.0 - 0.99,
-            class_names=("all",),
-            priorities={},
-            tti_by_req=tti_by_req,
-            batch_bytes=batch_bytes,
-            pool_initial=self.config.n_shards,
-            registry_exposition=telemetry.registry.expose(),
-            cadence_s=(cadence_s if cadence_s is not None
-                       else DEFAULT_CADENCE_S),
-        )
-        return report, telemetry, monitor
-
-    def _simulate_capturing(self, requests: Optional[Arrivals] = None):
-        """Simulate with the in-loop stage capture (no span build).
-
-        The telemetry *collection* cost lives here: one stage table per
-        dispatched batch.  Split out so the overhead benchmark can time
-        collection separately from the post-hoc trace build.
-        """
-        tables: List[Any] = []
-        report, result = self._simulate(requests, tables)
-        assert result is not None
-        return report, result, tables
+        record = self._simulate(requests, capture=True)
+        telemetry, monitor = observe_run(record, workload=workload,
+                                         cadence_s=cadence_s)
+        return record.report, telemetry, monitor
 
     def _run_recording(self, requests: Sequence[Request], stages: bool
                        ) -> Tuple[ScheduleResult, List[Tuple[Any, int]]]:
@@ -705,8 +669,6 @@ class ServingSimulator:
         embedding bytes, both against the service model's state at the
         dispatch instant -- so a takeover re-anchor mid-run is honored.
         """
-        from ..telemetry.build import StageTable
-
         model = self.service_model
         # Both only change when a takeover re-anchors a shard (tracked
         # by stage_epoch), so memoizing keeps the in-loop cost to a
@@ -748,43 +710,29 @@ class ServingSimulator:
             self.scheduler.service_time = orig
         return result, recorded
 
-    def _batch_bytes(self, result: ScheduleResult) -> List[int]:
-        """Resident embedding bytes each batch streamed, at dispatch."""
-        if self._dispatch_bytes is not None:
-            return self._dispatch_bytes
-        # No faults, no takeover: the placement never changed.
-        nbytes = [int(spec.embedding_bytes)
-                  for spec in self.service_model.shard_specs]
-        return [nbytes[batch.shard_id] for batch in result.batches]
-
     def _simulate(self, requests: Optional[Arrivals] = None,
-                  stage_tables: Optional[List[Any]] = None
-                  ) -> Tuple[ServeReport, Optional[ScheduleResult]]:
-        """One full simulation: (report, raw schedule record).
+                  capture: bool = False) -> RunRecord:
+        """One full simulation: its :class:`~repro.serve.record.RunRecord`.
 
-        ``stage_tables``, when given, receives one stage table per
-        executed batch (the telemetry capture).  A fault-free
-        vectorized run without it reports straight from the
-        :class:`~repro.simcore.arrays.ArraySchedule` columns and
-        materializes the object record only for an active trace
-        collector; otherwise the record comes back as ``None``.
+        ``capture`` adds the telemetry capture to the record: one stage
+        table per executed batch, and each request's TTI.  A fault-free
+        run without it records nothing per batch, and a vectorized one
+        reports straight from the
+        :class:`~repro.simcore.arrays.ArraySchedule` columns; either
+        way the record builds its ``ScheduleResult`` and batch bytes
+        only when a view reads them (an active trace collector).
         """
         cfg = self.config
-        self._dispatch_bytes = None
-        if self.injector is None and stage_tables is None \
+        if self.injector is None and not capture \
                 and cfg.engine == "vectorized":
             schedule = self.scheduler.run_arrays(
                 *self._arrival_columns(requests))
-            columnar: Optional[ScheduleResult] = None
-            trace = _trace_collector.ACTIVE
-            if trace is not None and trace.enabled:
-                columnar = schedule.to_schedule_result()
-                self._emit_trace(columnar)
             by_id = np.argsort(schedule.req_ids, kind="stable")
-            return self._report(
+            report = self._report(
                 schedule.latency_s()[by_id], schedule.horizon_s,
-                schedule.busy_seconds.tolist(), schedule.batch_size), \
-                columnar
+                schedule.busy_seconds.tolist(), schedule.batch_size)
+            return self._record(report, lambda: self._placed(
+                schedule.to_schedule_result()))
         if requests is None:
             requests = poisson_arrivals(cfg.qps, cfg.n_requests, cfg.seed)
         elif isinstance(requests, np.ndarray):
@@ -795,22 +743,63 @@ class ServingSimulator:
             self._chunks_lost_at_death.clear()
             self._permanent_loss.clear()
             self._dead_shards.clear()
-        if self.injector is None and stage_tables is None:
+        tables = tti = None
+        if self.injector is None and not capture:
             result = self.scheduler.run(requests)
+            batch_bytes = None
         else:
-            result, recorded = self._run_recording(
-                requests, stage_tables is not None)
-            if stage_tables is not None:
-                stage_tables.extend(table for table, _ in recorded)
-            if self.injector is not None:
-                self._dispatch_bytes = [nbytes for _, nbytes in recorded]
-        self._emit_trace(result)
+            result, recorded = self._run_recording(requests, capture)
+            batch_bytes = [nbytes for _, nbytes in recorded]
+            if capture:
+                tables = [table for table, _ in recorded]
+                # Bitwise the report's TTI arithmetic: retrieval
+                # latency plus merge, plus prefill.
+                tti = {r.req_id: (r.retrieval_done_s - r.arrival_s
+                                  + self.merge_s) + self.prefill_s
+                       for r in result.records
+                       if r.retrieval_done_s is not None}
         latency = np.asarray([r.retrieval_latency_s for r in result.records],
                              dtype=np.float64)
         sizes = np.asarray([batch.batch_size for batch in result.batches],
                            dtype=np.int64)
-        return self._report(latency, result.horizon_s, result.busy_seconds,
-                            sizes, result), result
+        report = self._report(latency, result.horizon_s, result.busy_seconds,
+                              sizes, result)
+        if batch_bytes is None:
+            return self._record(report, lambda: self._placed(result))
+        return self._record(report, lambda: (result, batch_bytes), tables,
+                            tti)
+
+    def _placed(self, result: ScheduleResult
+                ) -> Tuple[ScheduleResult, List[int]]:
+        """``result`` and its per-batch bytes under the calibrated
+        placement (a fault-free run never re-anchors a shard)."""
+        nbytes = [int(spec.embedding_bytes)
+                  for spec in self.service_model.shard_specs]
+        return result, [nbytes[batch.shard_id] for batch in result.batches]
+
+    def _record(self, report: ServeReport,
+                materialize: Callable[[], Tuple[ScheduleResult, List[int]]],
+                stage_tables: Optional[List[Any]] = None,
+                tti_by_req: Optional[Dict[int, float]] = None) -> RunRecord:
+        """The run's record; emits its trace into an active collector."""
+        cfg = self.config
+        record = RunRecord(
+            report=report, config=cfg, params=self.params,
+            materialize=materialize,
+            merge=self.merge_s,
+            merge_cycles=merge_cycles(cfg.n_shards, cfg.k, self.params),
+            prefill_s=self.prefill_s,
+            metrics=build_serve_metrics,
+            error_budget=1.0 - SERVE_SLO_TARGET,
+            host_lane=cfg.n_shards,
+            cadence_s=DEFAULT_CADENCE_S,
+            stage_tables=stage_tables,
+            tti_by_req=tti_by_req,
+            injector=self.injector)
+        trace = _trace_collector.ACTIVE
+        if trace is not None and trace.enabled:
+            emit_run_trace(record, trace)
+        return record
 
     def _arrival_columns(self, requests: Optional[Arrivals]
                          ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -881,164 +870,6 @@ class ServingSimulator:
             if n_batches else 0.0,
             **faults,
         )
-
-    # ------------------------------------------------------------------
-    def _emit_trace(self, result: ScheduleResult) -> None:
-        """Shard-tagged trace events (one Perfetto lane per device)."""
-        trace = _trace_collector.ACTIVE
-        if trace is None or not trace.enabled:
-            return
-        clock = self.params.clock_hz
-        emit_batch_trace(trace, result, self._batch_bytes(result), clock)
-        cycles_per_merge = merge_cycles(self.config.n_shards, self.config.k,
-                                        self.params)
-        if cycles_per_merge > 0:
-            for record in result.records:
-                if record.retrieval_done_s is None:  # pragma: no cover
-                    continue
-                trace.emit(TraceEvent(
-                    name="serve_merge", lane=LANE_VCU,
-                    start_cycle=record.retrieval_done_s * clock,
-                    cycles=cycles_per_merge,
-                    section="serve/merge",
-                    core_id=self.config.n_shards))
-        if self.injector is not None:
-            emit_fault_trace(trace, result, clock, self.config.faults)
-            emit_integrity_trace(trace, result, clock, self.config.faults,
-                                 self.config.integrity, self.params,
-                                 self.config.n_shards)
-
-
-def emit_batch_trace(trace, result: ScheduleResult,
-                     batch_bytes: Sequence[int], clock: float) -> None:
-    """Per-shard queue-wait and batch events (``core_id`` = shard id).
-
-    ``batch_bytes`` holds each batch's resident embedding bytes as of
-    its dispatch.  Shared between the static and elastic simulators.
-    """
-    for batch, nbytes in zip(result.batches, batch_bytes):
-        wait = batch.dispatch_s - batch.head_enqueue_s
-        if wait > 0:
-            trace.emit(TraceEvent(
-                name="serve_queue_wait", lane=LANE_VCU,
-                start_cycle=batch.head_enqueue_s * clock,
-                cycles=wait * clock,
-                section=f"serve/shard{batch.shard_id}",
-                core_id=batch.shard_id))
-        trace.emit(TraceEvent(
-            name="serve_batch", lane=LANE_VCU,
-            start_cycle=batch.dispatch_s * clock,
-            cycles=batch.service_s * clock,
-            count=1,
-            section=f"serve/shard{batch.shard_id}",
-            bytes_moved=nbytes,
-            core_id=batch.shard_id))
-
-
-def emit_fault_trace(trace, result: ScheduleResult, clock: float,
-                     plan: FaultPlan) -> None:
-    """FAULT-lane events: the scripted plan plus the stack's reactions.
-
-    Shared between the static and elastic simulators so the one fault
-    story renders identically on both paths (``core_id`` is always the
-    shard/slot id, so the Perfetto lanes line up with the serve lanes).
-    """
-    horizon = result.horizon_s
-
-    def clamped(start_s: float, end_s: float) -> Optional[float]:
-        """Duration of ``[start, end)`` visible inside the horizon."""
-        if start_s >= horizon:
-            return None
-        return min(end_s, horizon) - start_s
-
-    for stall in plan.stalls:
-        span = clamped(stall.start_s, stall.end_s)
-        if span is None:
-            continue
-        trace.emit(TraceEvent(
-            name="fault_stall", lane=LANE_FAULT,
-            start_cycle=stall.start_s * clock, cycles=span * clock,
-            section=f"fault/shard{stall.shard_id}",
-            core_id=stall.shard_id))
-    for outage in plan.outages:
-        span = clamped(outage.start_s, outage.end_s)
-        if span is None:
-            continue
-        trace.emit(TraceEvent(
-            name="fault_outage", lane=LANE_FAULT,
-            start_cycle=outage.start_s * clock, cycles=span * clock,
-            section=f"fault/shard{outage.shard_id}",
-            core_id=outage.shard_id))
-        if not outage.permanent and outage.recovery_s > 0:
-            span = clamped(outage.end_s,
-                           outage.end_s + outage.recovery_s)
-            if span is not None:
-                trace.emit(TraceEvent(
-                    name="fault_recovery", lane=LANE_FAULT,
-                    start_cycle=outage.end_s * clock,
-                    cycles=span * clock,
-                    section=f"fault/shard{outage.shard_id}",
-                    core_id=outage.shard_id))
-    #: Corruption kinds belong to the INTEGRITY lane; everything
-    #: else stays on FAULT.
-    integrity_names = {"corrupted": "integrity_detect",
-                       "sdc": "integrity_sdc",
-                       "recompute": "integrity_recompute",
-                       "ecc_corrected": "integrity_ecc_correct",
-                       "ecc_detected": "integrity_ecc_detect",
-                       "ecc_miscorrect": "integrity_ecc_miscorrect"}
-    for entry in result.fault_log:
-        name = integrity_names.get(entry.kind)
-        if name is None:
-            name = (f"fault_{entry.kind}" if entry.kind != "dead"
-                    else "fault_failover")
-            lane = LANE_FAULT
-            section = f"fault/shard{entry.shard_id}"
-        else:
-            lane = LANE_INTEGRITY
-            section = f"integrity/shard{entry.shard_id}"
-        trace.emit(TraceEvent(
-            name=name,
-            lane=lane,
-            start_cycle=entry.t_s * clock,
-            cycles=entry.duration_s * clock,
-            section=section,
-            core_id=entry.shard_id))
-
-
-def emit_integrity_trace(trace, result: ScheduleResult, clock: float,
-                         plan: FaultPlan, integrity: IntegrityConfig,
-                         params: APUParams, scrub_core_id: int) -> None:
-    """INTEGRITY-lane events for the script itself: flips + scrubs.
-
-    ``scrub_core_id`` is the host lane id (the static simulator uses
-    ``n_shards``, the elastic one its pool capacity)."""
-    horizon = result.horizon_s
-    for flip in plan.bit_flips:
-        if flip.t_s >= horizon:
-            continue
-        trace.emit(TraceEvent(
-            name="integrity_stuck" if flip.persistent
-            else "integrity_flip",
-            lane=LANE_INTEGRITY,
-            start_cycle=flip.t_s * clock,
-            cycles=0.0,
-            section=f"integrity/shard{flip.shard_id}",
-            core_id=flip.shard_id))
-    if integrity.scrubbing:
-        scrub_s = get_cost_model(params).scrub_pass_seconds(
-            integrity.scrub_vrs)
-        tick = integrity.scrub_interval_s
-        t = tick
-        while t < horizon:
-            trace.emit(TraceEvent(
-                name="integrity_scrub",
-                lane=LANE_INTEGRITY,
-                start_cycle=t * clock,
-                cycles=scrub_s * clock,
-                section="integrity/scrub",
-                core_id=scrub_core_id))
-            t += tick
 
 
 def golden_serve_config() -> ServeConfig:

@@ -21,7 +21,6 @@ from .build import (
     ReconcileReport,
     RunTelemetry,
     StageTable,
-    build_query_traces,
     build_run_telemetry,
     build_serve_metrics,
     reconcile_with_trace,
@@ -99,7 +98,6 @@ __all__ = [
     "StageTable",
     "RunTelemetry",
     "ReconcileReport",
-    "build_query_traces",
     "build_run_telemetry",
     "build_serve_metrics",
     "reconcile_with_trace",

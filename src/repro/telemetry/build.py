@@ -1,23 +1,26 @@
-"""Build span trees, critical paths, and metrics from a schedule.
+"""Build span trees, critical paths, and metrics from a run record.
 
-The builder is strictly *derivational*: it consumes the scheduler's
-causal record (:class:`~repro.serve.scheduler.ScheduleResult` --
-executed batch attempts, per-request scatter-gather progress, death
-times) plus the per-dispatch stage tables the simulator captured, and
-reconstructs every request's span tree after the fact.  Nothing here
-runs during the event loop, so telemetry-on and telemetry-off
+The builder is strictly *derivational*: it consumes one run's
+:class:`~repro.serve.record.RunRecord` -- the scheduler's causal
+:class:`~repro.serve.scheduler.ScheduleResult` (executed batch
+attempts, per-request scatter-gather progress, death times), the
+per-dispatch stage tables the simulator captured, and the merge cost --
+and reconstructs every request's span tree after the fact.  Nothing
+here runs during the event loop, so telemetry-on and telemetry-off
 simulations are bit-identical by construction (and the property suite
 proves it).
 
-A run pays only for what its callers read.  :func:`build_run_telemetry`
-finds each request's determining shard straight from the record and
-builds just that leg to extract the critical path; the registry reads
-arrival and TTI from the records and paths.  The full span trees
+A run pays only for what its callers read.  :func:`build_run_telemetry`,
+the one telemetry view of static and elastic records alike, finds each
+request's determining shard straight from the record and builds just
+that leg to extract the critical path; the registry reads arrival and
+TTI from the records and paths.  The full span trees
 (:attr:`RunTelemetry.traces`) are built on first access and cached,
 with each executed batch's span built once and shared by every member
-request's leg.  Static and elastic runs share one
-:class:`TraceBuilder`; they differ only in the merge cost, one value or
-one per scatter-gather width.
+request's leg.  The two modes differ only in the record's data: the
+merge cost (one value, or one per scatter-gather width) and the
+registry populator (:func:`build_serve_metrics` here,
+:func:`repro.scale.telemetry.build_scale_metrics` for elastic runs).
 
 Every boundary in a tree is a float the event loop itself produced
 (arrival times, dispatch times, ``dispatch + service`` completions,
@@ -63,7 +66,8 @@ __all__ = [
     "TraceBuilder",
     "RunTelemetry",
     "ReconcileReport",
-    "build_query_traces",
+    "N_BURN_WINDOWS",
+    "SERVE_SLO_TARGET",
     "build_run_telemetry",
     "build_serve_metrics",
     "reconcile_with_trace",
@@ -71,6 +75,12 @@ __all__ = [
 
 #: Batch-size histogram boundaries (dynamic batches cap at powers of 2).
 BATCH_SIZE_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+
+#: Equal-width SLO burn windows every registry reports over the run.
+N_BURN_WINDOWS = 4
+
+#: The static registry's SLO target; its error budget is one minus it.
+SERVE_SLO_TARGET = 0.99
 
 
 @dataclass(frozen=True)
@@ -200,7 +210,8 @@ def _shard_chain(record: Any, shard_id: int, attempts: Sequence[Span],
 MergeCost = Union[float, Mapping[int, float]]
 
 
-def _merge_lookup(merge: MergeCost) -> Callable[[int], float]:
+def merge_lookup(merge: MergeCost) -> Callable[[int], float]:
+    """``n_required`` -> that width's cost, for either form."""
     if isinstance(merge, Mapping):
         return merge.__getitem__
     return lambda _n_required: merge
@@ -232,7 +243,7 @@ class TraceBuilder:
                         f"{table.batch_size}) does not match batch "
                         f"({batch.shard_id}, {batch.batch_size})")
         self.result = result
-        self.merge_for = _merge_lookup(merge)
+        self.merge_for = merge_lookup(merge)
         self.prefill_s = prefill_s
         self.stage_tables = stage_tables
         self.injector = injector
@@ -332,19 +343,6 @@ class TraceBuilder:
         return tuple(paths)
 
 
-def build_query_traces(result: Any, merge: MergeCost, prefill_s: float,
-                       stage_tables: Optional[Sequence[StageTable]] = None,
-                       injector: Any = None) -> List[QueryTrace]:
-    """One :class:`QueryTrace` per completed request, in req-id order.
-
-    ``merge`` is the run's merge cost (one value, or one per
-    ``n_required``); ``stage_tables`` is the dispatch-ordered capture
-    (one entry per executed batch); omitted, batch spans stay leaves.
-    """
-    return TraceBuilder(result, merge, prefill_s, stage_tables,
-                        injector).traces()
-
-
 # ----------------------------------------------------------------------
 # Metrics pipeline
 # ----------------------------------------------------------------------
@@ -365,19 +363,20 @@ def throughput_metrics(registry: MetricsRegistry, report: Any,
     makespan.set(report.makespan_s)
 
 
-def latency_metrics(registry: MetricsRegistry, result: Any,
-                    paths: Sequence[CriticalPath], merge: MergeCost,
-                    tti_help: str,
+def latency_metrics(registry: MetricsRegistry, record: Any,
+                    paths: Sequence[CriticalPath], tti_help: str,
                     tti_labels: Callable[[CriticalPath], Dict[str, str]],
-                    slo_s: float, makespan_s: float, slo_target: float,
-                    budget: float, n_burn_windows: int) -> None:
+                    slo_target: float) -> None:
     """Register the latency histograms and SLO burn windows static and
     elastic registries share.
 
     Arrivals and resolutions come from the records, TTI and queue wait
     from the critical paths (in record order); the retrieval sample is
-    bitwise ``QueryTrace.retrieval_latency_s + merge_s``.
+    bitwise ``QueryTrace.retrieval_latency_s + merge_s``.  The burn
+    windows spend ``record.error_budget``; ``slo_target`` only labels
+    their help text.
     """
+    result = record.result
     tti_hist = registry.histogram(
         "repro_tti_seconds", tti_help, DEFAULT_LATENCY_BOUNDS_S)
     retrieval_hist = registry.histogram(
@@ -390,7 +389,7 @@ def latency_metrics(registry: MetricsRegistry, result: Any,
         DEFAULT_LATENCY_BOUNDS_S)
     size_hist = registry.histogram(
         "repro_batch_size", "Executed batch sizes", BATCH_SIZE_BOUNDS)
-    merge_for = _merge_lookup(merge)
+    merge_for = merge_lookup(record.merge)
     for path in paths:
         tti_hist.observe(path.tti_s, **tti_labels(path))
     for r in result.records:
@@ -406,17 +405,15 @@ def latency_metrics(registry: MetricsRegistry, result: Any,
         f"SLO error-budget burn rate per window (target {slo_target:g})")
     windows = slo_burn_windows(
         [r.arrival_s for r in result.records], [p.tti_s for p in paths],
-        slo_s, makespan_s, n_burn_windows)
+        record.config.slo_s, record.report.makespan_s, N_BURN_WINDOWS)
     for window in windows:
-        burn.set(window.burn_rate(budget), window=str(window.index))
+        burn.set(window.burn_rate(record.error_budget),
+                 window=str(window.index))
 
 
-def build_serve_metrics(report: Any, result: Any,
-                        paths: Sequence[CriticalPath],
-                        merge: MergeCost,
-                        n_burn_windows: int = 4,
-                        slo_target: float = 0.99) -> MetricsRegistry:
-    """Populate a registry from one serving run.
+def build_serve_metrics(record: Any,
+                        paths: Sequence[CriticalPath]) -> MetricsRegistry:
+    """Populate a registry from one static serving run's record.
 
     The same derivational hooks as the span trees: everything comes
     from the schedule record (arrivals, resolutions), the critical
@@ -424,8 +421,9 @@ def build_serve_metrics(report: Any, result: Any,
     bit-deterministic and golden-pinnable.  ``paths`` are in record
     order.
     """
+    report, result = record.report, record.result
     registry = MetricsRegistry()
-    cfg = report.config
+    cfg = record.config
 
     requests = registry.counter(
         "repro_requests_total", "Completed requests")
@@ -505,10 +503,9 @@ def build_serve_metrics(report: Any, result: Any,
         "Mean fraction of shard answers neither lost nor corrupted")
     intact.set(report.mean_intact_coverage)
 
-    latency_metrics(registry, result, paths, merge,
+    latency_metrics(registry, record, paths,
                     "Time-to-interactive distribution", lambda path: {},
-                    cfg.slo_s, report.makespan_s, slo_target,
-                    1.0 - slo_target, n_burn_windows)
+                    SERVE_SLO_TARGET)
     return registry
 
 
@@ -637,21 +634,19 @@ class RunTelemetry:
         return self.builder.trace(index)
 
 
-def build_run_telemetry(report: Any, result: Any, merge_s: float,
-                        prefill_s: float,
-                        stage_tables: Optional[Sequence[StageTable]],
-                        clock_hz: float,
-                        injector: Any = None) -> RunTelemetry:
-    """Derive the telemetry bundle from one completed static run.
+def build_run_telemetry(record: Any) -> RunTelemetry:
+    """Derive the telemetry bundle from one run record, static or
+    elastic (:class:`~repro.serve.record.RunRecord`).
 
-    ``injector`` (a fault run's) labels slowdown spans with their cause.
+    The record's own registry populator fills the registry; its
+    injector (static fault runs) labels slowdown spans with their cause.
     """
-    builder = TraceBuilder(result, merge_s, prefill_s, stage_tables,
-                           injector)
+    builder = TraceBuilder(record.result, record.merge, record.prefill_s,
+                           record.stage_tables, record.injector)
     paths = builder.critical_paths()
     return RunTelemetry(
         critical_paths=paths,
-        registry=build_serve_metrics(report, result, paths, merge_s),
-        clock_hz=clock_hz,
+        registry=record.metrics(record, paths),
+        clock_hz=record.params.clock_hz,
         builder=builder,
     )

@@ -126,9 +126,9 @@ def test_batch_bytes_length_mismatch_raises():
     report, _telemetry, _monitor = \
         ServingSimulator(golden_serve_config()).run_with_monitor()
     del report
-    sim = ServingSimulator(golden_serve_config())
-    _report, telemetry = sim.run_with_telemetry()
-    result = sim._last_result
+    _report, telemetry = \
+        ServingSimulator(golden_serve_config()).run_with_telemetry()
+    result = telemetry.builder.result
     with pytest.raises(ValueError):
         build_run_monitor(
             workload="serve", result=result, slo_s=1.0,

@@ -39,8 +39,10 @@ def test_controller_windows_match_standalone_signal():
             controller.note_completion(done_s, latency_s, cls)
             twin.note_completion(done_s, latency_s, cls)
             event_index += 1
-        got = controller.class_windows(now_s, overdue)
-        want = twin.class_windows(tick_index, now_s, overdue)
+        got = controller.class_burns(now_s, overdue)
+        want = [window.burn_rate(policy.autoscale.error_budget)
+                for window in twin.class_windows(tick_index, now_s,
+                                                 overdue)]
         assert got == want
 
 

@@ -49,7 +49,8 @@ from repro.serve.metrics import LatencyStats, slo_attainment, utilization
 from repro.serve.scheduler import ShardMachine
 from repro.serve.simulator import ServingSimulator, golden_fault_config, \
     golden_integrity_config, golden_serve_config
-from repro.telemetry import render_attribution, render_spans_report
+from repro.telemetry import build_run_telemetry, render_attribution, \
+    render_spans_report
 
 from ..telemetry.test_properties import assert_lazy_trees_exact
 from .test_properties import elastic_configs
@@ -144,8 +145,8 @@ def test_arrivals_pop_before_simultaneous_heap_events():
     simulator = ScaleSimulator(_tie_config(
         [head_s, head_s + wait_s], max_wait_s=wait_s,
         shed_queue_batches=4.0))
-    simulator.run()
-    first = [b for b in simulator._last_run.result.batches if b.seq == 0]
+    first = [b for b in simulator._run_record(capture=False).result.batches
+             if b.seq == 0]
     assert [(b.dispatch_s, b.request_ids) for b in first] \
         == [(head_s + wait_s, (0, 1))] * 2
 
@@ -160,7 +161,7 @@ def _record_report(simulator, run):
     cfg = simulator.config.serve
     classes = simulator.config.policy.priorities
     records = result.records
-    merge = [run.merge_by_required[r.n_required] for r in records]
+    merge = [run.merge[r.n_required] for r in records]
     tti = [(r.retrieval_done_s - r.arrival_s) + m + simulator.prefill_s
            for r, m in zip(records, merge)]
     n_offered = len(records) + sum(n for _, n in
@@ -204,9 +205,9 @@ def _record_report(simulator, run):
 
 def _assert_columnar_report_is_record_report(config):
     simulator = ScaleSimulator(config)
-    report = simulator.run()
-    run = simulator._last_run
-    assert "result" not in vars(run)  # nothing materialized yet
+    run = simulator._run_record(capture=False)
+    report = run.report
+    assert "_materialized" not in vars(run)  # nothing materialized yet
     expected = _record_report(simulator, run)
     assert run.tti_by_req == expected.pop("tti_by_req")
     for name, value in expected.items():
@@ -261,10 +262,9 @@ def test_columnar_report_matches_record_report_generated(config):
           suppress_health_check=[HealthCheck.too_slow])
 @given(config=chaotic_elastic_configs())
 def test_lazy_trees_are_exact_generated(config):
-    sim = ScaleSimulator(config)
-    _report, telemetry = sim.run_with_telemetry()
-    run = sim._last_run
-    assert_lazy_trees_exact(telemetry, run.result, run.merge_by_required)
+    record = ScaleSimulator(config)._run_record(capture=True)
+    telemetry = build_run_telemetry(record)
+    assert_lazy_trees_exact(telemetry, record.result, record.merge)
 
 
 def test_plain_run_builds_no_records(monkeypatch):

@@ -25,9 +25,8 @@ from repro.scale import (
 @pytest.fixture(scope="module")
 def fault_run():
     config = golden_autoscale_fault_config()
-    simulator = ScaleSimulator(config)
-    report = simulator.run()
-    return config, simulator, report
+    record = ScaleSimulator(config)._run_record(capture=False)
+    return config, record, record.report
 
 
 class TestFaultElasticRun:
@@ -70,8 +69,8 @@ class TestFaultElasticRun:
             assert action.duration_s > 0
 
     def test_dead_devices_never_dispatch_again(self, fault_run):
-        _, simulator, report = fault_run
-        result = simulator._last_run.result
+        _, record, report = fault_run
+        result = record.result
         assert len(result.death_times) == report.n_shard_failures
         for batch in result.batches:
             death = result.death_times.get(batch.shard_id)
@@ -79,8 +78,8 @@ class TestFaultElasticRun:
                 assert batch.dispatch_s <= death
 
     def test_exactly_once_with_failed_legs(self, fault_run):
-        _, simulator, _ = fault_run
-        result = simulator._last_run.result
+        _, run, _ = fault_run
+        result = run.result
         for record in result.records:
             assert record.retrieval_done_s is not None
             done = set(record.shard_done_s)
@@ -91,8 +90,8 @@ class TestFaultElasticRun:
             assert len(done) + len(failed) == record.n_required
 
     def test_fault_log_is_time_ordered_and_populated(self, fault_run):
-        _, simulator, _ = fault_run
-        result = simulator._last_run.result
+        _, record, _ = fault_run
+        result = record.result
         kinds = {entry.kind for entry in result.fault_log}
         assert {"dead", "interrupted", "corrupted", "recompute",
                 "backoff"} <= kinds
@@ -164,7 +163,7 @@ class TestControllerFailover:
         policy = AutoscalePolicy(control_interval_s=0.010)
         controller = BurnRateController(policy, slo_s=0.1)
         controller.note_fault(0.005)
-        controller.class_windows(0.010, [0])
+        controller.class_burns(0.010, [0])
         assert controller.recent_faults() == 1
-        controller.class_windows(0.020, [0])
+        controller.class_burns(0.020, [0])
         assert controller.recent_faults() == 0

@@ -33,11 +33,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.monitor import BurnSignal
 from repro.rag.corpus import PAPER_CORPORA
 from repro.scale import (
     AdmissionPolicy,
     AutoscalePolicy,
-    BurnRateController,
     PriorityClass,
     ScaleConfig,
     ScalePolicy,
@@ -131,9 +131,8 @@ def test_work_conservation_without_shedding(config):
 @settings(deadline=None, max_examples=20)
 @given(config=elastic_configs())
 def test_exactly_once_across_scale_transitions(config):
-    simulator = ScaleSimulator(config)
-    report = simulator.run()
-    result = simulator._last_run.result
+    record = ScaleSimulator(config)._run_record(capture=False)
+    report, result = record.report, record.result
     assert report.n_offered == report.n_admitted + report.n_shed
     assert len(result.records) == report.n_admitted
     served = {}
@@ -154,13 +153,14 @@ def test_exactly_once_across_scale_transitions(config):
 @settings(deadline=None, max_examples=50)
 @given(data=st.data())
 def test_class_burn_rates_partition_the_global_burn(data):
-    """``class_windows`` is an exact partition of ``window``: request
-    and violation counts sum across classes, and the share-weighted sum
-    of class burn rates reproduces the aggregate burn rate."""
+    """Per-class windows are an exact partition of one class-blind
+    window fed the same events: request and violation counts sum across
+    classes, and the share-weighted sum of class burn rates reproduces
+    the aggregate burn rate."""
     n_classes = data.draw(st.integers(min_value=1, max_value=4))
     policy = AutoscalePolicy(control_interval_s=0.010)
-    per_class = BurnRateController(policy, slo_s=0.1, n_classes=n_classes)
-    aggregate = BurnRateController(policy, slo_s=0.1, n_classes=n_classes)
+    per_class = BurnSignal(policy.control_interval_s, 0.1, n_classes)
+    aggregate = BurnSignal(policy.control_interval_s, 0.1)
     events = data.draw(st.lists(
         st.tuples(st.floats(min_value=0.0, max_value=0.0099),
                   st.booleans(),
@@ -170,13 +170,13 @@ def test_class_burn_rates_partition_the_global_burn(data):
     for t_s, violated, cls in events:
         latency = 0.2 if violated else 0.05
         per_class.note_completion(t_s, latency, cls)
-        aggregate.note_completion(t_s, latency, cls)
+        aggregate.note_completion(t_s, latency)
     overdue = data.draw(st.lists(
         st.integers(min_value=0, max_value=5),
         min_size=n_classes, max_size=n_classes))
 
-    windows = per_class.class_windows(0.010, overdue)
-    total = aggregate.window(0.010, sum(overdue))
+    windows = per_class.class_windows(0, 0.010, overdue)
+    [total] = aggregate.class_windows(0, 0.010, [sum(overdue)])
     assert len(windows) == n_classes
     assert all(w.index == total.index for w in windows)
     assert sum(w.n_requests for w in windows) == total.n_requests
@@ -258,9 +258,8 @@ def test_shedding_is_weight_monotone_within_an_instant(config):
     lower-weight traffic at the same timestamp.)  The highest-weight
     class is never starved in favor of equal-pressure lower-weight
     traffic."""
-    simulator = ScaleSimulator(config)
-    report = simulator.run()
-    run = simulator._last_run
+    run = ScaleSimulator(config)._run_record(capture=False)
+    report = run.report
     admitted = {record.req_id for record in run.result.records}
     weights = [cls.weight for cls in config.policy.priorities]
     arrivals = config.arrivals

@@ -88,14 +88,14 @@ def _elastic_artifacts(config):
         return (report_fields(report), report.format(), telemetry.traces,
                 telemetry.critical_paths, telemetry.registry.expose())
 
-    simulator = ScaleSimulator(config)
-    report = simulator.run()
+    record = ScaleSimulator(config)._run_record(capture=False)
+    report = record.report
     with collecting() as trace:
         ScaleSimulator(config).run()
     *monitored, monitor = ScaleSimulator(config).run_with_monitor()
     return {
         "report": report_fields(report),
-        "result": simulator._last_run.result,
+        "result": record.result,
         "trace_events": trace.events,
         "telemetry": telemetry_bytes(
             *ScaleSimulator(config).run_with_telemetry()),
@@ -107,9 +107,8 @@ def _elastic_artifacts(config):
 @pytest.fixture(scope="module")
 def golden_run():
     config = golden_autoscale_config()
-    simulator = ScaleSimulator(config)
-    report = simulator.run()
-    return config, simulator, report
+    record = ScaleSimulator(config)._run_record(capture=False)
+    return config, record, record.report
 
 
 class TestElasticRun:
@@ -170,8 +169,8 @@ class TestElasticRun:
         assert weights["batch"] < weights["interactive"]
 
     def test_exactly_once_across_scale_transitions(self, golden_run):
-        _, simulator, report = golden_run
-        result = simulator._last_run.result
+        _, run, report = golden_run
+        result = run.result
         assert len(result.records) == report.n_admitted
         served = {}
         for batch in result.batches:
@@ -188,8 +187,8 @@ class TestElasticRun:
             assert set(shards) == set(record.shard_done_s)
 
     def test_fanout_tracks_pool_size(self, golden_run):
-        _, simulator, report = golden_run
-        result = simulator._last_run.result
+        _, record, report = golden_run
+        result = record.result
         widths = {record.n_required for record in result.records}
         assert min(widths) >= report.pool_min
         assert max(widths) == report.pool_max
@@ -368,18 +367,16 @@ class TestPoolModel:
 
 class TestController:
     def test_window_only_counts_the_trailing_interval(self):
-        controller = BurnRateController(
-            AutoscalePolicy(control_interval_s=0.010), slo_s=0.1)
+        policy = AutoscalePolicy(control_interval_s=0.010)
+        controller = BurnRateController(policy, slo_s=0.1)
+        budget = policy.error_budget
         controller.note_completion(0.001, tti_latency_s=0.2)  # violation
         controller.note_completion(0.009, tti_latency_s=0.05)
-        window = controller.window(0.010, n_overdue_pending=0)
-        assert window.n_requests == 2
-        assert window.n_violations == 1
-        # The next window starts at 0.010; both completions age out.
-        window = controller.window(0.020, n_overdue_pending=3)
-        assert window.n_requests == 3
-        assert window.n_violations == 3
-        assert window.index == 1
+        # One violation in two completions.
+        assert controller.class_burns(0.010, [0]) == [0.5 / budget]
+        # The next window starts at 0.010; both completions age out and
+        # the three overdue requests are the window's only violations.
+        assert controller.class_burns(0.020, [3]) == [1.0 / budget]
 
     def test_decisions_respect_bounds_and_cooldown(self):
         policy = AutoscalePolicy(min_shards=2, max_shards=4,

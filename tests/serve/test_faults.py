@@ -195,9 +195,8 @@ class TestScriptedOutageDegradation:
         assert len(batches) == 81
         assert sum(e.bytes_moved for e in batches) == 3_995_076_096
         # The monitor's HBM traffic input is the same dispatch-time list.
-        simulator.run_with_monitor()
-        assert simulator._batch_bytes(simulator._last_result) \
-            == [e.bytes_moved for e in batches]
+        record = simulator._simulate(capture=True)
+        assert record.batch_bytes == [e.bytes_moved for e in batches]
 
     def test_all_shards_dead_still_resolves(self):
         config = ServeConfig(

@@ -10,11 +10,8 @@ from repro.serve.simulator import (
     golden_integrity_config,
     golden_serve_config,
 )
-from repro.telemetry import (
-    StageTable,
-    build_query_traces,
-    reconcile_with_trace,
-)
+from repro.telemetry import StageTable, reconcile_with_trace
+from repro.telemetry.build import TraceBuilder
 
 CLOCK = DEFAULT_PARAMS.clock_hz
 
@@ -79,25 +76,25 @@ class TestReconciliation:
 class TestStageTables:
     def test_stage_table_count_mismatch_rejected(self):
         sim = ServingSimulator(golden_serve_config())
-        _report, result = sim._simulate()
+        result = sim._simulate().result
         with pytest.raises(ValueError, match="stage tables"):
-            build_query_traces(result, sim.merge_s, sim.prefill_s,
-                               stage_tables=[])
+            TraceBuilder(result, sim.merge_s, sim.prefill_s,
+                         stage_tables=[])
 
     def test_stage_table_shape_mismatch_rejected(self):
         sim = ServingSimulator(golden_serve_config())
-        _report, result = sim._simulate()
+        result = sim._simulate().result
         bogus = [StageTable(shard_id=99, batch_size=1,
                             stages=(("mac", 1.0),))
                  for _ in result.batches]
         with pytest.raises(ValueError, match="does not match"):
-            build_query_traces(result, sim.merge_s, sim.prefill_s,
-                               stage_tables=bogus)
+            TraceBuilder(result, sim.merge_s, sim.prefill_s,
+                         stage_tables=bogus)
 
     def test_without_tables_batches_stay_leaves(self):
         sim = ServingSimulator(golden_serve_config())
-        _report, result = sim._simulate()
-        traces = build_query_traces(result, sim.merge_s, sim.prefill_s)
+        result = sim._simulate().result
+        traces = TraceBuilder(result, sim.merge_s, sim.prefill_s).traces()
         for trace in traces:
             for batch in trace.root.find_all("batch"):
                 assert batch.children == []

@@ -31,10 +31,10 @@ from repro.serve.scheduler import BatchPolicy
 from repro.serve.simulator import ServeConfig, ServingSimulator
 from repro.telemetry import (
     SPAN_BATCH,
-    build_query_traces,
     conservation_error_cycles,
     critical_path,
 )
+from repro.telemetry.build import TraceBuilder
 from repro.telemetry.metrics import DEFAULT_LATENCY_BOUNDS_S, Histogram
 
 pytestmark = [pytest.mark.slow, pytest.mark.telemetry]
@@ -103,8 +103,9 @@ def assert_lazy_trees_exact(telemetry, result, merge, injector=None):
     traces = telemetry.traces
     assert telemetry.critical_paths == tuple(
         critical_path(trace) for trace in traces)
-    assert list(traces) == build_query_traces(
-        result, merge, builder.prefill_s, builder.stage_tables, injector)
+    assert list(traces) == TraceBuilder(
+        result, merge, builder.prefill_s, builder.stage_tables,
+        injector).traces()
     if traces:
         assert single == telemetry.trace_for(req_id) == traces[-1]
     spans = [span for trace in traces
@@ -120,8 +121,8 @@ def assert_lazy_trees_exact(telemetry, result, merge, injector=None):
 def test_lazy_trees_are_exact(config):
     sim = ServingSimulator(config)
     _report, telemetry = sim.run_with_telemetry()
-    assert_lazy_trees_exact(telemetry, sim._last_result, sim.merge_s,
-                            sim.injector)
+    assert_lazy_trees_exact(telemetry, telemetry.builder.result,
+                            sim.merge_s, sim.injector)
 
 
 @settings(max_examples=50, deadline=None)
