@@ -819,11 +819,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--engine", choices=list(ENGINES),
                         default=DEFAULT_ENGINE,
                         help="serve only, static fault-free runs only: "
-                             "simulation backend (the vectorized core is "
-                             "bit-identical to the scalar reference and "
-                             "~100x faster); fault-plan runs use the scalar "
-                             "event loop on either engine and --autoscale "
-                             "runs ignore it")
+                             "simulation backend (the vectorized core "
+                             "reports from NumPy columns, bit-identical "
+                             "to the scalar reference and ~100x faster); "
+                             "fault-plan runs use the scalar event loop on "
+                             "either engine and --autoscale runs ignore it")
     return parser
 
 

@@ -113,12 +113,20 @@ class RunBundle:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunBundle":
+    def from_dict(cls, data: Any) -> "RunBundle":
+        """Parse :meth:`to_dict` output; a wrong top-level type, version
+        or missing field raises ``ValueError`` naming it."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a run bundle must be a JSON object, "
+                             f"got {type(data).__name__}")
         version = data.get("version")
         if version != BUNDLE_VERSION:
             raise ValueError(
                 f"unsupported bundle version {version!r} "
                 f"(expected {BUNDLE_VERSION})")
+        for name in ("workload", "metrics", "n_completed", "monitor"):
+            if name not in data:
+                raise ValueError(f"missing field {name!r}")
         return cls(
             workload=str(data["workload"]),
             engine=str(data.get("engine", "")),

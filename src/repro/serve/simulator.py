@@ -143,10 +143,11 @@ class ServeConfig:
     #: charges the check-bit storage inflation plus the per-query
     #: encode/decode cycles.
     ecc: ECCConfig = field(default_factory=ECCConfig)
-    #: Execution backend for fault-free runs: ``"scalar"`` (the
-    #: reference event loop) or ``"vectorized"`` (the NumPy core,
-    #: validated bit-identical against it by ``tests/simcore``).  Fault
-    #: runs use the scalar event loop on either engine.
+    #: Backend of a plain fault-free ``run()``: ``"scalar"`` (the
+    #: reference event loop) or ``"vectorized"`` (the NumPy core, which
+    #: reports from columns proven equal to the loop's by
+    #: ``tests/simcore``).  Fault runs, telemetry, monitors and traces
+    #: use the scalar event loop on either engine.
     engine: str = DEFAULT_ENGINE
 
     def __post_init__(self):
@@ -720,7 +721,9 @@ class ServingSimulator:
         reports straight from the
         :class:`~repro.simcore.arrays.ArraySchedule` columns; either
         way the record builds its ``ScheduleResult`` and batch bytes
-        only when a view reads them (an active trace collector).
+        only when a view reads them (an active trace collector).  Every
+        ``ScheduleResult`` comes from the scalar event loop: the
+        columnar record runs it on the same requests when first read.
         """
         cfg = self.config
         if self.injector is None and not capture \
@@ -732,11 +735,8 @@ class ServingSimulator:
                 schedule.latency_s()[by_id], schedule.horizon_s,
                 schedule.busy_seconds.tolist(), schedule.batch_size)
             return self._record(report, lambda: self._placed(
-                schedule.to_schedule_result()))
-        if requests is None:
-            requests = poisson_arrivals(cfg.qps, cfg.n_requests, cfg.seed)
-        elif isinstance(requests, np.ndarray):
-            requests = trace_arrivals(requests)
+                self.scheduler.run(self._requests(requests))))
+        requests = self._requests(requests)
         if self.injector is not None:
             # Replays must start from the calibrated placement.
             self.service_model.reset()
@@ -800,6 +800,17 @@ class ServingSimulator:
         if trace is not None and trace.enabled:
             emit_run_trace(record, trace)
         return record
+
+    def _requests(self, requests: Optional[Arrivals]
+                  ) -> Sequence[Request]:
+        """The stream as ``Request`` objects (ids positional for an
+        arrival array or the config's Poisson stream)."""
+        if requests is None:
+            cfg = self.config
+            return poisson_arrivals(cfg.qps, cfg.n_requests, cfg.seed)
+        if isinstance(requests, np.ndarray):
+            return trace_arrivals(requests)
+        return requests
 
     def _arrival_columns(self, requests: Optional[Arrivals]
                          ) -> Tuple[np.ndarray, Optional[np.ndarray]]:

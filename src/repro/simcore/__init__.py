@@ -1,12 +1,14 @@
 """Vectorized simulation core (``repro.simcore``).
 
-A NumPy execution backend for the serving simulator that reproduces
-the scalar :class:`~repro.serve.scheduler.DiscreteEventScheduler`
-bit-identically (``tests/simcore`` is the proof) at two-plus orders of
-magnitude more simulated queries per wall-second.  It accelerates
-fault-free static runs only; with a fault plan it runs the scalar
-:class:`~repro.serve.scheduler.ShardMachine`.  Select it with
-``ServeConfig(engine="vectorized")`` or ``repro serve --engine``.
+A NumPy columnar backend for the serving simulator: plain fault-free
+static ``run()`` reports from its :class:`ArraySchedule` columns,
+bit-identical to the scalar
+:class:`~repro.serve.scheduler.DiscreteEventScheduler`
+(``tests/simcore`` is the proof) at two-plus orders of magnitude more
+simulated queries per wall-second.  Every object-form result (fault
+plans, telemetry, monitors, traces) comes from the scalar event loop.
+Select it with ``ServeConfig(engine="vectorized")`` or ``repro serve
+--engine``.
 """
 
 from .arrays import ArraySchedule

@@ -1,22 +1,21 @@
 """Engine selection for the static serving simulator.
 
-Two execution backends produce a :class:`~repro.serve.scheduler.ScheduleResult`
-for a static (autoscaler-off) deployment:
+Two execution backends serve a plain fault-free static
+(autoscaler-off) ``run()``:
 
 * ``"scalar"`` -- the reference :class:`~repro.serve.scheduler.DiscreteEventScheduler`,
   a plain binary-heap event loop.  Slow, obviously correct, and the
   bit-exactness oracle for everything else.
 * ``"vectorized"`` -- :class:`~repro.simcore.vectorized.VectorizedScheduler`,
-  which batch-evaluates independent per-shard timelines with NumPy and
-  reconstructs the global event order from push keys.  Validated
-  bit-identical against the scalar core by ``tests/simcore``.
+  which batch-evaluates independent per-shard timelines with NumPy into
+  order-free columns and reports from them.  Validated bit-identical
+  against the scalar core by ``tests/simcore``.
 
-The setting only picks the backend of fault-free static runs: a run
-with a fault plan goes through the scalar
-:class:`~repro.serve.scheduler.ShardMachine` on either engine, and
-elastic (autoscaled) runs have a single event loop.  This module owns
-only the names and the validation so that config and CLI layers can
-import it without pulling in the heavy backends.
+Every :class:`~repro.serve.scheduler.ScheduleResult` -- fault plans,
+telemetry, monitors, traces -- comes from the scalar event loop on
+either engine, and elastic (autoscaled) runs have a single event loop.
+This module owns only the names and the validation so that config and
+CLI layers can import it without pulling in the heavy backends.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.monitor import (
+    RunBundle,
     bundle_from_run,
     diff_bundles,
     diff_metrics,
@@ -138,3 +139,16 @@ def test_format_diff_deterministic_and_reports_failures(serve_baseline):
     assert text == format_diff(diff, "base", "cur")
     assert "REGRESSION" in text
     assert "EXACT-METRIC DRIFT" in text
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda data: [data], "a run bundle must be a JSON object, got list"),
+    (lambda data: {k: v for k, v in data.items() if k != "metrics"},
+     "missing field 'metrics'"),
+])
+def test_from_dict_names_the_wrong_type_or_missing_field(mutate, message):
+    report, telemetry, monitor = \
+        ServingSimulator(golden_serve_config()).run_with_monitor()
+    data = bundle_from_run("serve", report, telemetry, monitor).to_dict()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RunBundle.from_dict(mutate(data))

@@ -8,25 +8,29 @@ Layers of evidence, from cheapest to broadest:
    exposed metrics registry must compare *equal* -- no tolerances.
 2. **Scheduler-level hypothesis sweeps.**  Random arrival streams,
    batch policies, shard counts, and synthetic service models drive
-   both schedulers directly; the full :class:`ScheduleResult` (batches,
-   records, busy seconds, fault log, death times) must match, with and
-   without randomized fault / bit-flip plans.
+   both schedulers directly.  Fault-free, the ``run_arrays`` columns
+   must equal the scalar :class:`ScheduleResult` shard by shard (each
+   shard's batches in dispatch order, every request's resolution time,
+   busy seconds); with randomized fault / bit-flip plans the full
+   results (fault log, death times) must match.
 3. **Simulator-level hypothesis sweep.**  Whole ``ServeConfig``
    deployments (anchored service models, failover, integrity,
    telemetry on or off) compared end to end.
 4. **The columnar report.**  Fault-free vectorized ``run()`` reports
    from ``ArraySchedule`` columns; its report must equal the scalar
    engine's, ``run_with_telemetry()``'s, and list arithmetic over the
-   materialized records, on tied / on-deadline arrivals, shuffled
+   scalar loop's records, on tied / on-deadline arrivals, shuffled
    request ids, and fleets of several service classes.
-5. **A guard** that plain ``run()`` never materializes records.
+5. **A guard** that plain ``run()`` never runs the scalar event loop.
 
 Cross-shard ties at the exact same float64 instant are not hypothetical
 -- different per-shard service sums really do round to the same double
-under these sweeps -- and the fault-free merge resolves them exactly
-(heap-tie repair), so every assertion here is strict equality with no
-tolerance.  Fault runs take the scalar event loop on either engine, so
-their comparisons hold by construction and pin that hand-off.
+under these sweeps.  The columns carry no global order, so such ties
+cannot change them, and every assertion here is strict equality with
+no tolerance.  Every object-form ``ScheduleResult`` (fault runs,
+telemetry, monitors, traces) comes from the scalar event loop on
+either engine, so those comparisons hold by construction and pin that
+hand-off.
 """
 
 import dataclasses
@@ -58,7 +62,7 @@ from repro.serve import (
     trace_arrivals,
 )
 from repro.serve.metrics import LatencyStats, nearest_rank_percentile
-from repro.simcore import ArraySchedule, VectorizedScheduler
+from repro.simcore import VectorizedScheduler
 from repro.simcore.vectorized import request_columns
 
 GOLDEN_FACTORIES = {
@@ -78,6 +82,31 @@ def _assert_results_equal(res_s, res_v):
     assert res_v.busy_seconds == res_s.busy_seconds
     assert res_v.fault_log == res_s.fault_log
     assert res_v.death_times == res_s.death_times
+
+
+def _assert_columns_match(arrays, scalar_result):
+    """The ``run_arrays`` columns equal the scalar result shard by
+    shard: each shard's batches in dispatch order (dispatch, service,
+    request ids, head arrival), every request's resolution time by id,
+    and busy seconds."""
+    ids = arrays.req_ids.tolist()
+    arrival = arrays.arrival_s.tolist()
+    columns = [
+        (shard, dispatch, service, tuple(ids[start:start + size]),
+         arrival[start])
+        for shard, dispatch, service, start, size in zip(
+            arrays.batch_shard.tolist(), arrays.batch_dispatch_s.tolist(),
+            arrays.batch_service_s.tolist(), arrays.batch_start.tolist(),
+            arrays.batch_size.tolist())]
+    # A stable sort by shard keeps each shard's dispatch order.
+    assert columns == sorted(
+        ((b.shard_id, b.dispatch_s, b.service_s, b.request_ids,
+          b.head_enqueue_s) for b in scalar_result.batches),
+        key=lambda row: row[0])
+    assert dict(zip(ids, arrays.retrieval_done_s.tolist())) == {
+        r.req_id: r.retrieval_done_s for r in scalar_result.records}
+    assert tuple(arrays.busy_seconds.tolist()) \
+        == scalar_result.busy_seconds
 
 
 def _assert_configs_agree(base: ServeConfig, with_telemetry: bool = True):
@@ -155,13 +184,14 @@ def test_heap_tie_across_unequal_histories():
     different service sums (2.3838ms + 0.63ms == 1.7938ms + 1.22ms
     after rounding), both arm max-wait timers there, and the scalar
     heap orders shard 6 first because its completion was pushed
-    earlier.  Exercises the fault-free heap-tie repair."""
+    earlier.  The per-shard columns must not care."""
     policy = BatchPolicy(max_batch=4, max_wait_s=5e-4)
     requests = poisson_arrivals(3000.0, 9, 0)
     service = _synthetic_service(base_ms=0.5, inc_ms=0.11)
     res_s = DiscreteEventScheduler(7, policy, service).run(requests)
-    res_v = VectorizedScheduler(7, policy, service).run(requests)
-    _assert_results_equal(res_s, res_v)
+    arrays = VectorizedScheduler(7, policy, service).run_arrays(
+        *request_columns(requests))
+    _assert_columns_match(arrays, res_s)
 
 
 def test_death_observed_by_arrival_inside_backoff():
@@ -257,8 +287,9 @@ def test_schedulers_agree_fault_free(scenario):
     n_shards, policy, qps, n_requests, seed, service = scenario
     requests = poisson_arrivals(qps, n_requests, seed)
     res_s = DiscreteEventScheduler(n_shards, policy, service).run(requests)
-    res_v = VectorizedScheduler(n_shards, policy, service).run(requests)
-    _assert_results_equal(res_s, res_v)
+    arrays = VectorizedScheduler(n_shards, policy, service).run_arrays(
+        poisson_arrival_times(qps, n_requests, seed))
+    _assert_columns_match(arrays, res_s)
 
 
 @pytest.mark.simcore
@@ -428,8 +459,9 @@ def test_explicit_arrays_match_request_streams():
 def _class_service(n_classes: int, base: int, step: int, inc: int):
     """Dyadic synthetic service where shards ``s`` and ``s + n_classes``
     share a class.  Exact sums make different classes collide at the
-    same instant often (the heap-tie repair fires in roughly one run in
-    six), so per-class scan reuse and cross-class repair meet."""
+    same instant often (a cross-class heap tie in roughly one run in
+    six), so per-class scan reuse meets simultaneous cross-shard
+    events."""
     def service(shard_id: int, batch_size: int) -> float:
         return (base + step * (shard_id % n_classes)
                 + inc * (batch_size - 1)) * _QUANTUM / 4
@@ -465,10 +497,9 @@ def test_schedulers_agree_on_quantized_class_fleets(
                          max_wait_s=wait_quanta * _QUANTUM)
     service = _class_service(n_classes, base, step, inc)
     res_s = DiscreteEventScheduler(n_shards, policy, service).run(requests)
-    sched = VectorizedScheduler(n_shards, policy, service)
-    _assert_results_equal(res_s, sched.run(requests))
-    arrivals, req_ids = request_columns(requests)
-    assert sched.run_arrays(arrivals, req_ids).to_schedule_result() == res_s
+    arrays = VectorizedScheduler(n_shards, policy, service).run_arrays(
+        *request_columns(requests))
+    _assert_columns_match(arrays, res_s)
 
 
 @pytest.mark.simcore
@@ -508,15 +539,15 @@ def test_uneven_split_yields_several_service_classes():
 
 
 # ----------------------------------------------------------------------
-# 5. Guard: plain run() never materializes the object record
+# 5. Guard: plain run() never runs the scalar event loop
 # ----------------------------------------------------------------------
 def test_columnar_run_does_not_materialize(monkeypatch):
-    def refuse(self):
-        raise AssertionError("fault-free run() materialized its records")
+    def refuse(self, requests):
+        raise AssertionError("fault-free run() ran the scalar event loop")
 
     config = dataclasses.replace(golden_serve_config(), engine="vectorized")
     with monkeypatch.context() as patch:
-        patch.setattr(ArraySchedule, "to_schedule_result", refuse)
+        patch.setattr(DiscreteEventScheduler, "run", refuse)
         report = ServingSimulator(config).run()
         assert report.n_completed == config.n_requests
         static = ScaleSimulator(ScaleConfig(

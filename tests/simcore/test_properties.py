@@ -1,17 +1,19 @@
 """Property tests for the vectorized core's internal invariants.
 
-Bit-identity against the scalar loop (``test_differential``) is the
-headline guarantee; these properties hold *independently*, so a future
+Equality with the scalar loop (``test_differential``) is the headline
+guarantee; these properties hold *independently*, so a future
 regression that broke both engines the same way would still be caught:
 
-* global event order is time-monotone;
-* every request completes exactly once on every live shard, FIFO
-  within each shard;
+* each shard dispatches in time order, never overlapping its own
+  batches;
+* every request is served exactly once on every shard, FIFO within
+  each shard, and resolves when its last shard completes;
 * repeated runs are bit-identical, including across interpreter
   processes with different ``PYTHONHASHSEED`` values (nothing in the
   core may iterate a hash-ordered container into an ordered artifact).
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -22,12 +24,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import BatchPolicy, poisson_arrival_times, poisson_arrivals
+from repro.serve import BatchPolicy, DiscreteEventScheduler, \
+    poisson_arrival_times, poisson_arrivals
 from repro.simcore import ArraySchedule, VectorizedScheduler
+
+from .test_differential import _assert_columns_match
 
 
 def _service(shard_id: int, batch_size: int) -> float:
     return (0.7 * (1.0 + 0.13 * shard_id) + 0.11 * (batch_size - 1)) * 1e-3
+
+
+def _columns_json(arrays):
+    """Every column of a columnar run, floats as exact hex, as JSON."""
+    return json.dumps({
+        name: [v.hex() if isinstance(v, float) else v
+               for v in column.tolist()]
+        for name, column in vars(arrays).items()
+        if isinstance(column, np.ndarray)}, sort_keys=True)
 
 
 @st.composite
@@ -47,45 +61,49 @@ def runs(draw):
 @given(run=runs())
 def test_event_order_and_completion_invariants(run):
     n_shards, policy, qps, n_requests, seed = run
-    requests = poisson_arrivals(qps, n_requests, seed)
-    result = VectorizedScheduler(n_shards, policy, _service).run(requests)
+    arrivals = poisson_arrival_times(qps, n_requests, seed)
+    arrays = VectorizedScheduler(n_shards, policy, _service).run_arrays(
+        arrivals)
 
-    # Event-time monotonicity: the batch tuple is emitted in global
-    # event order, so dispatch times never step backwards.
-    dispatches = [b.dispatch_s for b in result.batches]
-    assert all(b >= a for a, b in zip(dispatches, dispatches[1:]))
-
-    # Per-shard: dense sequence numbers and FIFO service order.
+    # Shard-major columns.
+    assert np.all(np.diff(arrays.batch_shard) >= 0)
+    shard_done = np.full(n_requests, -np.inf)
     for shard_id in range(n_shards):
-        shard_batches = [b for b in result.batches
-                        if b.shard_id == shard_id]
-        shard_batches.sort(key=lambda b: b.seq)
-        assert [b.seq for b in shard_batches] \
-            == list(range(len(shard_batches)))
-        served = [r for b in shard_batches for r in b.request_ids]
-        assert served == sorted(served)  # FIFO within the shard
-        assert served == [r.req_id for r in requests]  # exactly once
+        rows = np.flatnonzero(arrays.batch_shard == shard_id)
+        dispatch = arrays.batch_dispatch_s[rows]
+        service = arrays.batch_service_s[rows]
+        starts = arrays.batch_start[rows]
+        sizes = arrays.batch_size[rows]
+        # Per-shard dispatch order: one batch at a time on the device,
+        # each dispatched once its last member has arrived.
+        assert np.all(dispatch[1:] >= dispatch[:-1] + service[:-1])
+        assert np.all(arrivals[starts + sizes - 1] <= dispatch)
+        assert np.all((sizes >= 1) & (sizes <= policy.max_batch))
+        # Exactly once, FIFO: the shard's batches tile the stream.
+        ends = starts + sizes
+        assert starts[0] == 0 and ends[-1] == n_requests
+        assert np.array_equal(starts[1:], ends[:-1])
+        # Busy seconds: the scalar loop's sequential += order.
+        assert arrays.busy_seconds[shard_id] == sum(service.tolist())
+        np.maximum(shard_done, np.repeat(dispatch + service, sizes),
+                   out=shard_done)
 
-    # Exactly-once completion: every request resolves, after arrival,
-    # with the full scatter-gather fan-out.
-    assert len(result.records) == n_requests
-    assert sorted(r.req_id for r in result.records) \
-        == [r.req_id for r in requests]
-    for record in result.records:
-        assert record.retrieval_done_s is not None
-        assert record.retrieval_done_s >= record.arrival_s
-        assert record.n_required == n_shards
-        assert set(record.shard_done_s) == set(range(n_shards))
+    # Every request resolves, after arrival, when its last shard does.
+    assert np.array_equal(arrays.retrieval_done_s, shard_done)
+    assert np.all(arrays.latency_s() >= 0.0)
+    assert arrays.req_ids.tolist() == list(range(n_requests))
 
 
 @settings(deadline=None, max_examples=20)
 @given(run=runs())
 def test_repeated_runs_are_bit_identical(run):
     n_shards, policy, qps, n_requests, seed = run
-    requests = poisson_arrivals(qps, n_requests, seed)
-    first = VectorizedScheduler(n_shards, policy, _service).run(requests)
-    second = VectorizedScheduler(n_shards, policy, _service).run(requests)
-    assert first == second
+    arrivals = poisson_arrival_times(qps, n_requests, seed)
+    first = VectorizedScheduler(n_shards, policy, _service).run_arrays(
+        arrivals)
+    second = VectorizedScheduler(n_shards, policy, _service).run_arrays(
+        arrivals.copy())
+    assert _columns_json(first) == _columns_json(second)
 
 
 @settings(deadline=None, max_examples=20)
@@ -100,30 +118,25 @@ def test_run_arrays_matches_run(run):
     assert np.all(arrays.latency_s() >= 0.0)
     assert arrays.n_events \
         == n_requests * n_shards + 2 * arrays.n_batches
-    # The columnar result materializes to exactly what run() produces.
-    reference = VectorizedScheduler(n_shards, policy, _service).run(
+    # The columns hold exactly what the scalar run() produces.
+    reference = DiscreteEventScheduler(n_shards, policy, _service).run(
         poisson_arrivals(qps, n_requests, seed))
-    assert arrays.to_schedule_result() == reference
+    _assert_columns_match(arrays, reference)
 
 
-_HASHSEED_SCRIPT = """\
-import json
-from repro.serve import BatchPolicy, poisson_arrivals
+_HASHSEED_SCRIPT = "import json\nimport numpy as np\n\n" \
+    + inspect.getsource(_columns_json) + """
+from repro.serve import BatchPolicy, poisson_arrival_times
 from repro.simcore import VectorizedScheduler
 
 def service(shard_id, batch_size):
     return (0.7 * (1.0 + 0.13 * shard_id)
             + 0.11 * (batch_size - 1)) * 1e-3
 
-result = VectorizedScheduler(5, BatchPolicy(max_batch=6, max_wait_s=1e-3),
-                             service).run(poisson_arrivals(900.0, 200, 3))
-print(json.dumps({
-    "batches": [[b.shard_id, b.seq, b.dispatch_s.hex(),
-                 b.service_s.hex(), list(b.request_ids)]
-                for b in result.batches],
-    "done": [r.retrieval_done_s.hex() for r in result.records],
-    "busy": [b.hex() for b in result.busy_seconds],
-}, sort_keys=True))
+arrays = VectorizedScheduler(
+    5, BatchPolicy(max_batch=6, max_wait_s=1e-3),
+    service).run_arrays(poisson_arrival_times(900.0, 200, 3))
+print(_columns_json(arrays))
 """
 
 

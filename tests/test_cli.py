@@ -85,6 +85,17 @@ class TestServeCommand:
             main(["serve", "--corpus", "10GB", "--requests", "8",
                   flag, str(plan_path)])
 
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "a run bundle must be a JSON object, got list"),
+        ('{"version": 1, "workload": "serve"}', "missing field 'metrics'"),
+    ])
+    def test_diff_bad_bundle_exits_cleanly(self, tmp_path, text, message):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit,
+                           match=f"^cannot load run bundle: {message}$"):
+            main(["diff", str(path), str(path)])
+
     def test_serve_rejects_bad_shards(self):
         with pytest.raises(ValueError):
             main(["serve", "--shards", "0", "--requests", "8",
