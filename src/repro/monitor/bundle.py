@@ -16,9 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Mapping, Union
+from typing import Any, Dict, Union
 
-from .series import RunMonitor
+from .series import RunMonitor, json_field, json_object
 
 __all__ = [
     "RunBundle",
@@ -114,11 +114,10 @@ class RunBundle:
 
     @classmethod
     def from_dict(cls, data: Any) -> "RunBundle":
-        """Parse :meth:`to_dict` output; a wrong top-level type, version
-        or missing field raises ``ValueError`` naming it."""
-        if not isinstance(data, Mapping):
-            raise ValueError(f"a run bundle must be a JSON object, "
-                             f"got {type(data).__name__}")
+        """Parse :meth:`to_dict` output; a wrong type, version or
+        missing field, at any depth, raises ``ValueError`` naming its
+        path (e.g. ``monitor.series[0].help``)."""
+        data = json_object(data, "a run bundle")
         version = data.get("version")
         if version != BUNDLE_VERSION:
             raise ValueError(
@@ -130,10 +129,13 @@ class RunBundle:
         return cls(
             workload=str(data["workload"]),
             engine=str(data.get("engine", "")),
-            metrics=dict(data["metrics"]),
-            stage_totals={str(k): float(v)
-                          for k, v in data.get("stage_totals", {}).items()},
-            n_completed=int(data["n_completed"]),
+            metrics=dict(json_object(data["metrics"], "metrics")),
+            stage_totals=json_field(
+                data, "", "stage_totals",
+                lambda raw: {str(k): float(v) for k, v
+                             in json_object(raw, "value").items()},
+                {}),
+            n_completed=json_field(data, "", "n_completed", int),
             monitor=RunMonitor.from_dict(data["monitor"]),
         )
 

@@ -11,13 +11,56 @@ them and the differ can align them across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Tuple, TypeVar
 
 __all__ = ["MonitorError", "Series", "RunMonitor"]
 
 
 class MonitorError(ValueError):
     """Raised for invalid monitor construction or lookups."""
+
+
+_T = TypeVar("_T")
+_REQUIRED: Any = object()
+
+
+def json_object(data: Any, where: str) -> Mapping[str, Any]:
+    """``data`` if it is a JSON object, else a ``ValueError`` naming
+    ``where``."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{where} must be a JSON object, "
+                         f"got {type(data).__name__}")
+    return data
+
+
+def json_field(data: Mapping[str, Any], where: str, key: str,
+               parse: Callable[[Any], _T], default: Any = _REQUIRED) -> _T:
+    """``parse`` of field ``key`` (or of ``default`` when it is absent).
+
+    A missing required field, or a value ``parse`` rejects, raises
+    ``ValueError`` naming the path ``where.key`` (``key`` alone when
+    ``where`` is empty).
+    """
+    path = f"{where}.{key}" if where else key
+    if key not in data and default is _REQUIRED:
+        raise ValueError(f"missing field {path!r}")
+    try:
+        return parse(data.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _json_list(raw: Any) -> List[Any]:
+    if not isinstance(raw, list):
+        raise TypeError(f"expected a list, got {type(raw).__name__}")
+    return raw
+
+
+def _pairs(parse: Callable[[Any], _T]
+           ) -> Callable[[Any], Tuple[Tuple[_T, _T], ...]]:
+    """Parser of a JSON list of ``[a, b]`` pairs, items through ``parse``."""
+    return lambda raw: tuple((parse(a), parse(b)) for a, b in _json_list(raw))
 
 
 def _label_str(labels: Tuple[Tuple[str, str], ...]) -> str:
@@ -61,16 +104,18 @@ class Series:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Series":
-        return cls(
-            name=str(data["name"]),
-            help_text=str(data["help"]),
-            kind=str(data["kind"]),
-            labels=tuple(
-                (str(k), str(v)) for k, v in data.get("labels", [])),
-            points=tuple(
-                (float(t), float(v)) for t, v in data.get("points", [])),
-        )
+    def from_dict(cls, data: Any, where: str = "series") -> "Series":
+        """Parse :meth:`to_dict` output; a malformed entry raises
+        ``ValueError`` naming its path under ``where``."""
+        read: Callable[..., Any] = partial(
+            json_field, json_object(data, where), where)
+        try:
+            return cls(name=read("name", str), help_text=read("help", str),
+                       kind=read("kind", str),
+                       labels=read("labels", _pairs(str), []),
+                       points=read("points", _pairs(float), []))
+        except MonitorError as exc:
+            raise MonitorError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -129,13 +174,24 @@ class RunMonitor:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunMonitor":
-        return cls(
-            workload=str(data["workload"]),
-            cadence_s=float(data["cadence_s"]),
-            horizon_s=float(data["horizon_s"]),
-            instants=tuple(float(t) for t in data.get("instants", [])),
-            series=tuple(
-                Series.from_dict(s) for s in data.get("series", [])),
-            registry_exposition=str(data.get("registry_exposition", "")),
-        )
+    def from_dict(cls, data: Any, where: str = "monitor") -> "RunMonitor":
+        """Parse :meth:`to_dict` output; a malformed field raises
+        ``ValueError`` naming its path under ``where`` (e.g.
+        ``monitor.series[0].help``)."""
+        read: Callable[..., Any] = partial(
+            json_field, json_object(data, where), where)
+        series = tuple(
+            Series.from_dict(entry, f"{where}.series[{index}]")
+            for index, entry in enumerate(read("series", _json_list, [])))
+        try:
+            return cls(
+                workload=read("workload", str),
+                cadence_s=read("cadence_s", float),
+                horizon_s=read("horizon_s", float),
+                instants=read("instants", lambda raw: tuple(
+                    float(t) for t in _json_list(raw)), []),
+                series=series,
+                registry_exposition=read("registry_exposition", str, ""),
+            )
+        except MonitorError as exc:
+            raise MonitorError(f"{where}: {exc}") from None

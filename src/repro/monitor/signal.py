@@ -112,9 +112,13 @@ class BurnSignal:
         windows (the per-tick path of the controller and the monitor).
         """
         self.advance(now_s - self.window_s)
-        return [window_burn_rate(n_requests, n_violations, budget)
-                for n_requests, n_violations
-                in self._counts(overdue_by_class)]
+        burns: List[float] = []
+        for completions, violations, overdue in zip(
+                self._completions, self._violations, overdue_by_class):
+            overdue = int(overdue)
+            burns.append(window_burn_rate(len(completions) + overdue,
+                                          violations + overdue, budget))
+        return burns
 
     def _counts(self, overdue_by_class: Sequence[int]
                 ) -> List[Tuple[int, int]]:

@@ -39,8 +39,9 @@ against the event heap instead of heap-pushed (taken first at equal
 times, exactly as if pushed before every other event), admission runs
 in bulk while every serving device is busy, the per-tick overdue
 count is the amortized-O(1)
-:class:`~repro.simcore.elastic.OverdueTracker`, and the per-tick burn
-comes from the signal's running violation counts;
+:class:`~repro.simcore.elastic.OverdueTracker`, the per-tick burn
+comes from the signal's running violation counts, and each slot
+caches its dispatch bytes and service times per topology;
 ``ServeConfig.engine`` selects only the static backend.  Per-request
 state stays in the machine's flat columns, so a plain :meth:`run`
 reports from them without building a ``RequestRecord``.  Every random
@@ -71,7 +72,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -183,9 +184,13 @@ class ScaleConfig:
                 f"[{auto.min_shards}, {auto.max_shards}]")
 
 
-@dataclass(frozen=True)
-class ScaleAction:
-    """One autoscaler/admission decision, in event order."""
+class ScaleAction(NamedTuple):
+    """One autoscaler/admission decision, in event order.
+
+    An immutable typed tuple, built once per control tick, shed and
+    topology change; its ``repr`` is the dataclass form,
+    ``ScaleAction(kind=..., ...)``.
+    """
 
     # "tick" | "attach" | "warm" | "detach" | "drained" | "shed" | "dead"
     kind: str
@@ -327,14 +332,29 @@ class _Slot:
     """Elastic lifecycle of one device slot (queues live in the
     :class:`~repro.serve.scheduler.ShardMachine`)."""
 
-    __slots__ = ("chunk_count", "serving", "warming", "draining")
+    __slots__ = ("chunk_count", "nbytes", "service_s", "serving",
+                 "warming", "draining")
 
     def __init__(self) -> None:
         #: Chunks this device scans per query (frozen while draining).
         self.chunk_count = 0
+        #: Resident embedding bytes of the slice, and the batch service
+        #: time per batch size (``service_s[b - 1]``), both cached for
+        #: ``chunk_count`` by :meth:`anchor`.
+        self.nbytes = 0
+        self.service_s: Tuple[float, ...] = ()
         self.serving = False
         self.warming = False
         self.draining = False
+
+    def anchor(self, count: int, pool: ElasticAPUDevicePool,
+               max_batch: int) -> None:
+        """Take a ``count``-chunk slice and cache its per-dispatch
+        costs from the pool (topology changes only)."""
+        self.chunk_count = count
+        self.nbytes = pool.embedding_bytes(count)
+        self.service_s = tuple(pool.service_seconds(count, b)
+                               for b in range(1, max_batch + 1))
 
 
 class ScaleSimulator:
@@ -468,7 +488,7 @@ class ScaleSimulator:
         serving: List[int] = list(range(cfg.n_shards))
         for j, count in pool.counts_for(serving).items():
             slots[j].serving = True
-            slots[j].chunk_count = count
+            slots[j].anchor(count, pool, max_batch)
         n_warming = 0
 
         priorities: Dict[int, int] = {}
@@ -486,10 +506,10 @@ class ScaleSimulator:
         overdue = OverdueTracker(cfg.slo_s, len(classes))
 
         def on_dispatch(batch: ExecutedBatch) -> None:
-            shard_id = batch.shard_id
-            count = slots[shard_id].chunk_count
-            batch_bytes.append(pool.embedding_bytes(count))
+            slot = slots[batch.shard_id]
+            batch_bytes.append(slot.nbytes)
             if capture:
+                shard_id, count = batch.shard_id, slot.chunk_count
                 take = batch.batch_size
                 table = stage_memo.get((count, take))
                 if table is None:
@@ -501,16 +521,21 @@ class ScaleSimulator:
                                        stages=table.stages)
                 stage_tables.append(table)
 
+        note_completion = controller.signal.note_completion
+        resolve_overdue = overdue.resolve
+        merge_for = self._merge_for
+        prefill_s = self.prefill_s
+
         def on_resolved(req_id: int, now: float) -> None:
             nonlocal n_open
             n_open -= 1
-            overdue.resolve(req_id)
-            merge = self._merge_for(required_col[req_id])
-            lat = (now - arrival_col[req_id]) + merge + self.prefill_s
+            resolve_overdue(req_id)
+            merge = merge_for(required_col[req_id])
+            lat = (now - arrival_col[req_id]) + merge + prefill_s
             tti_latency[req_id] = lat
-            controller.note_completion(now, lat, priorities[req_id])
+            note_completion(now, lat, priorities[req_id])
             if closed is not None:
-                next_think(now + merge + self.prefill_s)
+                next_think(now + merge + prefill_s)
 
         def on_death(shard_id: int, now: float) -> None:
             """The failover reaction: drop the slot from the topology,
@@ -536,7 +561,7 @@ class ScaleSimulator:
 
         machine = ShardMachine(
             pool.capacity, cfg.batch,
-            lambda j, take: pool.service_seconds(slots[j].chunk_count, take),
+            lambda j, take: slots[j].service_s[take - 1],
             injector=injector, retry=cfg.retry,
             protected=cfg.integrity.enabled,
             ecc=ECCModel(cfg.ecc) if cfg.ecc.enabled else None,
@@ -585,7 +610,7 @@ class ScaleSimulator:
         def retopo() -> None:
             """Re-anchor every serving slot on the current topology."""
             for j, count in pool.counts_for(serving).items():
-                slots[j].chunk_count = count
+                slots[j].anchor(count, pool, max_batch)
 
         def next_think(after_s: float) -> None:
             nonlocal issues_pending
@@ -843,13 +868,19 @@ class ScaleSimulator:
         req_ids = sorted(machine.arrival_s)
         arrival_col, done_col = machine.arrival_s, machine.done_s
         required_col = machine.n_required
-        arrival = np.array([arrival_col[r] for r in req_ids])
-        done = np.array([done_col[r] for r in req_ids])
-        merge = np.array([merge_by_required[required_col[r]]
-                          for r in req_ids])
-        tti_lat = np.array([tti_latency[r] for r in req_ids])
-        batches = machine.batches
         n_admitted = len(req_ids)
+
+        def column(values: Dict[int, float]) -> np.ndarray:
+            return np.fromiter(map(values.__getitem__, req_ids), float,
+                               n_admitted)
+
+        arrival = column(arrival_col)
+        done = column(done_col)
+        merge = np.fromiter(
+            map(merge_by_required.__getitem__,
+                map(required_col.__getitem__, req_ids)), float, n_admitted)
+        tti_lat = column(tti_latency)
+        batches = machine.batches
         n_shed = sum(shed_counts)
         n_offered = n_admitted + n_shed
         n_good = int(np.count_nonzero(tti_lat <= cfg.slo_s))

@@ -64,7 +64,8 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 import numpy as np
 
@@ -157,13 +158,17 @@ class RetryPolicy:
         return min(self.backoff_cap_s, self.backoff_base_s * 2 ** exponent)
 
 
-@dataclass(frozen=True)
-class ExecutedBatch:
+class ExecutedBatch(NamedTuple):
     """One batch attempt executed on one shard's device.
 
     ``service_s`` is the time the device was *occupied*: the full
     service time for a successful attempt, the truncated window for an
     attempt that timed out or was interrupted by an outage.
+
+    An immutable typed tuple: the event loop builds one per dispatch,
+    so construction cost is per-event cost (a frozen dataclass pays one
+    ``object.__setattr__`` per field).  Its ``repr`` is the dataclass
+    form, ``ExecutedBatch(shard_id=..., ...)``.
     """
 
     shard_id: int
@@ -496,10 +501,8 @@ class ShardMachine(_FaultTallies):
                 f"{base!r} for shard {shard_id} batch {take}")
         request_ids = tuple([req_id for req_id, _ in taken])
         if self.injector is None:
-            batch = ExecutedBatch(
-                shard_id=shard_id, seq=state.batch_seq, dispatch_s=now,
-                service_s=base, request_ids=request_ids,
-                head_enqueue_s=head_enqueue, attempt=state.failures)
+            batch = ExecutedBatch(shard_id, state.batch_seq, now, base,
+                                  request_ids, head_enqueue, state.failures)
         else:
             batch = self._judge(shard_id, now, base, request_ids,
                                 head_enqueue)
@@ -510,7 +513,8 @@ class ShardMachine(_FaultTallies):
         if self.on_dispatch is not None:
             self.on_dispatch(batch)
         if batch.outcome == OUTCOME_OK:
-            self.push(now + batch.service_s, DONE, batch)
+            heapq.heappush(self.heap, (now + batch.service_s,
+                                       self._next_seq(), DONE, batch))
         else:
             self._pending_retry[(shard_id, batch.seq)] = taken
             self.push(now + batch.service_s, FAIL, batch)

@@ -1,9 +1,9 @@
 """Array-native schedule record of a fault-free vectorized run.
 
-The vectorized core keeps its hot path entirely in NumPy; materializing
-one :class:`~repro.serve.scheduler.ExecutedBatch` and
-:class:`~repro.serve.scheduler.RequestRecord` per event would dominate
-the runtime.  :class:`ArraySchedule` is the columnar answer: per-batch
+The vectorized core keeps its hot path entirely in NumPy; even at
+typed-tuple cost, one :class:`~repro.serve.scheduler.ExecutedBatch`
+per batch plus one :class:`~repro.serve.scheduler.RequestRecord` per
+request would dominate the runtime.  :class:`ArraySchedule` is the columnar answer: per-batch
 and per-request arrays plus the summary statistics reports consume.
 
 Static ``ServingSimulator.run()`` (and ``ScaleSimulator.run()`` on a

@@ -33,6 +33,13 @@ def _check_regressions(baseline, current, tolerance):
 
 
 @pytest.fixture(scope="module")
+def golden_bundle_dict():
+    report, telemetry, monitor = \
+        ServingSimulator(golden_serve_config()).run_with_monitor()
+    return bundle_from_run("serve", report, telemetry, monitor).to_dict()
+
+
+@pytest.fixture(scope="module")
 def serve_baseline():
     return json.loads((BENCH_DIR / "BENCH_serve.json").read_text())
 
@@ -145,10 +152,17 @@ def test_format_diff_deterministic_and_reports_failures(serve_baseline):
     (lambda data: [data], "a run bundle must be a JSON object, got list"),
     (lambda data: {k: v for k, v in data.items() if k != "metrics"},
      "missing field 'metrics'"),
+    (lambda data: dict(data, monitor=[]),
+     "monitor must be a JSON object, got list"),
+    (lambda data: dict(data, monitor={
+        k: v for k, v in data["monitor"].items() if k != "cadence_s"}),
+     r"missing field 'monitor\.cadence_s'"),
+    (lambda data: dict(data, monitor=dict(data["monitor"], series=[
+        {k: v for k, v in data["monitor"]["series"][0].items()
+         if k != "help"}])),
+     r"missing field 'monitor\.series\[0\]\.help'"),
 ])
-def test_from_dict_names_the_wrong_type_or_missing_field(mutate, message):
-    report, telemetry, monitor = \
-        ServingSimulator(golden_serve_config()).run_with_monitor()
-    data = bundle_from_run("serve", report, telemetry, monitor).to_dict()
+def test_from_dict_names_the_wrong_type_or_missing_field(
+        golden_bundle_dict, mutate, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        RunBundle.from_dict(mutate(data))
+        RunBundle.from_dict(mutate(golden_bundle_dict))

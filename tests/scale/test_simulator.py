@@ -202,6 +202,69 @@ class TestElasticRun:
         assert "goodput" in text
 
 
+def _slot_counts_from_actions(config, pool):
+    """Per slot, ``(t_s, chunk_count)`` change points replayed from the
+    action log alone: warm, detach and a serving slot's death re-anchor
+    every serving slot, while a draining slot keeps its last count."""
+    serving = set(range(config.serve.n_shards))
+    changes = {}
+
+    def anchor(t_s):
+        for j, count in pool.counts_for(sorted(serving)).items():
+            changes.setdefault(j, []).append((t_s, count))
+
+    anchor(0.0)
+    for action in ScaleSimulator(config).run().actions:
+        if action.kind == "warm":
+            serving.add(action.shard_id)
+        elif action.kind in ("detach", "dead") \
+                and action.shard_id in serving:
+            serving.remove(action.shard_id)
+            if not serving:
+                continue
+        else:
+            continue
+        anchor(action.t_s)
+    return changes
+
+
+@pytest.mark.parametrize("make_config", [golden_autoscale_config,
+                                         golden_autoscale_fault_config])
+def test_dispatch_costs_follow_the_topology_in_force(make_config):
+    # Oracle for the per-slot dispatch caches: each batch's bytes and
+    # service time must be the pool's values for the chunk count its
+    # slot held at dispatch, as replayed from the action log.  A tie
+    # with a topology change at the dispatch instant may see either
+    # side of it.
+    config = make_config()
+    serve = config.serve
+    pool = ElasticAPUDevicePool(serve.spec,
+                                config.policy.autoscale.max_shards,
+                                serve.k, integrity=serve.integrity,
+                                ecc=serve.ecc)
+    changes = _slot_counts_from_actions(config, pool)
+    record = ScaleSimulator(config)._run_record(capture=False)
+    batches = record.result.batches
+    assert len(record.batch_bytes) == len(batches)
+    seen = {}
+    for batch, nbytes in zip(batches, record.batch_bytes):
+        points = changes[batch.shard_id]
+        before = [count for t_s, count in points if t_s < batch.dispatch_s]
+        allowed = before[-1:] + [count for t_s, count in points
+                                 if t_s == batch.dispatch_s]
+        matches = [count for count in allowed
+                   if nbytes == pool.embedding_bytes(count)]
+        assert matches, (batch, nbytes, allowed)
+        if batch.outcome in ("ok", "corrupted"):
+            assert any(
+                batch.service_s == pool.service_seconds(
+                    count, batch.batch_size) * batch.multiplier
+                for count in matches), batch
+        seen.setdefault(batch.shard_id, set()).update(matches)
+    # The run re-anchors slots mid-flight, so a stale cache would show.
+    assert any(len(counts) > 1 for counts in seen.values())
+
+
 class TestDeterminismAndParity:
     def test_repeated_runs_bit_identical(self, golden_run):
         config, _, report = golden_run

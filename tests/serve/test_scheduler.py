@@ -19,7 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve.scheduler import BatchPolicy, DiscreteEventScheduler
+from repro.scale.simulator import ScaleAction, ScaleSimulator, \
+    golden_autoscale_config
+from repro.serve.scheduler import BatchPolicy, DiscreteEventScheduler, \
+    ExecutedBatch
 from repro.serve.workload import trace_arrivals
 
 #: Slack for float comparisons on *derived* bounds (sums of different
@@ -168,3 +171,64 @@ class TestSchedulerEdges:
                                            lambda s, b: 0.0)
         with pytest.raises(ValueError):
             scheduler.run(trace_arrivals([0.0]))
+
+
+class TestRecordContract:
+    """The per-event records are immutable typed tuples whose ``repr``
+    -- which report digests and goldens depend on -- is pinned."""
+
+    BATCH = ExecutedBatch(1, 2, 0.5, 0.25, (3, 4), 0.125)
+    ACTION = ScaleAction("tick", 0.005, pool_size=2, burn_rate=1.5,
+                         class_burns=(1.5, 0.0))
+
+    def test_repr_is_pinned(self):
+        assert repr(self.BATCH) == (
+            "ExecutedBatch(shard_id=1, seq=2, dispatch_s=0.5, "
+            "service_s=0.25, request_ids=(3, 4), head_enqueue_s=0.125, "
+            "attempt=0, multiplier=1.0, outcome='ok', corrupted=False, "
+            "recompute=False)")
+        assert repr(self.ACTION) == (
+            "ScaleAction(kind='tick', t_s=0.005, shard_id=-1, "
+            "pool_size=2, burn_rate=1.5, duration_s=0.0, priority='', "
+            "reason='', class_burns=(1.5, 0.0))")
+
+    @pytest.mark.parametrize("record, name", [
+        (BATCH, "service_s"), (BATCH, "outcome"),
+        (ACTION, "kind"), (ACTION, "burn_rate")])
+    def test_records_are_immutable(self, record, name):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+    def test_batch_properties(self):
+        assert self.BATCH.batch_size == 2
+        assert self.BATCH.complete_s == 0.75
+        assert self.BATCH.succeeded
+        assert not self.BATCH._replace(outcome="timeout").succeeded
+
+    def test_field_order_and_defaults(self):
+        assert ExecutedBatch._fields == (
+            "shard_id", "seq", "dispatch_s", "service_s", "request_ids",
+            "head_enqueue_s", "attempt", "multiplier", "outcome",
+            "corrupted", "recompute")
+        assert ExecutedBatch._field_defaults == {
+            "attempt": 0, "multiplier": 1.0, "outcome": "ok",
+            "corrupted": False, "recompute": False}
+        assert ScaleAction._fields == (
+            "kind", "t_s", "shard_id", "pool_size", "burn_rate",
+            "duration_s", "priority", "reason", "class_burns")
+        assert ScaleAction._field_defaults == {
+            "shard_id": -1, "pool_size": 0, "burn_rate": 0.0,
+            "duration_s": 0.0, "priority": "", "reason": "",
+            "class_burns": ()}
+        # Positional and keyword construction agree.
+        assert self.BATCH == ExecutedBatch(
+            shard_id=1, seq=2, dispatch_s=0.5, service_s=0.25,
+            request_ids=(3, 4), head_enqueue_s=0.125)
+
+    def test_elastic_action_log_is_deterministic(self):
+        config = golden_autoscale_config()
+        first = ScaleSimulator(config).run().actions
+        again = ScaleSimulator(config).run().actions
+        assert len(first) > 0
+        assert all(isinstance(action, ScaleAction) for action in first)
+        assert again == first

@@ -4,6 +4,10 @@ import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
 
+#: A run bundle's valid top level, open for a ``"monitor"`` field.
+_BUNDLE_HEAD = ('{"version": 1, "workload": "serve", "metrics": {}, '
+                '"n_completed": 0, ')
+
 
 class TestParser:
     def test_known_experiments_accepted(self):
@@ -88,13 +92,22 @@ class TestServeCommand:
     @pytest.mark.parametrize("text, message", [
         ("[]", "a run bundle must be a JSON object, got list"),
         ('{"version": 1, "workload": "serve"}', "missing field 'metrics'"),
+        (_BUNDLE_HEAD + '"monitor": []}',
+         "monitor must be a JSON object, got list"),
+        (_BUNDLE_HEAD + '"monitor": {"workload": "serve"}}',
+         r"missing field 'monitor\.cadence_s'"),
+        (_BUNDLE_HEAD + '"monitor": {"workload": "serve", "cadence_s": 0.01,'
+         ' "horizon_s": 1, "series": [{"name": "x", "kind": "gauge"}]}}',
+         r"missing field 'monitor\.series\[0\]\.help'"),
     ])
     def test_diff_bad_bundle_exits_cleanly(self, tmp_path, text, message):
         path = tmp_path / "run.json"
         path.write_text(text)
         with pytest.raises(SystemExit,
-                           match=f"^cannot load run bundle: {message}$"):
+                           match=f"^cannot load run bundle: {message}$") \
+                as exc:
             main(["diff", str(path), str(path)])
+        assert "\n" not in str(exc.value.code)
 
     def test_serve_rejects_bad_shards(self):
         with pytest.raises(ValueError):
