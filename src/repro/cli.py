@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -240,6 +240,17 @@ def _build_scale_config(args, serve_config):
         raise SystemExit(f"bad serve configuration: {exc}")
 
 
+def _cadence_s(args) -> Optional[float]:
+    """``--cadence-ms`` in seconds (``None``: the workload's default),
+    checked before any simulation runs."""
+    import math
+
+    if not math.isfinite(args.cadence_ms) or args.cadence_ms < 0:
+        raise SystemExit("--cadence-ms must be a finite number >= 0 "
+                         "(0 = the workload's default)")
+    return args.cadence_ms * 1e-3 if args.cadence_ms else None
+
+
 def _run_serve(args) -> None:
     import math
 
@@ -249,6 +260,7 @@ def _run_serve(args) -> None:
     from .rag import PAPER_CORPORA
     from .serve import BatchPolicy, RetryPolicy, ServeConfig
 
+    cadence_s = _cadence_s(args)
     faults = FaultPlan()
     try:
         if args.fault_plan:
@@ -313,7 +325,6 @@ def _run_serve(args) -> None:
     simulator = ScaleSimulator(scale_config)
     if args.monitor_out or args.scrape_out or args.bundle_out:
         workload = "serve_autoscale" if args.autoscale else "serve"
-        cadence_s = args.cadence_ms * 1e-3 if args.cadence_ms else None
         report, telemetry, monitor = simulator.run_with_monitor(
             cadence_s=cadence_s, workload=workload)
         print(report.format())
@@ -516,6 +527,8 @@ def _run_spans(args) -> None:
         return
     if args.trace_events <= 0:
         raise SystemExit("--trace-events must be positive")
+    if args.limit < 0:
+        raise SystemExit("--limit must be >= 0 (0 = all)")
     clock = DEFAULT_PARAMS.clock_hz
     with collecting(capacity=args.trace_events) as trace:
         _report, telemetry = \
@@ -610,10 +623,10 @@ def _write_monitor_outputs(args, workload, report, telemetry,
 
 
 def _run_monitor(args) -> None:
+    cadence_s = _cadence_s(args)
     workload, config = _telemetry_workload(args)
     if workload is None:
         return
-    cadence_s = args.cadence_ms * 1e-3 if args.cadence_ms else None
     simulator = _telemetry_simulator(config)
     report, telemetry, monitor = simulator.run_with_monitor(
         cadence_s=cadence_s, workload=workload)

@@ -30,20 +30,24 @@ Two sampling rules, pinned by regression tests on both engines:
 At recorded tick instants the per-class burn series takes the
 controller's own reading (``ScaleAction.class_burns``, written by the
 elastic loop from the shared :class:`~repro.monitor.signal.BurnSignal`);
-between ticks, and for static runs, the builder replays a twin
-``BurnSignal`` over the completion record.
+between ticks, and for static runs, the builder counts the same
+trailing window straight from the completion record -- bitwise what a
+twin ``BurnSignal`` fed that record reads (a regression test replays
+one).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
+from ..telemetry.metrics import window_burn_rate
 from .series import RunMonitor, Series
-from .signal import BurnSignal
 from .sketch import QuantileSketch
 
 __all__ = [
@@ -63,9 +67,11 @@ MONITOR_PREFIX = "repro_monitor_"
 #: TTI quantiles streamed from the cumulative sketch.
 _QUANTILES = (50.0, 95.0, 99.0)
 #: ``q / 100`` per quantile, as the nearest-rank rule computes it.
-_QUANTILE_FRACTIONS = np.asarray(_QUANTILES)[None, :] / 100.0
+_QUANTILE_FRACTIONS = tuple(q / 100.0 for q in _QUANTILES)
 #: The sketch's bucket boundaries, then ``inf`` for its overflow bucket.
-_SKETCH_BOUNDS = np.asarray(QuantileSketch().boundaries + (math.inf,))
+_SKETCH_BOUNDS = QuantileSketch().boundaries + (math.inf,)
+#: The finite boundaries, for bucketing samples in bulk.
+_SKETCH_EDGES = np.asarray(QuantileSketch().boundaries)
 
 
 def sample_instants(horizon_s: float, cadence_s: float,
@@ -80,8 +86,9 @@ def sample_instants(horizon_s: float, cadence_s: float,
     sample is a complete end-of-run reading.  ``extra`` instants
     (recorded ticks) are merged with exact-float dedup.
     """
-    if cadence_s <= 0:
-        raise ValueError(f"cadence_s must be positive, got {cadence_s!r}")
+    if not (math.isfinite(cadence_s) and cadence_s > 0):
+        raise ValueError(
+            f"cadence_s must be positive and finite, got {cadence_s!r}")
     instants: List[float] = []
     t = 0.0
     while t < horizon_s:
@@ -89,52 +96,43 @@ def sample_instants(horizon_s: float, cadence_s: float,
         instants.append(t)
     if not instants:
         instants.append(cadence_s)
-    merged = sorted(set(instants) | set(float(e) for e in extra))
-    return tuple(merged)
+    if len(extra) == 0:
+        return tuple(instants)
+    return tuple(sorted(set(instants) | set(float(e) for e in extra)))
 
 
-def _gauge(name: str, help_text: str, points: Sequence[Tuple[float, float]],
+def _gauge(name: str, help_text: str, points: Iterable[Tuple[float, float]],
            labels: Tuple[Tuple[str, str], ...] = ()) -> Series:
     return Series(name=MONITOR_PREFIX + name, help_text=help_text,
                   kind="gauge", labels=labels, points=tuple(points))
 
 
 def _counter(name: str, help_text: str,
-             points: Sequence[Tuple[float, float]],
+             points: Iterable[Tuple[float, float]],
              labels: Tuple[Tuple[str, str], ...] = ()) -> Series:
     return Series(name=MONITOR_PREFIX + name, help_text=help_text,
                   kind="counter", labels=labels, points=tuple(points))
-
-
-def _step_value(steps: Sequence[Tuple[float, float]], initial: float,
-                t: float) -> float:
-    """Value of a step function strictly before ``t`` (gauge rule)."""
-    value = initial
-    for when, level in steps:
-        if when < t:
-            value = level
-        else:
-            break
-    return value
 
 
 def _cumulative_points(instants: Sequence[float],
                        event_times: Sequence[float],
                        weights: Optional[Sequence[float]] = None,
                        ) -> List[Tuple[float, float]]:
-    """Counter samples: total event weight with ``event_t <= t``."""
-    times = sorted(event_times) if weights is None else None
+    """Counter samples: total event weight with ``event_t <= t``.
+
+    Weights add up in (time, weight) order, one left fold
+    (``np.cumsum`` accumulates sequentially).
+    """
     if weights is None:
-        assert times is not None
+        times = sorted(event_times)
         return [(t, float(bisect.bisect_right(times, t)))
                 for t in instants]
-    pairs = sorted(zip(event_times, weights))
-    sorted_times = [p[0] for p in pairs]
-    prefix: List[float] = [0.0]
-    for _, w in pairs:
-        prefix.append(prefix[-1] + float(w))
-    return [(t, prefix[bisect.bisect_right(sorted_times, t)])
-            for t in instants]
+    when = np.asarray(event_times, dtype=np.float64)
+    weight = np.asarray(weights, dtype=np.float64)
+    order = np.lexsort((weight, when))
+    prefix = np.concatenate(([0.0], np.cumsum(weight[order])))
+    return list(zip(instants, prefix[np.searchsorted(
+        when[order], instants, side="right")].tolist()))
 
 
 def overdue_counts(instants: np.ndarray, arrival_s: np.ndarray,
@@ -153,6 +151,14 @@ def overdue_counts(instants: np.ndarray, arrival_s: np.ndarray,
     fails one instant earlier and holds at the start.
     """
     n = instants.size
+    # Only a request that waits past the SLO is ever overdue: ``t < done``
+    # makes the rounded ``t - arrival`` at most ``done - arrival``.
+    late = done_s - arrival_s > slo_s
+    if not late.any():
+        return np.zeros((n, n_classes), dtype=np.int64)
+    arrival_s, done_s = arrival_s[late], done_s[late]
+    if classes is not None:
+        classes = classes[late]
     padded = np.concatenate(([-np.inf], instants, [np.inf]))
     start = np.searchsorted(instants, arrival_s + slo_s, side="right")
     while True:  # padded[start] is the instant before the start
@@ -172,6 +178,27 @@ def overdue_counts(instants: np.ndarray, arrival_s: np.ndarray,
     diff = (np.bincount(start[live] + offset, minlength=size)
             - np.bincount(end[live] + offset, minlength=size))
     return np.cumsum(diff.reshape(n_classes, n + 1)[:, :n], axis=1).T
+
+
+def _overdue_at(instants: Sequence[float], records: Sequence[Any],
+                slo_s: float, priorities: Mapping[int, int], n_classes: int
+                ) -> List[List[int]]:
+    """:func:`overdue_counts` of the run's requests at ``instants``, one
+    row of per-class counts per instant.  Only a request that waits
+    past the SLO (or never resolves) is ever overdue, so a run with
+    none skips the count."""
+    late = [r for r in records if r.retrieval_done_s is None
+            or r.retrieval_done_s - r.arrival_s > slo_s]
+    if not late:
+        return [[0] * n_classes for _ in instants]
+    return overdue_counts(
+        np.array(instants, dtype=np.float64),
+        np.array([r.arrival_s for r in late], dtype=np.float64),
+        np.array([np.inf if r.retrieval_done_s is None
+                  else r.retrieval_done_s for r in late], dtype=np.float64),
+        slo_s, None if n_classes == 1 else np.array(
+            [priorities.get(r.req_id, 0) for r in late], dtype=np.int64),
+        n_classes).tolist()
 
 
 def build_run_monitor(
@@ -212,57 +239,51 @@ def build_run_monitor(
 
     # -- the event streams everything below samples from ---------------
     records = result.records
+    batches = result.batches
     arrival_s = [r.arrival_s for r in records]
-    done_s = [r.retrieval_done_s for r in records]
     completions = sorted(
-        (done, r.req_id) for r, done in zip(records, done_s)
-        if done is not None)
-    completion_times = [t for t, _ in completions]
+        (r.retrieval_done_s, r.req_id) for r in records
+        if r.retrieval_done_s is not None)
+    done_s = [done for done, _ in completions]
+    tti = [tti_by_req[req_id] for _, req_id in completions]
     ticks = [a for a in actions if a.kind == "tick"]
-    fault_times = [e.t_s for e in result.fault_log]
-    horizon = 0.0
-    if completion_times:
-        horizon = max(horizon, completion_times[-1])
-    if ticks:
-        horizon = max(horizon, max(t.t_s for t in ticks))
-    if fault_times:
-        horizon = max(horizon, max(fault_times))
+    horizon = max([0.0, *done_s[-1:], *(t.t_s for t in ticks),
+                   *(e.t_s for e in result.fault_log)])
     instants = sample_instants(horizon, cadence_s,
                                extra=[t.t_s for t in ticks])
-    ts = np.asarray(instants, dtype=np.float64)
     tick_burns: Dict[float, Tuple[float, ...]] = {
         t.t_s: tuple(t.class_burns) for t in ticks
         if getattr(t, "class_burns", ())}
 
     # -- pool size: step function from the action log / death log ------
-    pool_steps: List[Tuple[float, float]] = []
+    # Both logs are in time order, so the level strictly before an
+    # instant is the last step before it.
     if actions:
-        for a in actions:
-            if a.kind in ("warm", "detach", "dead"):
-                pool_steps.append((a.t_s, float(a.pool_size)))
+        pool_steps = [(a.t_s, float(a.pool_size)) for a in actions
+                      if a.kind in ("warm", "detach", "dead")]
     else:
-        alive = pool_initial
-        for when in sorted(result.death_times.values()):
-            alive -= 1
-            pool_steps.append((when, float(alive)))
-    pool_points = [(t, _step_value(pool_steps, float(pool_initial), t))
-                   for t in instants]
+        pool_steps = [(when, float(pool_initial - n)) for n, when in
+                      enumerate(sorted(result.death_times.values()), 1)]
+    pool_times = [when for when, _ in pool_steps]
+    pool_levels = [float(pool_initial)] + [level for _, level in pool_steps]
+    pool = [pool_levels[bisect.bisect_left(pool_times, t)] for t in instants]
 
     # -- queue depth: enqueue/dispatch/re-enqueue steps, deaths clear --
     # Sampled strictly before the instant.  A death's clear is a step of
     # minus its shard's depth (every step on it up to the death, ties in).
-    step_times = list(arrival_s)
-    steps = [len(r.shard_done_s.keys() | r.failed_shards) for r in records]
-    for b in result.batches:
-        step_times.append(b.dispatch_s)
-        steps.append(-len(b.request_ids))
-        if b.outcome != "ok":
-            step_times.append(b.dispatch_s + b.service_s)
-            steps.append(len(b.request_ids))
+    ts = np.array(instants, dtype=np.float64)
+    dispatch_s = [b.dispatch_s for b in batches]
+    failed = [b for b in batches if b.outcome != "ok"]
+    step_times = [*arrival_s, *dispatch_s,
+                  *[b.dispatch_s + b.service_s for b in failed]]
+    steps = [len(r.shard_done_s.keys() | r.failed_shards)
+             if r.failed_shards else len(r.shard_done_s) for r in records]
+    steps += [-len(b.request_ids) for b in batches]
+    steps += [len(b.request_ids) for b in failed]
     for shard, when in result.death_times.items():
         depth = sum(1 for r in records if r.arrival_s <= when and (
             shard in r.shard_done_s or shard in r.failed_shards))
-        for b in result.batches:
+        for b in batches:
             if b.shard_id != shard:
                 continue
             if b.dispatch_s <= when:
@@ -271,115 +292,118 @@ def build_run_monitor(
                 depth += len(b.request_ids)
         step_times.append(when)
         steps.append(-depth)
-    step_t = np.asarray(step_times, dtype=np.float64)
-    order = np.argsort(step_t, kind="stable")
-    depth_before = np.concatenate(
-        ([0], np.cumsum(np.asarray(steps, dtype=np.int64)[order])))
-    queue_points = list(zip(instants, depth_before[np.searchsorted(
-        step_t[order], ts, side="left")].astype(np.float64).tolist()))
+    # Each step lands on the first instant after it; whole-request
+    # weights sum exactly in any order.
+    queue = np.bincount(
+        ts.searchsorted(step_times, side="right"), weights=steps,
+        minlength=ts.size + 1).cumsum()[:-1].tolist()
 
     # -- inflight requests: admitted and not yet resolved ---------------
-    arrivals_sorted = sorted(arrival_s)
-    inflight_points = [
-        (t, float(bisect.bisect_left(arrivals_sorted, t)
-                  - bisect.bisect_left(completion_times, t)))
-        for t in instants]
+    done_sorted = np.array(done_s, dtype=np.float64)
+    inflight = (np.sort(np.array(arrival_s, dtype=np.float64))
+                .searchsorted(ts, side="left")
+                - done_sorted.searchsorted(ts, side="left"))
 
     # -- rolling qps: completions in the trailing cadence window --------
-    qps_points = [
-        (t, (bisect.bisect_right(completion_times, t)
-             - bisect.bisect_right(completion_times, t - cadence_s))
-         / cadence_s)
-        for t in instants]
+    totals = done_sorted.searchsorted(ts, side="right")
+    qps = (totals - done_sorted.searchsorted(ts - cadence_s, side="right")) \
+        / cadence_s
+    inflight_at, qps_at, completed_at = np.stack(
+        (inflight, qps, totals)).tolist()
 
     # -- TTI quantiles from the cumulative mergeable sketch -------------
-    # The sketch's rule (smallest boundary whose cumulative count
-    # reaches the nearest rank; inf in the overflow bucket) for every
-    # instant at once.  at_or_below[i, b]: completions by instant i in
-    # bucket b or below (the last, overflow, bucket holds them all).
-    n_buckets = _SKETCH_BOUNDS.size
-    totals = np.searchsorted(completion_times, ts, side="right")
-    bucket = np.searchsorted(_SKETCH_BOUNDS[:-1], np.asarray(
-        [tti_by_req[req_id] for _, req_id in completions],
-        dtype=np.float64), side="left")
-    first_instant = np.searchsorted(totals, np.arange(bucket.size),
-                                    side="right")
+    # The sketch's rule at each instant: the smallest boundary whose
+    # cumulative count reaches the nearest rank (inf in the overflow
+    # bucket); 0 before any completion.  at_or_below[i][b]: completions
+    # by instant i in bucket b or below (the last, overflow, bucket
+    # holds them all).
+    n_buckets = len(_SKETCH_BOUNDS)
     at_or_below = np.bincount(
-        first_instant * n_buckets + bucket,
-        minlength=(ts.size + 1) * n_buckets).reshape(-1, n_buckets)
-    at_or_below = at_or_below.cumsum(axis=0).cumsum(axis=1)[:-1]
-    ranks = np.maximum(1.0, np.ceil(_QUANTILE_FRACTIONS * totals[:, None]))
-    # First bucket reaching each rank; none does before any completion.
-    first = (at_or_below[:, None, :] >= ranks[:, :, None]).argmax(axis=2)
-    values = np.where(totals[:, None] > 0, _SKETCH_BOUNDS[first], 0.0)
-    quantile_points = {q: list(zip(instants, column))
-                       for q, column in zip(_QUANTILES, values.T.tolist())}
+        ts.searchsorted(done_sorted, side="left") * n_buckets
+        + _SKETCH_EDGES.searchsorted(tti, side="left"),
+        minlength=(ts.size + 1) * n_buckets).reshape(-1, n_buckets) \
+        .cumsum(axis=0).cumsum(axis=1)[:-1].tolist()
+    quantiles = [
+        [_SKETCH_BOUNDS[bisect.bisect_left(
+            row, max(1, math.ceil(fraction * row[-1])))] if row[-1] else 0.0
+         for row in at_or_below]
+        for fraction in _QUANTILE_FRACTIONS]
 
-    # -- per-class SLO burn: recorded at ticks, replayed between --------
-    classes = None if n_classes == 1 else np.asarray(
-        [priorities.get(r.req_id, 0) for r in records], dtype=np.int64)
-    overdue_by_instant = overdue_counts(
-        ts, np.asarray(arrival_s, dtype=np.float64),
-        np.asarray([np.inf if done is None else done for done in done_s],
-                   dtype=np.float64),
-        slo_s, classes, n_classes).tolist()
-    replay = BurnSignal(cadence_s, slo_s, n_classes)
-    burn_points: List[List[Tuple[float, float]]] = [
-        [] for _ in range(n_classes)]
-    bi = 0
-    for i, t in enumerate(instants):
-        while bi < len(completions) and completions[bi][0] <= t:
-            done_s, req_id = completions[bi]
-            replay.note_completion(done_s, tti_by_req[req_id],
-                                   int(priorities.get(req_id, 0)))
-            bi += 1
-        burns = list(tick_burns.get(t, ()))
-        if len(burns) < n_classes:
-            # The replay fills the classes no tick recorded.  Skipping it
-            # elsewhere is safe: its window only ever advances.
-            burns += replay.class_burns(
-                t, overdue_by_instant[i], error_budget)[len(burns):]
-        for cls in range(n_classes):
-            burn_points[cls].append((t, burns[cls]))
+    # -- per-class SLO burn: recorded at ticks, counted between ---------
+    # At the instants no tick recorded in full, each class's window
+    # holds its completions in [t - cadence, t], plus its overdue
+    # requests counted as violations: what a twin BurnSignal fed the
+    # completions in order reads at t.
+    burns_at = [list(tick_burns.get(t, ())) for t in instants]
+    gaps = [i for i, burns in enumerate(burns_at) if len(burns) < n_classes]
+    if gaps:
+        # Per class: completion times, and violations before each.
+        by_class = [(done_s, tti)] if n_classes == 1 else [
+            ([done for done, req_id in completions
+              if priorities.get(req_id, 0) == cls],
+             [latency for (_, req_id), latency in zip(completions, tti)
+              if priorities.get(req_id, 0) == cls])
+            for cls in range(n_classes)]
+        windows = [(when, [0, *accumulate(latency > slo_s
+                                          for latency in latencies)])
+                   for when, latencies in by_class]
+        overdue = _overdue_at([instants[i] for i in gaps], records, slo_s,
+                              priorities, n_classes)
+        for i, overdue_now in zip(gaps, overdue):
+            t = instants[i]
+            start = t - cadence_s
+            burns = burns_at[i]
+            for cls in range(len(burns), n_classes):
+                when, bad = windows[cls]
+                upto = bisect.bisect_right(when, t)
+                since = bisect.bisect_left(when, start)
+                late = overdue_now[cls]
+                burns.append(window_burn_rate(
+                    upto - since + late, bad[upto] - bad[since] + late,
+                    error_budget))
 
     # -- cumulative counters --------------------------------------------
-    completed_points = list(zip(instants, totals.astype(np.float64).tolist()))
-    retry_times = [e.t_s for e in result.fault_log if e.kind == "backoff"]
-    retry_points = _cumulative_points(instants, retry_times)
-    byte_times = [b.dispatch_s for b in result.batches]
-    byte_weights = [float(n) for n in batch_bytes]
+    by_kind: Dict[str, List[float]] = {}
+    for entry in result.fault_log:
+        by_kind.setdefault(entry.kind, []).append(entry.t_s)
+    byte_times = list(dispatch_s)
+    byte_weights = list(batch_bytes)
     for a in actions:
         if a.kind == "attach" and a.shard_id in attach_bytes:
             byte_times.append(a.t_s)
-            byte_weights.append(float(attach_bytes[a.shard_id]))
+            byte_weights.append(attach_bytes[a.shard_id])
     hbm_points = _cumulative_points(instants, byte_times, byte_weights)
 
     series: List[Series] = [
         _gauge("pool_size", "Serving shards (pre-transition at ticks).",
-               pool_points),
+               zip(instants, pool)),
         _gauge("queue_depth", "Queued requests summed over shard queues.",
-               queue_points),
+               zip(instants, queue)),
         _gauge("inflight_requests",
-               "Admitted requests not yet resolved.", inflight_points),
+               "Admitted requests not yet resolved.",
+               zip(instants, inflight_at)),
         _gauge("qps", "Completions per second over the trailing cadence "
-               "window.", qps_points),
+               "window.", zip(instants, qps_at)),
     ]
-    for q in _QUANTILES:
+    for q, column in zip(_QUANTILES, quantiles):
         series.append(_gauge(
             "tti_quantile_seconds",
             "Streaming TTI quantile from the cumulative mergeable "
-            "sketch.", quantile_points[q],
+            "sketch.", zip(instants, column),
             labels=(("q", f"{q:g}"),)))
     for cls in range(n_classes):
         series.append(_gauge(
             "slo_burn",
             "Per-class trailing-window error-budget burn (controller "
-            "readings at ticks).", burn_points[cls],
+            "readings at ticks).",
+            [(t, burns[cls]) for t, burns in zip(instants, burns_at)],
             labels=(("class", names[cls]),)))
     series.append(_counter(
-        "completed_total", "Requests resolved.", completed_points))
+        "completed_total", "Requests resolved.",
+        zip(instants, completed_at)))
     series.append(_counter(
-        "retries_total", "Batch retry backoffs.", retry_points))
+        "retries_total", "Batch retry backoffs.",
+        _cumulative_points(instants, by_kind.get("backoff", []))))
     series.append(_counter(
         "hbm_bytes_total",
         "HBM bytes streamed: batch reads at dispatch plus warm-up "
@@ -395,15 +419,12 @@ def build_run_monitor(
             "failover_total",
             "Cooldown-bypassing replacement attaches after shard "
             "deaths.", _cumulative_points(instants, failover_times)))
-    if result.fault_log:
-        kinds = sorted({e.kind for e in result.fault_log})
-        for kind in kinds:
-            times = [e.t_s for e in result.fault_log if e.kind == kind]
-            series.append(_counter(
-                "fault_events_total",
-                "Fault-handling and integrity/ECC verdict events by "
-                "kind.", _cumulative_points(instants, times),
-                labels=(("kind", kind),)))
+    for kind in sorted(by_kind):
+        series.append(_counter(
+            "fault_events_total",
+            "Fault-handling and integrity/ECC verdict events by "
+            "kind.", _cumulative_points(instants, by_kind[kind]),
+            labels=(("kind", kind),)))
 
     return RunMonitor(
         workload=workload,

@@ -10,6 +10,7 @@ them and the differ can align them across runs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Tuple, TypeVar
@@ -63,6 +64,7 @@ def _pairs(parse: Callable[[Any], _T]
     return lambda raw: tuple((parse(a), parse(b)) for a, b in _json_list(raw))
 
 
+@functools.lru_cache(maxsize=1024)
 def _label_str(labels: Tuple[Tuple[str, str], ...]) -> str:
     if not labels:
         return ""

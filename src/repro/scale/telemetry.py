@@ -17,9 +17,11 @@ same property the static pipeline pins.
 
 from __future__ import annotations
 
+import collections
 from typing import Any, Sequence
 
-from ..telemetry.build import latency_metrics, throughput_metrics
+from ..telemetry.build import (count_batches, latency_metrics,
+                               throughput_metrics)
 from ..telemetry.critical import CriticalPath
 from ..telemetry.metrics import MetricsRegistry
 
@@ -82,8 +84,10 @@ def build_scale_metrics(record: Any,
         fault_events = registry.counter(
             "repro_scale_fault_events_total",
             "Dynamic fault-handling actions, by kind")
-        for entry in result.fault_log:
-            fault_events.inc(kind=entry.kind, shard=str(entry.shard_id))
+        for (kind, shard_id), n in collections.Counter(
+                (entry.kind, entry.shard_id)
+                for entry in result.fault_log).items():
+            fault_events.inc(n, kind=kind, shard=str(shard_id))
         deaths = registry.counter(
             "repro_scale_shard_deaths_total",
             "Devices declared dead and removed from the pool")
@@ -103,8 +107,7 @@ def build_scale_metrics(record: Any,
 
     batches = registry.counter(
         "repro_batches_total", "Executed batch attempts by outcome")
-    for batch in result.batches:
-        batches.inc(shard=str(batch.shard_id), outcome=batch.outcome)
+    count_batches(batches, result.batches)
 
     throughput_metrics(registry, report, paths)
     attainment = registry.gauge(

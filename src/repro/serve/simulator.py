@@ -239,9 +239,12 @@ class ShardServiceModel:
         self._single: List[float] = []
         self._increment: List[float] = []
         self._breakdowns: List[RetrievalBreakdown] = []
-        #: Bumped on every re-anchor; (shard, batch_size, epoch) is a
-        #: sound memoization key for :meth:`stage_seconds`.
+        #: Bumped on every placement change (a re-anchor, or any write
+        #: to ``chunk_counts``), so (shard, batch_size, epoch) is a sound
+        #: memoization key for :meth:`batch_seconds` and
+        #: :meth:`stage_seconds`.
         self.stage_epoch = 0
+        self._batch_memo: Dict[Tuple[int, int, int], float] = {}
         # Calibration replays the closed-form breakdowns; those are not
         # part of the simulated serving timeline, so keep their HBM/DMA
         # events out of any active trace collector.
@@ -288,7 +291,16 @@ class ShardServiceModel:
         return breakdown.total, pair[1] - pair[0], breakdown
 
     def batch_seconds(self, shard_id: int, batch_size: int) -> float:
-        """Service time of one batch on one shard's device."""
+        """Service time of one batch on one shard's device, memoized on
+        ``(shard, batch_size, stage_epoch)``."""
+        key = (shard_id, batch_size, self.stage_epoch)
+        seconds = self._batch_memo.get(key)
+        if seconds is None:
+            seconds = self._batch_memo[key] = self._batch_seconds(
+                shard_id, batch_size)
+        return seconds
+
+    def _batch_seconds(self, shard_id: int, batch_size: int) -> float:
         base = (self._single[shard_id]
                 + (batch_size - 1) * self._increment[shard_id])
         if self._ecc_costs is not None:
@@ -386,6 +398,13 @@ class ShardServiceModel:
         self._breakdowns = list(breakdowns)
         self.stage_epoch += 1
 
+    def drop_shard(self, shard_id: int) -> int:
+        """Zero a dead shard's slice; returns the chunks it held."""
+        dropped = self.chunk_counts[shard_id]
+        self.chunk_counts[shard_id] = 0
+        self.stage_epoch += 1
+        return dropped
+
     def apply_takeover(self, dead_id: int, live_ids: Sequence[int]) -> None:
         """Redistribute ``dead_id``'s chunks over ``live_ids``.
 
@@ -396,8 +415,7 @@ class ShardServiceModel:
         """
         if not live_ids:
             raise ValueError("takeover needs at least one live shard")
-        orphaned = self.chunk_counts[dead_id]
-        self.chunk_counts[dead_id] = 0
+        orphaned = self.drop_shard(dead_id)
         if orphaned == 0:
             return
         extra = shard_chunk_counts(orphaned, len(live_ids))
@@ -597,7 +615,7 @@ class ServingSimulator:
         if self.config.failover == "reroute" and live:
             self.service_model.apply_takeover(shard_id, live)
         else:
-            self.service_model.chunk_counts[shard_id] = 0
+            self.service_model.drop_shard(shard_id)
             self._permanent_loss[shard_id] = lost
 
     def _coverage(self, record: RequestRecord,
@@ -671,9 +689,9 @@ class ServingSimulator:
         dispatch instant -- so a takeover re-anchor mid-run is honored.
         """
         model = self.service_model
-        # Both only change when a takeover re-anchors a shard (tracked
-        # by stage_epoch), so memoizing keeps the in-loop cost to a
-        # dict probe per dispatch.
+        # Both only change with the placement (tracked by stage_epoch),
+        # so memoizing keeps the in-loop cost to a dict probe per
+        # dispatch.
         memo: Dict[Tuple[int, int, int], Tuple[Any, int]] = {}
 
         def capture(shard_id: int, batch_size: int) -> Tuple[Any, int]:

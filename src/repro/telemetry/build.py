@@ -12,14 +12,17 @@ proves it).
 
 A run pays only for what its callers read.  :func:`build_run_telemetry`,
 the one telemetry view of static and elastic records alike, finds each
-request's determining shard straight from the record and builds just
-that leg to extract the critical path; the registry reads arrival and
-TTI from the records and paths.  The full span trees
-(:attr:`RunTelemetry.traces`) are built on first access and cached,
-with each executed batch's span built once and shared by every member
-request's leg.  The two modes differ only in the record's data: the
-merge cost (one value, or one per scatter-gather width) and the
-registry populator (:func:`build_serve_metrics` here,
+request's determining shard straight from the record and emits its
+critical path directly from that leg's intervals (:func:`_leg_intervals`,
+the one leg-partition rule), building no span or tree; the registry
+reads arrival and TTI from the records and paths, one bulk histogram
+update per label set.  Span trees are built only on demand: the full
+set (:attr:`RunTelemetry.traces`) on first access, cached, with each
+executed batch's span built once and shared by every member request's
+leg, and one request's tree alone through
+:meth:`RunTelemetry.trace_for`.  The two modes differ only in the
+record's data: the merge cost (one value, or one per scatter-gather
+width) and the registry populator (:func:`build_serve_metrics` here,
 :func:`repro.scale.telemetry.build_scale_metrics` for elastic runs).
 
 Every boundary in a tree is a float the event loop itself produced
@@ -36,14 +39,16 @@ proves it event by event.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
-from .critical import CriticalPath, critical_path, stage_attribution
+from .critical import CriticalPath, Segment, stage_attribution
 from .metrics import (
     DEFAULT_LATENCY_BOUNDS_S,
+    Counter,
     MetricsRegistry,
     slo_burn_windows,
 )
@@ -58,6 +63,7 @@ from .spans import (
     SPAN_SHARD,
     QueryTrace,
     Span,
+    interval_error,
 )
 
 __all__ = [
@@ -97,6 +103,14 @@ class StageTable:
     stages: Tuple[Tuple[str, float], ...]
 
 
+def _outcome(batch: Any) -> str:
+    """An attempt's outcome label: a healed recompute that ran to
+    completion reads ``recompute``."""
+    if batch.recompute and batch.outcome == "ok":
+        return "recompute"
+    return str(batch.outcome)
+
+
 def _batch_span(batch: Any, stage_table: Optional[StageTable],
                 injector: Any = None) -> Span:
     """The span of one executed attempt, with stage children when the
@@ -107,11 +121,8 @@ def _batch_span(batch: Any, stage_table: Optional[StageTable],
     dispatch instant.
     """
     end_s = batch.dispatch_s + batch.service_s
-    outcome = batch.outcome
-    if batch.recompute and outcome == "ok":
-        outcome = "recompute"
     labels = {
-        "outcome": outcome,
+        "outcome": _outcome(batch),
         "batch_size": str(batch.batch_size),
         "attempt": str(batch.attempt),
     }
@@ -175,34 +186,59 @@ def _determining_shard(record: Any,
     return None
 
 
-def _shard_chain(record: Any, shard_id: int, attempts: Sequence[Span],
-                 death_times: Mapping[int, float]) -> Span:
-    """One shard leg: spans that partition [arrival, leg end] bitwise.
+def _leg_intervals(record: Any, shard_id: int, leg: Sequence[int],
+                   batches: Sequence[Any],
+                   death_times: Mapping[int, float]
+                   ) -> Iterator[Tuple[str, float, float, Optional[int]]]:
+    """One shard leg's ``(name, start, end, batch index)`` intervals,
+    partitioning [arrival, leg end] bitwise.
 
-    ``attempts`` are the leg's batch spans in dispatch order.
+    ``leg`` holds the leg's batch indices (into ``batches``) in dispatch
+    order; gaps before an attempt are ``queue_wait`` (or ``backoff``
+    after a failed attempt) and carry no batch, and a leg the shard's
+    death cut short ends in a ``failover_wait``.
     """
-    leg_end = _leg_end(record, shard_id, death_times)
-    failed = shard_id in record.failed_shards
-    children: List[Span] = []
     cursor = record.arrival_s
     previous_failed = False
-    for span in attempts:
-        if span.start_s > cursor:
-            gap_name = SPAN_BACKOFF if previous_failed else SPAN_QUEUE_WAIT
-            children.append(Span(name=gap_name, start_s=cursor,
-                                 end_s=span.start_s, shard_id=shard_id))
-        children.append(span)
-        cursor = span.end_s
+    for index in leg:
+        batch = batches[index]
+        start = batch.dispatch_s
+        if start > cursor:
+            yield (SPAN_BACKOFF if previous_failed else SPAN_QUEUE_WAIT,
+                   cursor, start, None)
+        end = start + batch.service_s
+        if end < start:
+            raise interval_error(SPAN_BATCH, start, end)
+        yield SPAN_BATCH, start, end, index
+        cursor = end
         # Only an attempt whose batch outcome is "ok" succeeded.
-        previous_failed = span.labels["outcome"] not in ("ok", "recompute")
-    if failed and leg_end > cursor:
-        children.append(Span(name=SPAN_FAILOVER_WAIT, start_s=cursor,
-                             end_s=leg_end, shard_id=shard_id))
-    return Span(name=SPAN_SHARD, start_s=record.arrival_s, end_s=leg_end,
+        previous_failed = batch.outcome != "ok"
+    if shard_id in record.failed_shards:
+        leg_end = death_times[shard_id]
+        if leg_end > cursor:
+            yield SPAN_FAILOVER_WAIT, cursor, leg_end, None
+
+
+def _shard_chain(record: Any, shard_id: int, leg: Sequence[int],
+                 batches: Sequence[Any], spans: Mapping[int, Span],
+                 death_times: Mapping[int, float]) -> Span:
+    """One shard leg as a span whose children are its intervals, each
+    batch attempt the shared span ``spans[index]``."""
+    children = [
+        Span(name=name, start_s=start, end_s=end, shard_id=shard_id)
+        if index is None else spans[index]
+        for name, start, end, index in _leg_intervals(
+            record, shard_id, leg, batches, death_times)]
+    failed = shard_id in record.failed_shards
+    return Span(name=SPAN_SHARD, start_s=record.arrival_s,
+                end_s=_leg_end(record, shard_id, death_times),
                 shard_id=shard_id,
                 labels={"failed": "1"} if failed else {},
                 children=children)
 
+
+#: One named interval of a request's life: ``(name, start_s, end_s)``.
+Interval = Tuple[str, float, float]
 
 #: A run's merge cost: one value (static runs), or one per scatter-gather
 #: width ``n_required`` (elastic runs, whose width is the pool size at
@@ -248,98 +284,139 @@ class TraceBuilder:
         self.stage_tables = stage_tables
         self.injector = injector
 
-    def _attempts(self, wanted: Callable[[int, int], bool], stages: bool
-                  ) -> Dict[int, Dict[int, List[Span]]]:
-        """``req_id`` -> shard id -> the leg's batch spans in dispatch
-        order, for the (request, shard) pairs ``wanted`` accepts.  Each
-        batch span is built once and shared by all its member legs;
-        ``stages`` adds its stage children."""
+    def _legs(self, members: Callable[[Any], Iterable[int]]
+              ) -> Dict[int, Dict[int, List[int]]]:
+        """``req_id`` -> shard id -> the leg's batch indices in dispatch
+        order (a stable sort by ``dispatch_s``), for the member requests
+        ``members(batch)`` keeps of each batch."""
         batches = self.result.batches
-        tables = self.stage_tables if stages else None
-        attempts: Dict[int, Dict[int, List[Span]]] = {}
+        legs: Dict[int, Dict[int, List[int]]] = {}
         for index in sorted(range(len(batches)),
                             key=lambda i: batches[i].dispatch_s):
             batch = batches[index]
-            members = [req_id for req_id in batch.request_ids
-                       if wanted(req_id, batch.shard_id)]
-            if not members:
-                continue
-            span = _batch_span(batch,
-                               None if tables is None else tables[index],
-                               self.injector)
-            for req_id in members:
-                attempts.setdefault(req_id, {}).setdefault(
-                    batch.shard_id, []).append(span)
-        return attempts
+            for req_id in members(batch):
+                legs.setdefault(req_id, {}).setdefault(
+                    batch.shard_id, []).append(index)
+        return legs
 
-    def _tree(self, record: Any, shard_ids: Sequence[int],
-              attempts: Mapping[int, Mapping[int, List[Span]]],
-              determining: Optional[int]) -> QueryTrace:
-        """``record``'s trace with the legs of ``shard_ids``."""
+    def _trees(self, records: Sequence[Any],
+               legs: Mapping[int, Mapping[int, List[int]]]
+               ) -> List[QueryTrace]:
+        """Full trees of ``records``, each executed batch's span (with
+        its stage children) built once and shared by its member legs."""
+        batches = self.result.batches
+        tables = self.stage_tables
+        spans: Dict[int, Span] = {}
+        for by_shard in legs.values():
+            for leg in by_shard.values():
+                for index in leg:
+                    if index not in spans:
+                        spans[index] = _batch_span(
+                            batches[index],
+                            None if tables is None else tables[index],
+                            self.injector)
+        death_times = self.result.death_times
+        traces = []
+        for record in records:
+            by_shard = legs.get(record.req_id, {})
+            children = [
+                _shard_chain(record, shard_id, by_shard.get(shard_id, ()),
+                             batches, spans, death_times)
+                for shard_id in _leg_shards(record)]
+            merge_s, merge, prefill, query = self._host_intervals(record)
+            children.append(Span(*merge))
+            children.append(Span(*prefill))
+            root = Span(name=SPAN_QUERY, start_s=query[1], end_s=query[2],
+                        labels={"n_required": str(record.n_required)},
+                        children=children)
+            traces.append(QueryTrace(
+                req_id=record.req_id,
+                arrival_s=record.arrival_s,
+                retrieval_done_s=record.retrieval_done_s,
+                merge_s=merge_s,
+                prefill_s=self.prefill_s,
+                root=root,
+                determining_shard=_determining_shard(record, death_times),
+                n_required=record.n_required,
+                failed_shards=tuple(sorted(record.failed_shards)),
+                corrupted_shards=tuple(sorted(record.corrupted_shards)),
+            ))
+        return traces
+
+    def _host_intervals(self, record: Any
+                        ) -> Tuple[float, Interval, Interval, Interval]:
+        """``(merge_s, merge, prefill, query)`` of one request: the host
+        tail after its resolution and the whole query, each interval a
+        ``(name, start, end)`` checked to not end before it starts."""
         done = record.retrieval_done_s
-        legs = attempts.get(record.req_id, {})
         merge_s = self.merge_for(record.n_required)
         merge_end = done + merge_s
-        children = [
-            _shard_chain(record, shard_id, legs.get(shard_id, ()),
-                         self.result.death_times)
-            for shard_id in shard_ids]
-        children.append(Span(name=SPAN_MERGE, start_s=done,
-                             end_s=merge_end))
-        children.append(Span(name=SPAN_PREFILL, start_s=merge_end,
-                             end_s=merge_end + self.prefill_s))
-        root = Span(name=SPAN_QUERY, start_s=record.arrival_s,
-                    end_s=merge_end + self.prefill_s,
-                    labels={"n_required": str(record.n_required)},
-                    children=children)
-        return QueryTrace(
-            req_id=record.req_id,
-            arrival_s=record.arrival_s,
-            retrieval_done_s=done,
-            merge_s=merge_s,
-            prefill_s=self.prefill_s,
-            root=root,
-            determining_shard=determining,
-            n_required=record.n_required,
-            failed_shards=tuple(sorted(record.failed_shards)),
-            corrupted_shards=tuple(sorted(record.corrupted_shards)),
-        )
-
-    def _full(self, record: Any,
-              attempts: Mapping[int, Mapping[int, List[Span]]]
-              ) -> QueryTrace:
-        return self._tree(
-            record, _leg_shards(record), attempts,
-            _determining_shard(record, self.result.death_times))
+        prefill_end = merge_end + self.prefill_s
+        if merge_end < done:
+            raise interval_error(SPAN_MERGE, done, merge_end)
+        if prefill_end < merge_end:
+            raise interval_error(SPAN_PREFILL, merge_end, prefill_end)
+        if prefill_end < record.arrival_s:
+            raise interval_error(SPAN_QUERY, record.arrival_s, prefill_end)
+        return (merge_s, (SPAN_MERGE, done, merge_end),
+                (SPAN_PREFILL, merge_end, prefill_end),
+                (SPAN_QUERY, record.arrival_s, prefill_end))
 
     def traces(self) -> List[QueryTrace]:
         """Every request's full tree, in record (req-id) order."""
-        attempts = self._attempts(lambda req_id, shard_id: True, True)
-        return [self._full(r, attempts) for r in self.result.records]
+        return self._trees(self.result.records,
+                           self._legs(lambda batch: batch.request_ids))
 
     def trace(self, index: int) -> QueryTrace:
         """The full tree of ``result.records[index]`` alone."""
         record = self.result.records[index]
-        return self._full(record, self._attempts(
-            lambda req_id, shard_id: req_id == record.req_id, True))
+        return self._trees([record], self._legs(
+            lambda batch: (record.req_id,)
+            if record.req_id in batch.request_ids else ()))[0]
 
     def critical_paths(self) -> Tuple[CriticalPath, ...]:
-        """Every request's critical path, in record order, each from a
-        tree holding only the determining leg, with leaf batch spans."""
+        """Every request's critical path, in record order.
+
+        Built straight from the determining leg's intervals (the same
+        :func:`_leg_intervals` the trees wrap in spans), then the merge
+        and prefill; no span or tree is built.  Each path equals
+        :func:`~repro.telemetry.critical.critical_path` of the request's
+        full tree, and ``tti_s`` keeps the simulator's association.
+        """
         records = self.result.records
+        batches = self.result.batches
+        death_times = self.result.death_times
         determining = {
-            record.req_id: _determining_shard(
-                record, self.result.death_times)
+            record.req_id: _determining_shard(record, death_times)
             for record in records}
-        attempts = self._attempts(
-            lambda req_id, shard_id: determining.get(req_id) == shard_id,
-            False)
+        legs = self._legs(
+            lambda batch: [req_id for req_id in batch.request_ids
+                           if determining.get(req_id) == batch.shard_id])
+        prefill_s = self.prefill_s
         paths = []
         for record in records:
+            arrival, done = record.arrival_s, record.retrieval_done_s
             shard_id = determining[record.req_id]
-            paths.append(critical_path(self._tree(
-                record, () if shard_id is None else (shard_id,), attempts,
-                shard_id)))
+            segments: List[Segment] = []
+            if shard_id is not None:
+                leg_end = _leg_end(record, shard_id, death_times)
+                if leg_end < arrival:
+                    raise interval_error(SPAN_SHARD, arrival, leg_end)
+                for name, start, end, index in _leg_intervals(
+                        record, shard_id,
+                        legs.get(record.req_id, {}).get(shard_id, ()),
+                        batches, death_times):
+                    segments.append(Segment(
+                        name, start, end, shard_id,
+                        "" if index is None else _outcome(batches[index])))
+            merge_s, merge, prefill, _query = self._host_intervals(record)
+            segments.append(Segment(*merge))
+            segments.append(Segment(*prefill))
+            paths.append(CriticalPath(
+                req_id=record.req_id,
+                segments=tuple(segments),
+                tti_s=((done - arrival) + merge_s) + prefill_s,
+                determining_shard=-1 if shard_id is None else shard_id))
         return tuple(paths)
 
 
@@ -361,6 +438,14 @@ def throughput_metrics(registry: MetricsRegistry, report: Any,
     makespan = registry.gauge(
         "repro_makespan_seconds", "Simulated makespan")
     makespan.set(report.makespan_s)
+
+
+def count_batches(counter: Counter, batches: Sequence[Any]) -> None:
+    """Count executed attempts per (shard, outcome): one ``inc`` of the
+    pair's count, the same float as that many ``inc()`` calls."""
+    for (shard_id, outcome), n in collections.Counter(
+            (batch.shard_id, batch.outcome) for batch in batches).items():
+        counter.inc(n, shard=str(shard_id), outcome=outcome)
 
 
 def latency_metrics(registry: MetricsRegistry, record: Any,
@@ -390,15 +475,22 @@ def latency_metrics(registry: MetricsRegistry, record: Any,
     size_hist = registry.histogram(
         "repro_batch_size", "Executed batch sizes", BATCH_SIZE_BOUNDS)
     merge_for = merge_lookup(record.merge)
+    tti_groups: Dict[Tuple[Tuple[str, str], ...], List[float]] = {}
     for path in paths:
-        tti_hist.observe(path.tti_s, **tti_labels(path))
-    for r in result.records:
-        retrieval_hist.observe(
-            (r.retrieval_done_s - r.arrival_s) + merge_for(r.n_required))
-    for path in paths:
-        queue_hist.observe(path.stage_totals().get(SPAN_QUEUE_WAIT, 0.0))
+        tti_groups.setdefault(tuple(sorted(tti_labels(path).items())),
+                              []).append(path.tti_s)
+    for labels, samples in tti_groups.items():
+        tti_hist.observe_many(samples, **dict(labels))
+    retrieval_hist.observe_many(
+        (r.retrieval_done_s - r.arrival_s) + merge_for(r.n_required)
+        for r in result.records)
+    queue_hist.observe_many(
+        path.stage_seconds(SPAN_QUEUE_WAIT) for path in paths)
+    sizes: Dict[int, List[int]] = {}
     for batch in result.batches:
-        size_hist.observe(batch.batch_size, shard=str(batch.shard_id))
+        sizes.setdefault(batch.shard_id, []).append(batch.batch_size)
+    for shard_id, shard_sizes in sizes.items():
+        size_hist.observe_many(shard_sizes, shard=str(shard_id))
 
     burn = registry.gauge(
         "repro_slo_burn_rate",
@@ -435,54 +527,42 @@ def build_serve_metrics(record: Any,
 
     batches = registry.counter(
         "repro_batches_total", "Executed batch attempts by outcome")
-    retries = registry.counter(
-        "repro_retries_total", "Backoff-gated retry rounds")
-    deaths = registry.counter(
-        "repro_shard_deaths_total", "Shards declared dead")
-    detected = registry.counter(
-        "repro_integrity_detected_total",
-        "Corrupted batches caught by ABFT verification")
-    recomputes = registry.counter(
-        "repro_integrity_recomputes_total",
-        "Recompute attempts dispatched to heal detections")
-    escapes = registry.counter(
-        "repro_sdc_escapes_total",
-        "Corrupted batches shipped undetected")
+    count_batches(batches, result.batches)
+    # Fault-log kind -> the counter its entries count.
+    by_kind = {
+        "backoff": registry.counter(
+            "repro_retries_total", "Backoff-gated retry rounds"),
+        "dead": registry.counter(
+            "repro_shard_deaths_total", "Shards declared dead"),
+        "corrupted": registry.counter(
+            "repro_integrity_detected_total",
+            "Corrupted batches caught by ABFT verification"),
+        "recompute": registry.counter(
+            "repro_integrity_recomputes_total",
+            "Recompute attempts dispatched to heal detections"),
+        "sdc": registry.counter(
+            "repro_sdc_escapes_total",
+            "Corrupted batches shipped undetected"),
+    }
     # Registered only when protection is on: a registered counter
     # exposes HELP/TYPE headers even at zero, and ECC-off runs must
     # stay byte-identical to the pre-ECC registry.
-    ecc_corrected = ecc_detected = ecc_miscorrected = None
     if cfg.ecc.enabled:
-        ecc_corrected = registry.counter(
+        by_kind["ecc_corrected"] = registry.counter(
             "repro_ecc_corrected_total",
             "Codewords the ECC decoder corrected in place")
-        ecc_detected = registry.counter(
+        by_kind["ecc_detected"] = registry.counter(
             "repro_ecc_detected_total",
             "Codewords the ECC decoder flagged detected-uncorrectable")
-        ecc_miscorrected = registry.counter(
+        by_kind["ecc_miscorrect"] = registry.counter(
             "repro_ecc_miscorrections_total",
             "Codewords the ECC decoder silently miscorrected")
-    for batch in result.batches:
-        batches.inc(shard=str(batch.shard_id), outcome=batch.outcome)
-    for entry in result.fault_log:
-        shard = str(entry.shard_id)
-        if entry.kind == "backoff":
-            retries.inc(shard=shard)
-        elif entry.kind == "dead":
-            deaths.inc(shard=shard)
-        elif entry.kind == "corrupted":
-            detected.inc(shard=shard)
-        elif entry.kind == "recompute":
-            recomputes.inc(shard=shard)
-        elif entry.kind == "sdc":
-            escapes.inc(shard=shard)
-        elif entry.kind == "ecc_corrected" and ecc_corrected is not None:
-            ecc_corrected.inc(shard=shard)
-        elif entry.kind == "ecc_detected" and ecc_detected is not None:
-            ecc_detected.inc(shard=shard)
-        elif entry.kind == "ecc_miscorrect" \
-                and ecc_miscorrected is not None:
-            ecc_miscorrected.inc(shard=shard)
+    for (kind, shard_id), n in collections.Counter(
+            (entry.kind, entry.shard_id)
+            for entry in result.fault_log).items():
+        counter = by_kind.get(kind)
+        if counter is not None:
+            counter.inc(n, shard=str(shard_id))
 
     throughput_metrics(registry, report, paths)
     attainment = registry.gauge(

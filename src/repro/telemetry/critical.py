@@ -83,6 +83,16 @@ class CriticalPath:
             totals[key] = totals.get(key, 0.0) + segment.duration_s
         return totals
 
+    def stage_seconds(self, key: str) -> float:
+        """Critical seconds of one stage key: bitwise
+        ``stage_totals().get(key, 0.0)``, the same left fold, without
+        building the dict."""
+        total = 0.0
+        for segment in self.segments:
+            if segment.stage == key:
+                total += segment.end_s - segment.start_s
+        return total
+
 
 def critical_path(trace: QueryTrace) -> CriticalPath:
     """Extract the blocking chain for one request.

@@ -24,8 +24,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -56,17 +58,18 @@ def _label_key(labels: Mapping[str, str]) -> LabelKey:
 
 def _fmt_value(value: float) -> str:
     """Deterministic exposition formatting (ints bare, floats repr)."""
-    if isinstance(value, bool):  # pragma: no cover - never stored
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
+    if value.__class__ is not float:
+        if isinstance(value, int):  # bools print as 0/1
+            return str(int(value))
+        value = float(value)
+    if value.is_integer():
+        return str(int(value)) if abs(value) < 1e15 else repr(value)
     if math.isinf(value):
         return "+Inf" if value > 0 else "-Inf"
-    if float(value).is_integer() and abs(value) < 1e15:
-        return str(int(value))
-    return repr(float(value))
+    return repr(value)
 
 
+@functools.lru_cache(maxsize=4096)
 def _fmt_labels(key: LabelKey) -> str:
     if not key:
         return ""
@@ -90,18 +93,35 @@ class _Metric:
                 f"# TYPE {self.name} {self.kind}"]
 
 
-class Counter(_Metric):
-    """Monotonically accumulated totals, keyed by label set."""
-
-    kind = "counter"
+class _Scalar(_Metric):
+    """One float per label set: the exposition both scalar kinds share."""
 
     def __init__(self, name: str, help_text: str):
         super().__init__(name, help_text)
         self._samples: Dict[LabelKey, float] = {}
 
+    def expose_lines(self) -> List[str]:
+        name, samples = self.name, self._samples
+        return [*self.header_lines(),
+                *[f"{name}{_fmt_labels(key)} {_fmt_value(samples[key])}"
+                  for key in sorted(samples)]]
+
+    def snapshot(self) -> List[Dict[str, object]]:
+        return [{"labels": dict(key), "value": self._samples[key]}
+                for key in sorted(self._samples)]
+
+
+class Counter(_Scalar):
+    """Monotonically accumulated totals, keyed by label set."""
+
+    kind = "counter"
+
     def inc(self, value: float = 1.0, **labels: str) -> None:
         if value < 0:
             raise ValueError(f"counter {self.name} cannot decrease "
+                             f"(inc by {value!r})")
+        if math.isnan(value):
+            raise ValueError(f"counter {self.name} cannot add NaN "
                              f"(inc by {value!r})")
         key = _label_key(labels)
         self._samples[key] = self._samples.get(key, 0.0) + value
@@ -109,43 +129,17 @@ class Counter(_Metric):
     def value(self, **labels: str) -> float:
         return self._samples.get(_label_key(labels), 0.0)
 
-    def expose_lines(self) -> List[str]:
-        lines = self.header_lines()
-        for key in sorted(self._samples):
-            lines.append(f"{self.name}{_fmt_labels(key)} "
-                         f"{_fmt_value(self._samples[key])}")
-        return lines
 
-    def snapshot(self) -> List[Dict[str, object]]:
-        return [{"labels": dict(key), "value": self._samples[key]}
-                for key in sorted(self._samples)]
-
-
-class Gauge(_Metric):
+class Gauge(_Scalar):
     """Last-written point-in-time values, keyed by label set."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help_text: str):
-        super().__init__(name, help_text)
-        self._samples: Dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: str) -> None:
         self._samples[_label_key(labels)] = float(value)
 
     def value(self, **labels: str) -> Optional[float]:
         return self._samples.get(_label_key(labels))
-
-    def expose_lines(self) -> List[str]:
-        lines = self.header_lines()
-        for key in sorted(self._samples):
-            lines.append(f"{self.name}{_fmt_labels(key)} "
-                         f"{_fmt_value(self._samples[key])}")
-        return lines
-
-    def snapshot(self) -> List[Dict[str, object]]:
-        return [{"labels": dict(key), "value": self._samples[key]}
-                for key in sorted(self._samples)]
 
 
 class _HistogramSeries:
@@ -184,21 +178,36 @@ class Histogram(_Metric):
         self._series: Dict[LabelKey, _HistogramSeries] = {}
 
     def observe(self, value: float, **labels: str) -> None:
-        if math.isnan(value):
-            raise ValueError(f"histogram {self.name}: NaN observation")
+        self.observe_many((value,), **labels)
+
+    def observe_many(self, values: Iterable[float], **labels: str) -> None:
+        """Observe ``values`` in order into one label set's series.
+
+        Each lands in the first bucket whose bound is at or above it
+        (the overflow bucket past the last bound), and ``total`` is a
+        left fold of the values, so this equals one :meth:`observe` per
+        value bit for bit.  A NaN anywhere raises before the series
+        changes.
+        """
+        samples = list(values)
+        for value in samples:
+            if math.isnan(value):
+                raise ValueError(f"histogram {self.name}: NaN observation")
+        if not samples:
+            return
         key = _label_key(labels)
         series = self._series.get(key)
         if series is None:
             series = self._series[key] = _HistogramSeries(
                 len(self.boundaries) + 1)
-        index = len(self.boundaries)          # overflow bucket
-        for i, bound in enumerate(self.boundaries):
-            if value <= bound:
-                index = i
-                break
-        series.bucket_counts[index] += 1
-        series.total += value
-        series.count += 1
+        counts = series.bucket_counts
+        bounds = self.boundaries
+        total = series.total
+        for value in samples:
+            counts[bisect_left(bounds, value)] += 1
+            total += value
+        series.total = total
+        series.count += len(samples)
 
     def count(self, **labels: str) -> int:
         series = self._series.get(_label_key(labels))
@@ -231,10 +240,8 @@ class Histogram(_Metric):
             series = self._series[key]
             labels = _fmt_labels(key)
             bucket = f"{self.name}_bucket{{{labels[1:-1]}{',' if key else ''}"
-            cumulative = 0
-            for le, count in zip(les, series.bucket_counts):
-                cumulative += count
-                lines.append(f"{bucket}{le}{cumulative}")
+            lines.extend([f"{bucket}{le}{cumulative}" for le, cumulative
+                          in zip(les, accumulate(series.bucket_counts))])
             lines.append(f'{bucket}le="+Inf"}} {series.count}')
             lines.append(f"{self.name}_sum{labels} "
                          f"{_fmt_value(series.total)}")

@@ -61,6 +61,8 @@ def render_query_trace(trace: QueryTrace) -> str:
 def render_spans_report(traces: Sequence[QueryTrace],
                         limit: Optional[int] = None) -> str:
     """Span trees for a whole run (optionally only the first ``limit``)."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit!r}")
     total_spans = sum(trace.n_spans() for trace in traces)
     shown = traces if limit is None else traces[:limit]
     lines = [f"span trees: {len(traces)} queries, {total_spans} spans"]

@@ -42,6 +42,7 @@ __all__ = [
     "SPAN_MERGE",
     "SPAN_PREFILL",
     "STAGE_SPANS",
+    "interval_error",
 ]
 
 #: Span stage names (the closed vocabulary the renderers rely on).
@@ -57,6 +58,13 @@ SPAN_PREFILL = "prefill"
 #: Leaf stages a ``batch`` span decomposes into (display order).
 STAGE_SPANS = ("dma", "mac", "topk", "return", "checksum", "scrub",
                "slowdown")
+
+
+def interval_error(name: str, start_s: float, end_s: float) -> ValueError:
+    """The error for an interval of stage ``name`` that ends before it
+    starts (spans and critical-path segments alike)."""
+    return ValueError(f"span {name!r} ends before it starts: "
+                      f"[{start_s!r}, {end_s!r}]")
 
 
 @dataclass
@@ -75,9 +83,7 @@ class Span:
 
     def __post_init__(self) -> None:
         if self.end_s < self.start_s:
-            raise ValueError(
-                f"span {self.name!r} ends before it starts: "
-                f"[{self.start_s!r}, {self.end_s!r}]")
+            raise interval_error(self.name, self.start_s, self.end_s)
 
     @property
     def duration_s(self) -> float:

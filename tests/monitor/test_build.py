@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from repro.monitor import (
     build_run_monitor,
     sample_instants,
 )
-from repro.monitor.build import overdue_counts
+from repro.monitor.build import _cumulative_points, overdue_counts
 from repro.scale import ScaleSimulator, golden_autoscale_config
 from repro.serve.scheduler import BatchPolicy
 from repro.serve.simulator import ServingSimulator, golden_serve_config
@@ -119,6 +120,30 @@ def test_qps_windows_sum_to_completions():
     assert total == pytest.approx(report.n_completed, rel=1e-9)
 
 
+def test_burn_window_keeps_a_completion_at_its_start():
+    """A completion exactly at ``t - cadence`` still counts at ``t``: the
+    shared signal only drops completions older than the window start."""
+    def request(req_id, arrival_s, done_s):
+        return SimpleNamespace(req_id=req_id, arrival_s=arrival_s,
+                               retrieval_done_s=done_s,
+                               shard_done_s={0: done_s}, failed_shards=set())
+
+    result = SimpleNamespace(
+        records=(request(0, 0.0, 0.01), request(1, 0.02, 0.025)),
+        batches=(), fault_log=(), death_times={})
+    monitor = build_run_monitor(
+        workload="tie", result=result, slo_s=0.005, error_budget=0.5,
+        class_names=("all",), priorities={}, tti_by_req={0: 0.01, 1: 0.001},
+        batch_bytes=[], pool_initial=1, registry_exposition="",
+        cadence_s=0.01)
+    assert monitor.instants == (0.01, 0.02, 0.03)
+    assert monitor.instants[1] - 0.01 == 0.01
+    burn = monitor.get("repro_monitor_slo_burn", **{"class": "all"})
+    # One violating completion in [0.01, 0.02]; the on-time one lands
+    # alone in [0.02, 0.03].
+    assert [value for _, value in burn.points] == [2.0, 2.0, 0.0]
+
+
 # -- builder validation ------------------------------------------------
 
 
@@ -170,6 +195,26 @@ def test_monitor_round_trip():
 
 
 # -- overdue counts ------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_weighted_cumulative_points_equal_the_sorted_fold(seed):
+    """Weights add up as one left fold in (time, weight) order, ties
+    and non-integral weights included (where the order shows)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 50))
+    times = rng.choice(rng.uniform(0.0, 1.0, 6), n).tolist()
+    weights = (rng.uniform(0.0, 1e9, n) * rng.choice([1.0, 1e-7], n)).tolist()
+    instants = sorted(set(rng.uniform(-0.1, 1.1, 12).tolist() + times[:3]))
+    pairs = sorted(zip(times, weights))
+    want = []
+    for t in instants:
+        total = 0.0
+        for when, weight in pairs:
+            if when <= t:
+                total += weight
+        want.append((t, total))
+    assert _cumulative_points(instants, times, weights) == want
 
 
 def _broadcast_overdue(instants, arrival, done, slo_s, classes, n_classes):

@@ -1,5 +1,6 @@
 """The shared burn signal: one window engine for controller and monitor."""
 
+import dataclasses
 import math
 
 import pytest
@@ -9,6 +10,10 @@ from hypothesis import strategies as st
 from repro.monitor import BurnSignal
 from repro.scale import ScalePolicy, ScaleSimulator, golden_autoscale_config
 from repro.scale.controller import BurnRateController
+from repro.scale.simulator import golden_autoscale_fault_config
+from repro.serve import ServingSimulator, golden_serve_config
+from repro.serve.record import observe_run
+from repro.serve.simulator import golden_fault_config
 
 
 def test_controller_is_backed_by_shared_signal():
@@ -143,3 +148,66 @@ def test_monitor_burn_equals_recorded_tick_burns():
             assert by_t[t_s] == burns[cls_index]
             checked += 1
     assert checked >= len(ticks)
+
+
+def _static_record(config):
+    return lambda: ServingSimulator(config)._simulate(None, capture=True)
+
+
+def _elastic_record(config):
+    return lambda: ScaleSimulator(config)._run_record(capture=True)
+
+
+def _tight_slo(config):
+    """``config`` with an SLO most requests outwait (overdue counts)."""
+    if hasattr(config, "serve"):
+        return dataclasses.replace(
+            config, serve=dataclasses.replace(config.serve, slo_s=0.004))
+    return dataclasses.replace(config, slo_s=0.004)
+
+
+@pytest.mark.parametrize("make_record, cadence_s, overdue_expected", [
+    (_static_record(golden_serve_config()), None, False),
+    (_static_record(_tight_slo(golden_fault_config())), 0.0071, True),
+    (_elastic_record(golden_autoscale_config()), 0.003, False),
+    (_elastic_record(_tight_slo(golden_autoscale_fault_config())), 0.0071,
+     True),
+])
+def test_monitor_burn_between_ticks_equals_a_replayed_signal(
+        make_record, cadence_s, overdue_expected):
+    """Off the recorded ticks the burn series counts the trailing window
+    from the completion record: bitwise what a twin BurnSignal, fed the
+    completions in order and the brute-force overdue counts, reads."""
+    record = make_record()
+    _telemetry, monitor = observe_run(record, workload="replay",
+                                      cadence_s=cadence_s)
+    result, slo_s = record.result, record.config.slo_s
+    names = record.class_names
+    signal = BurnSignal(monitor.cadence_s, slo_s, len(names))
+    series = [monitor.get("repro_monitor_slo_burn", **{"class": name})
+              for name in names]
+    ticks = {a.t_s for a in record.actions
+             if a.kind == "tick" and a.class_burns}
+    completions = sorted((r.retrieval_done_s, r.req_id)
+                         for r in result.records
+                         if r.retrieval_done_s is not None)
+    noted = checked = overdue_seen = 0
+    for index, t in enumerate(monitor.instants):
+        while noted < len(completions) and completions[noted][0] <= t:
+            done, req_id = completions[noted]
+            signal.note_completion(done, record.tti_by_req[req_id],
+                                   record.priorities.get(req_id, 0))
+            noted += 1
+        if t in ticks:
+            continue
+        overdue = [0] * len(names)
+        for r in result.records:
+            if t - r.arrival_s > slo_s and (r.retrieval_done_s is None
+                                           or r.retrieval_done_s > t):
+                overdue[record.priorities.get(r.req_id, 0)] += 1
+        overdue_seen += sum(overdue)
+        want = signal.class_burns(t, overdue, record.error_budget)
+        assert [s.points[index][1] for s in series] == want, t
+        checked += 1
+    assert checked > 0
+    assert (overdue_seen > 0) == overdue_expected

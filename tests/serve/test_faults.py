@@ -39,6 +39,7 @@ from repro.serve import (
     ServingSimulator,
     ShardedAPURetriever,
     golden_fault_config,
+    golden_integrity_config,
     golden_serve_config,
     measured_degraded_recall,
     oracle_live_recall,
@@ -183,6 +184,30 @@ class TestScriptedOutageDegradation:
         simulator.run()
         after = simulator.service_model.batch_seconds(0, 1)
         assert after > before
+
+    @pytest.mark.parametrize("failover", ["reroute", "degraded"])
+    def test_memoized_batch_seconds_follow_the_slices(self, failover):
+        """The memo never serves a time from before a takeover or a
+        degraded death: under ABFT the verification cost grows with the
+        shard's MAC blocks (two per 50 GB quarter), and a degraded death
+        zeroes the shard's chunk count without a re-anchor (so it too
+        must bump ``stage_epoch``)."""
+        config = dataclasses.replace(
+            self.chaos_config(failover), spec=PAPER_CORPORA["50GB"],
+            faults=FaultPlan(outages=(OutageFault(shard_id=2,
+                                                  start_s=0.02),)),
+            integrity=golden_integrity_config().integrity)
+        simulator = ServingSimulator(config)
+        record = simulator._simulate()
+        assert record.report.n_shard_failures == 1
+        model = simulator.service_model
+        assert model.chunk_counts[2] == 0
+        # Shard 2 served (and memoized) batches before it died.
+        assert any(batch.shard_id == 2 for batch in record.result.batches)
+        for shard in range(config.n_shards):
+            for size in range(1, config.batch.max_batch + 1):
+                assert model.batch_seconds(shard, size) \
+                    == model._batch_seconds(shard, size), (shard, size)
 
     @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
     def test_batch_bytes_are_charged_at_dispatch(self, engine):

@@ -4,14 +4,22 @@ import pytest
 
 from repro.core.params import DEFAULT_PARAMS
 from repro.obs import collecting
+from repro.scale import (
+    ScaleConfig,
+    ScaleSimulator,
+    golden_autoscale_config,
+    golden_autoscale_fault_config,
+)
 from repro.serve.simulator import (
     ServingSimulator,
+    golden_ecc_config,
     golden_fault_config,
     golden_integrity_config,
     golden_serve_config,
 )
-from repro.telemetry import StageTable, reconcile_with_trace
+from repro.telemetry import StageTable, build, reconcile_with_trace
 from repro.telemetry.build import TraceBuilder
+from repro.telemetry.critical import critical_path
 
 CLOCK = DEFAULT_PARAMS.clock_hz
 
@@ -20,6 +28,22 @@ GOLDEN_CONFIGS = {
     "serve_faults": golden_fault_config,
     "serve_integrity": golden_integrity_config,
 }
+
+
+#: Every ``repro spans`` workload, static and elastic.
+SPANS_CONFIGS = {
+    **GOLDEN_CONFIGS,
+    "serve_ecc": golden_ecc_config,
+    "serve_autoscale": golden_autoscale_config,
+    "serve_autoscale_faults": golden_autoscale_fault_config,
+}
+
+
+def _telemetry(workload):
+    config = SPANS_CONFIGS[workload]()
+    if isinstance(config, ScaleConfig):
+        return ScaleSimulator(config).run_with_telemetry()[1]
+    return ServingSimulator(config).run_with_telemetry()[1]
 
 
 def _event_key(event):
@@ -71,6 +95,28 @@ class TestReconciliation:
         report = reconcile_with_trace(telemetry.traces, survivors, CLOCK)
         assert not report.ok
         assert report.n_batch_matched == 0
+
+
+class TestCriticalPathsFromRecord:
+    """Paths come from the leg intervals, never from a tree, and equal
+    the paths of the full trees exactly."""
+
+    @pytest.mark.parametrize("workload", sorted(SPANS_CONFIGS))
+    def test_paths_equal_the_full_trees_paths(self, workload):
+        telemetry = _telemetry(workload)
+        assert telemetry.critical_paths == tuple(
+            critical_path(trace) for trace in telemetry.traces)
+
+    def test_paths_build_no_span_or_tree(self, monkeypatch):
+        telemetry = _telemetry("serve_faults")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("critical paths built a span or tree")
+
+        monkeypatch.setattr(build, "Span", forbidden)
+        monkeypatch.setattr(build, "QueryTrace", forbidden)
+        assert telemetry.builder.critical_paths() \
+            == telemetry.critical_paths
 
 
 class TestStageTables:

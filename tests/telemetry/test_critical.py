@@ -83,6 +83,17 @@ class TestAttribution:
         assert sum(path.stage_totals().values()) == pytest.approx(
             path.total_s, rel=1e-12)
 
+    @pytest.mark.parametrize("workload", ["serve", "serve_faults"])
+    def test_stage_seconds_is_the_stage_totals_entry(
+            self, telemetry_by_workload, workload):
+        """One stage's seconds equal its ``stage_totals`` entry bitwise,
+        and an absent stage reads 0.0."""
+        _, telemetry = telemetry_by_workload[workload]
+        for path in telemetry.critical_paths:
+            totals = path.stage_totals()
+            for key in (*totals, "queue_wait", "no_such_stage"):
+                assert path.stage_seconds(key) == totals.get(key, 0.0)
+
     def test_run_attribution_aggregates(self, telemetry_by_workload):
         _, telemetry = telemetry_by_workload["serve"]
         totals = stage_attribution(telemetry.critical_paths)

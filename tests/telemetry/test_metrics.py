@@ -32,6 +32,13 @@ class TestCounter:
         with pytest.raises(ValueError, match="cannot decrease"):
             counter.inc(-1.0)
 
+    def test_rejects_nan_increment(self):
+        counter = Counter("repro_test_total", "help")
+        counter.inc(shard="0")
+        with pytest.raises(ValueError, match="cannot add NaN"):
+            counter.inc(math.nan, shard="0")
+        assert counter.value(shard="0") == 1.0
+
     def test_label_order_is_canonical(self):
         counter = Counter("repro_test_total", "help")
         counter.inc(b="2", a="1")
@@ -60,6 +67,48 @@ class TestHistogram:
         hist = Histogram("repro_test_seconds", "h", (1.0,))
         with pytest.raises(ValueError, match="NaN"):
             hist.observe(math.nan)
+
+    @pytest.mark.parametrize("values", [
+        [],
+        [0.1, 0.2, 0.5, 1.0],                       # exactly on bounds
+        [0.3, math.inf, -2.5, 0.0, 7.0],
+        [-math.inf, 0.2, -0.0],
+        [1, 2, 3, 0, -1],                           # ints
+        [0.1 * i for i in range(50)] + [1e-17, 0.30000000000000004],
+    ])
+    def test_observe_many_equals_observe_loop(self, values):
+        bounds = (0.1, 0.2, 0.5, 1.0)
+        bulk = Histogram("repro_test_seconds", "h", bounds)
+        bulk.observe(0.05, shard="0")
+        bulk.observe_many(values, shard="0")
+        loop = Histogram("repro_test_seconds", "h", bounds)
+        loop.observe(0.05, shard="0")
+        for value in values:
+            loop.observe(value, shard="0")
+        assert bulk.snapshot() == loop.snapshot()
+        assert bulk.expose_lines() == loop.expose_lines()
+        # Independent reference: first bound >= v, and a left fold.
+        counts = [0] * (len(bounds) + 1)
+        total = 0.0
+        for value in [0.05, *values]:
+            counts[next((i for i, b in enumerate(bounds) if value <= b),
+                        len(bounds))] += 1
+            total += value
+        (row,) = bulk.snapshot()
+        assert list(row["buckets"].values()) == counts
+        assert row["count"] == len(values) + 1
+        assert repr(row["sum"]) == repr(total)
+
+    def test_observe_many_rejects_nan_before_any_change(self):
+        hist = Histogram("repro_test_seconds", "h", (1.0,))
+        hist.observe(0.5)
+        before = hist.snapshot()
+        with pytest.raises(ValueError, match="NaN"):
+            hist.observe_many([0.25, math.nan, 2.0])
+        assert hist.snapshot() == before
+        with pytest.raises(ValueError, match="NaN"):
+            hist.observe_many([math.nan], shard="new")
+        assert hist.snapshot() == before
 
     def test_quantile_agrees_with_nearest_rank(self):
         bounds = (0.1, 0.2, 0.5, 1.0)

@@ -9,6 +9,7 @@ from repro.telemetry import (
     SPAN_SHARD,
     QueryTrace,
     Span,
+    render_spans_report,
 )
 
 
@@ -70,3 +71,9 @@ class TestQueryTrace:
         trace = _tiny_trace()
         assert set(trace.shard_spans) == {0}
         assert trace.shard_spans[0].name == SPAN_SHARD
+
+
+class TestSpansReport:
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            render_spans_report([_tiny_trace()] * 3, limit=-1)

@@ -109,6 +109,24 @@ class TestServeCommand:
             main(["diff", str(path), str(path)])
         assert "\n" not in str(exc.value.code)
 
+    @pytest.mark.parametrize("cadence_ms", ["-5", "nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["monitor", "serve"],
+        ["serve", "--corpus", "10GB", "--requests", "8", "--bundle-out"],
+    ])
+    def test_bad_cadence_exits_before_simulating(self, tmp_path, capsys,
+                                                 cadence_ms, command):
+        if command[-1] == "--bundle-out":
+            command = [*command, str(tmp_path / "run.json")]
+        with pytest.raises(SystemExit,
+                           match=r"^--cadence-ms must be a finite number "
+                                 r">= 0 \(0 = the workload's default\)$") \
+                as exc:
+            main([*command, f"--cadence-ms={cadence_ms}"])
+        assert "\n" not in str(exc.value.code)
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "run.json").exists()
+
     def test_serve_rejects_bad_shards(self):
         with pytest.raises(ValueError):
             main(["serve", "--shards", "0", "--requests", "8",
@@ -194,6 +212,14 @@ class TestSpansCommand:
         assert "span trees: 64 queries" in out
         assert "critical-path attribution" in out
         assert "reconciliation:" in out and "OK" in out
+
+    def test_spans_negative_limit_rejected(self, capsys):
+        with pytest.raises(SystemExit,
+                           match=r"^--limit must be >= 0 \(0 = all\)$") \
+                as exc:
+            main(["spans", "serve", "--limit", "-1"])
+        assert "\n" not in str(exc.value.code)
+        assert capsys.readouterr().out == ""
 
     def test_spans_single_query_shows_critical_path(self, capsys):
         assert main(["spans", "serve", "--query", "3"]) == 0
