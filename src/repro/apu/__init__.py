@@ -13,50 +13,19 @@ Layers, bottom-up:
 * :mod:`repro.apu.energy` -- the calibrated board energy model.
 """
 
-from .bitproc import BitProcessorArray, MicrocodeError
-from .core import APUCore, NUM_MARKERS
-from .device import APUDevice, TaskResult
-from .dma import DMAController
-from .energy import APUEnergyModel, EnergyBreakdown, categorize_op
-from .gvml import GVML, GVMLError
-from .memory import (
-    AllocationError,
-    CPCache,
-    DeviceDRAM,
-    MemHandle,
-    MemoryError_,
-    Scratchpad,
-    VMRFile,
-)
-from .assembler import AssemblerError, assemble, run_program
-from .profiler import DeviceProfiler, linear_fit
-from .rvv import RVVError, RVVMachine
+from .. import lazy_exports
 
-__all__ = [
-    "APUCore",
-    "APUDevice",
-    "APUEnergyModel",
-    "AllocationError",
-    "AssemblerError",
-    "assemble",
-    "BitProcessorArray",
-    "CPCache",
-    "DMAController",
-    "DeviceDRAM",
-    "DeviceProfiler",
-    "EnergyBreakdown",
-    "GVML",
-    "GVMLError",
-    "MemHandle",
-    "MemoryError_",
-    "MicrocodeError",
-    "NUM_MARKERS",
-    "RVVError",
-    "RVVMachine",
-    "Scratchpad",
-    "TaskResult",
-    "VMRFile",
-    "categorize_op",
-    "linear_fit",
-    "run_program",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "bitproc": ("BitProcessorArray", "MicrocodeError"),
+    "core": ("APUCore", "NUM_MARKERS"),
+    "device": ("APUDevice", "TaskResult"),
+    "dma": ("DMAController",),
+    "energy": ("APUEnergyModel", "EnergyBreakdown", "categorize_op"),
+    "gvml": ("GVML", "GVMLError"),
+    "memory": (
+        "AllocationError", "CPCache", "DeviceDRAM", "MemHandle",
+        "MemoryError_", "Scratchpad", "VMRFile"),
+    "assembler": ("AssemblerError", "assemble", "run_program"),
+    "profiler": ("DeviceProfiler", "linear_fit"),
+    "rvv": ("RVVError", "RVVMachine"),
+})

@@ -20,6 +20,8 @@ import numpy as np
 from ..core.estimator import LatencyEstimator
 from ..core.params import APUParams, DEFAULT_PARAMS
 from ..obs import collector as _trace_collector
+from .dma import DMAController
+from .gvml import GVML
 from .memory import MemoryError_, Scratchpad, VMRFile
 
 __all__ = ["APUCore", "NUM_MARKERS"]
@@ -58,10 +60,6 @@ class APUCore:
         }
         self.l1 = VMRFile(params)
         self.l2 = Scratchpad(params)
-        # Deferred imports to avoid a cycle (gvml/dma need APUCore's type).
-        from .gvml import GVML
-        from .dma import DMAController
-
         self.gvml = GVML(self)
         self.dma = DMAController(self)
         #: Estimated microcode instruction count (Table 6 statistics).

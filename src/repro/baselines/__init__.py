@@ -1,21 +1,12 @@
 """Baseline platforms: Xeon Gold 6230R, RTX A6000, FAISS-like indexes."""
 
-from .anns import IndexIVFFlat, ivf_recall_at_k
-from .cpu import CPUModel, CPUSpec, PHOENIX_CPU, PhoenixCPUCalibration, XEON_6230R
-from .faiss_like import IndexFlatIP, IndexFlatL2
-from .gpu import GPUModel, GPUSpec, RTX_A6000
+from .. import lazy_exports
 
-__all__ = [
-    "CPUModel",
-    "CPUSpec",
-    "GPUModel",
-    "GPUSpec",
-    "IndexFlatIP",
-    "IndexFlatL2",
-    "IndexIVFFlat",
-    "PHOENIX_CPU",
-    "PhoenixCPUCalibration",
-    "RTX_A6000",
-    "XEON_6230R",
-    "ivf_recall_at_k",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "anns": ("IndexIVFFlat", "ivf_recall_at_k"),
+    "cpu": (
+        "CPUModel", "CPUSpec", "PHOENIX_CPU", "PhoenixCPUCalibration",
+        "XEON_6230R"),
+    "faiss_like": ("IndexFlatIP", "IndexFlatL2"),
+    "gpu": ("GPUModel", "GPUSpec", "RTX_A6000"),
+})

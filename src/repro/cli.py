@@ -108,7 +108,7 @@ def _run_fig12(args) -> None:
 
 
 def _run_table6(args) -> None:
-    from .phoenix import PhoenixSuite
+    from .phoenix.suite import PhoenixSuite
 
     for row in PhoenixSuite().table6_stats():
         cpu = (f"{row['cpu_instructions'] / 1e9:.1f}B"
@@ -118,7 +118,7 @@ def _run_table6(args) -> None:
 
 
 def _run_table7(args) -> None:
-    from .phoenix import PhoenixSuite
+    from .phoenix.suite import PhoenixSuite
 
     suite = PhoenixSuite()
     print("Table 7: measured vs predicted latency")
@@ -129,7 +129,7 @@ def _run_table7(args) -> None:
 
 
 def _run_fig13(args) -> None:
-    from .phoenix import PhoenixSuite
+    from .phoenix.suite import PhoenixSuite
 
     suite = PhoenixSuite()
     for row in suite.fig13_comparison():
@@ -139,7 +139,8 @@ def _run_fig13(args) -> None:
 
 
 def _run_table8(args) -> None:
-    from .rag import APURetriever, PAPER_CORPORA
+    from .rag.corpus import PAPER_CORPORA
+    from .rag.retrieval import APURetriever
 
     for label, spec in PAPER_CORPORA.items():
         noopt = APURetriever(optimized=False).latency_breakdown(spec)
@@ -149,7 +150,8 @@ def _run_table8(args) -> None:
 
 
 def _run_fig14(args) -> None:
-    from .rag import PAPER_CORPORA, fig14_comparison
+    from .rag.corpus import PAPER_CORPORA
+    from .rag.pipeline import fig14_comparison
 
     for entry in fig14_comparison():
         cells = "  ".join(f"{label} {entry.ttft_ms[label]:7.1f}"
@@ -158,7 +160,7 @@ def _run_fig14(args) -> None:
 
 
 def _run_fig15(args) -> None:
-    from .rag import fig15_energy_comparison
+    from .rag.energy import fig15_energy_comparison
 
     for label, point in fig15_energy_comparison().items():
         print(f"  {label}: APU {point.apu_energy.total_j:6.3f} J vs "
@@ -167,7 +169,8 @@ def _run_fig15(args) -> None:
 
 
 def _run_batching(args) -> None:
-    from .rag import BatchedAPURetrieval, PAPER_CORPORA
+    from .rag.batching import BatchedAPURetrieval
+    from .rag.corpus import PAPER_CORPORA
 
     model = BatchedAPURetrieval()
     spec = PAPER_CORPORA[args.corpus]
@@ -192,9 +195,9 @@ def _run_claims(args) -> None:
 
 def _build_scale_config(args, serve_config):
     """The elastic (or shaped-arrival) wrapper around one ServeConfig."""
-    from .scale import ScaleConfig, ScalePolicy, ScalePolicyError, \
-        parse_priority_map
-    from .serve import ClosedLoopConfig, bursty_arrival_times, \
+    from .scale.policy import ScalePolicy, ScalePolicyError, parse_priority_map
+    from .scale.simulator import ScaleConfig
+    from .serve.workload import ClosedLoopConfig, bursty_arrival_times, \
         diurnal_arrival_times, spike_arrival_times
 
     if not args.autoscale:
@@ -214,7 +217,7 @@ def _build_scale_config(args, serve_config):
 
                 policy = dataclasses.replace(
                     policy, priorities=parse_priority_map(args.priority_map))
-        except ScalePolicyError as exc:
+        except (OSError, ScalePolicyError) as exc:
             raise SystemExit(f"bad scale policy: {exc}")
     arrivals = None
     if args.arrival != "poisson":
@@ -254,11 +257,13 @@ def _cadence_s(args) -> Optional[float]:
 def _run_serve(args) -> None:
     import math
 
-    from .ecc import ECCConfig, ECCConfigError
-    from .faults import FaultPlan
-    from .integrity import IntegrityConfig
-    from .rag import PAPER_CORPORA
-    from .serve import BatchPolicy, RetryPolicy, ServeConfig
+    from .ecc.config import ECCConfig
+    from .ecc.errors import ECCConfigError
+    from .faults.plan import FaultPlan
+    from .integrity.config import IntegrityConfig
+    from .rag.corpus import PAPER_CORPORA
+    from .serve.scheduler import BatchPolicy, RetryPolicy
+    from .serve.simulator import ServeConfig
 
     cadence_s = _cadence_s(args)
     faults = FaultPlan()
@@ -319,7 +324,7 @@ def _run_serve(args) -> None:
         )
     except ValueError as exc:
         raise SystemExit(f"bad serve configuration: {exc}")
-    from .scale import ScaleSimulator
+    from .scale.simulator import ScaleSimulator
 
     scale_config = _build_scale_config(args, config)
     simulator = ScaleSimulator(scale_config)
@@ -361,37 +366,38 @@ def _trace_runners() -> Dict[str, Callable]:
         return None
 
     def run_serve():
-        from .serve import ServingSimulator, golden_serve_config
+        from .serve.simulator import ServingSimulator, golden_serve_config
 
         ServingSimulator(golden_serve_config()).run()
         return None
 
     def run_serve_faults():
-        from .serve import ServingSimulator, golden_fault_config
+        from .serve.simulator import ServingSimulator, golden_fault_config
 
         ServingSimulator(golden_fault_config()).run()
         return None
 
     def run_serve_integrity():
-        from .serve import ServingSimulator, golden_integrity_config
+        from .serve.simulator import ServingSimulator, golden_integrity_config
 
         ServingSimulator(golden_integrity_config()).run()
         return None
 
     def run_serve_ecc():
-        from .serve import ServingSimulator, golden_ecc_config
+        from .serve.simulator import ServingSimulator, golden_ecc_config
 
         ServingSimulator(golden_ecc_config()).run()
         return None
 
     def run_serve_autoscale():
-        from .scale import ScaleSimulator, golden_autoscale_config
+        from .scale.simulator import ScaleSimulator, golden_autoscale_config
 
         ScaleSimulator(golden_autoscale_config()).run()
         return None
 
     def run_serve_autoscale_faults():
-        from .scale import ScaleSimulator, golden_autoscale_fault_config
+        from .scale.simulator import ScaleSimulator, \
+            golden_autoscale_fault_config
 
         ScaleSimulator(golden_autoscale_fault_config()).run()
         return None
@@ -410,7 +416,10 @@ def _trace_runners() -> Dict[str, Callable]:
 
 def _run_trace(args) -> None:
     from .core.params import DEFAULT_PARAMS
-    from .obs import LANE_HBM, collecting, render_timeline, write_chrome_trace
+    from .obs.collector import collecting
+    from .obs.events import LANE_HBM
+    from .obs.export import write_chrome_trace
+    from .obs.timeline import render_timeline
 
     workload = args.workload or "histogram"
     runners = _trace_runners()
@@ -438,13 +447,13 @@ def _run_trace(args) -> None:
     process_names = None
     if workload in ("serve", "serve_faults", "serve_integrity",
                     "serve_ecc"):
-        from .serve import golden_serve_config
+        from .serve.simulator import golden_serve_config
 
         shards = golden_serve_config().n_shards
         process_names = {i: f"shard {i}" for i in range(shards)}
         process_names[shards] = "host merge"
     elif workload in ("serve_autoscale", "serve_autoscale_faults"):
-        from .scale import golden_autoscale_config
+        from .scale.simulator import golden_autoscale_config
 
         capacity = golden_autoscale_config().policy.autoscale.max_shards
         process_names = {i: f"device slot {i}" for i in range(capacity)}
@@ -459,8 +468,9 @@ def _run_trace(args) -> None:
 
 #: Serving workloads the telemetry commands accept.
 def _telemetry_configs() -> Dict[str, Callable]:
-    from .scale import golden_autoscale_config, golden_autoscale_fault_config
-    from .serve import golden_ecc_config, golden_fault_config, \
+    from .scale.simulator import golden_autoscale_config, \
+        golden_autoscale_fault_config
+    from .serve.simulator import golden_ecc_config, golden_fault_config, \
         golden_integrity_config, golden_serve_config
 
     return {
@@ -475,8 +485,8 @@ def _telemetry_configs() -> Dict[str, Callable]:
 
 def _telemetry_simulator(config):
     """The simulator matching a telemetry workload config."""
-    from .scale import ScaleConfig, ScaleSimulator
-    from .serve import ServingSimulator
+    from .scale.simulator import ScaleConfig, ScaleSimulator
+    from .serve.simulator import ServingSimulator
 
     if isinstance(config, ScaleConfig):
         return ScaleSimulator(config)
@@ -485,7 +495,7 @@ def _telemetry_simulator(config):
 
 def _telemetry_lanes(config) -> int:
     """Device lanes a telemetry workload's Perfetto export needs."""
-    from .scale import ScaleConfig
+    from .scale.simulator import ScaleConfig
 
     if isinstance(config, ScaleConfig):
         if config.policy is not None:
@@ -511,16 +521,12 @@ def _telemetry_workload(args):
 
 def _run_spans(args) -> None:
     from .core.params import DEFAULT_PARAMS
-    from .obs import collecting
-    from .telemetry import (
-        reconcile_with_trace,
-        render_attribution,
-        render_critical_path,
-        render_query_trace,
-        render_spans_report,
-        write_flamegraph,
-        write_telemetry_trace,
-    )
+    from .obs.collector import collecting
+    from .telemetry.build import reconcile_with_trace
+    from .telemetry.export import write_telemetry_trace
+    from .telemetry.flame import write_flamegraph
+    from .telemetry.render import render_attribution, render_critical_path, \
+        render_query_trace, render_spans_report
 
     workload, config = _telemetry_workload(args)
     if workload is None:
@@ -587,13 +593,10 @@ def _run_metrics(args) -> None:
 def _write_monitor_outputs(args, workload, report, telemetry,
                            monitor) -> None:
     """Write whichever monitor exports the flags asked for."""
-    from .monitor import (
-        bundle_from_run,
-        counter_tracks,
-        openmetrics_text,
-        render_dashboard,
-        write_run_bundle,
-    )
+    from .monitor.bundle import bundle_from_run, write_run_bundle
+    from .monitor.counters import counter_tracks
+    from .monitor.dashboard import render_dashboard
+    from .monitor.openmetrics import openmetrics_text
 
     if args.monitor_out:
         with open(args.monitor_out, "w") as handle:
@@ -611,7 +614,7 @@ def _write_monitor_outputs(args, workload, report, telemetry,
               "(compare with 'diff <run-a> <run-b>')")
     if args.experiment == "monitor" and args.trace_out:
         from .monitor.counters import monitor_process_names
-        from .obs import write_chrome_trace
+        from .obs.export import write_chrome_trace
 
         tracks = counter_tracks(monitor)
         path = write_chrome_trace(
@@ -642,7 +645,8 @@ def _run_monitor(args) -> None:
 
 
 def _run_diff(args) -> int:
-    from .monitor import diff_bundles, format_diff, read_run_bundle
+    from .monitor.bundle import read_run_bundle
+    from .monitor.diff import diff_bundles, format_diff
 
     if not args.workload or not args.workload2:
         raise SystemExit("diff needs two run-bundle paths: "

@@ -10,61 +10,22 @@ Public surface:
 * :class:`~repro.core.dse.DesignSpaceExplorer` — parameter sweeps.
 """
 
-from .estimator import LatencyEstimator, OpRecord, current_estimator
-from .params import (
-    APUParams,
-    ComputeCosts,
-    DataMovementCosts,
-    DEFAULT_PARAMS,
-    DEVICE_SPECS,
-    DeviceSpec,
-    ReductionCoefficients,
-    SecondOrderEffects,
-    cycles_to_ms,
-    cycles_to_seconds,
-    cycles_to_us,
-)
-from .reduction_model import (
-    FitResult,
-    fit_reduction_coefficients,
-    reduction_sample_grid,
-    simulated_sg_add_cycles,
-)
-from .reporting import format_bars, format_stacked_breakdown, format_table
-from .serialization import load_params, params_from_dict, params_to_dict, save_params
-from .roofline import KernelPoint, RooflineModel
-from .dse import DesignSpaceExplorer, SweepPoint, SweepResult, evolve_nested
+from .. import lazy_exports
 
-__all__ = [
-    "APUParams",
-    "ComputeCosts",
-    "DataMovementCosts",
-    "DEFAULT_PARAMS",
-    "DEVICE_SPECS",
-    "DesignSpaceExplorer",
-    "DeviceSpec",
-    "FitResult",
-    "KernelPoint",
-    "LatencyEstimator",
-    "OpRecord",
-    "ReductionCoefficients",
-    "RooflineModel",
-    "SecondOrderEffects",
-    "SweepPoint",
-    "SweepResult",
-    "current_estimator",
-    "cycles_to_ms",
-    "cycles_to_seconds",
-    "cycles_to_us",
-    "evolve_nested",
-    "fit_reduction_coefficients",
-    "format_bars",
-    "format_stacked_breakdown",
-    "format_table",
-    "load_params",
-    "params_from_dict",
-    "params_to_dict",
-    "save_params",
-    "reduction_sample_grid",
-    "simulated_sg_add_cycles",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "estimator": ("LatencyEstimator", "OpRecord", "current_estimator"),
+    "params": (
+        "APUParams", "ComputeCosts", "DataMovementCosts", "DEFAULT_PARAMS",
+        "DEVICE_SPECS", "DeviceSpec", "ReductionCoefficients",
+        "SecondOrderEffects", "cycles_to_ms", "cycles_to_seconds",
+        "cycles_to_us"),
+    "reduction_model": (
+        "FitResult", "fit_reduction_coefficients", "reduction_sample_grid",
+        "simulated_sg_add_cycles"),
+    "reporting": ("format_bars", "format_stacked_breakdown", "format_table"),
+    "serialization": (
+        "load_params", "params_from_dict", "params_to_dict", "save_params"),
+    "roofline": ("KernelPoint", "RooflineModel"),
+    "dse": (
+        "DesignSpaceExplorer", "SweepPoint", "SweepResult", "evolve_nested"),
+})

@@ -8,41 +8,16 @@ into corrected / detected-uncorrectable / silently-miscorrected
 outcomes.  See the README "Memory protection (ECC)" section.
 """
 
-from .codecs import (
-    BCHCodec,
-    SECDEDCodec,
-    STATUS_CLEAN,
-    STATUS_CORRECTED,
-    STATUS_DETECTED,
-    VERDICT_CORRECTED,
-    VERDICT_DETECTED,
-    VERDICT_MISCORRECT,
-)
-from .config import ECC_TIERS, ECCConfig, ECCCostModel, make_codec
-from .errors import (
-    ECCConfigError,
-    ECCGeometryError,
-    ECCStrengthError,
-    ECCTierError,
-)
-from .model import ECCModel
+from .. import lazy_exports
 
-__all__ = [
-    "BCHCodec",
-    "SECDEDCodec",
-    "STATUS_CLEAN",
-    "STATUS_CORRECTED",
-    "STATUS_DETECTED",
-    "VERDICT_CORRECTED",
-    "VERDICT_DETECTED",
-    "VERDICT_MISCORRECT",
-    "ECC_TIERS",
-    "ECCConfig",
-    "ECCCostModel",
-    "make_codec",
-    "ECCConfigError",
-    "ECCGeometryError",
-    "ECCStrengthError",
-    "ECCTierError",
-    "ECCModel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "codecs": (
+        "BCHCodec", "SECDEDCodec", "STATUS_CLEAN", "STATUS_CORRECTED",
+        "STATUS_DETECTED", "VERDICT_CORRECTED", "VERDICT_DETECTED",
+        "VERDICT_MISCORRECT"),
+    "config": ("ECC_TIERS", "ECCConfig", "ECCCostModel", "make_codec"),
+    "errors": (
+        "ECCConfigError", "ECCGeometryError", "ECCStrengthError",
+        "ECCTierError"),
+    "model": ("ECCModel",),
+})

@@ -14,24 +14,11 @@ bit-identically and a zero-fault plan is indistinguishable from no plan
 at all.
 """
 
-from .injector import FaultInjector
-from .plan import (
-    BIT_FLIP_TARGETS,
-    BitFlipFault,
-    FaultLogEntry,
-    FaultPlan,
-    OutageFault,
-    StallFault,
-    check_outage_consistency,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "BIT_FLIP_TARGETS",
-    "BitFlipFault",
-    "FaultInjector",
-    "FaultLogEntry",
-    "FaultPlan",
-    "OutageFault",
-    "StallFault",
-    "check_outage_consistency",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "injector": ("FaultInjector",),
+    "plan": (
+        "BIT_FLIP_TARGETS", "BitFlipFault", "FaultLogEntry", "FaultPlan",
+        "OutageFault", "StallFault", "check_outage_consistency"),
+})

@@ -4,31 +4,14 @@ Replaces the paper's Ramulator 2 + DRAMPower 5.0 stack with a
 bank/channel timing model and an IDD-style energy model.
 """
 
-from .dram import AccessPattern, DRAMModel, DRAMOrganization, DRAMTiming
-from .hbm2e import (
-    DDR4_ORGANIZATION,
-    DDR4_TIMING,
-    HBM2E_ORGANIZATION,
-    HBM2E_TIMING,
-    make_ddr4,
-    make_hbm2e,
-)
-from .power import DDR4_POWER, DRAMEnergy, DRAMPowerModel, DRAMPowerParams, HBM2E_POWER
+from .. import lazy_exports
 
-__all__ = [
-    "AccessPattern",
-    "DDR4_ORGANIZATION",
-    "DDR4_POWER",
-    "DDR4_TIMING",
-    "DRAMEnergy",
-    "DRAMModel",
-    "DRAMOrganization",
-    "DRAMPowerModel",
-    "DRAMPowerParams",
-    "DRAMTiming",
-    "HBM2E_ORGANIZATION",
-    "HBM2E_POWER",
-    "HBM2E_TIMING",
-    "make_ddr4",
-    "make_hbm2e",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "dram": ("AccessPattern", "DRAMModel", "DRAMOrganization", "DRAMTiming"),
+    "hbm2e": (
+        "DDR4_ORGANIZATION", "DDR4_TIMING", "HBM2E_ORGANIZATION",
+        "HBM2E_TIMING", "make_ddr4", "make_hbm2e"),
+    "power": (
+        "DDR4_POWER", "DRAMEnergy", "DRAMPowerModel", "DRAMPowerParams",
+        "HBM2E_POWER"),
+})

@@ -26,36 +26,14 @@ package provides both halves of the story:
   overhead shows up honestly in Table 4/5-anchored timings.
 """
 
-from .abft import (
-    IntegrityError,
-    checked_l4_to_l1,
-    crc16,
-    host_checksum,
-    parity_tag,
-    protected_cpy_16,
-    scrub_pass,
-    vr_checksum,
-    vr_parity,
-)
-from .config import IntegrityConfig, IntegrityCostModel, get_cost_model
-from .inject import FlipRecord, MemoryFaultInjector
-from .protected import IntegrityStats, ProtectedAPURetriever
+from .. import lazy_exports
 
-__all__ = [
-    "FlipRecord",
-    "IntegrityConfig",
-    "IntegrityCostModel",
-    "IntegrityError",
-    "IntegrityStats",
-    "MemoryFaultInjector",
-    "ProtectedAPURetriever",
-    "checked_l4_to_l1",
-    "crc16",
-    "get_cost_model",
-    "host_checksum",
-    "parity_tag",
-    "protected_cpy_16",
-    "scrub_pass",
-    "vr_checksum",
-    "vr_parity",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "abft": (
+        "IntegrityError", "checked_l4_to_l1", "crc16", "host_checksum",
+        "parity_tag", "protected_cpy_16", "scrub_pass", "vr_checksum",
+        "vr_parity"),
+    "config": ("IntegrityConfig", "IntegrityCostModel", "get_cost_model"),
+    "inject": ("FlipRecord", "MemoryFaultInjector"),
+    "protected": ("IntegrityStats", "ProtectedAPURetriever"),
+})

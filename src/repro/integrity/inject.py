@@ -29,14 +29,9 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..ecc import (
-    ECCConfig,
-    STATUS_DETECTED,
-    VERDICT_CORRECTED,
-    VERDICT_DETECTED,
-    VERDICT_MISCORRECT,
-    make_codec,
-)
+from ..ecc.codecs import STATUS_DETECTED, VERDICT_CORRECTED, \
+    VERDICT_DETECTED, VERDICT_MISCORRECT
+from ..ecc.config import ECCConfig, make_codec
 from ..faults.plan import BitFlipFault
 
 __all__ = ["FlipRecord", "MemoryFaultInjector"]

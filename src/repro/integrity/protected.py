@@ -41,7 +41,7 @@ import numpy as np
 
 from ..apu.device import APUDevice
 from ..core.params import APUParams, DEFAULT_PARAMS
-from ..hbm import DRAMModel
+from ..hbm.dram import DRAMModel
 from ..rag.corpus import MiniCorpus
 from ..rag.retrieval import APURetriever
 from ..rag.topk import apu_topk

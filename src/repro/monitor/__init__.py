@@ -28,49 +28,22 @@ bundles with a cross-run regression differ (:mod:`.bundle`,
 (:mod:`.tolerance`).
 """
 
-from .build import (
-    DEFAULT_CADENCE_S,
-    MONITOR_PREFIX,
-    build_run_monitor,
-    sample_instants,
-)
-from .bundle import (
-    RunBundle,
-    bundle_from_run,
-    read_run_bundle,
-    report_metrics,
-    write_run_bundle,
-)
-from .counters import counter_tracks
-from .dashboard import render_dashboard
-from .diff import BundleDiff, MetricDelta, diff_bundles, diff_metrics, format_diff
-from .openmetrics import openmetrics_text
-from .series import MonitorError, RunMonitor, Series
-from .signal import BurnSignal
-from .sketch import QuantileSketch, SketchError
+from .. import lazy_exports
 
-__all__ = [
-    "BundleDiff",
-    "BurnSignal",
-    "DEFAULT_CADENCE_S",
-    "MONITOR_PREFIX",
-    "MetricDelta",
-    "MonitorError",
-    "QuantileSketch",
-    "RunBundle",
-    "RunMonitor",
-    "Series",
-    "SketchError",
-    "build_run_monitor",
-    "bundle_from_run",
-    "counter_tracks",
-    "diff_bundles",
-    "diff_metrics",
-    "format_diff",
-    "openmetrics_text",
-    "read_run_bundle",
-    "render_dashboard",
-    "report_metrics",
-    "sample_instants",
-    "write_run_bundle",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "build": (
+        "DEFAULT_CADENCE_S", "MONITOR_PREFIX", "build_run_monitor",
+        "sample_instants"),
+    "bundle": (
+        "RunBundle", "bundle_from_run", "read_run_bundle", "report_metrics",
+        "write_run_bundle"),
+    "counters": ("counter_tracks",),
+    "dashboard": ("render_dashboard",),
+    "diff": (
+        "BundleDiff", "MetricDelta", "diff_bundles", "diff_metrics",
+        "format_diff"),
+    "openmetrics": ("openmetrics_text",),
+    "series": ("MonitorError", "RunMonitor", "Series"),
+    "signal": ("BurnSignal",),
+    "sketch": ("QuantileSketch", "SketchError"),
+})

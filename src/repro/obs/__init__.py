@@ -23,51 +23,15 @@ Collection is off by default; activate it around any workload::
     print(render_timeline(trace))
 """
 
-# Leaf modules (events, collector) must load before the renderers so the
-# estimator's import of this package never recurses through repro.core.
-from .events import (
-    LANE_DMA,
-    LANE_FAULT,
-    LANE_HBM,
-    LANE_INTEGRITY,
-    LANE_PIO,
-    LANE_SCALE,
-    LANE_VCU,
-    LANES,
-    TraceEvent,
-    lane_for_op,
-)
-from .collector import (
-    TraceCollector,
-    active_collector,
-    collecting,
-    set_collector,
-)
-from .export import chrome_trace, chrome_trace_json, write_chrome_trace
-from .golden import golden_diff, render_cost_golden, render_trace_golden
-from .timeline import render_lane_summary, render_timeline
+from .. import lazy_exports
 
-__all__ = [
-    "LANE_DMA",
-    "LANE_FAULT",
-    "LANE_HBM",
-    "LANE_INTEGRITY",
-    "LANE_PIO",
-    "LANE_SCALE",
-    "LANE_VCU",
-    "LANES",
-    "TraceCollector",
-    "TraceEvent",
-    "active_collector",
-    "chrome_trace",
-    "chrome_trace_json",
-    "collecting",
-    "golden_diff",
-    "lane_for_op",
-    "render_cost_golden",
-    "render_lane_summary",
-    "render_timeline",
-    "render_trace_golden",
-    "set_collector",
-    "write_chrome_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "events": (
+        "LANE_DMA", "LANE_FAULT", "LANE_HBM", "LANE_INTEGRITY", "LANE_PIO",
+        "LANE_SCALE", "LANE_VCU", "LANES", "TraceEvent", "lane_for_op"),
+    "collector": (
+        "TraceCollector", "active_collector", "collecting", "set_collector"),
+    "export": ("chrome_trace", "chrome_trace_json", "write_chrome_trace"),
+    "golden": ("golden_diff", "render_cost_golden", "render_trace_golden"),
+    "timeline": ("render_lane_summary", "render_timeline"),
+})

@@ -9,59 +9,21 @@
   realize the Fig. 12 optimization ladder on the simulator.
 """
 
-from .coalesce import CoalescePlan, TransferRequest, coalescing_saving, naive_cycles, plan_coalescing
-from .layout import (
-    Dim,
-    Layout,
-    LayoutError,
-    broadcast_friendly,
-    broadcast_window_addresses,
-    broadcast_window_span,
-    lookup_table_entries,
-)
-from .matmul import (
-    BaselineMatmul,
-    BinaryMatmulKernel,
-    MatmulResult,
-    Opt1Matmul,
-    Opt2Matmul,
-    Opt3Matmul,
-    STAGE_ORDER,
-    pack_operands,
-    reference_binary_matmul,
-    run_all_stages,
-)
-from .planner import OptimizationPlan, OptimizationPlanner, PlanDecision
-from .reduction import CostBreakdown, MatmulCostModel, MatmulShape, ReductionMapping
+from .. import lazy_exports
 
-__all__ = [
-    "BaselineMatmul",
-    "BinaryMatmulKernel",
-    "CoalescePlan",
-    "CostBreakdown",
-    "Dim",
-    "Layout",
-    "LayoutError",
-    "MatmulCostModel",
-    "MatmulResult",
-    "MatmulShape",
-    "Opt1Matmul",
-    "Opt2Matmul",
-    "Opt3Matmul",
-    "OptimizationPlan",
-    "OptimizationPlanner",
-    "PlanDecision",
-    "ReductionMapping",
-    "STAGE_ORDER",
-    "TransferRequest",
-    "broadcast_friendly",
-    "broadcast_window_addresses",
-    "broadcast_window_span",
-    "coalescing_saving",
-    "lookup_table_entries",
-    "naive_cycles",
-    "pack_operands",
-    "plan_coalescing",
-    "reference_binary_matmul",
-    "run_all_stages",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "coalesce": (
+        "CoalescePlan", "TransferRequest", "coalescing_saving", "naive_cycles",
+        "plan_coalescing"),
+    "layout": (
+        "Dim", "Layout", "LayoutError", "broadcast_friendly",
+        "broadcast_window_addresses", "broadcast_window_span",
+        "lookup_table_entries"),
+    "matmul": (
+        "BaselineMatmul", "BinaryMatmulKernel", "MatmulResult", "Opt1Matmul",
+        "Opt2Matmul", "Opt3Matmul", "STAGE_ORDER", "pack_operands",
+        "reference_binary_matmul", "run_all_stages"),
+    "planner": ("OptimizationPlan", "OptimizationPlanner", "PlanDecision"),
+    "reduction": (
+        "CostBreakdown", "MatmulCostModel", "MatmulShape", "ReductionMapping"),
+})

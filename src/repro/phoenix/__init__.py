@@ -6,33 +6,17 @@ variants (Fig. 13), and the measured-vs-predicted validation pair
 (Table 7).
 """
 
-from .base import ALL_OPTS, AppResult, NO_OPTS, OptFlags, PhoenixApp
-from .histogram import Histogram
-from .kmeans import KMeans
-from .linear_regression import LinearRegression
-from .matrix_multiply import MatrixMultiply
-from .pca import PCA
-from .reverse_index import ReverseIndex
-from .string_match import StringMatch
-from .suite import Fig13Row, PhoenixSuite, TABLE6_APPS, Table7Row
-from .word_count import WordCount
+from .. import lazy_exports
 
-__all__ = [
-    "ALL_OPTS",
-    "AppResult",
-    "Fig13Row",
-    "Histogram",
-    "KMeans",
-    "LinearRegression",
-    "MatrixMultiply",
-    "NO_OPTS",
-    "OptFlags",
-    "PCA",
-    "PhoenixApp",
-    "PhoenixSuite",
-    "ReverseIndex",
-    "StringMatch",
-    "TABLE6_APPS",
-    "Table7Row",
-    "WordCount",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("ALL_OPTS", "AppResult", "NO_OPTS", "OptFlags", "PhoenixApp"),
+    "histogram": ("Histogram",),
+    "kmeans": ("KMeans",),
+    "linear_regression": ("LinearRegression",),
+    "matrix_multiply": ("MatrixMultiply",),
+    "pca": ("PCA",),
+    "reverse_index": ("ReverseIndex",),
+    "string_match": ("StringMatch",),
+    "suite": ("Fig13Row", "PhoenixSuite", "TABLE6_APPS", "Table7Row"),
+    "word_count": ("WordCount",),
+})

@@ -1,31 +1,16 @@
 """Retrieval-augmented generation on compute-in-SRAM (paper Section 5.3)."""
 
-from .batching import BatchThroughput, BatchedAPURetrieval
-from .corpus import CorpusSpec, MiniCorpus, PAPER_CORPORA
-from .energy import RetrievalEnergyPoint, apu_retrieval_energy, fig15_energy_comparison
-from .generation import GenerationModel, LLAMA31_8B_PARAMS
-from .pipeline import Fig14Entry, RAGPipeline, fig14_comparison
-from .retrieval import APURetriever, CPURetriever, GPURetriever, RetrievalBreakdown
-from .topk import apu_topk, topk_aggregation_cycles
+from .. import lazy_exports
 
-__all__ = [
-    "APURetriever",
-    "BatchThroughput",
-    "BatchedAPURetrieval",
-    "CPURetriever",
-    "CorpusSpec",
-    "Fig14Entry",
-    "GPURetriever",
-    "GenerationModel",
-    "LLAMA31_8B_PARAMS",
-    "MiniCorpus",
-    "PAPER_CORPORA",
-    "RAGPipeline",
-    "RetrievalBreakdown",
-    "RetrievalEnergyPoint",
-    "apu_retrieval_energy",
-    "apu_topk",
-    "fig14_comparison",
-    "fig15_energy_comparison",
-    "topk_aggregation_cycles",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "batching": ("BatchThroughput", "BatchedAPURetrieval"),
+    "corpus": ("CorpusSpec", "MiniCorpus", "PAPER_CORPORA"),
+    "energy": (
+        "RetrievalEnergyPoint", "apu_retrieval_energy",
+        "fig15_energy_comparison"),
+    "generation": ("GenerationModel", "LLAMA31_8B_PARAMS"),
+    "pipeline": ("Fig14Entry", "RAGPipeline", "fig14_comparison"),
+    "retrieval": (
+        "APURetriever", "CPURetriever", "GPURetriever", "RetrievalBreakdown"),
+    "topk": ("apu_topk", "topk_aggregation_cycles"),
+})

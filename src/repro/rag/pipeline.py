@@ -76,7 +76,7 @@ def fig14_comparison(corpora: Dict[str, CorpusSpec] = None,
             ttft[label] = pipeline.time_to_interactive(spec) * 1e3
         return Fig14Entry(platform, retrieval, ttft)
 
-    from ..hbm import make_hbm2e
+    from ..hbm.hbm2e import make_hbm2e
 
     opt1 = APURetriever(optimized=True)
     # opt1 alone: optimized mapping but unoptimized (chunked) stream.

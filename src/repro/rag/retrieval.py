@@ -26,11 +26,11 @@ import numpy as np
 
 from ..apu.device import APUDevice
 from ..baselines.cpu import CPUModel
-from ..baselines.faiss_like import IndexFlatIP
 from ..baselines.gpu import GPUModel
 from ..core.params import APUParams, DEFAULT_PARAMS
 from ..core.reduction_model import simulated_sg_add_cycles
-from ..hbm import DRAMModel, make_hbm2e
+from ..hbm.dram import DRAMModel
+from ..hbm.hbm2e import make_hbm2e
 from .corpus import CorpusSpec, MiniCorpus
 from .topk import apu_topk, topk_aggregation_cycles
 
@@ -324,6 +324,10 @@ class CPURetriever:
     def retrieve(self, corpus: MiniCorpus, query: np.ndarray,
                  k: int = 5) -> List[int]:
         """Exact search through the FAISS-like index."""
+        # Only the CPU baseline's functional check needs the index, so
+        # serving runs (which load this module) never import it.
+        from ..baselines.faiss_like import IndexFlatIP
+
         index = IndexFlatIP(corpus.dim)
         index.add(corpus.embeddings.astype(np.float32))
         _, ids = index.search(query.astype(np.float32), k)

@@ -17,6 +17,9 @@ simulator -- same reports, traces, and spans, bit for bit -- which the
 differential suite in ``tests/scale`` pins on both engines.
 """
 
+# Unlike every other package, this one imports eagerly: it is the
+# serving entry point, so importing it loads the whole serving stack
+# before any run starts (``tests/test_imports.py`` pins that set).
 from .controller import SCALE_DOWN, SCALE_UP, BurnRateController
 from .policy import (
     DEFAULT_PRIORITY_CLASSES,

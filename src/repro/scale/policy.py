@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Tuple
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Callable, Dict, Mapping, Tuple, Type, TypeVar
 
 __all__ = [
     "ScalePolicyError",
@@ -218,6 +218,43 @@ def parse_priority_map(text: str) -> Tuple[PriorityClass, ...]:
     return result
 
 
+_Policy = TypeVar("_Policy")
+#: JSON value kinds a policy field of each annotated type accepts
+#: (``bool`` is excluded separately: JSON ``true`` is not a number).
+_FIELD_KINDS = {"float": ((int, float), "a number"),
+                "str": ((str,), "a string")}
+
+
+def _kind(value: Any) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def _policy_object(raw: Any, where: str, policy_cls: Callable[..., _Policy],
+                   error: Type[ScalePolicyError]) -> _Policy:
+    """``policy_cls`` built from the JSON object ``raw``.
+
+    Every shape error is an ``error`` naming ``where`` and the field,
+    e.g. ``autoscale: unknown field 'bogus'``; value checks are the
+    dataclass's own.
+    """
+    if not isinstance(raw, Mapping):
+        raise error(f"{where} must be an object, got {_kind(raw)}")
+    specs = {spec.name: spec for spec in fields(policy_cls)}  # type: ignore[arg-type]
+    for name, value in raw.items():
+        if name not in specs:
+            raise error(f"{where}: unknown field {name!r}")
+        kinds = _FIELD_KINDS.get(str(specs[name].type))
+        if kinds and (isinstance(value, bool)
+                      or not isinstance(value, kinds[0])):
+            raise error(f"{where}: field {name!r} must be {kinds[1]}, "
+                        f"got {value!r}")
+    for name, spec in specs.items():
+        if name not in raw and spec.default is MISSING \
+                and spec.default_factory is MISSING:
+            raise error(f"{where}: missing field {name!r}")
+    return policy_cls(**raw)
+
+
 @dataclass(frozen=True)
 class ScalePolicy:
     """The full elastic-serving policy bundle (JSON round-trippable)."""
@@ -278,24 +315,21 @@ class ScalePolicy:
         if unknown:
             raise ScalePolicyError(
                 f"unknown policy section(s): {sorted(unknown)}")
-        try:
-            autoscale = AutoscalePolicy(**data.get("autoscale", {}))
-            admission = AdmissionPolicy(**data.get("admission", {}))
-        except TypeError as exc:
-            raise ScalePolicyError(f"malformed policy document: {exc}") \
-                from None
+        autoscale = _policy_object(data.get("autoscale", {}), "autoscale",
+                                   AutoscalePolicy, ScalePolicyError)
+        admission = _policy_object(data.get("admission", {}), "admission",
+                                   AdmissionPolicy, AdmissionPolicyError)
         raw = data.get("priorities")
         if raw is None:
             priorities = DEFAULT_PRIORITY_CLASSES
         else:
             if not isinstance(raw, (list, tuple)):
                 raise PriorityMapError(
-                    f"priorities must be a list, got {type(raw).__name__}")
-            try:
-                priorities = tuple(PriorityClass(**entry) for entry in raw)
-            except TypeError as exc:
-                raise PriorityMapError(
-                    f"malformed priority class: {exc}") from None
+                    f"priorities must be a list, got {_kind(raw)}")
+            priorities = tuple(
+                _policy_object(entry, f"priorities[{index}]", PriorityClass,
+                               PriorityMapError)
+                for index, entry in enumerate(raw))
         return cls(autoscale=autoscale, admission=admission,
                    priorities=priorities)
 

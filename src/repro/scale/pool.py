@@ -30,8 +30,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.params import APUParams, DEFAULT_PARAMS
-from ..ecc import ECCConfig, ECCCostModel, make_codec
-from ..hbm import make_hbm2e
+from ..ecc.config import ECCConfig, ECCCostModel, make_codec
+from ..hbm.hbm2e import make_hbm2e
 from ..integrity.config import IntegrityConfig, get_cost_model
 from ..obs import collector as _trace_collector
 from ..rag.batching import BatchedAPURetrieval

@@ -77,9 +77,9 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from ..core.params import APUParams, DEFAULT_PARAMS
-from ..ecc import ECCModel
-from ..faults import BitFlipFault, FaultInjector, FaultPlan, \
-    OutageFault, StallFault
+from ..ecc.model import ECCModel
+from ..faults.injector import FaultInjector
+from ..faults.plan import BitFlipFault, FaultPlan, OutageFault, StallFault
 from ..integrity.config import IntegrityConfig
 from ..obs import collector as _trace_collector
 from ..rag.corpus import PAPER_CORPORA
@@ -91,7 +91,6 @@ from ..serve.scheduler import (
     BatchPolicy,
     ExecutedBatch,
     RetryPolicy,
-    ScheduleResult,
     ShardMachine,
 )
 from ..serve.record import RunRecord, emit_run_trace, observe_run

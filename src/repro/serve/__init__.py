@@ -11,96 +11,29 @@ deterministic discrete-event scheduler with per-shard dynamic batching
 :class:`~repro.serve.simulator.ServingSimulator`).
 """
 
-from .degraded import chunk_owners, measured_degraded_recall, \
-    oracle_live_recall
-from .metrics import LatencyStats, nearest_rank_percentile, slo_attainment, utilization
-from .retriever import ShardedAPURetriever
-from .scheduler import (
-    OUTCOME_CORRUPTED,
-    BatchPolicy,
-    DiscreteEventScheduler,
-    ExecutedBatch,
-    RequestRecord,
-    RetryPolicy,
-    ScheduleResult,
-)
-from .sharding import (
-    SHARD_POLICIES,
-    CorpusShard,
-    merge_cycles,
-    merge_seconds,
-    merge_topk,
-    shard_chunk_counts,
-    shard_corpus,
-    shard_global_indices,
-    shard_specs,
-)
-from .simulator import (
-    FAILOVER_POLICIES,
-    ServeConfig,
-    ServeReport,
-    ServingSimulator,
-    ShardServiceModel,
-    golden_ecc_config,
-    golden_fault_config,
-    golden_integrity_config,
-    golden_serve_config,
-)
-from .workload import (
-    ClosedLoopConfig,
-    Request,
-    ThinkTimeError,
-    WorkloadConfigError,
-    bursty_arrival_times,
-    diurnal_arrival_times,
-    poisson_arrival_times,
-    poisson_arrivals,
-    spike_arrival_times,
-    trace_arrivals,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "BatchPolicy",
-    "ClosedLoopConfig",
-    "CorpusShard",
-    "DiscreteEventScheduler",
-    "ExecutedBatch",
-    "FAILOVER_POLICIES",
-    "LatencyStats",
-    "OUTCOME_CORRUPTED",
-    "Request",
-    "RequestRecord",
-    "RetryPolicy",
-    "SHARD_POLICIES",
-    "ScheduleResult",
-    "ServeConfig",
-    "ServeReport",
-    "ServingSimulator",
-    "ShardServiceModel",
-    "ShardedAPURetriever",
-    "ThinkTimeError",
-    "WorkloadConfigError",
-    "bursty_arrival_times",
-    "chunk_owners",
-    "diurnal_arrival_times",
-    "golden_ecc_config",
-    "golden_fault_config",
-    "golden_integrity_config",
-    "golden_serve_config",
-    "measured_degraded_recall",
-    "oracle_live_recall",
-    "merge_cycles",
-    "merge_seconds",
-    "merge_topk",
-    "nearest_rank_percentile",
-    "poisson_arrival_times",
-    "poisson_arrivals",
-    "shard_chunk_counts",
-    "shard_corpus",
-    "shard_global_indices",
-    "shard_specs",
-    "slo_attainment",
-    "spike_arrival_times",
-    "trace_arrivals",
-    "utilization",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "degraded": (
+        "chunk_owners", "measured_degraded_recall", "oracle_live_recall"),
+    "metrics": (
+        "LatencyStats", "nearest_rank_percentile", "slo_attainment",
+        "utilization"),
+    "retriever": ("ShardedAPURetriever",),
+    "scheduler": (
+        "OUTCOME_CORRUPTED", "BatchPolicy", "DiscreteEventScheduler",
+        "ExecutedBatch", "RequestRecord", "RetryPolicy", "ScheduleResult"),
+    "sharding": (
+        "SHARD_POLICIES", "CorpusShard", "merge_cycles", "merge_seconds",
+        "merge_topk", "shard_chunk_counts", "shard_corpus",
+        "shard_global_indices", "shard_specs"),
+    "simulator": (
+        "FAILOVER_POLICIES", "ServeConfig", "ServeReport", "ServingSimulator",
+        "ShardServiceModel", "golden_ecc_config", "golden_fault_config",
+        "golden_integrity_config", "golden_serve_config"),
+    "workload": (
+        "ClosedLoopConfig", "Request", "ThinkTimeError", "WorkloadConfigError",
+        "bursty_arrival_times", "diurnal_arrival_times",
+        "poisson_arrival_times", "poisson_arrivals", "spike_arrival_times",
+        "trace_arrivals"),
+})

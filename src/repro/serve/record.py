@@ -29,8 +29,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Mapping, Optional, Sequence, Tuple
 
+from .. import monitor as _monitor
 from ..core.params import APUParams
-from ..faults import FaultPlan
+from ..faults.plan import FaultPlan
 from ..integrity.config import IntegrityConfig, get_cost_model
 from ..obs.events import LANE_FAULT, LANE_INTEGRITY, LANE_SCALE, LANE_VCU, \
     TraceEvent
@@ -165,11 +166,10 @@ def observe_run(record: RunRecord, *, workload: str,
     call.  ``cadence_s`` defaults to the record's (the autoscaler's
     control interval for elastic runs, so samples land on ticks).
     """
-    from ..monitor import build_run_monitor
     from ..telemetry.build import build_run_telemetry
 
     telemetry = build_run_telemetry(record)
-    monitor = build_run_monitor(
+    monitor = _monitor.build_run_monitor(
         workload=workload,
         result=record.result,
         slo_s=record.config.slo_s,

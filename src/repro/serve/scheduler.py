@@ -69,8 +69,9 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 
 import numpy as np
 
-from ..ecc import ECCModel
-from ..faults import FaultInjector, FaultLogEntry
+from ..ecc.model import ECCModel
+from ..faults.injector import FaultInjector
+from ..faults.plan import FaultLogEntry
 from .workload import Request, validate_arrival_times
 
 __all__ = [

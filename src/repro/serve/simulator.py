@@ -63,9 +63,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, \
 import numpy as np
 
 from ..core.params import APUParams, DEFAULT_PARAMS
-from ..ecc import ECCConfig, ECCCostModel, ECCModel, make_codec
-from ..faults import BitFlipFault, FaultInjector, FaultPlan, OutageFault, \
-    StallFault
+from ..ecc.config import ECCConfig, ECCCostModel, make_codec
+from ..ecc.model import ECCModel
+from ..faults.injector import FaultInjector
+from ..faults.plan import BitFlipFault, FaultPlan, OutageFault, StallFault
 from ..integrity.config import IntegrityConfig, get_cost_model
 from ..monitor.build import DEFAULT_CADENCE_S
 from ..obs import collector as _trace_collector
@@ -74,6 +75,7 @@ from ..rag.corpus import CorpusSpec, PAPER_CORPORA
 from ..rag.generation import GenerationModel
 from ..rag.retrieval import APURetriever, RetrievalBreakdown
 from ..simcore.engine import DEFAULT_ENGINE, validate_engine
+from ..simcore.vectorized import VectorizedScheduler, request_columns
 from ..telemetry.build import SERVE_SLO_TARGET, StageTable, \
     build_serve_metrics
 from .metrics import LatencyStats, slo_attainment, utilization
@@ -589,10 +591,6 @@ class ServingSimulator:
         self._permanent_loss: Dict[int, int] = {}
         self._dead_shards: set = set()
         if config.engine == "vectorized":
-            # Imported lazily to keep repro.serve importable while
-            # repro.simcore (which imports the scalar scheduler) loads.
-            from ..simcore.vectorized import VectorizedScheduler
-
             scheduler_cls = VectorizedScheduler
         else:
             scheduler_cls = DiscreteEventScheduler
@@ -839,8 +837,6 @@ class ServingSimulator:
                                          cfg.seed), None
         if isinstance(requests, np.ndarray):
             return requests, None
-        from ..simcore.vectorized import request_columns
-
         return request_columns(requests)
 
     def _report(self, latency_s: np.ndarray, horizon_s: float,

@@ -11,16 +11,11 @@ Select it with ``ServeConfig(engine="vectorized")`` or ``repro serve
 --engine``.
 """
 
-from .arrays import ArraySchedule
-from .engine import DEFAULT_ENGINE, ENGINES, UnknownEngineError, \
-    validate_engine
-from .vectorized import VectorizedScheduler
+from .. import lazy_exports
 
-__all__ = [
-    "ArraySchedule",
-    "DEFAULT_ENGINE",
-    "ENGINES",
-    "UnknownEngineError",
-    "validate_engine",
-    "VectorizedScheduler",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "arrays": ("ArraySchedule",),
+    "engine": (
+        "DEFAULT_ENGINE", "ENGINES", "UnknownEngineError", "validate_engine"),
+    "vectorized": ("VectorizedScheduler",),
+})

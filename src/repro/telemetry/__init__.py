@@ -17,97 +17,28 @@ command line, with folded-stack flamegraph (:mod:`.flame`) and
 Perfetto span-overlay (:mod:`.export`) file outputs.
 """
 
-from .build import (
-    ReconcileReport,
-    RunTelemetry,
-    StageTable,
-    build_run_telemetry,
-    build_serve_metrics,
-    reconcile_with_trace,
-)
-from .critical import (
-    CriticalPath,
-    Segment,
-    conservation_error_cycles,
-    critical_path,
-    p99_contributors,
-    stage_attribution,
-)
-from .export import (
-    span_trace_events,
-    telemetry_chrome_trace,
-    write_telemetry_trace,
-)
-from .flame import folded_stacks, write_flamegraph
-from .metrics import (
-    DEFAULT_LATENCY_BOUNDS_S,
-    BurnWindow,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistrationError,
-    MetricsRegistry,
-    slo_burn_windows,
-)
-from .render import (
-    render_attribution,
-    render_critical_path,
-    render_query_trace,
-    render_spans_report,
-)
-from .spans import (
-    SPAN_BACKOFF,
-    SPAN_BATCH,
-    SPAN_FAILOVER_WAIT,
-    SPAN_MERGE,
-    SPAN_PREFILL,
-    SPAN_QUERY,
-    SPAN_QUEUE_WAIT,
-    SPAN_SHARD,
-    STAGE_SPANS,
-    QueryTrace,
-    Span,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "Span",
-    "QueryTrace",
-    "SPAN_QUERY",
-    "SPAN_SHARD",
-    "SPAN_QUEUE_WAIT",
-    "SPAN_BATCH",
-    "SPAN_BACKOFF",
-    "SPAN_FAILOVER_WAIT",
-    "SPAN_MERGE",
-    "SPAN_PREFILL",
-    "STAGE_SPANS",
-    "Segment",
-    "CriticalPath",
-    "critical_path",
-    "conservation_error_cycles",
-    "stage_attribution",
-    "p99_contributors",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricRegistrationError",
-    "MetricsRegistry",
-    "BurnWindow",
-    "slo_burn_windows",
-    "DEFAULT_LATENCY_BOUNDS_S",
-    "StageTable",
-    "RunTelemetry",
-    "ReconcileReport",
-    "build_run_telemetry",
-    "build_serve_metrics",
-    "reconcile_with_trace",
-    "render_query_trace",
-    "render_spans_report",
-    "render_critical_path",
-    "render_attribution",
-    "folded_stacks",
-    "write_flamegraph",
-    "span_trace_events",
-    "telemetry_chrome_trace",
-    "write_telemetry_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "build": (
+        "ReconcileReport", "RunTelemetry", "StageTable", "build_run_telemetry",
+        "build_serve_metrics", "reconcile_with_trace"),
+    "critical": (
+        "CriticalPath", "Segment", "conservation_error_cycles",
+        "critical_path", "p99_contributors", "stage_attribution"),
+    "export": (
+        "span_trace_events", "telemetry_chrome_trace",
+        "write_telemetry_trace"),
+    "flame": ("folded_stacks", "write_flamegraph"),
+    "metrics": (
+        "DEFAULT_LATENCY_BOUNDS_S", "BurnWindow", "Counter", "Gauge",
+        "Histogram", "MetricRegistrationError", "MetricsRegistry",
+        "slo_burn_windows"),
+    "render": (
+        "render_attribution", "render_critical_path", "render_query_trace",
+        "render_spans_report"),
+    "spans": (
+        "SPAN_BACKOFF", "SPAN_BATCH", "SPAN_FAILOVER_WAIT", "SPAN_MERGE",
+        "SPAN_PREFILL", "SPAN_QUERY", "SPAN_QUEUE_WAIT", "SPAN_SHARD",
+        "STAGE_SPANS", "QueryTrace", "Span"),
+})

@@ -10,7 +10,7 @@ exact prints of bit-deterministic model outputs.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .critical import CriticalPath, conservation_error_cycles, \
     p99_contributors, stage_attribution

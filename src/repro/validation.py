@@ -69,45 +69,48 @@ def _matmul_speedup() -> float:
 
 
 def _phoenix_mean_speedup() -> float:
-    from .phoenix import PhoenixSuite
+    from .phoenix.suite import PhoenixSuite
 
     return PhoenixSuite().aggregate_speedups()["mean_vs_1t"]
 
 
 def _phoenix_peak_speedup() -> float:
-    from .phoenix import PhoenixSuite
+    from .phoenix.suite import PhoenixSuite
 
     return PhoenixSuite().aggregate_speedups()["peak_vs_1t"]
 
 
 def _phoenix_mt_mean_speedup() -> float:
-    from .phoenix import PhoenixSuite
+    from .phoenix.suite import PhoenixSuite
 
     return PhoenixSuite().aggregate_speedups()["mean_vs_16t"]
 
 
 def _framework_accuracy() -> float:
-    from .phoenix import PhoenixSuite
+    from .phoenix.suite import PhoenixSuite
 
     return PhoenixSuite().mean_accuracy()
 
 
 def _retrieval_opt_200gb_ms() -> float:
-    from .rag import APURetriever, PAPER_CORPORA
+    from .rag.corpus import PAPER_CORPORA
+    from .rag.retrieval import APURetriever
 
     return APURetriever(optimized=True).retrieval_seconds(
         PAPER_CORPORA["200GB"]) * 1e3
 
 
 def _retrieval_noopt_200gb_ms() -> float:
-    from .rag import APURetriever, PAPER_CORPORA
+    from .rag.corpus import PAPER_CORPORA
+    from .rag.retrieval import APURetriever
 
     return APURetriever(optimized=False).retrieval_seconds(
         PAPER_CORPORA["200GB"]) * 1e3
 
 
 def _retrieval_speedup_200gb() -> float:
-    from .rag import APURetriever, CPURetriever, PAPER_CORPORA
+    from .rag.corpus import PAPER_CORPORA
+    from .rag.retrieval import APURetriever, CPURetriever
 
     spec = PAPER_CORPORA["200GB"]
     return (CPURetriever().retrieval_seconds(spec)
@@ -115,7 +118,10 @@ def _retrieval_speedup_200gb() -> float:
 
 
 def _e2e_speedup_200gb() -> float:
-    from .rag import APURetriever, CPURetriever, GenerationModel, PAPER_CORPORA, RAGPipeline
+    from .rag.corpus import PAPER_CORPORA
+    from .rag.generation import GenerationModel
+    from .rag.pipeline import RAGPipeline
+    from .rag.retrieval import APURetriever, CPURetriever
 
     spec = PAPER_CORPORA["200GB"]
     gen = GenerationModel()
@@ -125,26 +131,26 @@ def _e2e_speedup_200gb() -> float:
 
 
 def _energy_ratio_200gb() -> float:
-    from .rag import fig15_energy_comparison
+    from .rag.energy import fig15_energy_comparison
 
     return fig15_energy_comparison()["200GB"].efficiency_ratio
 
 
 def _energy_static_fraction() -> float:
-    from .rag import fig15_energy_comparison
+    from .rag.energy import fig15_energy_comparison
 
     return fig15_energy_comparison()["200GB"].apu_energy.fractions()["static"]
 
 
 def _hbm_peak_gbs() -> float:
-    from .hbm import make_hbm2e
+    from .hbm.hbm2e import make_hbm2e
 
     return make_hbm2e().peak_bandwidth / 1e9
 
 
 def _embedding_load_200gb_ms() -> float:
-    from .hbm import make_hbm2e
-    from .rag import PAPER_CORPORA
+    from .hbm.hbm2e import make_hbm2e
+    from .rag.corpus import PAPER_CORPORA
 
     return make_hbm2e().transfer_seconds(
         PAPER_CORPORA["200GB"].embedding_bytes, "sequential") * 1e3

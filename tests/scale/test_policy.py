@@ -123,6 +123,29 @@ class TestJsonRoundTrip:
         with pytest.raises(PriorityMapError):
             ScalePolicy.from_dict({"priorities": [{"nom": "a"}]})
 
+    @pytest.mark.parametrize("data, error, message", [
+        ({"autoscale": None}, ScalePolicyError,
+         "autoscale must be an object, got null"),
+        ({"admission": 3}, AdmissionPolicyError,
+         "admission must be an object, got int"),
+        ({"priorities": [None]}, PriorityMapError,
+         r"priorities\[0\] must be an object, got null"),
+        ({"autoscale": {"bogus": 1}}, ScalePolicyError,
+         "autoscale: unknown field 'bogus'"),
+        ({"admission": {"shed_queue_batches": "4"}}, AdmissionPolicyError,
+         "admission: field 'shed_queue_batches' must be a number, got '4'"),
+        ({"autoscale": {"slo_target": True}}, ScalePolicyError,
+         "autoscale: field 'slo_target' must be a number, got True"),
+        ({"priorities": [{"name": "a", "share": 1}, {"name": "b"}]},
+         PriorityMapError, r"priorities\[1\]: missing field 'share'"),
+        ({"priorities": [{"name": 3, "share": 1}]}, PriorityMapError,
+         r"priorities\[0\]: field 'name' must be a string, got 3"),
+    ])
+    def test_malformed_section_names_section_and_field(self, data, error,
+                                                        message):
+        with pytest.raises(error, match=f"^{message}$"):
+            ScalePolicy.from_dict(data)
+
     def test_invalid_json_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

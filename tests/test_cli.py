@@ -90,6 +90,21 @@ class TestServeCommand:
                   flag, str(plan_path)])
 
     @pytest.mark.parametrize("text, message", [
+        (None, r"\[Errno 2\] No such file or directory: '.*missing\.json'"),
+        ('{"autoscale": null}', "autoscale must be an object, got null"),
+        ('{"autoscale": {"bogus": 1}}', "autoscale: unknown field 'bogus'"),
+    ])
+    def test_serve_bad_policy_exits_cleanly(self, tmp_path, text, message):
+        path = tmp_path / "missing.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit,
+                           match=f"^bad scale policy: {message}$") as exc:
+            main(["serve", "--corpus", "10GB", "--requests", "8",
+                  "--autoscale", "--policy", str(path)])
+        assert "\n" not in str(exc.value.code)
+
+    @pytest.mark.parametrize("text, message", [
         ("[]", "a run bundle must be a JSON object, got list"),
         ('{"version": 1, "workload": "serve"}', "missing field 'metrics'"),
         (_BUNDLE_HEAD + '"monitor": []}',
