@@ -25,7 +25,8 @@ instead of invalidating an existing one:
 * ``telemetry`` -- ``BENCH_telemetry.json`` from
   ``bench_telemetry_overhead`` (causal-tracing collection cost).
 * ``simcore`` -- ``BENCH_simcore.json`` from ``bench_simcore_events``
-  (the vectorized core's million-query event rate).
+  (the vectorized core's event rate on a saturated million-query
+  stream and on a light-load stream).
 * ``scale`` -- ``BENCH_scale.json`` from ``bench_scale_spike`` (the
   10x load spike) and ``BENCH_scale_faults.json`` from
   ``bench_scale_faults`` (spike + shard deaths + SDC upsets).

@@ -220,23 +220,23 @@ def _build_scale_config(args, serve_config):
         except (OSError, ScalePolicyError) as exc:
             raise SystemExit(f"bad scale policy: {exc}")
     arrivals = None
-    if args.arrival != "poisson":
-        generate = {
-            "bursty": bursty_arrival_times,
-            "diurnal": diurnal_arrival_times,
-            "spike": spike_arrival_times,
-        }[args.arrival]
-        arrivals = tuple(float(t) for t in generate(
-            args.qps, args.requests, args.seed))
     closed_loop = None
-    if args.clients:
-        closed_loop = ClosedLoopConfig(
-            n_clients=args.clients,
-            think_time_s=args.think_ms * 1e-3,
-            n_requests=args.requests,
-            seed=args.seed,
-        )
     try:
+        if args.arrival != "poisson":
+            generate = {
+                "bursty": bursty_arrival_times,
+                "diurnal": diurnal_arrival_times,
+                "spike": spike_arrival_times,
+            }[args.arrival]
+            arrivals = tuple(float(t) for t in generate(
+                args.qps, args.requests, args.seed))
+        if args.clients:
+            closed_loop = ClosedLoopConfig(
+                n_clients=args.clients,
+                think_time_s=args.think_ms * 1e-3,
+                n_requests=args.requests,
+                seed=args.seed,
+            )
         return ScaleConfig(serve=serve_config, policy=policy,
                            arrivals=arrivals, closed_loop=closed_loop)
     except ValueError as exc:
@@ -274,14 +274,7 @@ def _run_serve(args) -> None:
             faults = faults.merged_with(FaultPlan.load(args.bit_flip_plan))
     except (OSError, ValueError) as exc:
         raise SystemExit(f"bad fault plan: {exc}")
-    integrity = IntegrityConfig()
-    if args.integrity:
-        integrity = IntegrityConfig(
-            enabled=True,
-            max_recomputes=args.max_recomputes,
-            scrub_interval_s=args.scrub_interval_ms * 1e-3,
-        )
-    elif args.scrub_interval_ms:
+    if args.scrub_interval_ms and not args.integrity:
         raise SystemExit("--scrub-interval-ms requires --integrity")
     ecc = ECCConfig()
     if args.ecc:
@@ -298,6 +291,11 @@ def _run_serve(args) -> None:
     elif args.ecc_tier is not None:
         raise SystemExit("--ecc-tier requires --ecc")
     try:
+        integrity = IntegrityConfig(
+            enabled=True,
+            max_recomputes=args.max_recomputes,
+            scrub_interval_s=args.scrub_interval_ms * 1e-3,
+        ) if args.integrity else IntegrityConfig()
         retry = RetryPolicy(
             timeout_s=math.inf if args.timeout_ms is None
             else args.timeout_ms * 1e-3,

@@ -67,23 +67,25 @@ class LatencyStats:
 
         The mean adds the samples in their given order with Python's
         ``sum`` (not NumPy's pairwise sum), so a list and the array
-        holding the same values give bit-identical stats.
+        holding the same values give bit-identical stats.  An array's
+        order statistics are read by indexing its sorted copy; only
+        those four values become Python floats.
         """
         if not len(samples):
             raise EmptySampleError("latency stats need at least one sample")
         if isinstance(samples, np.ndarray):
             values = samples.tolist()
-            ordered = np.sort(samples).tolist()
+            ordered = np.sort(samples)
         else:
             values = samples
             ordered = sorted(samples)
         return cls(
             n=len(values),
             mean_s=sum(values) / len(values),
-            p50_s=_rank(ordered, 50),
-            p95_s=_rank(ordered, 95),
-            p99_s=_rank(ordered, 99),
-            max_s=ordered[-1],
+            p50_s=float(_rank(ordered, 50)),
+            p95_s=float(_rank(ordered, 95)),
+            p99_s=float(_rank(ordered, 99)),
+            max_s=float(ordered[-1]),
         )
 
     def as_ms(self) -> Dict[str, float]:

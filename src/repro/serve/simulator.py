@@ -89,8 +89,8 @@ from .scheduler import (
 )
 from .sharding import merge_cycles, merge_seconds, shard_chunk_counts, \
     shard_specs
-from .workload import Request, poisson_arrival_times, poisson_arrivals, \
-    trace_arrivals
+from .workload import Request, _validate_stream, poisson_arrival_times, \
+    poisson_arrivals, trace_arrivals
 
 __all__ = [
     "FAILOVER_POLICIES",
@@ -110,6 +110,14 @@ Arrivals = Union[Sequence[Request], np.ndarray]
 
 #: Supported responses to a shard death.
 FAILOVER_POLICIES = ("reroute", "degraded")
+
+
+def _require_int(name: str, value: Any, minimum: int) -> None:
+    """``value`` is an integer (not a ``bool``) of at least ``minimum``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) \
+            or value < minimum:
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -153,6 +161,9 @@ class ServeConfig:
     engine: str = DEFAULT_ENGINE
 
     def __post_init__(self):
+        _require_int("n_shards", self.n_shards, 1)
+        _validate_stream(self.qps, self.n_requests)
+        _require_int("seed", self.seed, 0)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k!r}")
         if not (math.isfinite(self.slo_s) and self.slo_s > 0):

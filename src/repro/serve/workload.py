@@ -91,7 +91,8 @@ class ClosedLoopConfig:
 
 
 def _validate_stream(qps: float, n_requests: int) -> None:
-    if not np.isfinite(qps) or qps <= 0:
+    if not isinstance(qps, (int, float, np.integer, np.floating)) \
+            or isinstance(qps, bool) or not np.isfinite(qps) or qps <= 0:
         raise WorkloadConfigError(
             f"qps must be a positive finite rate, got {qps!r}")
     if not isinstance(n_requests, (int, np.integer)) \

@@ -14,10 +14,13 @@ event semantics and the global tie order live in exactly one place.
 * **Shard timelines are independent.**  Every request fans out to all
   shards, so with no injector the per-shard schedule is a pure
   function of the arrival array and the batching policy.  Each shard
-  is evaluated by a closed-form scan (:func:`_scan_fault_free`) whose
-  saturated stretches -- runs of consecutive full batches launching
-  the instant the device frees -- collapse into NumPy ``cumsum``
-  chunks.
+  is evaluated by a closed-form scan (:func:`_scan_fault_free`).  Its
+  scalar steps read Python floats through a ``memoryview`` of the
+  arrivals and search them with :mod:`bisect`; its saturated
+  stretches -- runs of consecutive full batches launching the instant
+  the device frees -- collapse into NumPy ``cumsum`` chunks that grow
+  from 8 launches to ``_BULK``, so a short stretch costs a short
+  chunk.
 * **One scan per service class.**  A shard's scan reads nothing but
   the arrivals and its service times for batch sizes
   ``1..max_batch``, so shards with equal service tables share one scan
@@ -33,6 +36,7 @@ event semantics and the global tie order live in exactly one place.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,12 +47,8 @@ from .arrays import ArraySchedule
 
 __all__ = ["VectorizedScheduler"]
 
-#: Chunk size for the saturated bulk path (bounds temporary arrays).
+#: Largest chunk of the saturated bulk path (bounds temporary arrays).
 _BULK = 4096
-
-
-def _searchsorted(a: np.ndarray, v: float, side: str) -> int:
-    return int(a.searchsorted(v, side))
 
 
 def request_columns(requests: Sequence[Request]
@@ -77,9 +77,21 @@ def _scan_fault_free(
 
     Bit-identical to the scalar loop on a single shard: dispatch times
     are produced by the same sequence of float additions.
+
+    Scalar steps read the arrivals through a ``memoryview``, whose
+    items are Python floats, and search them with :mod:`bisect` from
+    the current head; converting the whole array to a list instead
+    would cost O(n) on runs that spend nearly all their time in the
+    bulk path.  A saturated stretch is entered only once its first
+    full batch is known to be ready, and its ``cumsum`` chunks grow
+    from 8 launches up to ``_BULK``, so a stretch that ends after a few
+    batches builds a few launch slots, not thousands.  Any prefix of a
+    sequential ``cumsum`` is the same whatever the chunk length, so
+    the sizing changes no bit.
     """
     n = int(arrivals.size)
     b = max_batch
+    arr = memoryview(arrivals)
     # Scalar emissions buffer + bulk chunks, concatenated at the end.
     disp_l: List[float] = []
     start_l: List[int] = []
@@ -89,72 +101,71 @@ def _scan_fault_free(
     i = 0
     t_free = 0.0
     has_prev = False
-
-    def emit(at: float, start: int, size: int) -> None:
-        disp_l.append(at)
-        start_l.append(start)
-        size_l.append(size)
-
     while i < n:
-        head = float(arrivals[i])
+        head = arr[i]
         if has_prev and t_free >= head:
             # Device-free step with queued work: the scalar dispatches
             # here if the queue is full or the head is past deadline.
-            cnt = _searchsorted(arrivals, t_free, "right") - i
+            cnt = bisect_right(arr, t_free, i) - i
             if cnt >= b or head + max_wait <= t_free:
                 m = b if cnt >= b else cnt
-                emit(t_free, i, m)
+                disp_l.append(t_free)
+                start_l.append(i)
+                size_l.append(m)
                 t_free = t_free + svc[m - 1]
                 i += m
                 if m == b:
                     # Saturated run: consecutive full batches, each
                     # launching the instant the previous completes.
+                    # The loop test is the first launch's fill check.
                     s_full = svc[b - 1]
-                    while n - i >= b:
-                        k = min(_BULK, (n - i) // b)
+                    k = 8
+                    while n - i >= b and arr[i + b - 1] <= t_free:
+                        k = min(k, (n - i) // b)
                         launch = np.empty(k, dtype=np.float64)
                         launch[0] = t_free
-                        if k > 1:
-                            launch[1:] = s_full
+                        launch[1:] = s_full
                         np.cumsum(launch, out=launch)
                         fill = arrivals[i + b - 1:i + b - 1 + k * b:b]
                         ok = fill <= launch
                         mm = k if bool(ok.all()) else int(np.argmin(ok))
-                        if mm == 0:
-                            break
                         starts = np.arange(i, i + mm * b, b,
                                            dtype=np.int64)
                         # Chunks record their own offsets, so the
                         # scalar buffers need no flush here.
                         chunks.append((launch[:mm].copy(), starts))
+                        # ``t_free`` is now ``launch[mm]`` (the sum is
+                        # sequential), so after a partial chunk the loop
+                        # test fails exactly where ``ok`` did.
                         t_free = float(launch[mm - 1]) + s_full
                         i += mm * b
-                        if mm < k:
-                            break
+                        k = min(2 * k, _BULK)
                 continue
         # Idle dispatch: queue under-full when the device freed (or the
         # device idles ahead of the head arrival).
         deadline = head + max_wait
         jf = i + b - 1
-        fill_t = float(arrivals[jf]) if jf < n else math.inf
+        fill_t = arr[jf] if jf < n else math.inf
         if fill_t < deadline:
-            emit(fill_t, i, b)
-            t_free = fill_t + svc[b - 1]
-            i += b
+            m = b
+            at = fill_t
         else:
-            lo = _searchsorted(arrivals, deadline, "left")
-            hi = _searchsorted(arrivals, deadline, "right")
-            if hi > lo and hi > i:
+            lo = bisect_left(arr, deadline, i)
+            hi = bisect_right(arr, deadline, i)
+            if hi > lo:
                 # An arrival lands exactly on the deadline: it pops
                 # before the timer and triggers the dispatch itself,
                 # so the batch ends at that arrival.
-                m = min(b, max(i, lo) + 1 - i)
+                m = min(b, lo + 1 - i)
             else:
                 # The max-wait timer fires on everything queued by then.
                 m = min(b, hi - i)
-            emit(deadline, i, m)
-            t_free = deadline + svc[m - 1]
-            i += m
+            at = deadline
+        disp_l.append(at)
+        start_l.append(i)
+        size_l.append(m)
+        t_free = at + svc[m - 1]
+        i += m
         has_prev = True
 
     # Assemble: scalar emissions first, then splice bulk chunks at

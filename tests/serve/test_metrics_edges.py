@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.serve.metrics import (
     EmptySampleError,
@@ -95,6 +97,24 @@ class TestArraySamples:
         assert float(np.sum(samples)) != sum(samples.tolist())
         assert LatencyStats.from_samples(samples).mean_s \
             == sum(samples.tolist()) / samples.size
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=10.0,
+                              allow_subnormal=False),
+                    min_size=1, max_size=64))
+    @example([0.25])
+    @example([0.1, 0.1, 0.1, 0.3])
+    @example([0.3, 0.1, 0.2, 0.1, 0.3])
+    def test_array_and_list_give_equal_stats(self, samples):
+        """Any sample -- one value, ties, unsorted -- gives the same
+        stats, to the bit and the type, as a list and as an array."""
+        from_list = LatencyStats.from_samples(samples)
+        from_array = LatencyStats.from_samples(np.asarray(samples))
+        assert from_array == from_list
+        assert repr(from_array) == repr(from_list)
+        assert all(type(getattr(from_array, field)) is float
+                   for field in ("mean_s", "p50_s", "p95_s", "p99_s",
+                                 "max_s"))
+        assert from_array.max_s == max(samples)
 
     def test_attainment_of_an_array(self):
         samples = self._samples()

@@ -124,7 +124,7 @@ class TestTraceEmission:
 
 class TestValidation:
     def test_bad_qps_rejected(self):
-        for bad in (0.0, -5.0, float("nan"), float("inf")):
+        for bad in (0.0, -5.0, float("nan"), float("inf"), True, "100"):
             with pytest.raises(ValueError):
                 poisson_arrivals(bad, 10)
 
@@ -149,6 +149,39 @@ class TestValidation:
             ServeConfig(spec=spec, slo_s=0.0)
         with pytest.raises(ValueError):
             ServeConfig(spec=spec, n_shards=spec.n_chunks + 1)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("qps", 0.0), ("qps", -5.0), ("qps", float("nan")),
+        ("qps", float("inf")), ("qps", True), ("qps", "100"),
+        ("n_requests", 0), ("n_requests", -1), ("n_requests", 8.0),
+        ("n_requests", True),
+        ("seed", -1), ("seed", 1.5), ("seed", True),
+        ("n_shards", 0), ("n_shards", -2), ("n_shards", 2.0),
+        ("n_shards", True),
+    ])
+    def test_bad_workload_field_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ServeConfig(spec=PAPER_CORPORA["10GB"], **{field: bad})
+
+    def test_numpy_workload_fields_accepted(self):
+        import numpy as np
+
+        config = ServeConfig(spec=PAPER_CORPORA["10GB"],
+                             n_shards=np.int64(2), qps=np.float64(50.0),
+                             n_requests=np.int32(8), seed=np.int64(0))
+        assert ServingSimulator(config).run().n_completed == 8
+
+    def test_nan_qps_rejected_before_the_elastic_loop(self):
+        """NaN arrivals never compare ``<=`` the heap top, so an elastic
+        run on a NaN rate re-armed its control tick forever."""
+        from repro.scale import ScaleConfig, ScalePolicy
+
+        with pytest.raises(ValueError,
+                           match="^qps must be a positive finite rate, "
+                                 "got nan$"):
+            ScaleConfig(serve=ServeConfig(spec=PAPER_CORPORA["10GB"],
+                                          n_shards=2, qps=float("nan")),
+                        policy=ScalePolicy())
 
     def test_bad_shard_count_rejected(self):
         from repro.serve import ShardedAPURetriever

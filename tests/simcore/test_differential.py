@@ -36,6 +36,7 @@ hand-off.
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -63,7 +64,7 @@ from repro.serve import (
 )
 from repro.serve.metrics import LatencyStats, nearest_rank_percentile
 from repro.simcore import VectorizedScheduler
-from repro.simcore.vectorized import request_columns
+from repro.simcore.vectorized import _BULK, request_columns
 
 GOLDEN_FACTORIES = {
     "serve": golden_serve_config,
@@ -279,6 +280,89 @@ def test_two_death_spike_completes_on_both_engines():
     assert scalar.n_shard_failures == 2
     assert dataclasses.replace(reports["vectorized"],
                                config=scalar.config) == scalar
+
+
+# Deterministic edges of the fault-free scan.  A saturated stretch is
+# entered once its first full batch is ready, and its cumsum chunks grow
+# 8, 16, ... up to ``_BULK`` launches; these streams end stretches on
+# and just past those edges, and pin the exact-tie rules of the scalar
+# steps.
+def _assert_scan_matches_scalar(times, policy, service, n_shards=1):
+    requests = trace_arrivals(times)
+    res_s = DiscreteEventScheduler(n_shards, policy, service).run(requests)
+    arrays = VectorizedScheduler(n_shards, policy, service).run_arrays(
+        np.asarray(times, dtype=np.float64))
+    _assert_columns_match(arrays, res_s)
+    return arrays
+
+
+def _saturated_stream(max_batch: int, n_bulk: int, n_tail: int):
+    """Two full batches dispatched by scalar steps, then ``n_bulk`` more
+    all queued before the device first frees (the bulk stretch), then
+    ``n_tail`` arrivals long after the stretch ends."""
+    n = max_batch * (2 + n_bulk)
+    return np.concatenate([np.arange(n) * 1e-7,
+                           10.0 + np.arange(n_tail) * 1e-3])
+
+
+@pytest.mark.parametrize("n_bulk", [0, 1, 8, 9])
+@pytest.mark.parametrize("n_tail", [0, 3, 5])
+def test_saturated_stretch_on_chunk_edges(n_bulk, n_tail):
+    """A tail of 5 (a full batch or more) ends the stretch on its fill
+    check, mid-chunk for 9; a tail of 3 or none ends it when less than
+    a full batch is left."""
+    policy = BatchPolicy(max_batch=4, max_wait_s=2e-3)
+    arrays = _assert_scan_matches_scalar(
+        _saturated_stream(4, n_bulk, n_tail), policy,
+        _synthetic_service(base_ms=12.3, inc_ms=0.11), n_shards=2)
+    assert arrays.n_batches == 2 * (2 + n_bulk + (n_tail + 3) // 4)
+
+
+def test_saturated_stretch_longer_than_bulk_chunk():
+    """Chunks reach ``_BULK`` twice, then shrink to the arrivals left."""
+    n_bulk = 3 * _BULK
+    policy = BatchPolicy(max_batch=2, max_wait_s=2e-3)
+    arrays = _assert_scan_matches_scalar(
+        _saturated_stream(2, n_bulk, 3), policy,
+        _synthetic_service(base_ms=0.37, inc_ms=0.11))
+    assert arrays.n_batches == 2 + n_bulk + 2
+
+
+_DYADIC_FREE = 2.0 ** -4 + 4 * 2.0 ** -10  # the first batch's end
+
+
+def _dyadic_service(shard_id: int, batch_size: int) -> float:
+    return 2.0 ** -4 + batch_size * 2.0 ** -10
+
+
+@pytest.mark.parametrize("tail", [
+    [_DYADIC_FREE],
+    [0.01, 0.02, 0.03, _DYADIC_FREE],
+    [_DYADIC_FREE - 2.0 ** -8, _DYADIC_FREE],
+    [_DYADIC_FREE, _DYADIC_FREE, _DYADIC_FREE + 2.0 ** -8],
+    [0.01] * 4 + [0.02] * 3 + [2 * _DYADIC_FREE]
+    + [0.14] * 3 + [3 * _DYADIC_FREE],
+], ids=["alone", "fills-batch", "head-on-deadline", "tied", "bulk-ties"])
+def test_arrival_exactly_on_device_free(tail):
+    """The first batch of four frees the device at ``_DYADIC_FREE``
+    exactly, the instant the tail's arrivals land.  In "bulk-ties" the
+    saturated stretch's launches (at 2 and 3 times that) each meet the
+    arrival that fills their batch."""
+    policy = BatchPolicy(max_batch=4, max_wait_s=2.0 ** -8)
+    _assert_scan_matches_scalar(
+        [0.0] * 4 + tail, policy, _dyadic_service)
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, 0.0, 2.0 ** -6, 2.0 ** -6, 2.0 ** -6, 1.0],
+    [0.0] * 3 + [2.0 ** -5] * 6,
+    [0.0, 2.0 ** -20, 2.0 ** -12, 2.0 ** -12, 0.5, 0.5],
+], ids=["idle-ties", "ties-behind-busy-device", "spread"])
+def test_arrival_exactly_on_zero_wait_deadline(times):
+    """With ``max_wait_s=0`` every head's deadline is its own arrival,
+    so tied arrivals land exactly on it."""
+    policy = BatchPolicy(max_batch=4, max_wait_s=0.0)
+    _assert_scan_matches_scalar(times, policy, _dyadic_service)
 
 
 @settings(deadline=None, max_examples=60)

@@ -1,8 +1,15 @@
 """Tests for the experiment CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: A run bundle's valid top level, open for a ``"monitor"`` field.
 _BUNDLE_HEAD = ('{"version": 1, "workload": "serve", "metrics": {}, '
@@ -143,9 +150,40 @@ class TestServeCommand:
         assert not (tmp_path / "run.json").exists()
 
     def test_serve_rejects_bad_shards(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit,
+                           match="^bad serve configuration: n_shards must "
+                                 "be an integer >= 1, got 0$"):
             main(["serve", "--shards", "0", "--requests", "8",
                   "--corpus", "10GB"])
+
+    @pytest.mark.parametrize("flags", [
+        ["--requests", "0"],
+        ["--qps", "0"],
+        ["--qps", "nan"],
+        ["--qps", "inf"],
+        ["--shards", "0"],
+        ["--seed", "-1"],
+        ["--autoscale", "--qps", "0"],
+        ["--autoscale", "--qps", "-5"],
+        ["--autoscale", "--requests", "0"],
+        ["--integrity", "--scrub-interval-ms", "-1"],
+        ["--integrity", "--max-recomputes", "-1"],
+        ["--autoscale", "--clients", "-2"],
+        ["--autoscale", "--clients", "5", "--think-ms", "-1"],
+        ["--arrival", "bursty", "--qps", "0"],
+    ], ids=" ".join)
+    def test_serve_out_of_domain_flag_exits_with_one_line(self, flags):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--corpus", "10GB",
+             *flags],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("bad serve configuration: ")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
 
     def test_trace_workloads_lists_serve(self, capsys):
         assert main(["trace", "workloads"]) == 0
