@@ -94,7 +94,8 @@ SUITES = {
 # The tolerance policy (suffix classes, absolute ceilings/floors, the
 # gate itself) lives in ``repro.monitor.tolerance`` so the cross-run
 # differ (``repro diff``) reproduces this gate's verdicts exactly.
-from repro.monitor.tolerance import WALL_CLOCK, gate_failures  # noqa: E402
+from repro.monitor.tolerance import (  # noqa: E402
+    WALL_CLOCK, gate_failures, validate_tolerance)
 
 
 def collect_suite(modules):
@@ -223,6 +224,10 @@ def main(argv=None) -> int:
     parser.add_argument("--tolerance", type=float, default=0.10,
                         help="relative tolerance for *_qps / *_ms metrics")
     args = parser.parse_args(argv)
+    try:
+        validate_tolerance(args.tolerance)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     suites = [args.suite] if args.suite else sorted(SUITES)
     return max(run_suite(suite, args) for suite in suites)

@@ -645,10 +645,15 @@ def _run_monitor(args) -> None:
 def _run_diff(args) -> int:
     from .monitor.bundle import read_run_bundle
     from .monitor.diff import diff_bundles, format_diff
+    from .monitor.tolerance import validate_tolerance
 
     if not args.workload or not args.workload2:
         raise SystemExit("diff needs two run-bundle paths: "
                          "diff <run-a> <run-b>")
+    try:
+        validate_tolerance(args.tolerance)
+    except ValueError as exc:
+        raise SystemExit(f"bad --tolerance: {exc}")
     try:
         bundle_a = read_run_bundle(args.workload)
         bundle_b = read_run_bundle(args.workload2)
@@ -842,9 +847,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Per command, the flags naming a file it writes.
+_MONITOR_OUTS = ("monitor_out", "scrape_out", "bundle_out")
+_OUTPUT_FLAGS = {"trace": ("trace_out",), "spans": ("flame_out", "trace_out"),
+                 "metrics": ("out",), "monitor": _MONITOR_OUTS + ("trace_out",),
+                 "serve": _MONITOR_OUTS, "all": _MONITOR_OUTS}
+
+
+def _check_output_dirs(args) -> None:
+    """Exit with one line if an output path is a directory or its
+    directory is missing, before any simulation runs."""
+    import os
+
+    for dest in _OUTPUT_FLAGS.get(args.experiment, ()):
+        path = getattr(args, dest)
+        flag = "--" + dest.replace("_", "-")
+        if path and os.path.isdir(path):
+            raise SystemExit(f"{flag}: {path!r} is a directory")
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise SystemExit(f"{flag}: directory of {path!r} does not exist")
+
+
 def main(argv=None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    _check_output_dirs(args)
     if args.experiment == "list":
         for name in sorted(EXPERIMENTS):
             print(name)

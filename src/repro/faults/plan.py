@@ -310,7 +310,7 @@ def _parse_faults(data: Dict[str, object], key: str, fault_cls: type,
             parse = convert.get(spec.name, float)
             try:
                 kwargs[spec.name] = parse(raw)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"{where}: field {spec.name!r} must be "
                                  f"{_EXPECTED[parse]}, got {raw!r}") from None
         try:

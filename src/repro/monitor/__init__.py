@@ -13,11 +13,11 @@ Everything is **derived post-hoc** from the scheduler's causal record
 (the same pattern as the telemetry pipeline), so monitoring-off runs
 are byte-identical to unmonitored ones and both engines produce
 bit-identical series -- properties the differential suite in
-``tests/monitor`` pins.  The autoscaler's
-:class:`~repro.scale.controller.BurnRateController` reads its trailing
-windows from the same :class:`~repro.monitor.signal.BurnSignal` the
-series builder replays, so the control plane and the observatory
-provably see one signal.
+``tests/monitor`` pins.  The elastic loop reads the autoscaler's
+trailing windows from a :class:`~repro.monitor.signal.BurnSignal`, and
+the series builder reads the same class loaded from the completion
+record, so the control plane and the observatory provably see one
+signal.
 
 Exports: OpenMetrics-style scrape text (:mod:`.openmetrics`, a strict
 superset of the PR 6 registry exposition), Perfetto counter tracks

@@ -29,25 +29,24 @@ Two sampling rules, pinned by regression tests on both engines:
 
 At recorded tick instants the per-class burn series takes the
 controller's own reading (``ScaleAction.class_burns``, written by the
-elastic loop from the shared :class:`~repro.monitor.signal.BurnSignal`);
-between ticks, and for static runs, the builder counts the same
-trailing window straight from the completion record -- bitwise what a
-twin ``BurnSignal`` fed that record reads (a regression test replays
-one).
+elastic loop from its :class:`~repro.monitor.signal.BurnSignal`).
+Between ticks, and for static runs, the builder loads one
+``BurnSignal`` with the run's completion record and reads it at every
+remaining instant -- the one trailing-window engine (a regression
+test recounts those readings by brute force from the record).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from itertools import accumulate
 from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
                     Tuple)
 
 import numpy as np
 
-from ..telemetry.metrics import window_burn_rate
 from .series import RunMonitor, Series
+from .signal import BurnSignal
 from .sketch import QuantileSketch
 
 __all__ = [
@@ -329,38 +328,24 @@ def build_run_monitor(
          for row in at_or_below]
         for fraction in _QUANTILE_FRACTIONS]
 
-    # -- per-class SLO burn: recorded at ticks, counted between ---------
+    # -- per-class SLO burn: recorded at ticks, read between ----------
     # At the instants no tick recorded in full, each class's window
     # holds its completions in [t - cadence, t], plus its overdue
-    # requests counted as violations: what a twin BurnSignal fed the
-    # completions in order reads at t.
-    burns_at = [list(tick_burns.get(t, ())) for t in instants]
+    # requests counted as violations.
+    burns_at: List[Sequence[float]] = [tick_burns.get(t, ())
+                                       for t in instants]
     gaps = [i for i, burns in enumerate(burns_at) if len(burns) < n_classes]
     if gaps:
-        # Per class: completion times, and violations before each.
-        by_class = [(done_s, tti)] if n_classes == 1 else [
-            ([done for done, req_id in completions
-              if priorities.get(req_id, 0) == cls],
-             [latency for (_, req_id), latency in zip(completions, tti)
-              if priorities.get(req_id, 0) == cls])
-            for cls in range(n_classes)]
-        windows = [(when, [0, *accumulate(latency > slo_s
-                                          for latency in latencies)])
-                   for when, latencies in by_class]
+        signal = BurnSignal(cadence_s, slo_s, n_classes)
+        signal.extend(done_s, tti, None if n_classes == 1 else [
+            priorities.get(req_id, 0) for _, req_id in completions])
         overdue = _overdue_at([instants[i] for i in gaps], records, slo_s,
                               priorities, n_classes)
         for i, overdue_now in zip(gaps, overdue):
-            t = instants[i]
-            start = t - cadence_s
-            burns = burns_at[i]
-            for cls in range(len(burns), n_classes):
-                when, bad = windows[cls]
-                upto = bisect.bisect_right(when, t)
-                since = bisect.bisect_left(when, start)
-                late = overdue_now[cls]
-                burns.append(window_burn_rate(
-                    upto - since + late, bad[upto] - bad[since] + late,
-                    error_budget))
+            burns = signal.class_burns(instants[i], overdue_now,
+                                       error_budget)
+            burns[:len(burns_at[i])] = burns_at[i]
+            burns_at[i] = burns
 
     # -- cumulative counters --------------------------------------------
     by_kind: Dict[str, List[float]] = {}

@@ -1,41 +1,45 @@
-"""The shared trailing-window SLO burn signal.
+"""The one trailing-window SLO burn signal.
 
-This is the bookkeeping the autoscaler's
-:class:`~repro.scale.controller.BurnRateController` used to keep as
-private state, extracted so the controller and the monitor's series
-builder provably read **one signal**: the controller owns a live
-instance fed in event order during the run, and the monitor replays an
-identical instance post-hoc from the causal record.  The differential
-suite pins that the burn values the monitor samples at control ticks
-are bit-identical to the ones the controller acted on (the elastic
-loop records them on each tick action).
+The elastic loop owns a live instance, fed in event order and read at
+every control tick (the :class:`~repro.scale.controller.BurnRateController`
+only turns the readings into verdicts).  The monitor's series builder
+loads one from the run's completion record (:meth:`extend`) and reads
+it at every instant no tick recorded.  Tests pin the monitor's samples
+at ticks to the loop's readings, and between ticks to a brute-force
+recount of the completion record.
 
-State is per-class deques of ``(completion time, violated)`` with a
-running violation count per class, plus a deque of fault timestamps;
-a window reading costs ``O(classes)`` (after the amortized deque
-trim), answered with the same
-:class:`~repro.telemetry.metrics.BurnWindow` arithmetic the post-run
-telemetry pipeline reports.
+Per class, the state is an append-only list of completion times and a
+violation prefix (entry ``i`` counts the violations among the first
+``i`` completions), plus one list of fault times.  Both callers read
+at non-decreasing times, so a read bisects ``[now - window, now]`` from
+a cursor that only moves forward and takes two differences, using the
+:class:`~repro.telemetry.metrics.BurnWindow` arithmetic of the post-run
+telemetry.  A consumed prefix longer than the live part is dropped, so
+a live run holds ``O(window)`` entries.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Deque, List, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from typing import List, Optional, Sequence, Tuple
 
 from ..telemetry.metrics import BurnWindow, window_burn_rate
 
 __all__ = ["BurnSignal"]
 
+#: Consumed entries a class keeps before its prefix may be dropped.
+_TRIM = 1024
+
 
 class BurnSignal:
     """Trailing-window completion/violation/fault bookkeeping.
 
-    ``window_s`` is the trailing-window width (the controller passes
-    its control interval), ``slo_s`` the latency objective that
-    classifies a completion as violating, ``n_classes`` the number of
-    priority classes tracked independently.
+    ``window_s`` is the window width (the control interval or the
+    monitor's cadence), ``slo_s`` the latency objective a violating
+    completion exceeds, ``n_classes`` the priority classes tracked
+    apart.  Note in time order; read at non-decreasing ``now_s``.
     """
 
     def __init__(self, window_s: float, slo_s: float, n_classes: int = 1):
@@ -49,40 +53,55 @@ class BurnSignal:
             raise ValueError(f"n_classes must be >= 1, got {n_classes!r}")
         self.window_s = window_s
         self.slo_s = slo_s
-        self.n_classes = n_classes
-        #: Per-class (completion time, violated) in completion order.
-        self._completions: List[Deque[Tuple[float, bool]]] = [
-            deque() for _ in range(n_classes)]
-        #: Per-class count of violating entries in ``_completions``.
-        self._violations = [0] * n_classes
+        #: Per-class completion times, in completion order.
+        self._done: List[List[float]] = [[] for _ in range(n_classes)]
+        #: Per-class violation prefix: ``_bad[c][i]`` violations among
+        #: the first ``i`` entries of ``_done[c]``.
+        self._bad: List[List[int]] = [[0] for _ in range(n_classes)]
+        #: Per-class index of the first completion inside the last read.
+        self._cursor = [0] * n_classes
         #: Fault-event timestamps (deaths, stall onsets) in event order.
-        self._faults: Deque[float] = deque()
+        self._faults: List[float] = []
+        self._fault_cursor = 0
 
     def note_completion(self, done_s: float, tti_latency_s: float,
                         priority: int = 0) -> None:
         """Record one resolved request (call in completion order)."""
-        violated = tti_latency_s > self.slo_s
-        self._completions[priority].append((done_s, violated))
-        if violated:
-            self._violations[priority] += 1
+        self._done[priority].append(done_s)
+        bad = self._bad[priority]
+        bad.append(bad[-1] + (tti_latency_s > self.slo_s))
+
+    def extend(self, done_s: Sequence[float],
+               tti_latency_s: Sequence[float],
+               priorities: Optional[Sequence[int]] = None) -> None:
+        """Record many resolved requests at once, in completion order.
+
+        Bitwise :meth:`note_completion` per entry; with no
+        ``priorities`` every completion is class 0's.
+        """
+        columns: Sequence[Tuple[Sequence[float], Sequence[float]]] = \
+            [(done_s, tti_latency_s)] if priorities is None else [
+                ([t for t, p in zip(done_s, priorities) if p == cls],
+                 [x for x, p in zip(tti_latency_s, priorities) if p == cls])
+                for cls in range(len(self._done))]
+        slo_s = self.slo_s
+        for done, bad, (when, latencies) in zip(self._done, self._bad,
+                                                columns):
+            done.extend(when)
+            bad.extend(accumulate((latency > slo_s for latency in latencies),
+                                  initial=bad.pop()))
 
     def note_fault(self, t_s: float) -> None:
         """Record one fault event (call in event order)."""
         self._faults.append(t_s)
 
-    def advance(self, start_s: float) -> None:
-        """Drop completions and faults older than ``start_s``."""
-        violations = self._violations
-        for cls, completions in enumerate(self._completions):
-            while completions and completions[0][0] < start_s:
-                if completions.popleft()[1]:
-                    violations[cls] -= 1
-        while self._faults and self._faults[0] < start_s:
-            self._faults.popleft()
-
-    def recent_faults(self) -> int:
-        """Fault events still inside the last-advanced window."""
-        return len(self._faults)
+    def recent_faults(self, now_s: float) -> int:
+        """Fault events in the trailing window ending at ``now_s``."""
+        faults = self._faults
+        start = bisect_left(faults, now_s - self.window_s,
+                            self._fault_cursor)
+        self._fault_cursor = start
+        return bisect_right(faults, now_s, start) - start
 
     def class_windows(self, index: int, now_s: float,
                       overdue_by_class: Sequence[int]
@@ -92,41 +111,47 @@ class BurnSignal:
         ``overdue_by_class[i]`` is class ``i``'s count of admitted,
         unresolved requests already older than the SLO -- each is a
         violation the window has effectively observed even though it
-        has no completion timestamp yet.  The caller supplies the
-        shared window ``index`` (the controller's tick counter; the
-        monitor's sample counter on replay).
+        has no completion timestamp yet.  ``index`` labels the windows
+        (a tick or sample counter).  The reference form: it bisects the
+        retained columns in full and leaves the cursors alone.
         """
         start_s = now_s - self.window_s
-        self.advance(start_s)
-        return tuple(
-            BurnWindow(index=index, start_s=start_s, end_s=now_s,
-                       n_requests=n_requests, n_violations=n_violations)
-            for n_requests, n_violations in self._counts(overdue_by_class))
+        windows = []
+        for done, bad, overdue in zip(self._done, self._bad,
+                                      overdue_by_class):
+            since = bisect_left(done, start_s)
+            upto = bisect_right(done, now_s)
+            late = int(overdue)
+            windows.append(BurnWindow(
+                index=index, start_s=start_s, end_s=now_s,
+                n_requests=upto - since + late,
+                n_violations=bad[upto] - bad[since] + late))
+        return tuple(windows)
 
     def class_burns(self, now_s: float, overdue_by_class: Sequence[int],
                     budget: float) -> List[float]:
         """Per-class burn rates of :meth:`class_windows` at ``now_s``.
 
         Bitwise ``[w.burn_rate(budget) for w in class_windows(...)]``,
-        read straight from the running counts without building the
-        windows (the per-tick path of the controller and the monitor).
+        without building the windows (the elastic loop's per-tick read,
+        and the monitor's read between ticks).
         """
-        self.advance(now_s - self.window_s)
-        burns: List[float] = []
-        for completions, violations, overdue in zip(
-                self._completions, self._violations, overdue_by_class):
-            overdue = int(overdue)
-            burns.append(window_burn_rate(len(completions) + overdue,
-                                          violations + overdue, budget))
+        start_s = now_s - self.window_s
+        cursors = self._cursor
+        burns = []
+        for cls, late in enumerate(overdue_by_class):
+            done, bad = self._done[cls], self._bad[cls]
+            start = bisect_left(done, start_s, cursors[cls])
+            if start > _TRIM and 2 * start > len(done):
+                del done[:start]
+                del bad[:start]
+                start = 0
+            cursors[cls] = start
+            # A live signal holds nothing past ``now_s``; a loaded
+            # record does.
+            upto = len(done) if not done or done[-1] <= now_s \
+                else bisect_right(done, now_s, start)
+            burns.append(window_burn_rate(upto - start + late,
+                                          bad[upto] - bad[start] + late,
+                                          budget))
         return burns
-
-    def _counts(self, overdue_by_class: Sequence[int]
-                ) -> List[Tuple[int, int]]:
-        """Per-class ``(n_requests, n_violations)`` of the current
-        window, each overdue request counted as a violation."""
-        counts = []
-        for cls, completions in enumerate(self._completions):
-            overdue = int(overdue_by_class[cls])
-            counts.append((len(completions) + overdue,
-                           self._violations[cls] + overdue))
-        return counts

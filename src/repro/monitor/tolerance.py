@@ -21,6 +21,7 @@ Classification by metric-name suffix:
 
 from __future__ import annotations
 
+import math
 from typing import Any, List, Mapping
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "WALL_CLOCK_RATE_MULT",
     "classify",
     "gate_failures",
+    "validate_tolerance",
 ]
 
 #: Default relative tolerance for throughput/latency metrics.
@@ -80,6 +82,15 @@ def classify(key: str) -> str:
     return "exact"
 
 
+def validate_tolerance(tolerance: float) -> None:
+    """Raise :class:`ValueError` naming ``tolerance`` unless it is a
+    finite number >= 0 (a NaN gates nothing, a negative one fails
+    identical runs)."""
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(
+            f"tolerance must be a finite number >= 0, got {tolerance!r}")
+
+
 def gate_failures(baseline: Mapping[str, Any],
                   current: Mapping[str, Any],
                   tolerance: float = DEFAULT_TOLERANCE) -> List[str]:
@@ -89,6 +100,7 @@ def gate_failures(baseline: Mapping[str, Any],
     ceiling/floor breaches, relative throughput/latency regressions
     past ``tolerance``, and bit-exact drift on everything else.
     """
+    validate_tolerance(tolerance)
     failures = []
     for key in sorted(baseline):
         base = baseline[key]

@@ -15,11 +15,10 @@ attached, the run becomes a closed control loop:
   pool's queue pressure exceeds the class's shed threshold the request
   is shed instead of enqueued -- low-weight background traffic sheds
   first, protecting interactive traffic;
-* a :class:`~repro.scale.controller.BurnRateController` ticks at a
-  fixed cadence, measuring the trailing window's SLO error-budget burn
-  (the :class:`~repro.telemetry.metrics.BurnWindow` arithmetic of the
-  telemetry layer, evaluated online) and attaching or detaching shard
-  devices within the policy's pool bounds;
+* at a fixed cadence the loop reads the trailing window's SLO burn
+  from the :class:`~repro.monitor.signal.BurnSignal` it owns, and a
+  :class:`~repro.scale.controller.BurnRateController` turns it into
+  attach or detach verdicts within the policy's pool bounds;
 * a newly attached device is **cold**: it serves nothing until its
   corpus slice has streamed in through the simulated HBM (the
   :meth:`~repro.scale.pool.ElasticAPUDevicePool.warmup_seconds` DMA-in
@@ -40,7 +39,7 @@ times, exactly as if pushed before every other event), admission runs
 in bulk while every serving device is busy, the per-tick overdue
 count is the amortized-O(1)
 :class:`~repro.simcore.elastic.OverdueTracker`, the per-tick burn
-comes from the signal's running violation counts, and each slot
+is a forward-cursor read of the signal's columns, and each slot
 caches its dispatch bytes and service times per topology;
 ``ServeConfig.engine`` selects only the static backend.  Per-request
 state stays in the machine's flat columns, so a plain :meth:`run`
@@ -55,9 +54,9 @@ closes the control loop over the shared fault machinery:
 * each :class:`PriorityClass` carries its own trailing burn window and
   the controller scales on the **worst** class, so a starving
   background class asks for capacity even while interactive is green;
-* shard deaths and sustained stalls feed the controller as *violation
-  pressure* -- pressure forces the scale-up branch and vetoes
-  scale-down;
+* shard deaths and sustained stalls feed the signal as *violation
+  pressure* -- pressure forces the controller's scale-up branch and
+  vetoes scale-down;
 * a shard death triggers an immediate **failover attach** (bypassing
   the cooldown): the dead slice is redistributed over the survivors
   exactly as the static reroute, and a cold spare streams its corpus
@@ -81,6 +80,7 @@ from ..ecc.model import ECCModel
 from ..faults.injector import FaultInjector
 from ..faults.plan import BitFlipFault, FaultPlan, OutageFault, StallFault
 from ..integrity.config import IntegrityConfig
+from ..monitor.signal import BurnSignal
 from ..obs import collector as _trace_collector
 from ..rag.corpus import PAPER_CORPORA
 from ..rag.generation import GenerationModel
@@ -205,8 +205,8 @@ class ScaleAction(NamedTuple):
     #: Why the action fired: ``"failover"`` marks an attach that
     #: replaces a dead device (cooldown-bypassing), empty otherwise.
     reason: str = ""
-    #: Per-priority-class burn rates at ``tick`` actions -- the
-    #: controller's own window readings, recorded so the monitor's
+    #: Per-priority-class burn rates at ``tick`` actions -- the signal
+    #: readings the controller decided on, recorded so the monitor's
     #: burn series provably samples the signal the autoscaler acted on.
     class_burns: Tuple[float, ...] = ()
 
@@ -477,8 +477,9 @@ class ScaleSimulator:
         classes = policy.priorities
         shares = np.asarray(policy.shares, dtype=np.float64)
         max_batch = cfg.batch.max_batch
-        controller = BurnRateController(auto, cfg.slo_s,
-                                        n_classes=len(classes))
+        controller = BurnRateController(auto)
+        signal = BurnSignal(auto.control_interval_s, cfg.slo_s,
+                            len(classes))
         injector = self._injector
 
         stage_memo: Dict[Tuple[int, int], StageTable] = {}
@@ -520,7 +521,7 @@ class ScaleSimulator:
                                        stages=table.stages)
                 stage_tables.append(table)
 
-        note_completion = controller.signal.note_completion
+        note_completion = signal.note_completion
         resolve_overdue = overdue.resolve
         merge_for = self._merge_for
         prefill_s = self.prefill_s
@@ -538,7 +539,7 @@ class ScaleSimulator:
 
         def on_death(shard_id: int, now: float) -> None:
             """The failover reaction: drop the slot from the topology,
-            feed the controller fault pressure, and attach a spare."""
+            note the fault on the signal, and attach a spare."""
             slot = slots[shard_id]
             was_serving = slot.serving
             slot.serving = slot.draining = False
@@ -553,7 +554,7 @@ class ScaleSimulator:
                 kind="dead", t_s=now, shard_id=shard_id,
                 pool_size=len(serving)))
             if was_serving:
-                controller.note_fault(now)
+                signal.note_fault(now)
                 if controller.decide_failover(now, len(serving),
                                               n_warming):
                     attach_slots(now, 0.0, 1, reason="failover")
@@ -656,7 +657,7 @@ class ScaleSimulator:
                 # death edits ``serving`` -- iterating the live list
                 # would silently skip the next member.
                 for shard_id in list(serving):
-                    shards[shard_id].queue.append((req_id, now))
+                    shards[shard_id].queue.append(req_id)
                     maybe_dispatch(shard_id, now)
             elif closed is not None:
                 next_think(now)
@@ -708,7 +709,8 @@ class ScaleSimulator:
 
         def control_tick(now: float) -> None:
             nonlocal peak_burn
-            class_burns = controller.class_burns(now, overdue.counts(now))
+            class_burns = signal.class_burns(now, overdue.counts(now),
+                                             auto.error_budget)
             burn = 0.0
             for i, class_burn in enumerate(class_burns):
                 if class_burn > class_burn_peaks[i]:
@@ -725,7 +727,7 @@ class ScaleSimulator:
                 # trailing window plus devices currently running
                 # degraded.  Forces the scale-up branch and vetoes
                 # scale-down at the controller.
-                pressure = controller.recent_faults()
+                pressure = signal.recent_faults(now)
                 for j in serving:
                     if injector.multiplier(j, now) > 1.0:
                         pressure += 1
@@ -766,7 +768,7 @@ class ScaleSimulator:
                         if admit(req_id, now, priorities[req_id],
                                  queued / denom):
                             for shard_id in serving:
-                                shards[shard_id].queue.append((req_id, now))
+                                shards[shard_id].queue.append(req_id)
                             queued += width
                 else:
                     now = arr_times[arr_ptr]

@@ -331,7 +331,8 @@ class _ShardState:
                  "dead", "last_corrupted", "flip_cursor")
 
     def __init__(self):
-        self.queue: List[Tuple[int, float]] = []  # (req_id, enqueue_s)
+        #: Queued request ids; each was enqueued at its arrival.
+        self.queue: List[int] = []
         self.busy = False
         self.busy_s = 0.0
         self.gen = 0
@@ -364,8 +365,8 @@ class ShardMachine(_FaultTallies):
     :data:`FIRST_DRIVER_KIND`) on :attr:`heap` through :meth:`push`,
     pops every event itself, and hands the machine's kinds to
     :meth:`step`.  To fan an arrival out, the driver calls
-    :meth:`register`, appends ``(req_id, now)`` to each target shard's
-    queue and calls :meth:`maybe_dispatch` (or, while the shard is
+    :meth:`register`, appends ``req_id`` to each target shard's queue
+    and calls :meth:`maybe_dispatch` (or, while the shard is
     busy, only appends).
 
     Per-request state is flat columns keyed by ``req_id`` --
@@ -430,10 +431,6 @@ class ShardMachine(_FaultTallies):
         self.fault_log: List[FaultLogEntry] = []
         #: Shard id -> time it was declared dead.
         self.death_times: Dict[int, float] = {}
-        #: (shard_id, seq) -> popped (req_id, enqueue_s) pairs of a
-        #: batch attempt that will fail, for FIFO-preserving re-enqueue.
-        self._pending_retry: Dict[Tuple[int, int],
-                                  List[Tuple[int, float]]] = {}
 
     def push(self, time_s: float, kind: int, payload) -> None:
         heapq.heappush(self.heap, (time_s, self._next_seq(), kind, payload))
@@ -470,7 +467,7 @@ class ShardMachine(_FaultTallies):
             kind="dead", shard_id=shard_id, t_s=now,
             attempt=state.failures))
         outstanding = self.outstanding
-        for req_id, _enqueue in state.queue:
+        for req_id in state.queue:
             self.failed.append((req_id, shard_id))
             left = outstanding[req_id] - 1
             outstanding[req_id] = left
@@ -492,15 +489,14 @@ class ShardMachine(_FaultTallies):
         state = self.shards[shard_id]
         queue = state.queue
         take = min(self.max_batch, len(queue))
-        head_enqueue = queue[0][1]
-        taken = queue[:take]
+        head_enqueue = self.arrival_s[queue[0]]
+        request_ids = tuple(queue[:take])
         del queue[:take]
         base = float(self.service_time(shard_id, take))
         if not math.isfinite(base) or base <= 0:
             raise ValueError(
                 f"service_time must be positive and finite, got "
                 f"{base!r} for shard {shard_id} batch {take}")
-        request_ids = tuple([req_id for req_id, _ in taken])
         if self.injector is None:
             batch = ExecutedBatch(shard_id, state.batch_seq, now, base,
                                   request_ids, head_enqueue, state.failures)
@@ -517,7 +513,6 @@ class ShardMachine(_FaultTallies):
             heapq.heappush(self.heap, (now + batch.service_s,
                                        self._next_seq(), DONE, batch))
         else:
-            self._pending_retry[(shard_id, batch.seq)] = taken
             self.push(now + batch.service_s, FAIL, batch)
 
     def _judge(self, shard_id: int, now: float, base_s: float,
@@ -598,8 +593,8 @@ class ShardMachine(_FaultTallies):
     def _fail(self, batch: ExecutedBatch, now: float) -> None:
         """Book one failed attempt completing at ``now``.
 
-        Counts the failure, re-enqueues the attempt's ``(req_id,
-        enqueue_s)`` pairs at the head of the queue in FIFO order, and
+        Counts the failure, re-enqueues the attempt's request ids at the
+        head of the queue in FIFO order, and
         either gates the shard behind its next backoff or -- once the
         retry budget is exhausted -- declares it dead.
         """
@@ -612,7 +607,7 @@ class ShardMachine(_FaultTallies):
         self.fault_log.append(FaultLogEntry(
             kind=batch.outcome, shard_id=shard_id, t_s=batch.dispatch_s,
             duration_s=batch.service_s, attempt=state.failures))
-        state.queue[0:0] = self._pending_retry.pop((shard_id, batch.seq))
+        state.queue[0:0] = batch.request_ids
         if state.failures > self.retry.max_retries:
             self._declare_dead(shard_id, now)
             return
@@ -642,7 +637,7 @@ class ShardMachine(_FaultTallies):
         if len(state.queue) >= self.max_batch:
             self._dispatch(shard_id, now)
             return
-        deadline = state.queue[0][1] + self.max_wait_s
+        deadline = self.arrival_s[state.queue[0]] + self.max_wait_s
         if now >= deadline:
             self._dispatch(shard_id, now)
         elif state.timer_armed_gen != state.gen:
@@ -848,6 +843,6 @@ class DiscreteEventScheduler:
             # With no live shard left it resolves empty-handed.
             machine.register(payload, now, len(live))
             for shard_id in live:
-                shards[shard_id].queue.append((payload, now))
+                shards[shard_id].queue.append(payload)
                 maybe_dispatch(shard_id, now)
         return machine.result()

@@ -14,7 +14,7 @@ brute-force oracle in ``tests/simcore`` pins the equivalence).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 __all__ = ["OverdueTracker"]
 
@@ -85,7 +85,3 @@ class OverdueTracker:
             cursor += 1
         self._cursor = cursor
         return list(self._counts)
-
-    def snapshot(self) -> Tuple[int, ...]:
-        """The counts as of the last :meth:`counts` call (for tests)."""
-        return tuple(self._counts)

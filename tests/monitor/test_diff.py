@@ -1,6 +1,7 @@
 """Cross-run differ: gate equivalence with the CI regression checker."""
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -15,21 +16,25 @@ from repro.monitor import (
     read_run_bundle,
     write_run_bundle,
 )
+from repro.monitor.tolerance import gate_failures
 from repro.scale import ScaleSimulator, golden_autoscale_config
 from repro.serve.simulator import ServingSimulator, golden_serve_config
 
 BENCH_DIR = Path(__file__).resolve().parent.parent.parent / "benchmarks"
 
 
-def _check_regressions(baseline, current, tolerance):
-    """The CI gate, imported from the benchmarks directory."""
+def _gate_module():
+    """The CI gate script, imported from the benchmarks directory."""
     sys.path.insert(0, str(BENCH_DIR))
     try:
         import check_bench_regression
     finally:
         sys.path.pop(0)
-    return check_bench_regression.check_regressions(
-        baseline, current, tolerance)
+    return check_bench_regression
+
+
+def _check_regressions(baseline, current, tolerance):
+    return _gate_module().check_regressions(baseline, current, tolerance)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +64,27 @@ def _perturb(baseline):
     current["synthetic/new_metric_qps"] = 1.0       # new
     return current, {qps_key, exact_key, missing_key,
                      "synthetic/new_metric_qps"}
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -0.1])
+def test_gate_rejects_out_of_domain_tolerance(serve_baseline, tolerance):
+    """A NaN tolerance used to pass every regression, and a negative one
+    failed identical runs."""
+    current, _touched = _perturb(serve_baseline)
+    with pytest.raises(ValueError, match="tolerance must be a finite "
+                                         "number >= 0, got "):
+        gate_failures(serve_baseline, current, tolerance)
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.1"])
+def test_bench_gate_cli_rejects_bad_tolerance(capsys, tolerance):
+    with pytest.raises(SystemExit) as exc:
+        _gate_module().main([f"--tolerance={tolerance}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].endswith(
+        f"error: tolerance must be a finite number >= 0, "
+        f"got {float(tolerance)!r}")
 
 
 def test_diff_metrics_matches_ci_gate_on_stored_baseline(serve_baseline):

@@ -1,54 +1,20 @@
-"""The shared burn signal: one window engine for controller and monitor."""
+"""The one burn signal: the window engine of the elastic loop and the
+monitor."""
 
 import dataclasses
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.monitor import BurnSignal
-from repro.scale import ScalePolicy, ScaleSimulator, golden_autoscale_config
-from repro.scale.controller import BurnRateController
+from repro.scale import ScaleSimulator, golden_autoscale_config
 from repro.scale.simulator import golden_autoscale_fault_config
 from repro.serve import ServingSimulator, golden_serve_config
 from repro.serve.record import observe_run
 from repro.serve.simulator import golden_fault_config
-
-
-def test_controller_is_backed_by_shared_signal():
-    policy = ScalePolicy()
-    controller = BurnRateController(policy.autoscale, slo_s=0.5,
-                                    n_classes=2)
-    assert isinstance(controller.signal, BurnSignal)
-
-
-def test_controller_windows_match_standalone_signal():
-    """The controller's readings are exactly the shared signal's."""
-    policy = ScalePolicy()
-    slo_s = 0.05
-    controller = BurnRateController(policy.autoscale, slo_s=slo_s,
-                                    n_classes=2)
-    twin = BurnSignal(policy.autoscale.control_interval_s, slo_s,
-                      n_classes=2)
-
-    events = [
-        (0.004, 0.010, 0), (0.006, 0.090, 1), (0.012, 0.020, 0),
-        (0.015, 0.300, 1), (0.021, 0.049, 0), (0.028, 0.051, 1),
-    ]
-    ticks = [(0.010, [0, 0]), (0.020, [1, 0]), (0.030, [0, 2])]
-    event_index = 0
-    for tick_index, (now_s, overdue) in enumerate(ticks):
-        while event_index < len(events) and events[event_index][0] <= now_s:
-            done_s, latency_s, cls = events[event_index]
-            controller.note_completion(done_s, latency_s, cls)
-            twin.note_completion(done_s, latency_s, cls)
-            event_index += 1
-        got = controller.class_burns(now_s, overdue)
-        want = [window.burn_rate(policy.autoscale.error_budget)
-                for window in twin.class_windows(tick_index, now_s,
-                                                 overdue)]
-        assert got == want
 
 
 def test_signal_window_counts():
@@ -62,12 +28,27 @@ def test_signal_window_counts():
 
 
 def test_signal_advance_drops_old_entries():
+    """As the read time advances, entries older than the window leave
+    it."""
     signal = BurnSignal(window_s=0.010, slo_s=0.050, n_classes=1)
     signal.note_completion(0.001, 0.060)
     signal.note_fault(0.001)
+    assert signal.recent_faults(0.010) == 1
     [window] = signal.class_windows(0, 0.020, [0])
     assert window.n_requests == 0
-    assert signal.recent_faults() == 0
+    assert signal.recent_faults(0.020) == 0
+
+
+def test_reads_ignore_entries_past_now():
+    signal = BurnSignal(window_s=0.010, slo_s=0.050, n_classes=1)
+    signal.note_completion(0.005, 0.060)   # violation
+    signal.note_completion(0.015, 0.010)
+    signal.note_fault(0.006)
+    signal.note_fault(0.016)
+    assert signal.class_burns(0.010, [0], 0.5) == [1.0 / 0.5]
+    assert signal.recent_faults(0.010) == 1
+    assert signal.class_burns(0.020, [0], 0.5) == [0.0]
+    assert signal.recent_faults(0.020) == 1
 
 
 def test_signal_validation():
@@ -90,16 +71,17 @@ def test_signal_rejects_non_finite_window_and_slo(bad):
 @settings(deadline=None, max_examples=60)
 @given(data=st.data())
 def test_running_counts_equal_a_brute_force_resum(data):
-    """The per-class violation counts a tick reads equal a re-sum of
-    the trailing deque, and the tick's burns equal the window
-    arithmetic over the full completion history."""
+    """Each tick's burns and fault count equal a re-count over the full
+    completion and fault history, and the retained columns are the
+    history's tail with a consistent violation prefix."""
     n_classes = data.draw(st.integers(min_value=1, max_value=3))
     window_s, slo_s, budget = 0.010, 0.050, 0.01
     signal = BurnSignal(window_s, slo_s, n_classes)
     history = []  # (done_s, violated, class)
+    faults = []
     now_s = 0.0
     ops = data.draw(st.lists(st.tuples(
-        st.sampled_from(["complete", "advance", "tick"]),
+        st.sampled_from(["complete", "fault", "tick"]),
         st.integers(min_value=0, max_value=6),      # time step, ms
         st.sampled_from([10, 50, 51, 90]),          # latency, ms
         st.integers(min_value=0, max_value=n_classes - 1),
@@ -111,23 +93,82 @@ def test_running_counts_equal_a_brute_force_resum(data):
             signal.note_completion(now_s, latency_ms * 1e-3, cls)
             history.append((now_s, latency_ms * 1e-3 > slo_s, cls))
             continue
-        if op == "advance":
-            signal.advance(now_s - window_s)
-        else:
-            overdue_by_class = [overdue] * n_classes
-            burns = signal.class_burns(now_s, overdue_by_class, budget)
-            start_s = now_s - window_s
-            for c in range(n_classes):
-                live = [v for t, v, k in history if k == c and t >= start_s]
-                n_requests = len(live) + overdue
-                n_violations = sum(live) + overdue
-                rate = n_violations / n_requests if n_requests else 0.0
-                assert burns[c] == rate / budget
-            windows = signal.class_windows(0, now_s, overdue_by_class)
-            assert [w.burn_rate(budget) for w in windows] == burns
-        for c, completions in enumerate(signal._completions):
-            assert signal._violations[c] \
-                == sum(1 for _, violated in completions if violated)
+        if op == "fault":
+            signal.note_fault(now_s)
+            faults.append(now_s)
+            continue
+        overdue_by_class = [overdue] * n_classes
+        burns = signal.class_burns(now_s, overdue_by_class, budget)
+        start_s = now_s - window_s
+        for c in range(n_classes):
+            live = [v for t, v, k in history if k == c and t >= start_s]
+            n_requests = len(live) + overdue
+            n_violations = sum(live) + overdue
+            rate = n_violations / n_requests if n_requests else 0.0
+            assert burns[c] == rate / budget
+        windows = signal.class_windows(0, now_s, overdue_by_class)
+        assert [w.burn_rate(budget) for w in windows] == burns
+        assert signal.recent_faults(now_s) \
+            == sum(1 for t in faults if t >= start_s)
+    for c, (done, bad) in enumerate(zip(signal._done, signal._bad)):
+        kept = [(t, v) for t, v, k in history if k == c]
+        kept = kept[len(kept) - len(done):]
+        assert done == [t for t, _ in kept]
+        assert [b - bad[0] for b in bad] \
+            == [0, *accumulate(v for _, v in kept)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_extend_equals_one_note_per_completion(data):
+    """A bulk-loaded signal equals one fed completion by completion,
+    read at each instant ahead of and inside the record."""
+    n_classes = data.draw(st.integers(min_value=1, max_value=3))
+    steps = data.draw(st.lists(st.integers(min_value=0, max_value=4),
+                               max_size=60))
+    done = list(accumulate(step * 1e-3 for step in steps))
+    latency = data.draw(st.lists(st.sampled_from([0.01, 0.05, 0.09]),
+                                 min_size=len(done), max_size=len(done)))
+    classes = data.draw(st.lists(
+        st.integers(min_value=0, max_value=n_classes - 1),
+        min_size=len(done), max_size=len(done)))
+    bulk = BurnSignal(0.005, 0.05, n_classes)
+    bulk.extend(done, latency, None if n_classes == 1 else classes)
+    fed = BurnSignal(0.005, 0.05, n_classes)
+    instants = [k * 2e-3 for k in range(1, 130)]
+    overdue = [[k % 3] * n_classes for k in range(len(instants))]
+    want = []
+    noted = 0
+    for t, overdue_now in zip(instants, overdue):
+        while noted < len(done) and done[noted] <= t:
+            fed.note_completion(done[noted], latency[noted],
+                                0 if n_classes == 1 else classes[noted])
+            noted += 1
+        want.append(fed.class_burns(t, overdue_now, 0.01))
+    assert [bulk.class_burns(t, overdue_now, 0.01)
+            for t, overdue_now in zip(instants, overdue)] == want
+
+
+def test_long_run_drops_the_consumed_prefix():
+    """Reads far past the first completions drop them, and the burns
+    stay exact across each drop, whether the signal is fed live or
+    loaded with the whole record up front."""
+    done = [k * 1e-4 for k in range(20_000)]
+    latency = [0.09 if k % 7 == 0 else 0.01 for k in range(20_000)]
+    signal = BurnSignal(window_s=0.010, slo_s=0.050)
+    loaded = BurnSignal(window_s=0.010, slo_s=0.050)
+    loaded.extend(done, latency)
+    for k, t in enumerate(done):
+        signal.note_completion(t, latency[k])
+        if k % 100 == 99:
+            live = [late > 0.050
+                    for when, late in zip(done[:k + 1], latency[:k + 1])
+                    if when >= t - 0.010]
+            want = [sum(live) / len(live) / 0.01]
+            assert signal.class_burns(t, [0], 0.01) == want
+            assert loaded.class_burns(t, [0], 0.01) == want
+    assert len(signal._done[0]) < 4 * 1024
+    assert len(loaded._done[0]) < len(done) // 2
 
 
 @pytest.mark.monitor
@@ -176,37 +217,42 @@ def _tight_slo(config):
 def test_monitor_burn_between_ticks_equals_a_replayed_signal(
         make_record, cadence_s, overdue_expected):
     """Off the recorded ticks the burn series counts the trailing window
-    from the completion record: bitwise what a twin BurnSignal, fed the
-    completions in order and the brute-force overdue counts, reads."""
+    from the completion record: each class's completions in
+    ``[t - cadence, t]`` plus its overdue requests, every overdue one a
+    violation, replayed here by brute force from the record (no
+    ``BurnSignal`` involved)."""
     record = make_record()
     _telemetry, monitor = observe_run(record, workload="replay",
                                       cadence_s=cadence_s)
     result, slo_s = record.result, record.config.slo_s
     names = record.class_names
-    signal = BurnSignal(monitor.cadence_s, slo_s, len(names))
     series = [monitor.get("repro_monitor_slo_burn", **{"class": name})
               for name in names]
     ticks = {a.t_s for a in record.actions
              if a.kind == "tick" and a.class_burns}
-    completions = sorted((r.retrieval_done_s, r.req_id)
-                         for r in result.records
-                         if r.retrieval_done_s is not None)
-    noted = checked = overdue_seen = 0
+    completions = [(r.retrieval_done_s,
+                    record.tti_by_req[r.req_id] > slo_s,
+                    record.priorities.get(r.req_id, 0))
+                   for r in result.records if r.retrieval_done_s is not None]
+    checked = overdue_seen = 0
     for index, t in enumerate(monitor.instants):
-        while noted < len(completions) and completions[noted][0] <= t:
-            done, req_id = completions[noted]
-            signal.note_completion(done, record.tti_by_req[req_id],
-                                   record.priorities.get(req_id, 0))
-            noted += 1
         if t in ticks:
             continue
-        overdue = [0] * len(names)
+        n_requests = [0] * len(names)
+        n_violations = [0] * len(names)
+        for done, violated, cls in completions:
+            if t - monitor.cadence_s <= done <= t:
+                n_requests[cls] += 1
+                n_violations[cls] += violated
         for r in result.records:
             if t - r.arrival_s > slo_s and (r.retrieval_done_s is None
                                            or r.retrieval_done_s > t):
-                overdue[record.priorities.get(r.req_id, 0)] += 1
-        overdue_seen += sum(overdue)
-        want = signal.class_burns(t, overdue, record.error_budget)
+                cls = record.priorities.get(r.req_id, 0)
+                n_requests[cls] += 1
+                n_violations[cls] += 1
+                overdue_seen += 1
+        want = [(bad / n if n else 0.0) / record.error_budget
+                for n, bad in zip(n_requests, n_violations)]
         assert [s.points[index][1] for s in series] == want, t
         checked += 1
     assert checked > 0

@@ -304,7 +304,7 @@ def _corrupt_registration(monkeypatch, duplicate):
         register(self, req_id, arrival_s, n_required)
         if req_id == 0:
             if duplicate:
-                self.shards[0].queue.append((req_id, arrival_s))
+                self.shards[0].queue.append(req_id)
             else:
                 register(self, -1, arrival_s, 1)
 

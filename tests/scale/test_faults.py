@@ -14,6 +14,7 @@ mid-cooldown.
 
 import pytest
 
+from repro.monitor import BurnSignal
 from repro.scale import (
     AutoscalePolicy,
     BurnRateController,
@@ -117,7 +118,7 @@ class TestControllerFailover:
     def test_death_mid_cooldown_still_attaches(self):
         policy = AutoscalePolicy(min_shards=2, max_shards=4,
                                  cooldown_s=0.020)
-        controller = BurnRateController(policy, slo_s=0.1)
+        controller = BurnRateController(policy)
         assert controller.decide(0.010, burn=5.0, n_serving=2,
                                  n_warming=0) == "up"
         # 2 ms later -- deep inside the cooldown -- a shard dies.  The
@@ -136,7 +137,7 @@ class TestControllerFailover:
 
     def test_failover_respects_the_pool_ceiling(self):
         policy = AutoscalePolicy(min_shards=2, max_shards=4)
-        controller = BurnRateController(policy, slo_s=0.1)
+        controller = BurnRateController(policy)
         assert controller.decide_failover(0.01, n_serving=4,
                                           n_warming=0) is False
         assert controller.decide_failover(0.01, n_serving=3,
@@ -147,7 +148,7 @@ class TestControllerFailover:
     def test_fault_pressure_forces_up_and_vetoes_down(self):
         policy = AutoscalePolicy(min_shards=2, max_shards=4,
                                  cooldown_s=0.0)
-        controller = BurnRateController(policy, slo_s=0.1)
+        controller = BurnRateController(policy)
         # Green burn, but a fault in the window: scale up anyway.
         assert controller.decide(0.01, burn=0.0, n_serving=3, n_warming=0,
                                  fault_pressure=1) == "up"
@@ -161,9 +162,7 @@ class TestControllerFailover:
 
     def test_fault_events_age_out_with_the_window(self):
         policy = AutoscalePolicy(control_interval_s=0.010)
-        controller = BurnRateController(policy, slo_s=0.1)
-        controller.note_fault(0.005)
-        controller.class_burns(0.010, [0])
-        assert controller.recent_faults() == 1
-        controller.class_burns(0.020, [0])
-        assert controller.recent_faults() == 0
+        signal = BurnSignal(policy.control_interval_s, slo_s=0.1)
+        signal.note_fault(0.005)
+        assert signal.recent_faults(0.010) == 1
+        assert signal.recent_faults(0.020) == 0

@@ -35,8 +35,6 @@ SLO_CONSUMERS = {
         spec=PAPER_CORPORA["10GB"], slo_s=slo_s),
     "BurnSignal": lambda slo_s: BurnSignal(window_s=0.010, slo_s=slo_s),
     "OverdueTracker": lambda slo_s: OverdueTracker(slo_s, 1),
-    "BurnRateController": lambda slo_s: BurnRateController(
-        AutoscalePolicy(), slo_s),
 }
 
 
@@ -45,7 +43,7 @@ SLO_CONSUMERS = {
 @pytest.mark.parametrize("consumer", sorted(SLO_CONSUMERS))
 def test_slo_must_be_positive_and_finite(consumer, slo_s):
     # A NaN SLO never counts a violation, so it used to pass silently
-    # and leave the controller reading zero burn on a failing run.
+    # and leave the elastic loop reading zero burn on a failing run.
     with pytest.raises(ValueError, match="slo_s must be positive"):
         SLO_CONSUMERS[consumer](slo_s)
 
@@ -431,20 +429,20 @@ class TestPoolModel:
 class TestController:
     def test_window_only_counts_the_trailing_interval(self):
         policy = AutoscalePolicy(control_interval_s=0.010)
-        controller = BurnRateController(policy, slo_s=0.1)
+        signal = BurnSignal(policy.control_interval_s, slo_s=0.1)
         budget = policy.error_budget
-        controller.note_completion(0.001, tti_latency_s=0.2)  # violation
-        controller.note_completion(0.009, tti_latency_s=0.05)
+        signal.note_completion(0.001, tti_latency_s=0.2)  # violation
+        signal.note_completion(0.009, tti_latency_s=0.05)
         # One violation in two completions.
-        assert controller.class_burns(0.010, [0]) == [0.5 / budget]
+        assert signal.class_burns(0.010, [0], budget) == [0.5 / budget]
         # The next window starts at 0.010; both completions age out and
         # the three overdue requests are the window's only violations.
-        assert controller.class_burns(0.020, [3]) == [1.0 / budget]
+        assert signal.class_burns(0.020, [3], budget) == [1.0 / budget]
 
     def test_decisions_respect_bounds_and_cooldown(self):
         policy = AutoscalePolicy(min_shards=2, max_shards=4,
                                  cooldown_s=0.020)
-        controller = BurnRateController(policy, slo_s=0.1)
+        controller = BurnRateController(policy)
         assert controller.decide(0.01, burn=5.0, n_serving=4,
                                  n_warming=0) is None  # at max
         assert controller.decide(0.01, burn=5.0, n_serving=3,
@@ -457,7 +455,3 @@ class TestController:
                                  n_warming=0) is None  # at min
         assert controller.decide(0.04, burn=0.0, n_serving=3,
                                  n_warming=0) == "down"
-
-    def test_slo_must_be_positive(self):
-        with pytest.raises(ValueError):
-            BurnRateController(AutoscalePolicy(), slo_s=0.0)

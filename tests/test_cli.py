@@ -131,6 +131,16 @@ class TestServeCommand:
             main(["diff", str(path), str(path)])
         assert "\n" not in str(exc.value.code)
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.1"])
+    def test_diff_bad_tolerance_exits_before_loading(self, tolerance):
+        # The bundle paths do not exist: the tolerance is checked first.
+        with pytest.raises(SystemExit,
+                           match=r"^bad --tolerance: tolerance must be a "
+                                 r"finite number >= 0, got ") as exc:
+            main(["diff", "missing-a.json", "missing-b.json",
+                  f"--tolerance={tolerance}"])
+        assert "\n" not in str(exc.value.code)
+
     @pytest.mark.parametrize("cadence_ms", ["-5", "nan", "inf"])
     @pytest.mark.parametrize("command", [
         ["monitor", "serve"],
@@ -303,6 +313,33 @@ class TestSpansCommand:
         names = {e["args"]["name"] for e in payload["traceEvents"]
                  if e["ph"] == "M" and e["name"] == "process_name"}
         assert "requests" in names
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("command, flag", [
+        (["trace", "histogram"], "--trace-out"),
+        (["spans", "serve"], "--flame-out"),
+        (["spans", "serve"], "--trace-out"),
+        (["metrics", "serve"], "--out"),
+        (["monitor", "serve"], "--monitor-out"),
+        (["monitor", "serve"], "--scrape-out"),
+        (["monitor", "serve"], "--bundle-out"),
+        (["monitor", "serve"], "--trace-out"),
+        (["serve", "--corpus", "10GB", "--requests", "8"], "--monitor-out"),
+        (["serve", "--corpus", "10GB", "--requests", "8"], "--scrape-out"),
+        (["serve", "--corpus", "10GB", "--requests", "8"], "--bundle-out"),
+    ], ids=lambda value: value if isinstance(value, str) else value[0])
+    def test_missing_output_directory_exits_before_running(
+            self, tmp_path, capsys, command, flag):
+        path = tmp_path / "missing" / "out.txt"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, str(path)])
+        assert exc.value.code == (
+            f"{flag}: directory of {str(path)!r} does not exist")
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, str(tmp_path)])
+        assert exc.value.code == f"{flag}: {str(tmp_path)!r} is a directory"
+        assert capsys.readouterr().out == ""
 
 
 class TestMetricsCommand:
