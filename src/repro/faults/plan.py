@@ -273,20 +273,41 @@ def check_outage_consistency(outages: Sequence[OutageFault]) -> None:
                             f"overlaps {_describe(b)}")
 
 
+def _integer(raw: object) -> int:
+    """An integer field from JSON (a ``bool`` or a float is not one)."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)):
+        raise TypeError(raw)
+    return int(raw)
+
+
+def _number(raw: object) -> float:
+    """A number field from JSON (a ``bool`` or a string is not one)."""
+    if isinstance(raw, bool) \
+            or not isinstance(raw, (int, float, np.integer)):
+        raise TypeError(raw)
+    return float(raw)
+
+
+def _string(raw: object) -> str:
+    if not isinstance(raw, str):
+        raise TypeError(raw)
+    return raw
+
+
 def _duration(raw: object) -> float:
     """An outage duration from JSON: ``null`` is a permanent outage."""
-    return math.inf if raw is None else float(raw)  # type: ignore[arg-type]
+    return math.inf if raw is None else _number(raw)
 
 
 #: What each JSON field converter accepts, for error messages.
-_EXPECTED = {int: "an integer", float: "a number", str: "a string",
-             _duration: "a number or null"}
+_EXPECTED = {_integer: "an integer", _number: "a number",
+             _string: "a string", _duration: "a number or null"}
 
 
 def _parse_faults(data: Dict[str, object], key: str, fault_cls: type,
                   convert: Dict[str, Callable[[object], object]]) -> tuple:
     """The ``fault_cls`` entries listed under ``key`` (fields not in
-    ``convert`` are floats; absent ones take the dataclass default).
+    ``convert`` are numbers; absent ones take the dataclass default).
 
     Every error is a :class:`ValueError` naming the entry and field.
     """
@@ -307,7 +328,7 @@ def _parse_faults(data: Dict[str, object], key: str, fault_cls: type,
                     raise ValueError(f"{where}: missing field {spec.name!r}")
                 continue
             raw = entry[spec.name]
-            parse = convert.get(spec.name, float)
+            parse = convert.get(spec.name, _number)
             try:
                 kwargs[spec.name] = parse(raw)
             except (TypeError, ValueError, OverflowError):
@@ -428,7 +449,11 @@ class FaultPlan:
         """Inverse of :meth:`to_dict` (null duration = permanent).
 
         A malformed plan raises :class:`ValueError` naming the entry and
-        the field, e.g. ``outages[0]: missing field 'start_s'``.
+        the field, e.g. ``outages[0]: missing field 'start_s'``.  Fields
+        are not coerced: integer fields take integers, number fields
+        integers or floats (never a ``bool`` or a string), and
+        ``target`` a string, so ``"shard_id": 1.7`` is an error, not
+        shard 1.
         """
         if not isinstance(data, dict):
             raise ValueError(f"fault plan must be a JSON object, "
@@ -439,13 +464,15 @@ class FaultPlan:
 
         return cls(
             stalls=_parse_faults(data, "stalls", StallFault,
-                                 {"shard_id": int}),
+                                 {"shard_id": _integer}),
             outages=_parse_faults(data, "outages", OutageFault,
-                                  {"shard_id": int, "duration_s": _duration}),
+                                  {"shard_id": _integer,
+                                   "duration_s": _duration}),
             bit_flips=_parse_faults(data, "bit_flips", BitFlipFault,
-                                    {"shard_id": int, "target": str,
-                                     "vr": int, "bit": int, "element": int,
-                                     "burst_bits": int}),
+                                    {"shard_id": _integer,
+                                     "target": _string, "vr": _integer,
+                                     "bit": _integer, "element": _integer,
+                                     "burst_bits": _integer}),
         )
 
     def to_json(self, indent: Optional[int] = 2) -> str:

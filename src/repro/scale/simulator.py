@@ -31,7 +31,9 @@ The elastic loop drives the same
 :class:`~repro.serve.scheduler.ShardMachine` as the static scheduler --
 one implementation of batching, timeouts, outage interrupts, backoff
 retries, corruption detection + recompute, the ECC verdict, and death
-on retry-budget exhaustion -- and keeps only what is elastic: admission
+on retry-budget exhaustion -- and prices every batch with the same
+:class:`~repro.serve.simulator.SliceCostModel` (the pool is one), keyed
+by the slot's chunk count.  It keeps only what is elastic: admission
 and shedding, controller ticks, attach/warm-up/detach/drain, and the
 failover reaction to a death.  Open-loop arrivals are pointer-merged
 against the event heap instead of heap-pushed (taken first at equal
@@ -58,9 +60,13 @@ closes the control loop over the shared fault machinery:
   pressure* -- pressure forces the controller's scale-up branch and
   vetoes scale-down;
 * a shard death triggers an immediate **failover attach** (bypassing
-  the cooldown): the dead slice is redistributed over the survivors
-  exactly as the static reroute, and a cold spare streams its corpus
-  slice in through the HBM model before joining;
+  the cooldown): the dead slice is redistributed over the survivors --
+  for a first death exactly as the static reroute, for later ones by
+  pooling every detached slice
+  (:meth:`~repro.scale.pool.ElasticAPUDevicePool.counts_for`), where
+  the static fleet splits each death's slice in turn -- and a cold
+  spare streams its corpus slice in through the HBM model before
+  joining;
 * a stuck-at cell under protection burns the retry budget and
   escalates to the same replace-and-drain, so integrity faults cost
   latency, not permanent capacity.
@@ -482,8 +488,6 @@ class ScaleSimulator:
                             len(classes))
         injector = self._injector
 
-        stage_memo: Dict[Tuple[int, int], StageTable] = {}
-
         slots = [_Slot() for _ in range(pool.capacity)]
         serving: List[int] = list(range(cfg.n_shards))
         for j, count in pool.counts_for(serving).items():
@@ -509,17 +513,8 @@ class ScaleSimulator:
             slot = slots[batch.shard_id]
             batch_bytes.append(slot.nbytes)
             if capture:
-                shard_id, count = batch.shard_id, slot.chunk_count
-                take = batch.batch_size
-                table = stage_memo.get((count, take))
-                if table is None:
-                    table = stage_memo[(count, take)] = StageTable(
-                        shard_id=shard_id, batch_size=take,
-                        stages=pool.stage_seconds(count, take))
-                if table.shard_id != shard_id:
-                    table = StageTable(shard_id=shard_id, batch_size=take,
-                                       stages=table.stages)
-                stage_tables.append(table)
+                stage_tables.append(pool.stage_table(
+                    batch.shard_id, slot.chunk_count, batch.batch_size))
 
         note_completion = signal.note_completion
         resolve_overdue = overdue.resolve
@@ -546,8 +541,7 @@ class ScaleSimulator:
             if was_serving:
                 serving.remove(shard_id)
                 if serving:
-                    # Survivors take over the dead slice -- the same
-                    # redistribution as the static reroute failover.
+                    # Survivors take over the dead slice.
                     retopo()
                 note_pool_size()
             actions.append(ScaleAction(

@@ -29,8 +29,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "shard_global_indices", "shard_specs"),
     "simulator": (
         "FAILOVER_POLICIES", "ServeConfig", "ServeReport", "ServingSimulator",
-        "ShardServiceModel", "golden_ecc_config", "golden_fault_config",
-        "golden_integrity_config", "golden_serve_config"),
+        "ShardServiceModel", "SliceCostModel", "golden_ecc_config",
+        "golden_fault_config", "golden_integrity_config",
+        "golden_serve_config"),
     "workload": (
         "ClosedLoopConfig", "Request", "ThinkTimeError", "WorkloadConfigError",
         "bursty_arrival_times", "diurnal_arrival_times",

@@ -386,7 +386,7 @@ class ShardMachine(_FaultTallies):
     Hooks:
 
     * ``service_time(shard_id, batch_size) -> seconds`` at every
-      dispatch (so a failover may re-anchor it mid-run);
+      dispatch (so a failover may reprice it mid-run);
     * ``on_dispatch(batch)`` after every dispatch;
     * ``on_resolved(req_id, t_s)`` when a request's scatter-gather
       resolves;
@@ -822,11 +822,15 @@ class DiscreteEventScheduler:
         validate_arrival_times([r.arrival_s for r in ordered])
         return ordered
 
-    def run(self, requests: Sequence[Request]) -> ScheduleResult:
-        """Run the simulation to completion (no open requests remain)."""
+    def run(self, requests: Sequence[Request],
+            on_dispatch: Optional[Callable[[ExecutedBatch], None]] = None
+            ) -> ScheduleResult:
+        """Run the simulation to completion (no open requests remain),
+        calling ``on_dispatch(batch)`` after every dispatch."""
         machine = ShardMachine(self.n_shards, self.policy,
                                self.service_time, self.injector, self.retry,
                                self.protected, self.ecc,
+                               on_dispatch=on_dispatch,
                                on_death=self.on_death)
         for request in self._ordered(requests):
             machine.push(request.arrival_s, _ARRIVE, request.req_id)

@@ -1,11 +1,15 @@
 """The sharded serving simulator: corpus -> shards -> scheduler -> report.
 
 :class:`ServingSimulator` runs a request stream against ``N`` simulated
-APU shard devices.  Per-shard batch service times come from the
-:class:`repro.rag.batching.BatchedAPURetrieval` cost model, *anchored*
-so that a batch of one costs exactly the single-device Table 8 latency
+APU shard devices.  Batch service times come from one cost model,
+:class:`SliceCostModel`, keyed by the chunk count of the slice a device
+scans and shared with the elastic pool: the
+:class:`repro.rag.batching.BatchedAPURetrieval` model, *anchored* so
+that a batch of one costs exactly the single-device Table 8 latency
 (``APURetriever.latency_breakdown(...).total``) and each extra query in
-a batch adds the model's amortized per-query increment.  Completed
+a batch adds the model's amortized per-query increment.
+:class:`ShardServiceModel` holds only the static placement (shard id ->
+chunk count) it prices.  Completed
 requests pay the host top-k merge plus the generator prefill, giving a
 **time-to-interactive** distribution; with one shard and batches of one
 the simulated TTI is cycle-identical to
@@ -18,7 +22,7 @@ scripted chaos experiment: the scheduler gets a
 declared dead the simulator applies its **failover policy**:
 
 * ``"reroute"`` -- survivors take over the dead shard's chunk slice
-  (service times are re-anchored on the enlarged slices), so requests
+  (later batches are priced on the enlarged slices), so requests
   arriving after the death regain full corpus coverage;
 * ``"degraded"`` -- the dead slice is dropped and later requests merge
   partial top-k from the live shards only.
@@ -56,7 +60,7 @@ flips, detections, recomputes, scrub passes, SDC escapes) on the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, \
     Union
 
@@ -83,18 +87,19 @@ from .record import RunRecord, emit_run_trace, observe_run
 from .scheduler import (
     BatchPolicy,
     DiscreteEventScheduler,
+    ExecutedBatch,
     RequestRecord,
     RetryPolicy,
     ScheduleResult,
 )
-from .sharding import merge_cycles, merge_seconds, shard_chunk_counts, \
-    shard_specs
+from .sharding import merge_cycles, merge_seconds, shard_chunk_counts
 from .workload import Request, _validate_stream, poisson_arrival_times, \
     poisson_arrivals, trace_arrivals
 
 __all__ = [
     "FAILOVER_POLICIES",
     "ServeConfig",
+    "SliceCostModel",
     "ShardServiceModel",
     "ServeReport",
     "ServingSimulator",
@@ -197,43 +202,40 @@ class ServeConfig:
         validate_engine(self.engine)
 
 
-class ShardServiceModel:
-    """Per-shard dynamic-batch service times, anchored at Table 8.
+class SliceCostModel:
+    """Anchored Table 8 costs of a corpus slice, keyed by its chunk count.
 
-    ``batch_seconds(shard, 1)`` is exactly the single-device latency of
-    that shard's corpus slice; each additional query adds the
+    ``service_seconds(c, 1)`` is exactly the single-device latency of a
+    ``c``-chunk slice of the corpus; each additional query adds the
     ``BatchedAPURetrieval`` amortized per-query increment (query
     staging + MAC chain + top-k + return, the embedding stream shared).
-
-    The model is mutable under failover: :meth:`apply_takeover`
-    redistributes a dead shard's chunks over the survivors and
-    re-anchors their service times on the enlarged slices, and
-    :meth:`reset` restores the original placement (so one simulator can
-    replay runs).
+    Anchors are memoized per chunk count and batch times per ``(chunk
+    count, batch size)``, so a placement -- the static fleet's
+    :class:`ShardServiceModel` or the elastic
+    :class:`~repro.scale.pool.ElasticAPUDevicePool` -- prices a batch
+    with a dict probe however often its slices change.
 
     An enabled ``integrity`` config adds the protection overhead on top
     of the anchored times: each query in a batch pays the calibrated
-    column-checksum verification for its shard's MAC blocks plus the
+    column-checksum verification for the slice's MAC blocks plus the
     top-k result check, and an active scrub schedule stretches service
     by its duty factor (the device spends that fraction of its time
     re-checksumming resident vectors instead of serving).
 
     An enabled ``ecc`` config charges the code-based protection tax:
     every protected byte inflates by the codec's ``n/k`` check-bit
-    overhead (applied to the shard corpus footprint at anchor time, so
-    the HBM embedding stream and the per-batch DMA both pay it -- and a
-    takeover re-anchor keeps paying it on the enlarged slice), and each
-    query pays the memory-interface encode of its staged vector plus
-    the decode of its top-k readout.  The in-SRAM scan itself reads raw
+    overhead (applied to the slice footprint at anchor time, so the HBM
+    embedding stream and the per-batch DMA both pay it), and each query
+    pays the memory-interface encode of its staged vector plus the
+    decode of its top-k readout.  The in-SRAM scan itself reads raw
     bits; only traffic crossing the memory interface is coded.
     """
 
-    def __init__(self, spec: CorpusSpec, n_shards: int, k: int = 5,
+    def __init__(self, spec: CorpusSpec, k: int = 5,
                  params: APUParams = DEFAULT_PARAMS,
                  integrity: Optional[IntegrityConfig] = None,
                  ecc: Optional[ECCConfig] = None):
         self.spec = spec
-        self.n_shards = n_shards
         self.k = k
         self.params = params
         self.integrity = integrity if integrity is not None \
@@ -246,82 +248,80 @@ class ShardServiceModel:
                           if self.ecc.enabled else None)
         self._retriever = APURetriever(optimized=True, params=params)
         self._batched = BatchedAPURetrieval(params)
-        self.shard_specs = shard_specs(spec, n_shards)
-        self.chunk_counts: List[int] = shard_chunk_counts(
-            spec.n_chunks, n_shards)
-        self._single: List[float] = []
-        self._increment: List[float] = []
-        self._breakdowns: List[RetrievalBreakdown] = []
-        #: Bumped on every placement change (a re-anchor, or any write
-        #: to ``chunk_counts``), so (shard, batch_size, epoch) is a sound
-        #: memoization key for :meth:`batch_seconds` and
-        #: :meth:`stage_seconds`.
-        self.stage_epoch = 0
-        self._batch_memo: Dict[Tuple[int, int, int], float] = {}
-        # Calibration replays the closed-form breakdowns; those are not
-        # part of the simulated serving timeline, so keep their HBM/DMA
-        # events out of any active trace collector.
-        previous = _trace_collector.set_collector(None)
-        try:
-            for shard_spec in self.shard_specs:
-                if shard_spec.n_chunks == 0:
-                    raise ValueError(
-                        f"shard {shard_spec.label} is empty; "
-                        f"use fewer shards")
-                single, increment, breakdown = self._anchor(shard_spec)
-                self._single.append(single)
-                self._increment.append(increment)
-                self._breakdowns.append(breakdown)
-        finally:
-            _trace_collector.set_collector(previous)
-        self._orig = (tuple(self.shard_specs), tuple(self.chunk_counts),
-                      tuple(self._single), tuple(self._increment),
-                      tuple(self._breakdowns))
+        #: chunk count -> (single, increment, breakdown) anchor.
+        self._anchors: Dict[
+            int, Tuple[float, float, RetrievalBreakdown]] = {}
+        #: (chunk count, batch size) -> batch service seconds.
+        self._services: Dict[Tuple[int, int], float] = {}
+        #: (shard, chunk count, batch size) -> stage table.
+        self._tables: Dict[Tuple[int, int, int], StageTable] = {}
 
-    def _anchor(self, shard_spec: CorpusSpec
+    def slice_spec(self, chunk_count: int) -> CorpusSpec:
+        """The corpus slice a device holding ``chunk_count`` chunks
+        scans."""
+        if chunk_count < 1:
+            raise ValueError(
+                f"chunk_count must be >= 1, got {chunk_count!r}; a "
+                f"device serves a non-empty corpus slice")
+        return CorpusSpec(
+            label=f"{self.spec.label}/slice{chunk_count}",
+            corpus_bytes=self.spec.corpus_bytes * chunk_count
+            / max(1, self.spec.n_chunks),
+            n_chunks=chunk_count,
+            dim=self.spec.dim,
+            bytes_per_value=self.spec.bytes_per_value,
+        )
+
+    def embedding_bytes(self, chunk_count: int) -> int:
+        """Resident embedding bytes of a ``chunk_count`` slice."""
+        return int(chunk_count * self.spec.dim * self.spec.bytes_per_value)
+
+    def _anchor(self, chunk_count: int
                 ) -> Tuple[float, float, RetrievalBreakdown]:
         """(single-query latency, per-query increment, stage breakdown).
 
         With ECC enabled the anchor runs against a check-bit-inflated
         spec: every resident embedding byte and every corpus byte grows
         by the codec's ``n/k``, so the warm-up stream, per-batch DMA,
-        and effective capacity all carry the storage tax.  Living here
-        (rather than in ``__init__``) means :meth:`apply_takeover`
-        re-anchors keep the inflation on the enlarged slices.
+        and effective capacity all carry the storage tax.
         """
-        if self._ecc_costs is not None:
-            factor = self._ecc_costs.storage_factor
-            shard_spec = CorpusSpec(
-                label=f"{shard_spec.label}+ecc",
-                corpus_bytes=shard_spec.corpus_bytes * factor,
-                n_chunks=shard_spec.n_chunks,
-                dim=shard_spec.dim,
-                bytes_per_value=shard_spec.bytes_per_value,
-            )
-        breakdown = self._retriever.latency_breakdown(shard_spec, self.k)
-        pair = [self._batched.batch_latency(shard_spec, b, self.k)
-                .batch_seconds for b in (1, 2)]
-        return breakdown.total, pair[1] - pair[0], breakdown
+        anchor = self._anchors.get(chunk_count)
+        if anchor is None:
+            slice_spec = self.slice_spec(chunk_count)
+            if self._ecc_costs is not None:
+                slice_spec = replace(
+                    slice_spec, label=f"{slice_spec.label}+ecc",
+                    corpus_bytes=slice_spec.corpus_bytes
+                    * self._ecc_costs.storage_factor)
+            # Calibration replays the closed-form breakdowns; those are
+            # not part of the simulated serving timeline, so keep their
+            # HBM/DMA events out of any active trace collector.
+            previous = _trace_collector.set_collector(None)
+            try:
+                breakdown = self._retriever.latency_breakdown(
+                    slice_spec, self.k)
+                pair = [self._batched.batch_latency(slice_spec, b, self.k)
+                        .batch_seconds for b in (1, 2)]
+            finally:
+                _trace_collector.set_collector(previous)
+            anchor = self._anchors[chunk_count] = (
+                breakdown.total, pair[1] - pair[0], breakdown)
+        return anchor
 
-    def batch_seconds(self, shard_id: int, batch_size: int) -> float:
-        """Service time of one batch on one shard's device, memoized on
-        ``(shard, batch_size, stage_epoch)``."""
-        key = (shard_id, batch_size, self.stage_epoch)
-        seconds = self._batch_memo.get(key)
-        if seconds is None:
-            seconds = self._batch_memo[key] = self._batch_seconds(
-                shard_id, batch_size)
-        return seconds
-
-    def _batch_seconds(self, shard_id: int, batch_size: int) -> float:
-        base = (self._single[shard_id]
-                + (batch_size - 1) * self._increment[shard_id])
-        if self._ecc_costs is not None:
-            base += self.ecc_seconds(batch_size)
-        if self._costs is None:
-            return base
-        base += batch_size * self.verify_seconds(self.chunk_counts[shard_id])
-        return base * self.scrub_duty_factor
+    def service_seconds(self, chunk_count: int, batch_size: int) -> float:
+        """One batch's service time on a ``chunk_count`` slice."""
+        key = (chunk_count, batch_size)
+        cost = self._services.get(key)
+        if cost is None:
+            single, increment, _ = self._anchor(chunk_count)
+            cost = single + (batch_size - 1) * increment
+            if self._ecc_costs is not None:
+                cost += self.ecc_seconds(batch_size)
+            if self._costs is not None:
+                cost += batch_size * self.verify_seconds(chunk_count)
+                cost *= self.scrub_duty_factor
+            self._services[key] = cost
+        return cost
 
     def ecc_seconds(self, batch_size: int) -> float:
         """Per-batch ECC codec time at the memory interface.
@@ -363,7 +363,7 @@ class ShardServiceModel:
         scrub = self._costs.scrub_pass_seconds(self.integrity.scrub_vrs)
         return 1.0 + scrub / self.integrity.scrub_interval_s
 
-    def stage_seconds(self, shard_id: int, batch_size: int
+    def stage_seconds(self, chunk_count: int, batch_size: int
                       ) -> Tuple[Tuple[str, float], ...]:
         """Decompose one batch's service time into Table 8 stages.
 
@@ -374,12 +374,10 @@ class ShardServiceModel:
         un-protected base, then the protection taxes land explicitly as
         ``ecc`` (per-query codec time at the memory interface),
         ``checksum`` (per-query ABFT verification) and ``scrub`` (duty-
-        cycle stretch).  Reflects the model state *now* -- call at
-        dispatch time so takeover re-anchors mid-run are honored.
+        cycle stretch).
         """
-        breakdown = self._breakdowns[shard_id]
-        base = (self._single[shard_id]
-                + (batch_size - 1) * self._increment[shard_id])
+        single, increment, breakdown = self._anchor(chunk_count)
+        base = single + (batch_size - 1) * increment
         scale = base / breakdown.total
         dma = (breakdown.load_embedding + breakdown.load_query) * scale
         mac = breakdown.calc_distance * scale
@@ -390,72 +388,81 @@ class ShardServiceModel:
         if self._ecc_costs is not None:
             stages.append(("ecc", self.ecc_seconds(batch_size)))
         if self._costs is not None:
-            checksum = batch_size * self.verify_seconds(
-                self.chunk_counts[shard_id])
+            checksum = batch_size * self.verify_seconds(chunk_count)
             stages.append(("checksum", checksum))
             folded = 0.0
             for _, seconds in stages:
                 folded += seconds
-            scrub = self.batch_seconds(shard_id, batch_size) - folded
+            scrub = self.service_seconds(chunk_count, batch_size) - folded
             if scrub > 0:
                 stages.append(("scrub", scrub))
         return tuple(stages)
 
+    def stage_table(self, shard_id: int, chunk_count: int,
+                    batch_size: int) -> StageTable:
+        """:meth:`stage_seconds` as one dispatch's telemetry table on
+        ``shard_id``, memoized."""
+        key = (shard_id, chunk_count, batch_size)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = StageTable(
+                shard_id=shard_id, batch_size=batch_size,
+                stages=self.stage_seconds(chunk_count, batch_size))
+        return table
+
+
+class ShardServiceModel(SliceCostModel):
+    """A static fleet's placement, priced by the slice cost model.
+
+    ``chunk_counts[shard]`` is the slice each shard scans, so
+    ``batch_seconds(shard, b)`` is the :class:`SliceCostModel` time of
+    that slice.  The placement is mutable under failover:
+    :meth:`apply_takeover` redistributes a dead shard's chunks over the
+    survivors (their batches then cost what scanning the larger slice
+    costs), :meth:`drop_shard` zeroes a degraded death, and
+    :meth:`reset` restores the original placement (so one simulator can
+    replay runs).
+    """
+
+    def __init__(self, spec: CorpusSpec, n_shards: int, k: int = 5,
+                 params: APUParams = DEFAULT_PARAMS,
+                 integrity: Optional[IntegrityConfig] = None,
+                 ecc: Optional[ECCConfig] = None):
+        super().__init__(spec, k, params, integrity, ecc)
+        self._placement = tuple(shard_chunk_counts(spec.n_chunks, n_shards))
+        self.chunk_counts: List[int] = list(self._placement)
+        # Calibrate at construction, not on a run's first dispatch (an
+        # empty shard raises here).
+        for count in self._placement:
+            self._anchor(count)
+
+    def batch_seconds(self, shard_id: int, batch_size: int) -> float:
+        """Service time of one batch on one shard's current slice."""
+        return self.service_seconds(self.chunk_counts[shard_id], batch_size)
+
     def reset(self) -> None:
         """Undo every takeover (back to the calibrated placement)."""
-        specs, counts, single, increment, breakdowns = self._orig
-        self.shard_specs = list(specs)
-        self.chunk_counts = list(counts)
-        self._single = list(single)
-        self._increment = list(increment)
-        self._breakdowns = list(breakdowns)
-        self.stage_epoch += 1
+        self.chunk_counts = list(self._placement)
 
     def drop_shard(self, shard_id: int) -> int:
         """Zero a dead shard's slice; returns the chunks it held."""
         dropped = self.chunk_counts[shard_id]
         self.chunk_counts[shard_id] = 0
-        self.stage_epoch += 1
         return dropped
 
     def apply_takeover(self, dead_id: int, live_ids: Sequence[int]) -> None:
         """Redistribute ``dead_id``'s chunks over ``live_ids``.
 
         The orphaned slice splits as evenly as chunks allow (earlier
-        survivors take the remainder); each survivor's service times are
-        re-anchored on its enlarged corpus slice, so post-failover
-        batches cost what scanning the larger slice costs.
+        survivors take the remainder), on top of whatever each survivor
+        already holds.
         """
         if not live_ids:
             raise ValueError("takeover needs at least one live shard")
         orphaned = self.drop_shard(dead_id)
-        if orphaned == 0:
-            return
         extra = shard_chunk_counts(orphaned, len(live_ids))
-        previous = _trace_collector.set_collector(None)
-        try:
-            for live_id, gained in zip(live_ids, extra):
-                if gained == 0:
-                    continue
-                count = self.chunk_counts[live_id] + gained
-                self.chunk_counts[live_id] = count
-                enlarged = CorpusSpec(
-                    label=f"{self.spec.label}/shard{live_id}"
-                          f"+takeover{dead_id}",
-                    corpus_bytes=self.spec.corpus_bytes * count
-                    / max(1, self.spec.n_chunks),
-                    n_chunks=count,
-                    dim=self.spec.dim,
-                    bytes_per_value=self.spec.bytes_per_value,
-                )
-                self.shard_specs[live_id] = enlarged
-                single, increment, breakdown = self._anchor(enlarged)
-                self._single[live_id] = single
-                self._increment[live_id] = increment
-                self._breakdowns[live_id] = breakdown
-                self.stage_epoch += 1
-        finally:
-            _trace_collector.set_collector(previous)
+        for live_id, gained in zip(live_ids, extra):
+            self.chunk_counts[live_id] += gained
 
 
 @dataclass(frozen=True)
@@ -659,11 +666,11 @@ class ServingSimulator:
 
         Returns ``(report, telemetry)`` where the report is **bit-
         identical** to :meth:`run` on the same stream: the only
-        instrumentation inside the event loop is a pass-through wrapper
-        on the service-time callable that records each dispatch's stage
-        decomposition (one :class:`~repro.telemetry.build.StageTable`
-        per executed batch, captured against the service model's state
-        at that instant, so takeover re-anchors are honored); critical
+        instrumentation inside the event loop is the dispatch hook that
+        records each dispatch's stage decomposition (one
+        :class:`~repro.telemetry.build.StageTable` per executed batch,
+        read from the service model at that instant, so a takeover
+        mid-run is honored); critical
         paths and the metrics registry are derived after the run from
         its :class:`~repro.serve.record.RunRecord`, and the span trees
         on first access to ``telemetry.traces``.
@@ -690,53 +697,25 @@ class ServingSimulator:
                                          cadence_s=cadence_s)
         return record.report, telemetry, monitor
 
-    def _run_recording(self, requests: Sequence[Request], stages: bool
-                       ) -> Tuple[ScheduleResult, List[Tuple[Any, int]]]:
-        """Run the scheduler, recording per executed batch its stage
-        table (``None`` unless ``stages``) and its shard's resident
-        embedding bytes, both against the service model's state at the
-        dispatch instant -- so a takeover re-anchor mid-run is honored.
-        """
+    def _run_recorded(self, requests: Sequence[Request], stages: bool = False
+                      ) -> Tuple[ScheduleResult, List[int],
+                                 Optional[List[StageTable]]]:
+        """Run the scalar event loop, recording per executed batch its
+        shard's resident embedding bytes and (with ``stages``) its stage
+        table, both read from the service model at the dispatch instant
+        -- so a takeover mid-run is honored."""
         model = self.service_model
-        # Both only change with the placement (tracked by stage_epoch),
-        # so memoizing keeps the in-loop cost to a dict probe per
-        # dispatch.
-        memo: Dict[Tuple[int, int, int], Tuple[Any, int]] = {}
+        batch_bytes: List[int] = []
+        tables: Optional[List[StageTable]] = [] if stages else None
 
-        def capture(shard_id: int, batch_size: int) -> Tuple[Any, int]:
-            key = (shard_id, batch_size, model.stage_epoch)
-            entry = memo.get(key)
-            if entry is None:
-                table = StageTable(
-                    shard_id=shard_id, batch_size=batch_size,
-                    stages=model.stage_seconds(shard_id, batch_size)) \
-                    if stages else None
-                entry = memo[key] = (
-                    table, int(model.shard_specs[shard_id].embedding_bytes))
-            return entry
+        def on_dispatch(batch: ExecutedBatch) -> None:
+            count = model.chunk_counts[batch.shard_id]
+            batch_bytes.append(model.embedding_bytes(count))
+            if tables is not None:
+                tables.append(model.stage_table(
+                    batch.shard_id, count, batch.batch_size))
 
-        if self.injector is None:
-            # A fault-free run never re-anchors the service model, so
-            # each batch's entry is built after the run, in the
-            # record's dispatch order.
-            result = self.scheduler.run(requests)
-            return result, [capture(batch.shard_id, batch.batch_size)
-                            for batch in result.batches]
-
-        recorded: List[Tuple[Any, int]] = []
-        orig = self.scheduler.service_time
-
-        def recording_service_time(shard_id: int, batch_size: int) -> float:
-            seconds = orig(shard_id, batch_size)
-            recorded.append(capture(shard_id, batch_size))
-            return seconds
-
-        self.scheduler.service_time = recording_service_time
-        try:
-            result = self.scheduler.run(requests)
-        finally:
-            self.scheduler.service_time = orig
-        return result, recorded
+        return self.scheduler.run(requests, on_dispatch), batch_bytes, tables
 
     def _simulate(self, requests: Optional[Arrivals] = None,
                   capture: bool = False) -> RunRecord:
@@ -744,13 +723,12 @@ class ServingSimulator:
 
         ``capture`` adds the telemetry capture to the record: one stage
         table per executed batch, and each request's TTI.  A fault-free
-        run without it records nothing per batch, and a vectorized one
-        reports straight from the
-        :class:`~repro.simcore.arrays.ArraySchedule` columns; either
-        way the record builds its ``ScheduleResult`` and batch bytes
-        only when a view reads them (an active trace collector).  Every
-        ``ScheduleResult`` comes from the scalar event loop: the
-        columnar record runs it on the same requests when first read.
+        vectorized run without it reports straight from the
+        :class:`~repro.simcore.arrays.ArraySchedule` columns, and its
+        record runs the scalar event loop on the same requests for its
+        ``ScheduleResult`` and batch bytes only when a view reads them
+        (an active trace collector).  Every other run is that scalar
+        loop, recorded as it runs.
         """
         cfg = self.config
         if self.injector is None and not capture \
@@ -761,8 +739,8 @@ class ServingSimulator:
             report = self._report(
                 schedule.latency_s()[by_id], schedule.horizon_s,
                 schedule.busy_seconds.tolist(), schedule.batch_size)
-            return self._record(report, lambda: self._placed(
-                self.scheduler.run(self._requests(requests))))
+            return self._record(report, lambda: self._run_recorded(
+                self._requests(requests))[:2])
         requests = self._requests(requests)
         if self.injector is not None:
             # Replays must start from the calibrated placement.
@@ -770,39 +748,23 @@ class ServingSimulator:
             self._chunks_lost_at_death.clear()
             self._permanent_loss.clear()
             self._dead_shards.clear()
-        tables = tti = None
-        if self.injector is None and not capture:
-            result = self.scheduler.run(requests)
-            batch_bytes = None
-        else:
-            result, recorded = self._run_recording(requests, capture)
-            batch_bytes = [nbytes for _, nbytes in recorded]
-            if capture:
-                tables = [table for table, _ in recorded]
-                # Bitwise the report's TTI arithmetic: retrieval
-                # latency plus merge, plus prefill.
-                tti = {r.req_id: (r.retrieval_done_s - r.arrival_s
-                                  + self.merge_s) + self.prefill_s
-                       for r in result.records
-                       if r.retrieval_done_s is not None}
+        result, batch_bytes, tables = self._run_recorded(requests, capture)
+        tti = None
+        if capture:
+            # Bitwise the report's TTI arithmetic: retrieval latency
+            # plus merge, plus prefill.
+            tti = {r.req_id: (r.retrieval_done_s - r.arrival_s
+                              + self.merge_s) + self.prefill_s
+                   for r in result.records
+                   if r.retrieval_done_s is not None}
         latency = np.asarray([r.retrieval_latency_s for r in result.records],
                              dtype=np.float64)
         sizes = np.asarray([batch.batch_size for batch in result.batches],
                            dtype=np.int64)
         report = self._report(latency, result.horizon_s, result.busy_seconds,
                               sizes, result)
-        if batch_bytes is None:
-            return self._record(report, lambda: self._placed(result))
         return self._record(report, lambda: (result, batch_bytes), tables,
                             tti)
-
-    def _placed(self, result: ScheduleResult
-                ) -> Tuple[ScheduleResult, List[int]]:
-        """``result`` and its per-batch bytes under the calibrated
-        placement (a fault-free run never re-anchors a shard)."""
-        nbytes = [int(spec.embedding_bytes)
-                  for spec in self.service_model.shard_specs]
-        return result, [nbytes[batch.shard_id] for batch in result.batches]
 
     def _record(self, report: ServeReport,
                 materialize: Callable[[], Tuple[ScheduleResult, List[int]]],

@@ -1,10 +1,14 @@
 """Fault-plan data model: validation, serialization, seeded chaos."""
 
 import math
+import pathlib
+import re
 
 import pytest
 
 from repro.faults import BitFlipFault, FaultPlan, OutageFault, StallFault
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 
 
 class TestStallFault:
@@ -124,6 +128,59 @@ class TestFaultPlan:
         # These used to escape as a bare KeyError / TypeError.
         with pytest.raises(ValueError, match=message):
             FaultPlan.from_dict(data)
+
+    @pytest.mark.parametrize("section, entry, message", [
+        ("stalls", {"shard_id": 1.7},
+         "field 'shard_id' must be an integer, got 1.7"),
+        ("stalls", {"shard_id": 1.0}, "field 'shard_id' must be an integer"),
+        ("outages", {"shard_id": True},
+         "field 'shard_id' must be an integer, got True"),
+        ("outages", {"shard_id": "3"},
+         "field 'shard_id' must be an integer, got '3'"),
+        ("outages", {"start_s": "0.5"},
+         "field 'start_s' must be a number, got '0.5'"),
+        ("outages", {"start_s": False},
+         "field 'start_s' must be a number, got False"),
+        ("outages", {"duration_s": "1"},
+         "field 'duration_s' must be a number or null, got '1'"),
+        ("stalls", {"slowdown": 10 ** 400},
+         "field 'slowdown' must be a number"),
+        ("bit_flips", {"target": 1}, "field 'target' must be a string"),
+        ("bit_flips", {"vr": 4.0}, "field 'vr' must be an integer"),
+        ("bit_flips", {"burst_bits": True},
+         "field 'burst_bits' must be an integer"),
+    ])
+    def test_from_dict_rejects_mistyped_fields(self, section, entry,
+                                               message):
+        """Fields are type-checked, never coerced: ``1.7`` is not shard
+        1, and ``true`` and ``"3"`` are not integers."""
+        valid = {"stalls": {"shard_id": 0, "start_s": 0.0,
+                            "duration_s": 0.1, "slowdown": 2.0},
+                 "outages": {"shard_id": 0, "start_s": 0.0},
+                 "bit_flips": {"shard_id": 0, "t_s": 0.0}}
+        FaultPlan.from_dict({section: [valid[section]]})
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{section}[0]: {message}")):
+            FaultPlan.from_dict({section: [{**valid[section], **entry}]})
+
+    def test_from_dict_takes_integers_for_numbers(self):
+        plan = FaultPlan.from_dict({"stalls": [
+            {"shard_id": 0, "start_s": 0, "duration_s": 1, "slowdown": 2}]})
+        stall = plan.stalls[0]
+        assert (stall.start_s, stall.duration_s, stall.slowdown) \
+            == (0.0, 1.0, 2.0)
+        assert all(isinstance(value, float) for value in
+                   (stall.start_s, stall.duration_s, stall.slowdown))
+
+    def test_random_and_example_plans_round_trip(self):
+        plan = FaultPlan.random(seed=3, n_shards=4, horizon_s=1.0) \
+            .merged_with(FaultPlan.random_bit_flips(
+                seed=3, n_shards=4, horizon_s=1.0))
+        assert plan.stalls and plan.outages and plan.bit_flips
+        assert FaultPlan.from_dict(plan.to_dict()) == plan
+        for name in ("fault_plan.json", "bit_flip_plan.json"):
+            example = FaultPlan.load(EXAMPLES / name)
+            assert FaultPlan.from_dict(example.to_dict()) == example
 
 
 class TestBitFlipFault:

@@ -27,7 +27,7 @@ def test_signal_window_counts():
     assert window.n_violations == 2 + 3    # violations + overdue
 
 
-def test_signal_advance_drops_old_entries():
+def test_entries_leave_the_window_as_reads_move_on():
     """As the read time advances, entries older than the window leave
     it."""
     signal = BurnSignal(window_s=0.010, slo_s=0.050, n_classes=1)

@@ -9,7 +9,7 @@ from repro.faults import BitFlipFault, FaultPlan
 from repro.integrity import IntegrityConfig
 from repro.monitor import BurnSignal
 from repro.obs import LANE_SCALE, collecting
-from repro.rag.corpus import PAPER_CORPORA
+from repro.rag.corpus import CorpusSpec, PAPER_CORPORA
 from repro.scale import (
     AutoscalePolicy,
     BurnRateController,
@@ -25,8 +25,8 @@ from repro.scale import (
 )
 from repro.serve import ClosedLoopConfig, RetryPolicy, ServeConfig, \
     ServeReport
-from repro.serve.simulator import golden_fault_config, \
-    golden_integrity_config, golden_serve_config
+from repro.serve.simulator import ShardServiceModel, \
+    golden_fault_config, golden_integrity_config, golden_serve_config
 from repro.simcore.elastic import OverdueTracker
 
 #: Every constructor that classifies completions against the SLO.
@@ -393,6 +393,31 @@ class TestPoolModel:
     def test_full_pool_matches_the_static_placement(self, pool):
         counts = pool.counts_for(range(6))
         assert tuple(counts[i] for i in range(6)) == pool.base_counts
+
+    @pytest.mark.parametrize("n_chunks, n_shards",
+                             [(4, 4), (39, 6), (163_840, 6)])
+    def test_one_death_places_chunks_like_the_static_takeover(
+            self, n_chunks, n_shards):
+        spec = CorpusSpec(f"{n_chunks} chunks", 1e6 * n_chunks, n_chunks)
+        pool = ElasticAPUDevicePool(spec, capacity=n_shards)
+        static = ShardServiceModel(spec, n_shards)
+        for dead in range(n_shards):
+            static.reset()
+            live = [i for i in range(n_shards) if i != dead]
+            static.apply_takeover(dead, live)
+            assert pool.counts_for(live) \
+                == {i: static.chunk_counts[i] for i in live}, dead
+
+    def test_two_deaths_can_place_chunks_unlike_the_static_takeover(self):
+        """The static fleet splits each death's slice over the survivors
+        in turn; the pool splits every detached slice at once."""
+        spec = CorpusSpec("4 chunks", 4e6, 4)
+        static = ShardServiceModel(spec, 4)
+        static.apply_takeover(0, [1, 2, 3])
+        static.apply_takeover(2, [1, 3])
+        assert static.chunk_counts == [0, 3, 0, 1]
+        pool = ElasticAPUDevicePool(spec, capacity=4)
+        assert pool.counts_for([1, 3]) == {1: 2, 3: 2}
 
     def test_topology_errors(self, pool):
         with pytest.raises(ValueError):

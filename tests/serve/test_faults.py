@@ -38,6 +38,7 @@ from repro.serve import (
     ServeReport,
     ServingSimulator,
     ShardedAPURetriever,
+    SliceCostModel,
     golden_fault_config,
     golden_integrity_config,
     golden_serve_config,
@@ -187,11 +188,12 @@ class TestScriptedOutageDegradation:
 
     @pytest.mark.parametrize("failover", ["reroute", "degraded"])
     def test_memoized_batch_seconds_follow_the_slices(self, failover):
-        """The memo never serves a time from before a takeover or a
-        degraded death: under ABFT the verification cost grows with the
-        shard's MAC blocks (two per 50 GB quarter), and a degraded death
-        zeroes the shard's chunk count without a re-anchor (so it too
-        must bump ``stage_epoch``)."""
+        """The memo, keyed by chunk count, never serves a time from
+        before a takeover or a degraded death: after either, every live
+        shard costs what a fresh model charges for its current slice
+        (under ABFT the verification cost grows with the slice's MAC
+        blocks, two per 50 GB quarter), and the dead shard's empty slice
+        has no price at all."""
         config = dataclasses.replace(
             self.chaos_config(failover), spec=PAPER_CORPORA["50GB"],
             faults=FaultPlan(outages=(OutageFault(shard_id=2,
@@ -204,10 +206,15 @@ class TestScriptedOutageDegradation:
         assert model.chunk_counts[2] == 0
         # Shard 2 served (and memoized) batches before it died.
         assert any(batch.shard_id == 2 for batch in record.result.batches)
-        for shard in range(config.n_shards):
+        fresh = SliceCostModel(config.spec, config.k,
+                               integrity=config.integrity)
+        for shard in (0, 1, 3):
             for size in range(1, config.batch.max_batch + 1):
                 assert model.batch_seconds(shard, size) \
-                    == model._batch_seconds(shard, size), (shard, size)
+                    == fresh.service_seconds(model.chunk_counts[shard],
+                                             size), (shard, size)
+        with pytest.raises(ValueError, match="chunk_count must be >= 1"):
+            model.batch_seconds(2, 1)
 
     @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
     def test_batch_bytes_are_charged_at_dispatch(self, engine):

@@ -96,6 +96,18 @@ class TestServeCommand:
             main(["serve", "--corpus", "10GB", "--requests", "8",
                   flag, str(plan_path)])
 
+    def test_serve_mistyped_fault_plan_field_exits_cleanly(self, tmp_path):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text('{"outages": [{"shard_id": 1.7, '
+                             '"start_s": 0.01}]}')
+        with pytest.raises(SystemExit,
+                           match=r"^bad fault plan: outages\[0\]: field "
+                                 r"'shard_id' must be an integer, "
+                                 r"got 1\.7$") as exc:
+            main(["serve", "--corpus", "10GB", "--requests", "8",
+                  "--fault-plan", str(plan_path)])
+        assert "\n" not in str(exc.value.code)
+
     @pytest.mark.parametrize("text, message", [
         (None, r"\[Errno 2\] No such file or directory: '.*missing\.json'"),
         ('{"autoscale": null}', "autoscale must be an object, got null"),

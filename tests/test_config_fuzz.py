@@ -88,9 +88,26 @@ def test_scale_policy_from_dict_builds_or_raises_typed(data):
 }) | _JSON)
 @example(data={"stalls": [{"shard_id": math.inf}]})
 @example(data={"bit_flips": [{"shard_id": 0, "t_s": 0.0, "vr": -math.inf}]})
+@example(data={"stalls": [{"shard_id": 1.7, "start_s": 0.0,
+                           "duration_s": 0.1, "slowdown": 2.0}]})
+@example(data={"outages": [{"shard_id": True, "start_s": 0.0}]})
+@example(data={"outages": [{"shard_id": "3", "start_s": 0.0}]})
+@example(data={"outages": [{"shard_id": 0, "start_s": "0.5"}]})
+@example(data={"bit_flips": [{"shard_id": 0, "t_s": 0.0, "target": 1}]})
 def test_fault_plan_from_dict_builds_or_raises_typed(data):
     try:
         plan = FaultPlan.from_dict(data)
     except ValueError:
         return
     assert FaultPlan.from_dict(plan.to_dict()) == plan
+    # Nothing was coerced: a built plan read integers for its integer
+    # fields and numbers (never a bool or a string) for the rest.
+    for key, built in plan.to_dict().items():
+        for raw, entry in zip(data.get(key, []), built):
+            for name, value in raw.items():
+                if name in entry:
+                    assert not isinstance(value, bool), (name, value)
+                    if isinstance(entry[name], int):
+                        assert isinstance(value, int), (name, value)
+                    assert isinstance(value, str) \
+                        == isinstance(entry[name], str), (name, value)
