@@ -307,7 +307,8 @@ _EXPECTED = {_integer: "an integer", _number: "a number",
 def _parse_faults(data: Dict[str, object], key: str, fault_cls: type,
                   convert: Dict[str, Callable[[object], object]]) -> tuple:
     """The ``fault_cls`` entries listed under ``key`` (fields not in
-    ``convert`` are numbers; absent ones take the dataclass default).
+    ``convert`` are numbers; absent ones take the dataclass default, and
+    a field ``fault_cls`` does not have is an error).
 
     Every error is a :class:`ValueError` naming the entry and field.
     """
@@ -321,8 +322,13 @@ def _parse_faults(data: Dict[str, object], key: str, fault_cls: type,
         if not isinstance(entry, dict):
             raise ValueError(f"{where} must be an object, "
                              f"got {type(entry).__name__}")
+        specs = fields(fault_cls)
+        known = {spec.name for spec in specs}
+        for name in entry:
+            if name not in known:
+                raise ValueError(f"{where}: unknown field {name!r}")
         kwargs = {}
-        for spec in fields(fault_cls):
+        for spec in specs:
             if spec.name not in entry:
                 if spec.default is MISSING:
                     raise ValueError(f"{where}: missing field {spec.name!r}")
@@ -449,7 +455,8 @@ class FaultPlan:
         """Inverse of :meth:`to_dict` (null duration = permanent).
 
         A malformed plan raises :class:`ValueError` naming the entry and
-        the field, e.g. ``outages[0]: missing field 'start_s'``.  Fields
+        the field, e.g. ``outages[0]: missing field 'start_s'`` or
+        ``outages[0]: unknown field 'recovery_slowdwn'``.  Fields
         are not coerced: integer fields take integers, number fields
         integers or floats (never a ``bool`` or a string), and
         ``target`` a string, so ``"shard_id": 1.7`` is an error, not

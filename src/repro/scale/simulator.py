@@ -651,8 +651,10 @@ class ScaleSimulator:
                 # death edits ``serving`` -- iterating the live list
                 # would silently skip the next member.
                 for shard_id in list(serving):
-                    shards[shard_id].queue.append(req_id)
-                    maybe_dispatch(shard_id, now)
+                    state = shards[shard_id]
+                    state.queue.append(req_id)
+                    if not state.busy:
+                        maybe_dispatch(shard_id, now)
             elif closed is not None:
                 next_think(now)
 

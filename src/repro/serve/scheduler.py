@@ -45,7 +45,9 @@ runs queues, batching timers, wakes, completions, the two fault
 transitions (judging a dispatch; booking a failed attempt) and death
 on a binary heap ordered by ``(time, sequence)``.
 :class:`DiscreteEventScheduler` drives the machine over a static
-fleet, on either engine whenever a fault injector is attached, and the
+fleet, on either engine whenever a fault injector is attached, merging
+its sorted arrivals with the heap (an arrival goes first on a time
+tie, as if pushed before every other event), and the
 elastic :class:`~repro.scale.simulator.ScaleSimulator` drives it over
 an autoscaled pool.  The sequence number makes
 simultaneous events process in insertion order, so the whole
@@ -63,6 +65,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Set, Tuple)
@@ -88,7 +91,6 @@ __all__ = [
 #: own kinds from :data:`FIRST_DRIVER_KIND` up on the same heap.
 TIMER, DONE, FAIL, WAKE = 0, 1, 2, 3
 FIRST_DRIVER_KIND = 4
-_ARRIVE = FIRST_DRIVER_KIND
 
 #: Batch outcomes (dispatch decides them deterministically).
 OUTCOME_OK = "ok"
@@ -235,11 +237,6 @@ class RequestRecord:
     def fully_served(self) -> bool:
         """Every required shard answered (no failover losses)."""
         return not self.failed_shards
-
-    @property
-    def fully_intact(self) -> bool:
-        """Every shard answered *and* no answer carried silent corruption."""
-        return not self.failed_shards and not self.corrupted_shards
 
 
 class _FaultTallies:
@@ -531,13 +528,14 @@ class ShardMachine(_FaultTallies):
         state = self.shards[shard_id]
         multiplier = injector.multiplier(shard_id, now)
         service = base_s * multiplier
+        end = now + service
         outcome = OUTCOME_OK
         fail_at = math.inf
         if self.retry.timeout_s < service:
             fail_at = now + self.retry.timeout_s
             outcome = OUTCOME_TIMEOUT
         next_outage = injector.next_outage_start(shard_id, now)
-        if next_outage < min(now + service, fail_at):
+        if next_outage < min(end, fail_at):
             fail_at = next_outage
             outcome = OUTCOME_INTERRUPTED
         corrupted = recompute = False
@@ -547,12 +545,11 @@ class ShardMachine(_FaultTallies):
             # lands consumes the corrupted data (even if the flip struck
             # while the device idled), and any stuck-at cell active by
             # completion corrupts every attempt.
-            flips = injector.transient_flips(shard_id)
-            cursor = state.flip_cursor
-            while cursor < len(flips) and flips[cursor].t_s < now + service:
-                cursor += 1
-            consumed = flips[state.flip_cursor:cursor]
-            stuck = injector.stuck_active(shard_id, now + service)
+            cursor = bisect_left(injector.transient_onsets(shard_id), end,
+                                 state.flip_cursor)
+            consumed = injector.transient_flips(shard_id)[
+                state.flip_cursor:cursor]
+            stuck = injector.stuck_active(shard_id, end)
             state.flip_cursor = cursor
             detected = False
             if self.ecc is None:
@@ -583,12 +580,9 @@ class ShardMachine(_FaultTallies):
         # verification that rejects it happens at the end.
         occupied = service if outcome in (OUTCOME_OK, OUTCOME_CORRUPTED) \
             else fail_at - now
-        return ExecutedBatch(
-            shard_id=shard_id, seq=state.batch_seq, dispatch_s=now,
-            service_s=occupied, request_ids=request_ids,
-            head_enqueue_s=head_enqueue_s, attempt=state.failures,
-            multiplier=multiplier, outcome=outcome,
-            corrupted=corrupted, recompute=recompute)
+        return ExecutedBatch(shard_id, state.batch_seq, now, occupied,
+                             request_ids, head_enqueue_s, state.failures,
+                             multiplier, outcome, corrupted, recompute)
 
     def _fail(self, batch: ExecutedBatch, now: float) -> None:
         """Book one failed attempt completing at ``now``.
@@ -624,13 +618,14 @@ class ShardMachine(_FaultTallies):
         if state.dead or state.busy or not state.queue:
             return
         injector = self.injector
-        if injector is not None and injector.is_down(shard_id, now):
+        if injector is not None:
             up_at = injector.next_up(shard_id, now)
-            if math.isinf(up_at):
-                self._declare_dead(shard_id, now)
-            else:
-                self._arm_wake(shard_id, up_at)
-            return
+            if up_at > now:  # down: the covering outage ends at up_at
+                if math.isinf(up_at):
+                    self._declare_dead(shard_id, now)
+                else:
+                    self._arm_wake(shard_id, up_at)
+                return
         if now < state.blocked_until:
             self._arm_wake(shard_id, state.blocked_until)
             return
@@ -832,21 +827,36 @@ class DiscreteEventScheduler:
                                self.protected, self.ecc,
                                on_dispatch=on_dispatch,
                                on_death=self.on_death)
-        for request in self._ordered(requests):
-            machine.push(request.arrival_s, _ARRIVE, request.req_id)
+        ordered = self._ordered(requests)
+        arrival_s = [request.arrival_s for request in ordered]
+        req_ids = [request.req_id for request in ordered]
+        n_arrivals = len(ordered)
 
         heap, shards, step = machine.heap, machine.shards, machine.step
-        maybe_dispatch = machine.maybe_dispatch
-        while heap:
-            now, _, kind, payload = heapq.heappop(heap)
-            if kind != _ARRIVE:
-                step(kind, payload, now)
+        maybe_dispatch, register = machine.maybe_dispatch, machine.register
+        death_times = machine.death_times
+        live = list(range(len(shards)))
+        n_dead = 0
+        ptr = 0
+        while ptr < n_arrivals or heap:
+            if ptr < n_arrivals \
+                    and (not heap or arrival_s[ptr] <= heap[0][0]):
+                # Arrivals win equal-time ties: a heap holding them
+                # would have popped them first, pushed before any event.
+                now, req_id = arrival_s[ptr], req_ids[ptr]
+                ptr += 1
+                if len(death_times) != n_dead:
+                    n_dead = len(death_times)
+                    live = [shard_id for shard_id, state in enumerate(shards)
+                            if not state.dead]
+                # With no live shard left it resolves empty-handed.
+                register(req_id, now, len(live))
+                for shard_id in live:
+                    state = shards[shard_id]
+                    state.queue.append(req_id)
+                    if not state.busy:
+                        maybe_dispatch(shard_id, now)
                 continue
-            live = [shard_id for shard_id, state in enumerate(shards)
-                    if not state.dead]
-            # With no live shard left it resolves empty-handed.
-            machine.register(payload, now, len(live))
-            for shard_id in live:
-                shards[shard_id].queue.append(payload)
-                maybe_dispatch(shard_id, now)
+            now, _, kind, payload = heapq.heappop(heap)
+            step(kind, payload, now)
         return machine.result()

@@ -163,6 +163,14 @@ class TestFaultPlan:
                            match=re.escape(f"{section}[0]: {message}")):
             FaultPlan.from_dict({section: [{**valid[section], **entry}]})
 
+    def test_from_dict_rejects_unknown_entry_fields(self):
+        """A misspelled field is an error, not a silently kept default."""
+        entry = {"shard_id": 0, "start_s": 0.1, "duration_s": 0.2,
+                 "recovery_slowdwn": 4.0}
+        with pytest.raises(ValueError, match=re.escape(
+                "outages[0]: unknown field 'recovery_slowdwn'")):
+            FaultPlan.from_dict({"outages": [entry]})
+
     def test_from_dict_takes_integers_for_numbers(self):
         plan = FaultPlan.from_dict({"stalls": [
             {"shard_id": 0, "start_s": 0, "duration_s": 1, "slowdown": 2}]})

@@ -145,6 +145,23 @@ class TestSchedulerEdges:
         assert second.request_ids == (1, 2, 3, 4)
         assert second.dispatch_s == pytest.approx(first.complete_s)
 
+    def test_arrivals_pop_before_simultaneous_events(self):
+        """An arrival on a max-wait deadline or on a batch completion is
+        queued before that event fires.  Dyadic times make every tie
+        exact: r1 lands on r0's deadline (0.25) and joins its batch; r3
+        lands on that batch's completion (0.75) and rides with r2, which
+        had waited out its deadline behind the busy device."""
+        policy = BatchPolicy(max_batch=2, max_wait_s=0.25)
+        scheduler = DiscreteEventScheduler(2, policy, make_service(0.5, 0))
+        result = scheduler.run(
+            trace_arrivals([0.0, 0.25, 0.375, 0.75]))
+        assert [(b.shard_id, b.request_ids, b.dispatch_s, b.complete_s)
+                for b in result.batches] == [
+            (0, (0, 1), 0.25, 0.75), (1, (0, 1), 0.25, 0.75),
+            (0, (2, 3), 0.75, 1.25), (1, (2, 3), 0.75, 1.25)]
+        assert [r.retrieval_done_s for r in result.records] \
+            == [0.75, 0.75, 1.25, 1.25]
+
     def test_invalid_policy_rejected(self):
         for bad in (0, -3, 1.5, True):
             with pytest.raises(ValueError):

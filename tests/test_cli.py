@@ -108,6 +108,18 @@ class TestServeCommand:
                   "--fault-plan", str(plan_path)])
         assert "\n" not in str(exc.value.code)
 
+    def test_serve_unknown_fault_plan_field_exits_cleanly(self, tmp_path):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text('{"outages": [{"shard_id": 0, "start_s": 0.1, '
+                             '"duration_s": 0.2, '
+                             '"recovery_slowdwn": 4.0}]}')
+        with pytest.raises(SystemExit,
+                           match=r"^bad fault plan: outages\[0\]: unknown "
+                                 r"field 'recovery_slowdwn'$") as exc:
+            main(["serve", "--corpus", "10GB", "--requests", "8",
+                  "--fault-plan", str(plan_path)])
+        assert "\n" not in str(exc.value.code)
+
     @pytest.mark.parametrize("text, message", [
         (None, r"\[Errno 2\] No such file or directory: '.*missing\.json'"),
         ('{"autoscale": null}', "autoscale must be an object, got null"),

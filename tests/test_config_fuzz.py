@@ -94,16 +94,19 @@ def test_scale_policy_from_dict_builds_or_raises_typed(data):
 @example(data={"outages": [{"shard_id": "3", "start_s": 0.0}]})
 @example(data={"outages": [{"shard_id": 0, "start_s": "0.5"}]})
 @example(data={"bit_flips": [{"shard_id": 0, "t_s": 0.0, "target": 1}]})
+@example(data={"outages": [{"shard_id": 0, "start_s": 0.0, "stray": 1.0}]})
 def test_fault_plan_from_dict_builds_or_raises_typed(data):
     try:
         plan = FaultPlan.from_dict(data)
     except ValueError:
         return
     assert FaultPlan.from_dict(plan.to_dict()) == plan
-    # Nothing was coerced: a built plan read integers for its integer
-    # fields and numbers (never a bool or a string) for the rest.
+    # Nothing was coerced or dropped: a built plan read integers for
+    # its integer fields, numbers (never a bool or a string) for the
+    # rest, and no field its fault type lacks.
     for key, built in plan.to_dict().items():
         for raw, entry in zip(data.get(key, []), built):
+            assert "stray" not in raw, raw
             for name, value in raw.items():
                 if name in entry:
                     assert not isinstance(value, bool), (name, value)
