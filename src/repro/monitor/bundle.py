@@ -143,7 +143,7 @@ class RunBundle:
 def bundle_from_run(workload: str, report: Any, telemetry: Any,
                     monitor: RunMonitor) -> RunBundle:
     """Package one monitored run (any simulator) into a bundle."""
-    from ..telemetry.critical import stage_attribution
+    from ..telemetry.critical import sum_stage_totals
 
     config = report.config
     engine = (config.engine if hasattr(config, "engine")
@@ -153,7 +153,7 @@ def bundle_from_run(workload: str, report: Any, telemetry: Any,
         engine=str(engine),
         metrics=report_metrics(report),
         stage_totals=dict(sorted(
-            stage_attribution(telemetry.critical_paths).items())),
+            sum_stage_totals(telemetry.stage_totals).items())),
         n_completed=int(report.n_completed),
         monitor=monitor,
     )

@@ -161,10 +161,6 @@ class RunMonitor:
             seen.setdefault(s.name, None)
         return list(seen)
 
-    def with_labels(self, name: str) -> Tuple[Series, ...]:
-        """Every series sharing ``name`` (one per label set)."""
-        return tuple(s for s in self.series if s.name == name)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "workload": self.workload,

@@ -51,9 +51,3 @@ class GenerationModel:
         """Steady-state decode latency (memory-bandwidth bound)."""
         bytes_per_token = 2.0 * self.parameters  # fp16 weights read once
         return bytes_per_token / self.gpu.memory_bandwidth
-
-    def generation_energy_j(self, context_tokens: int = None,
-                            power_w: float = None) -> float:
-        """Board energy of one prefill."""
-        power = power_w if power_w is not None else self.gpu.board_power_w
-        return power * self.prefill_seconds(context_tokens)

@@ -514,7 +514,8 @@ class ScaleSimulator:
             batch_bytes.append(slot.nbytes)
             if capture:
                 stage_tables.append(pool.stage_table(
-                    batch.shard_id, slot.chunk_count, batch.batch_size))
+                    batch.shard_id, slot.chunk_count,
+                    len(batch.request_ids)))
 
         note_completion = signal.note_completion
         resolve_overdue = overdue.resolve

@@ -18,7 +18,7 @@ same property the static pipeline pins.
 from __future__ import annotations
 
 import collections
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..telemetry.build import (count_batches, latency_metrics,
                                throughput_metrics)
@@ -28,10 +28,11 @@ from ..telemetry.metrics import MetricsRegistry
 __all__ = ["build_scale_metrics"]
 
 
-def build_scale_metrics(record: Any,
-                        paths: Sequence[CriticalPath]) -> MetricsRegistry:
-    """Populate a registry from one elastic run's record (``paths`` in
-    record order).
+def build_scale_metrics(record: Any, paths: Sequence[CriticalPath],
+                        stage_totals: Sequence[Mapping[str, float]]
+                        ) -> MetricsRegistry:
+    """Populate a registry from one elastic run's record (``paths`` and
+    their ``stage_totals`` in record order).
 
     The serve-level series keep their static names (throughput,
     attainment, latency histograms, burn windows) so dashboards span
@@ -109,7 +110,7 @@ def build_scale_metrics(record: Any,
         "repro_batches_total", "Executed batch attempts by outcome")
     count_batches(batches, result.batches)
 
-    throughput_metrics(registry, report, paths)
+    throughput_metrics(registry, report, stage_totals)
     attainment = registry.gauge(
         "repro_slo_attainment_ratio",
         "Fraction of completed requests at or under the TTI SLO")
@@ -121,7 +122,7 @@ def build_scale_metrics(record: Any,
         util.set(value, shard=str(slot_id))
 
     latency_metrics(
-        registry, record, paths,
+        registry, record, paths, stage_totals,
         "Time-to-interactive distribution, by priority class",
         lambda path: {"class": classes[priorities[path.req_id]].name},
         policy.autoscale.slo_target)

@@ -690,9 +690,10 @@ class ShardMachine(_FaultTallies):
         request's ``shard_done_s`` holds the completion time of each
         successful batch that carried it -- ``dispatch_s + service_s``,
         the very float the heap popped -- entered in pop order (done
-        time, then dispatch order); ``failed_shards`` comes from the
-        death-drained pairs and ``corrupted_shards`` from successful
-        batches that shipped corrupted data.
+        time, then dispatch order: a stable sort of the dispatch-ordered
+        successes by a precomputed done-time column); ``failed_shards``
+        comes from the death-drained pairs and ``corrupted_shards`` from
+        successful batches that shipped corrupted data.
         """
         self.check_complete()
         shard_done: Dict[int, Dict[int, float]] = {
@@ -700,27 +701,28 @@ class ShardMachine(_FaultTallies):
         corrupted: Dict[int, Set[int]] = {}
         succeeded = [batch for batch in self.batches
                      if batch.outcome == OUTCOME_OK]
-        succeeded.sort(key=lambda batch: batch.dispatch_s + batch.service_s)
-        for batch in succeeded:
+        done_times = [batch.dispatch_s + batch.service_s
+                      for batch in succeeded]
+        for index in sorted(range(len(succeeded)),
+                            key=done_times.__getitem__):
+            batch = succeeded[index]
             shard_id = batch.shard_id
-            done_s = batch.dispatch_s + batch.service_s
+            done_s = done_times[index]
             for req_id in batch.request_ids:
                 shard_done[req_id][shard_id] = done_s
-                if batch.corrupted:
+            if batch.corrupted:
+                for req_id in batch.request_ids:
                     corrupted.setdefault(req_id, set()).add(shard_id)
         failed: Dict[int, Set[int]] = {}
         for req_id, shard_id in self.failed:
             failed.setdefault(req_id, set()).add(shard_id)
+        # Positional, in field order: keyword calls cost about twice as
+        # much per record.
         records = tuple(
-            RequestRecord(
-                req_id=req_id,
-                arrival_s=self.arrival_s[req_id],
-                shard_done_s=shard_done[req_id],
-                failed_shards=failed.get(req_id, set()),
-                corrupted_shards=corrupted.get(req_id, set()),
-                n_required=self.n_required[req_id],
-                retrieval_done_s=self.done_s[req_id],
-            )
+            RequestRecord(req_id, self.arrival_s[req_id], shard_done[req_id],
+                          failed.get(req_id, set()),
+                          corrupted.get(req_id, set()),
+                          self.n_required[req_id], self.done_s[req_id])
             for req_id in sorted(self.arrival_s))
         return ScheduleResult(
             n_shards=len(self.shards),

@@ -713,7 +713,7 @@ class ServingSimulator:
             batch_bytes.append(model.embedding_bytes(count))
             if tables is not None:
                 tables.append(model.stage_table(
-                    batch.shard_id, count, batch.batch_size))
+                    batch.shard_id, count, len(batch.request_ids)))
 
         return self.scheduler.run(requests, on_dispatch), batch_bytes, tables
 
@@ -759,7 +759,8 @@ class ServingSimulator:
                    if r.retrieval_done_s is not None}
         latency = np.asarray([r.retrieval_latency_s for r in result.records],
                              dtype=np.float64)
-        sizes = np.asarray([batch.batch_size for batch in result.batches],
+        sizes = np.asarray([len(batch.request_ids)
+                            for batch in result.batches],
                            dtype=np.int64)
         report = self._report(latency, result.horizon_s, result.busy_seconds,
                               sizes, result)

@@ -25,7 +25,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "build_serve_metrics", "reconcile_with_trace"),
     "critical": (
         "CriticalPath", "Segment", "conservation_error_cycles",
-        "critical_path", "p99_contributors", "stage_attribution"),
+        "critical_path", "p99_contributors", "stage_attribution",
+        "sum_stage_totals"),
     "export": (
         "span_trace_events", "telemetry_chrome_trace",
         "write_telemetry_trace"),

@@ -12,14 +12,22 @@ proves it).
 
 A run pays only for what its callers read.  :func:`build_run_telemetry`,
 the one telemetry view of static and elastic records alike, finds each
-request's determining shard straight from the record and emits its
-critical path directly from that leg's intervals (:func:`_leg_intervals`,
-the one leg-partition rule), building no span or tree; the registry
-reads arrival and TTI from the records and paths, one bulk histogram
-update per label set.  Span trees are built only on demand: the full
-set (:attr:`RunTelemetry.traces`) on first access, cached, with each
-executed batch's span built once and shared by every member request's
-leg, and one request's tree alone through
+request's determining shard straight from the record (the lowest shard
+id whose leg ends at the resolution) and emits its critical path
+directly from that leg's intervals (:func:`_leg_intervals`, the one
+leg-partition rule), building no span or tree.  Legs walk
+``result.batches`` in list order: the scheduler appends every attempt
+at its dispatch instant, so that order is dispatch order, and
+:class:`TraceBuilder` rejects a record whose dispatch times go
+backwards.  While it emits a path the builder folds the path's stage
+totals once (:meth:`TraceBuilder.fold_paths`); the critical-path
+counter and the queue-wait histogram both read that fold, with the
+association of :func:`~repro.telemetry.critical.stage_attribution`.
+The registry reads arrival and TTI from the records and paths, one
+bulk histogram update per label set.  Span trees are built only on
+demand: the full set (:attr:`RunTelemetry.traces`) on first access,
+cached, with each executed batch's span built once and shared by every
+member request's leg, and one request's tree alone through
 :meth:`RunTelemetry.trace_for`.  The two modes differ only in the
 record's data: the merge cost (one value, or one per scatter-gather
 width) and the registry populator (:func:`build_serve_metrics` here,
@@ -40,12 +48,13 @@ proves it event by event.
 from __future__ import annotations
 
 import collections
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Sequence, Tuple, Union)
 
-from .critical import CriticalPath, Segment, stage_attribution
+from .critical import BATCH_STAGES, CriticalPath, Segment, sum_stage_totals
 from .metrics import (
     DEFAULT_LATENCY_BOUNDS_S,
     Counter,
@@ -172,18 +181,25 @@ def _leg_shards(record: Any) -> List[int]:
 
 def _determining_shard(record: Any,
                        death_times: Mapping[int, float]) -> Optional[int]:
-    """The first shard (in id order) whose leg ends at the resolution;
-    ``None`` when the request resolved with no shard legs."""
+    """The lowest shard id whose leg ends at the resolution; ``None``
+    when the request resolved with no shard legs."""
     done = record.retrieval_done_s
-    shard_ids = _leg_shards(record)
-    for shard_id in shard_ids:
-        if _leg_end(record, shard_id, death_times) == done:
-            return shard_id
-    if shard_ids:  # pragma: no cover - every resolution is a shard event
+    failed = record.failed_shards
+    found: Optional[int] = None
+    for shard_id, end in record.shard_done_s.items():
+        if end == done and shard_id not in failed \
+                and (found is None or shard_id < found):
+            found = shard_id
+    for shard_id in failed:
+        if death_times[shard_id] == done \
+                and (found is None or shard_id < found):
+            found = shard_id
+    if found is None and (record.shard_done_s or failed):  # pragma: no cover
+        # Every resolution is a shard event.
         raise ValueError(
             f"request {record.req_id}: no shard leg ends at the "
             f"recorded resolution time {done!r}")
-    return None
+    return found
 
 
 def _leg_intervals(record: Any, shard_id: int, leg: Sequence[int],
@@ -256,28 +272,39 @@ def merge_lookup(merge: MergeCost) -> Callable[[int], float]:
 class TraceBuilder:
     """Builds span trees and critical paths from one run's record.
 
-    ``result`` is the :class:`~repro.serve.scheduler.ScheduleResult`;
-    ``stage_tables`` the dispatch-ordered capture (one
-    :class:`StageTable` per executed batch; without it batch spans stay
-    leaves); ``injector`` (static fault runs) labels slowdown spans
-    with their cause.
+    ``result`` is the :class:`~repro.serve.scheduler.ScheduleResult`,
+    whose ``batches`` must be in dispatch order (non-decreasing
+    ``dispatch_s``, as the scheduler appends them); ``stage_tables`` the
+    dispatch-ordered capture (one :class:`StageTable` per executed
+    batch; without it batch spans stay leaves); ``injector`` (static
+    fault runs) labels slowdown spans with their cause.
     """
 
     def __init__(self, result: Any, merge: MergeCost, prefill_s: float,
                  stage_tables: Optional[Sequence[StageTable]] = None,
                  injector: Any = None):
-        if stage_tables is not None:
-            if len(stage_tables) != len(result.batches):
+        batches = result.batches
+        if stage_tables is not None and len(stage_tables) != len(batches):
+            raise ValueError(
+                f"{len(stage_tables)} stage tables for "
+                f"{len(batches)} executed batches")
+        previous = -math.inf
+        for index, batch in enumerate(batches):
+            if batch.dispatch_s < previous:
                 raise ValueError(
-                    f"{len(stage_tables)} stage tables for "
-                    f"{len(result.batches)} executed batches")
-            for batch, table in zip(result.batches, stage_tables):
+                    f"batch {index} dispatched at {batch.dispatch_s!r}, "
+                    f"before batch {index - 1} at {previous!r}: executed "
+                    f"batches must be in dispatch order")
+            previous = batch.dispatch_s
+            if stage_tables is not None:
+                table = stage_tables[index]
+                size = len(batch.request_ids)
                 if table.shard_id != batch.shard_id \
-                        or table.batch_size != batch.batch_size:
+                        or table.batch_size != size:
                     raise ValueError(
                         f"stage table ({table.shard_id}, "
                         f"{table.batch_size}) does not match batch "
-                        f"({batch.shard_id}, {batch.batch_size})")
+                        f"({batch.shard_id}, {size})")
         self.result = result
         self.merge_for = merge_lookup(merge)
         self.prefill_s = prefill_s
@@ -287,13 +314,11 @@ class TraceBuilder:
     def _legs(self, members: Callable[[Any], Iterable[int]]
               ) -> Dict[int, Dict[int, List[int]]]:
         """``req_id`` -> shard id -> the leg's batch indices in dispatch
-        order (a stable sort by ``dispatch_s``), for the member requests
-        ``members(batch)`` keeps of each batch."""
-        batches = self.result.batches
+        order (the list order of ``batches``, checked at construction),
+        for the member requests ``members(batch)`` keeps of each
+        batch."""
         legs: Dict[int, Dict[int, List[int]]] = {}
-        for index in sorted(range(len(batches)),
-                            key=lambda i: batches[i].dispatch_s):
-            batch = batches[index]
+        for index, batch in enumerate(self.result.batches):
             for req_id in members(batch):
                 legs.setdefault(req_id, {}).setdefault(
                     batch.shard_id, []).append(index)
@@ -375,13 +400,21 @@ class TraceBuilder:
             if record.req_id in batch.request_ids else ()))[0]
 
     def critical_paths(self) -> Tuple[CriticalPath, ...]:
-        """Every request's critical path, in record order.
+        """Every request's critical path, in record order."""
+        return self.fold_paths()[0]
 
-        Built straight from the determining leg's intervals (the same
-        :func:`_leg_intervals` the trees wrap in spans), then the merge
-        and prefill; no span or tree is built.  Each path equals
-        :func:`~repro.telemetry.critical.critical_path` of the request's
-        full tree, and ``tti_s`` keeps the simulator's association.
+    def fold_paths(self) -> Tuple[Tuple[CriticalPath, ...],
+                                  Tuple[Dict[str, float], ...]]:
+        """Every request's critical path and its stage totals, in record
+        order.
+
+        Each path is built straight from the determining leg's intervals
+        (the same :func:`_leg_intervals` the trees wrap in spans), then
+        the merge and prefill; no span or tree is built.  Each path
+        equals :func:`~repro.telemetry.critical.critical_path` of the
+        request's full tree, and ``tti_s`` keeps the simulator's
+        association.  Its stage totals are folded as its segments are
+        emitted, bitwise :meth:`CriticalPath.stage_totals`.
         """
         records = self.result.records
         batches = self.result.batches
@@ -389,48 +422,62 @@ class TraceBuilder:
         determining = {
             record.req_id: _determining_shard(record, death_times)
             for record in records}
-        legs = self._legs(
-            lambda batch: [req_id for req_id in batch.request_ids
-                           if determining.get(req_id) == batch.shard_id])
+        # req_id -> its determining leg's batch indices, in list order
+        # (as :meth:`_legs`, keeping only the determining shard's leg).
+        legs: Dict[int, List[int]] = {}
+        for index, batch in enumerate(batches):
+            shard_id = batch.shard_id
+            for req_id in batch.request_ids:
+                if determining[req_id] == shard_id:
+                    legs.setdefault(req_id, []).append(index)
         prefill_s = self.prefill_s
         paths = []
+        folds = []
         for record in records:
             arrival, done = record.arrival_s, record.retrieval_done_s
             shard_id = determining[record.req_id]
             segments: List[Segment] = []
+            totals: Dict[str, float] = {}
             if shard_id is not None:
                 leg_end = _leg_end(record, shard_id, death_times)
                 if leg_end < arrival:
                     raise interval_error(SPAN_SHARD, arrival, leg_end)
                 for name, start, end, index in _leg_intervals(
-                        record, shard_id,
-                        legs.get(record.req_id, {}).get(shard_id, ()),
+                        record, shard_id, legs.get(record.req_id, ()),
                         batches, death_times):
-                    segments.append(Segment(
-                        name, start, end, shard_id,
-                        "" if index is None else _outcome(batches[index])))
+                    if index is None:
+                        segments.append(Segment(name, start, end, shard_id))
+                        key = name
+                    else:
+                        detail = _outcome(batches[index])
+                        segments.append(
+                            Segment(name, start, end, shard_id, detail))
+                        key = BATCH_STAGES[detail]
+                    totals[key] = totals.get(key, 0.0) + (end - start)
             merge_s, merge, prefill, _query = self._host_intervals(record)
-            segments.append(Segment(*merge))
-            segments.append(Segment(*prefill))
+            for name, start, end in (merge, prefill):
+                segments.append(Segment(name, start, end))
+                totals[name] = totals.get(name, 0.0) + (end - start)
             paths.append(CriticalPath(
-                req_id=record.req_id,
-                segments=tuple(segments),
-                tti_s=((done - arrival) + merge_s) + prefill_s,
-                determining_shard=-1 if shard_id is None else shard_id))
-        return tuple(paths)
+                record.req_id, tuple(segments),
+                ((done - arrival) + merge_s) + prefill_s,
+                -1 if shard_id is None else shard_id))
+            folds.append(totals)
+        return tuple(paths), tuple(folds)
 
 
 # ----------------------------------------------------------------------
 # Metrics pipeline
 # ----------------------------------------------------------------------
 def throughput_metrics(registry: MetricsRegistry, report: Any,
-                       paths: Sequence[CriticalPath]) -> None:
-    """Register the critical-path stage totals, throughput and makespan
-    static and elastic registries share."""
+                       stage_totals: Sequence[Mapping[str, float]]) -> None:
+    """Register the critical-path stage totals (summed from the per-path
+    folds, in record order), throughput and makespan static and elastic
+    registries share."""
     critical = registry.counter(
         "repro_critical_path_seconds_total",
         "Critical-path seconds attributed per stage")
-    for stage, seconds in sorted(stage_attribution(paths).items()):
+    for stage, seconds in sorted(sum_stage_totals(stage_totals).items()):
         critical.inc(seconds, stage=stage)
     throughput = registry.gauge(
         "repro_throughput_qps", "Sustained queries per second")
@@ -449,14 +496,18 @@ def count_batches(counter: Counter, batches: Sequence[Any]) -> None:
 
 
 def latency_metrics(registry: MetricsRegistry, record: Any,
-                    paths: Sequence[CriticalPath], tti_help: str,
+                    paths: Sequence[CriticalPath],
+                    stage_totals: Sequence[Mapping[str, float]],
+                    tti_help: str,
                     tti_labels: Callable[[CriticalPath], Dict[str, str]],
                     slo_target: float) -> None:
     """Register the latency histograms and SLO burn windows static and
     elastic registries share.
 
-    Arrivals and resolutions come from the records, TTI and queue wait
-    from the critical paths (in record order); the retrieval sample is
+    Arrivals and resolutions come from the records, TTI from the
+    critical paths and queue wait from their stage totals (both in
+    record order; each wait bitwise
+    ``path.stage_seconds(SPAN_QUEUE_WAIT)``); the retrieval sample is
     bitwise ``QueryTrace.retrieval_latency_s + merge_s``.  The burn
     windows spend ``record.error_budget``; ``slo_target`` only labels
     their help text.
@@ -485,10 +536,10 @@ def latency_metrics(registry: MetricsRegistry, record: Any,
         (r.retrieval_done_s - r.arrival_s) + merge_for(r.n_required)
         for r in result.records)
     queue_hist.observe_many(
-        path.stage_seconds(SPAN_QUEUE_WAIT) for path in paths)
+        totals.get(SPAN_QUEUE_WAIT, 0.0) for totals in stage_totals)
     sizes: Dict[int, List[int]] = {}
     for batch in result.batches:
-        sizes.setdefault(batch.shard_id, []).append(batch.batch_size)
+        sizes.setdefault(batch.shard_id, []).append(len(batch.request_ids))
     for shard_id, shard_sizes in sizes.items():
         size_hist.observe_many(shard_sizes, shard=str(shard_id))
 
@@ -503,15 +554,16 @@ def latency_metrics(registry: MetricsRegistry, record: Any,
                  window=str(window.index))
 
 
-def build_serve_metrics(record: Any,
-                        paths: Sequence[CriticalPath]) -> MetricsRegistry:
+def build_serve_metrics(record: Any, paths: Sequence[CriticalPath],
+                        stage_totals: Sequence[Mapping[str, float]]
+                        ) -> MetricsRegistry:
     """Populate a registry from one static serving run's record.
 
     The same derivational hooks as the span trees: everything comes
     from the schedule record (arrivals, resolutions), the critical
-    paths (TTI, queue wait) and the report, so the registry is
-    bit-deterministic and golden-pinnable.  ``paths`` are in record
-    order.
+    paths (TTI) and their stage totals (attribution, queue wait) and the
+    report, so the registry is bit-deterministic and golden-pinnable.
+    ``paths`` and ``stage_totals`` are in record order.
     """
     report, result = record.report, record.result
     registry = MetricsRegistry()
@@ -564,7 +616,7 @@ def build_serve_metrics(record: Any,
         if counter is not None:
             counter.inc(n, shard=str(shard_id))
 
-    throughput_metrics(registry, report, paths)
+    throughput_metrics(registry, report, stage_totals)
     attainment = registry.gauge(
         "repro_slo_attainment_ratio",
         "Fraction of requests at or under the TTI SLO")
@@ -583,7 +635,7 @@ def build_serve_metrics(record: Any,
         "Mean fraction of shard answers neither lost nor corrupted")
     intact.set(report.mean_intact_coverage)
 
-    latency_metrics(registry, record, paths,
+    latency_metrics(registry, record, paths, stage_totals,
                     "Time-to-interactive distribution", lambda path: {},
                     SERVE_SLO_TARGET)
     return registry
@@ -677,12 +729,14 @@ def reconcile_with_trace(traces: Sequence[QueryTrace], collector: Any,
 class RunTelemetry:
     """Everything one telemetry-enabled serving run derived.
 
-    ``critical_paths`` and ``registry`` come with the run; the span
-    trees (:attr:`traces`) are built from ``builder`` on first access
-    and cached.
+    ``critical_paths``, their ``stage_totals`` and ``registry`` come
+    with the run; the span trees (:attr:`traces`) are built from
+    ``builder`` on first access and cached.
     """
 
     critical_paths: Tuple[CriticalPath, ...]
+    #: Each path's :meth:`~CriticalPath.stage_totals`, in record order.
+    stage_totals: Tuple[Dict[str, float], ...] = field(repr=False)
     registry: MetricsRegistry
     clock_hz: float
     builder: TraceBuilder = field(repr=False, compare=False)
@@ -723,10 +777,11 @@ def build_run_telemetry(record: Any) -> RunTelemetry:
     """
     builder = TraceBuilder(record.result, record.merge, record.prefill_s,
                            record.stage_tables, record.injector)
-    paths = builder.critical_paths()
+    paths, stage_totals = builder.fold_paths()
     return RunTelemetry(
         critical_paths=paths,
-        registry=record.metrics(record, paths),
+        stage_totals=stage_totals,
+        registry=record.metrics(record, paths, stage_totals),
         clock_hz=record.params.clock_hz,
         builder=builder,
     )

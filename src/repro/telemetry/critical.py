@@ -14,13 +14,20 @@ of magnitude below one device cycle; see
 Aggregation answers "which stage is guilty": :func:`stage_attribution`
 sums critical time per stage over a run, and :func:`p99_contributors`
 restricts that to the requests at or above the p99 TTI, so a tail
-regression names the stage that grew.
+regression names the stage that grew.  Every sum has one association:
+within a path left to right (:meth:`CriticalPath.stage_totals`), then
+across paths in record order (:func:`sum_stage_totals`), so a caller
+that folds each path once -- as the telemetry builder does while it
+emits the segments -- gets the same floats bitwise.
+
+:class:`Segment` and :class:`CriticalPath` are typed tuples: a run
+builds one path per request and several segments per path, so their
+construction cost is per-request cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .spans import SPAN_BATCH, SPAN_MERGE, SPAN_PREFILL, QueryTrace
 
@@ -30,13 +37,29 @@ __all__ = [
     "critical_path",
     "conservation_error_cycles",
     "stage_attribution",
+    "sum_stage_totals",
     "p99_contributors",
 ]
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One link of a critical path (a leaf interval, never nested)."""
+class _BatchStages(dict):
+    """Outcome detail -> the ``batch:<detail>`` attribution key, each key
+    formatted once on first use."""
+
+    def __missing__(self, detail: str) -> str:
+        key = self[detail] = f"{SPAN_BATCH}:{detail}"
+        return key
+
+
+#: The attribution key of a ``batch`` segment, by its outcome detail.
+BATCH_STAGES: Dict[str, str] = _BatchStages()
+
+
+class Segment(NamedTuple):
+    """One link of a critical path (a leaf interval, never nested).
+
+    Its ``repr`` is the keyword form, ``Segment(name=..., ...)``.
+    """
 
     name: str
     start_s: float
@@ -53,12 +76,11 @@ class Segment:
     def stage(self) -> str:
         """Attribution key (`batch` refined by its outcome detail)."""
         if self.name == SPAN_BATCH and self.detail:
-            return f"{SPAN_BATCH}:{self.detail}"
+            return BATCH_STAGES[self.detail]
         return self.name
 
 
-@dataclass(frozen=True)
-class CriticalPath:
+class CriticalPath(NamedTuple):
     """The exact blocking chain behind one request's TTI."""
 
     req_id: int
@@ -137,13 +159,19 @@ def conservation_error_cycles(path: CriticalPath,
     return abs(path.total_s - path.tti_s) * clock_hz
 
 
-def stage_attribution(paths: Sequence[CriticalPath]) -> Dict[str, float]:
-    """Total critical seconds per stage key across a run."""
+def sum_stage_totals(per_path: Iterable[Mapping[str, float]]
+                     ) -> Dict[str, float]:
+    """Sum per-path stage totals across paths, in the given order."""
     totals: Dict[str, float] = {}
-    for path in paths:
-        for key, value in path.stage_totals().items():
+    for path_totals in per_path:
+        for key, value in path_totals.items():
             totals[key] = totals.get(key, 0.0) + value
     return totals
+
+
+def stage_attribution(paths: Sequence[CriticalPath]) -> Dict[str, float]:
+    """Total critical seconds per stage key across a run."""
+    return sum_stage_totals(path.stage_totals() for path in paths)
 
 
 def p99_contributors(paths: Sequence[CriticalPath]

@@ -1,6 +1,9 @@
 """Builder tests: bit-identity, reconciliation, and registry wiring."""
 
+import dataclasses
+
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.core.params import DEFAULT_PARAMS
 from repro.obs import collecting
@@ -19,7 +22,10 @@ from repro.serve.simulator import (
 )
 from repro.telemetry import StageTable, build, reconcile_with_trace
 from repro.telemetry.build import TraceBuilder
-from repro.telemetry.critical import critical_path
+from repro.telemetry.critical import CriticalPath, Segment, critical_path
+
+from ..scale.test_differential import chaotic_elastic_configs
+from ..simcore.test_differential import serve_configs
 
 CLOCK = DEFAULT_PARAMS.clock_hz
 
@@ -37,6 +43,15 @@ SPANS_CONFIGS = {
     "serve_autoscale": golden_autoscale_config,
     "serve_autoscale_faults": golden_autoscale_fault_config,
 }
+
+#: The golden runs that time out, heal, correct or lose shards.
+FAULT_CONFIGS = (
+    "serve_faults", "serve_integrity", "serve_ecc", "serve_autoscale_faults")
+
+#: A small, fixed generated budget for the fast lane.
+_GENERATED = settings(derandomize=True, deadline=None, max_examples=25,
+                      suppress_health_check=[HealthCheck.too_slow,
+                                             HealthCheck.data_too_large])
 
 
 def _telemetry(workload):
@@ -106,6 +121,9 @@ class TestCriticalPathsFromRecord:
         telemetry = _telemetry(workload)
         assert telemetry.critical_paths == tuple(
             critical_path(trace) for trace in telemetry.traces)
+        # Tuple equality cannot tell a typed path from a bare tuple.
+        assert {type(path) for path in telemetry.critical_paths} \
+            == {CriticalPath}
 
     def test_paths_build_no_span_or_tree(self, monkeypatch):
         telemetry = _telemetry("serve_faults")
@@ -117,6 +135,95 @@ class TestCriticalPathsFromRecord:
         monkeypatch.setattr(build, "QueryTrace", forbidden)
         assert telemetry.builder.critical_paths() \
             == telemetry.critical_paths
+
+
+class TestTypedPaths:
+    """Paths and segments are typed tuples with the dataclass API:
+    keyword ``repr``, the ``stage`` keys, read-only fields, and a stage
+    fold bitwise :meth:`CriticalPath.stage_totals`."""
+
+    @pytest.fixture(scope="class", params=FAULT_CONFIGS)
+    def telemetry(self, request):
+        return _telemetry(request.param)
+
+    def test_repr_keeps_the_keyword_form(self, telemetry):
+        path = telemetry.critical_paths[0]
+        assert repr(path).startswith(f"CriticalPath(req_id={path.req_id}, ")
+        for segment in path.segments:
+            assert type(segment) is Segment
+            assert repr(segment) == (
+                f"Segment(name={segment.name!r}, "
+                f"start_s={segment.start_s!r}, end_s={segment.end_s!r}, "
+                f"shard_id={segment.shard_id!r}, "
+                f"detail={segment.detail!r})")
+
+    def test_stage_keys_are_unchanged(self, telemetry):
+        keys = set()
+        for path in telemetry.critical_paths:
+            for segment in path.segments:
+                expected = (f"batch:{segment.detail}"
+                            if segment.name == "batch" and segment.detail
+                            else segment.name)
+                assert segment.stage == expected
+                keys.add(segment.stage)
+        assert "batch:ok" in keys
+        assert keys & {"backoff", "failover_wait", "batch:recompute",
+                       "batch:corrupted", "batch:timeout",
+                       "batch:interrupted"}
+
+    def test_fields_are_read_only(self, telemetry):
+        path = telemetry.critical_paths[0]
+        with pytest.raises(AttributeError):
+            path.tti_s = 0.0
+        with pytest.raises(AttributeError):
+            path.segments[0].start_s = 0.0
+
+    def test_stage_fold_is_bitwise_the_paths_totals(self, telemetry):
+        assert len(telemetry.stage_totals) == len(telemetry.critical_paths)
+        for totals, path in zip(telemetry.stage_totals,
+                                telemetry.critical_paths):
+            assert repr(totals) == repr(path.stage_totals())
+            assert repr(totals.get("queue_wait", 0.0)) \
+                == repr(path.stage_seconds("queue_wait"))
+
+
+def _assert_dispatch_ordered(result):
+    dispatches = [batch.dispatch_s for batch in result.batches]
+    assert dispatches == sorted(dispatches)
+
+
+class TestDispatchOrder:
+    """Legs walk ``result.batches`` in list order, which the scheduler
+    makes dispatch order; the builder rejects any other order."""
+
+    @_GENERATED
+    @given(case=serve_configs())
+    def test_static_batches_are_in_dispatch_order(self, case):
+        config, _with_telemetry = case
+        _assert_dispatch_ordered(
+            ServingSimulator(config)._simulate(capture=True).result)
+
+    @_GENERATED
+    @given(config=chaotic_elastic_configs())
+    def test_elastic_batches_are_in_dispatch_order(self, config):
+        _assert_dispatch_ordered(
+            ScaleSimulator(config)._run_record(capture=True).result)
+
+    @pytest.mark.parametrize("workload", FAULT_CONFIGS)
+    def test_golden_fault_batches_are_in_dispatch_order(self, workload):
+        _assert_dispatch_ordered(_telemetry(workload).builder.result)
+
+    def test_out_of_order_result_rejected(self):
+        sim = ServingSimulator(golden_fault_config())
+        result = sim._simulate().result
+        batches = list(result.batches)
+        # Swap two batches whose dispatch times differ.
+        i = next(i for i in range(len(batches) - 1)
+                 if batches[i].dispatch_s < batches[i + 1].dispatch_s)
+        batches[i], batches[i + 1] = batches[i + 1], batches[i]
+        swapped = dataclasses.replace(result, batches=tuple(batches))
+        with pytest.raises(ValueError, match="dispatch order"):
+            TraceBuilder(swapped, sim.merge_s, sim.prefill_s)
 
 
 class TestStageTables:
