@@ -25,7 +25,8 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
-from ..telemetry.metrics import BurnWindow, window_burn_rate
+from ..telemetry.metrics import BurnWindow, require_error_budget, \
+    unchecked_burn_rate
 
 __all__ = ["BurnSignal"]
 
@@ -134,8 +135,10 @@ class BurnSignal:
 
         Bitwise ``[w.burn_rate(budget) for w in class_windows(...)]``,
         without building the windows (the elastic loop's per-tick read,
-        and the monitor's read between ticks).
+        and the monitor's read between ticks), checking the budget once
+        per read.
         """
+        require_error_budget(budget)
         start_s = now_s - self.window_s
         cursors = self._cursor
         burns = []
@@ -151,7 +154,7 @@ class BurnSignal:
             # record does.
             upto = len(done) if not done or done[-1] <= now_s \
                 else bisect_right(done, now_s, start)
-            burns.append(window_burn_rate(upto - start + late,
-                                          bad[upto] - bad[start] + late,
-                                          budget))
+            burns.append(unchecked_burn_rate(upto - start + late,
+                                             bad[upto] - bad[start] + late,
+                                             budget))
         return burns

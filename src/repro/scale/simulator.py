@@ -40,13 +40,15 @@ against the event heap instead of heap-pushed (taken first at equal
 times, exactly as if pushed before every other event), admission runs
 in bulk while every serving device is busy, the per-tick overdue
 count is the amortized-O(1)
-:class:`~repro.simcore.elastic.OverdueTracker`, the per-tick burn
-is a forward-cursor read of the signal's columns, and each slot
-caches its dispatch bytes and service times per topology;
+:class:`~repro.simcore.elastic.OverdueTracker` over the machine's own
+columns, the per-tick burn is a forward-cursor read of the signal's
+columns, and each slot caches its service times per topology;
 ``ServeConfig.engine`` selects only the static backend.  Per-request
 state stays in the machine's flat columns, so a plain :meth:`run`
-reports from them without building a ``RequestRecord``.  Every random
-draw (arrival process, priority classes, closed-loop think times) comes
+reports from them without building a ``RequestRecord``.  The loop
+runs no per-dispatch hook: the record replays each batch's slice
+(hence its bytes and stage table) from the log of re-anchors.  Every
+random draw (arrival process, priority classes, closed-loop think times) comes
 from seeded generators, so runs are bit-deterministic -- including
 across processes and ``PYTHONHASHSEED`` values.
 
@@ -77,6 +79,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -126,6 +129,12 @@ __all__ = [
 #: Driver event kinds, numbered after the shard machine's own.
 _WARM, _CONTROL, _ISSUE = \
     FIRST_DRIVER_KIND, FIRST_DRIVER_KIND + 1, FIRST_DRIVER_KIND + 2
+
+#: Per-event helpers: ``_new_tuple(Cls, (every field))`` builds a
+#: NamedTuple without its generated ``__new__`` frame, and ``_busy``
+#: reads a shard state's ``busy`` flag.
+_new_tuple = tuple.__new__
+_busy = attrgetter("busy")
 
 
 class ScaleConfigError(ScalePolicyError):
@@ -193,8 +202,9 @@ class ScaleAction(NamedTuple):
     """One autoscaler/admission decision, in event order.
 
     An immutable typed tuple, built once per control tick, shed and
-    topology change; its ``repr`` is the dataclass form,
-    ``ScaleAction(kind=..., ...)``.
+    topology change; the loop builds ticks and sheds with
+    ``tuple.__new__`` over every field, in field order.  Its ``repr``
+    is the dataclass form, ``ScaleAction(kind=..., ...)``.
     """
 
     # "tick" | "attach" | "warm" | "detach" | "drained" | "shed" | "dead"
@@ -337,29 +347,39 @@ class _Slot:
     """Elastic lifecycle of one device slot (queues live in the
     :class:`~repro.serve.scheduler.ShardMachine`)."""
 
-    __slots__ = ("chunk_count", "nbytes", "service_s", "serving",
-                 "warming", "draining")
+    __slots__ = ("chunk_count", "service_s", "serving", "warming",
+                 "draining")
 
     def __init__(self) -> None:
-        #: Chunks this device scans per query (frozen while draining).
+        #: Chunks this device scans per query (frozen while draining),
+        #: and the batch service time per batch size on that slice
+        #: (``service_s[b - 1]``), both set at every re-anchor.
         self.chunk_count = 0
-        #: Resident embedding bytes of the slice, and the batch service
-        #: time per batch size (``service_s[b - 1]``), both cached for
-        #: ``chunk_count`` by :meth:`anchor`.
-        self.nbytes = 0
         self.service_s: Tuple[float, ...] = ()
         self.serving = False
         self.warming = False
         self.draining = False
 
-    def anchor(self, count: int, pool: ElasticAPUDevicePool,
-               max_batch: int) -> None:
-        """Take a ``count``-chunk slice and cache its per-dispatch
-        costs from the pool (topology changes only)."""
-        self.chunk_count = count
-        self.nbytes = pool.embedding_bytes(count)
-        self.service_s = tuple(pool.service_seconds(count, b)
-                               for b in range(1, max_batch + 1))
+
+def _dispatch_counts(batches: List[ExecutedBatch],
+                     anchors: List[Tuple[int, int, int]]) -> List[int]:
+    """Each batch's slice chunk count at its dispatch.
+
+    ``anchors`` is the loop's ``(batch index, slot, chunk count)`` log,
+    one entry per re-anchor in event order: an entry applies to every
+    batch dispatched from that index on, until the slot's next entry
+    (a draining slot keeps its last one).
+    """
+    current: Dict[int, int] = {}
+    counts: List[int] = []
+    pending = iter(anchors)
+    entry = next(pending, None)
+    for index, batch in enumerate(batches):
+        while entry is not None and entry[0] <= index:
+            current[entry[1]] = entry[2]
+            entry = next(pending, None)
+        counts.append(current[batch.shard_id])
+    return counts
 
 
 class ScaleSimulator:
@@ -483,51 +503,59 @@ class ScaleSimulator:
         classes = policy.priorities
         shares = np.asarray(policy.shares, dtype=np.float64)
         max_batch = cfg.batch.max_batch
+        budget = auto.error_budget
+        interval_s = auto.control_interval_s
+        shed_at = [policy.admission.shed_queue_batches * cls.weight
+                   for cls in classes]
         controller = BurnRateController(auto)
-        signal = BurnSignal(auto.control_interval_s, cfg.slo_s,
-                            len(classes))
+        signal = BurnSignal(interval_s, cfg.slo_s, len(classes))
         injector = self._injector
 
         slots = [_Slot() for _ in range(pool.capacity)]
         serving: List[int] = list(range(cfg.n_shards))
-        for j, count in pool.counts_for(serving).items():
+        for j in serving:
             slots[j].serving = True
-            slots[j].anchor(count, pool, max_batch)
+        # The serving slots' shard states and queues, in ``serving``
+        # order; :func:`regroup` rebinds both (never edits them) at
+        # every change of ``serving``.
+        serving_states: List[Any] = []
+        serving_queues: List[List[int]] = []
+        # ``(batch index, slot, chunk count)`` per re-anchor: the
+        # record replays each batch's slice from it after the loop.
+        anchors: List[Tuple[int, int, int]] = []
         n_warming = 0
 
         priorities: Dict[int, int] = {}
         tti_latency: Dict[int, float] = {}
-        stage_tables: List[StageTable] = []
-        batch_bytes: List[int] = []
         actions: List[ScaleAction] = []
         shed_counts = [0 for _ in classes]
         class_burn_peaks = [0.0 for _ in classes]
         n_open = 0
-        n_shed = 0
+        n_attaches = n_detaches = n_failovers = 0
         pool_min = pool_max = len(serving)
         peak_burn = 0.0
         warmup_total = 0.0
-        overdue = OverdueTracker(cfg.slo_s, len(classes))
-
-        def on_dispatch(batch: ExecutedBatch) -> None:
-            slot = slots[batch.shard_id]
-            batch_bytes.append(slot.nbytes)
-            if capture:
-                stage_tables.append(pool.stage_table(
-                    batch.shard_id, slot.chunk_count,
-                    len(batch.request_ids)))
 
         note_completion = signal.note_completion
-        resolve_overdue = overdue.resolve
+        class_burns = signal.class_burns
+        slo_s = cfg.slo_s
+        decide = controller.decide
+        merge_memo = self._merge_memo
         merge_for = self._merge_for
         prefill_s = self.prefill_s
 
         def on_resolved(req_id: int, now: float) -> None:
             nonlocal n_open
             n_open -= 1
-            resolve_overdue(req_id)
-            merge = merge_for(required_col[req_id])
-            lat = (now - arrival_col[req_id]) + merge + prefill_s
+            arrival = arrival_col[req_id]
+            if overdue.read_s - arrival > slo_s:
+                # The last control tick counted it overdue.
+                settle_overdue(req_id)
+            required = required_col[req_id]
+            merge = merge_memo.get(required)
+            if merge is None:
+                merge = merge_for(required)
+            lat = (now - arrival) + merge + prefill_s
             tti_latency[req_id] = lat
             note_completion(now, lat, priorities[req_id])
             if closed is not None:
@@ -541,10 +569,8 @@ class ScaleSimulator:
             slot.serving = slot.draining = False
             if was_serving:
                 serving.remove(shard_id)
-                if serving:
-                    # Survivors take over the dead slice.
-                    retopo()
-                note_pool_size()
+                # Survivors take over the dead slice.
+                regroup()
             actions.append(ScaleAction(
                 kind="dead", t_s=now, shard_id=shard_id,
                 pool_size=len(serving)))
@@ -560,12 +586,35 @@ class ScaleSimulator:
             injector=injector, retry=cfg.retry,
             protected=cfg.integrity.enabled,
             ecc=ECCModel(cfg.ecc) if cfg.ecc.enabled else None,
-            on_dispatch=on_dispatch, on_resolved=on_resolved,
-            on_death=on_death)
+            on_resolved=on_resolved, on_death=on_death)
         heap, push, step = machine.heap, machine.push, machine.step
         shards, register = machine.shards, machine.register
         arrival_col, required_col = machine.arrival_s, machine.n_required
-        maybe_dispatch = machine.maybe_dispatch
+        maybe_dispatch, batches = machine.maybe_dispatch, machine.batches
+        # Overdue requests, counted over the machine's columns: each
+        # admission only appends its id.
+        overdue = OverdueTracker.sharing(slo_s, len(classes), arrival_col,
+                                         priorities, machine.done_s)
+        track_overdue = overdue.admitted.append
+        settle_overdue, overdue_counts = overdue.settle, overdue.counts
+
+        def regroup() -> None:
+            """Re-anchor every serving slot on the current topology,
+            and track the pool size and the serving states."""
+            nonlocal pool_min, pool_max, serving_states, serving_queues
+            if serving:
+                for j, count in pool.counts_for(serving).items():
+                    slots[j].chunk_count = count
+                    slots[j].service_s = tuple(
+                        pool.service_seconds(count, b)
+                        for b in range(1, max_batch + 1))
+                    anchors.append((len(batches), j, count))
+            pool_min = min(pool_min, len(serving))
+            pool_max = max(pool_max, len(serving))
+            serving_states = [shards[j] for j in serving]
+            serving_queues = [state.queue for state in serving_states]
+
+        regroup()
 
         # Open-loop arrivals are never heap-pushed: they are
         # pointer-merged against the heap, taken first at equal times.
@@ -598,15 +647,6 @@ class ScaleSimulator:
                 issues_pending += 1
         n_arrivals = len(arr_times)
 
-        def work_remains() -> bool:
-            return (n_open > 0 or issues_pending > 0
-                    or arr_ptr < n_arrivals or issued < n_expected)
-
-        def retopo() -> None:
-            """Re-anchor every serving slot on the current topology."""
-            for j, count in pool.counts_for(serving).items():
-                slots[j].anchor(count, pool, max_batch)
-
         def next_think(after_s: float) -> None:
             nonlocal issues_pending
             assert closed is not None
@@ -619,18 +659,16 @@ class ScaleSimulator:
         def admit(req_id: int, now: float, prio: int,
                   pressure: float) -> bool:
             """Shed or register one arrival; True when admitted."""
-            nonlocal n_open, n_shed
-            if pressure >= policy.admission.shed_queue_batches \
-                    * classes[prio].weight:
-                n_shed += 1
+            nonlocal n_open
+            if pressure >= shed_at[prio]:
                 shed_counts[prio] += 1
-                actions.append(ScaleAction(
-                    kind="shed", t_s=now, pool_size=len(serving),
-                    priority=classes[prio].name))
+                actions.append(_new_tuple(ScaleAction, (
+                    "shed", now, -1, len(serving), 0.0, 0.0,
+                    classes[prio].name, "", ())))
                 return False
             register(req_id, now, len(serving))
             n_open += 1
-            overdue.admit(req_id, now, prio)
+            track_overdue(req_id)
             return True
 
         def handle_arrival(req_id: int, now: float, prio: int) -> None:
@@ -641,12 +679,11 @@ class ScaleSimulator:
                 # scheduler's no-live-shards arrival), still counted
                 # against goodput.
                 n_open += 1
-                overdue.admit(req_id, now, prio)
+                track_overdue(req_id)
                 register(req_id, now, 0)
                 return
-            queued = sum(len(shards[j].queue) for j in serving)
-            if admit(req_id, now, prio,
-                     queued / (len(serving) * max_batch)):
+            if admit(req_id, now, prio, sum(map(len, serving_queues))
+                     / (len(serving) * max_batch)):
                 # Snapshot: a dispatch can declare the shard dead
                 # (permanent outage discovered at dispatch), and the
                 # death edits ``serving`` -- iterating the live list
@@ -659,14 +696,9 @@ class ScaleSimulator:
             elif closed is not None:
                 next_think(now)
 
-        def note_pool_size() -> None:
-            nonlocal pool_min, pool_max
-            pool_min = min(pool_min, len(serving))
-            pool_max = max(pool_max, len(serving))
-
         def attach_slots(now: float, burn: float, want: int,
                          reason: str = "") -> None:
-            nonlocal n_warming, warmup_total
+            nonlocal n_warming, warmup_total, n_attaches, n_failovers
             candidates = [j for j in range(pool.capacity)
                           if not (slots[j].serving or slots[j].warming
                                   or slots[j].draining or shards[j].dead)]
@@ -679,6 +711,8 @@ class ScaleSimulator:
                 slots[j].warming = True
                 n_warming += 1
                 warmup_total += warm_s
+                n_attaches += 1
+                n_failovers += reason == "failover"
                 push(now + warm_s, _WARM, j)
                 actions.append(ScaleAction(
                     kind="attach", t_s=now, shard_id=j,
@@ -692,12 +726,12 @@ class ScaleSimulator:
                 pool_size=len(serving)))
 
         def scale_down(now: float, burn: float) -> None:
-            j = serving[-1]
-            serving.remove(j)
+            nonlocal n_detaches
+            j = serving.pop()
             slots[j].serving = False
             slots[j].draining = True
-            retopo()
-            note_pool_size()
+            regroup()
+            n_detaches += 1
             actions.append(ScaleAction(
                 kind="detach", t_s=now, shard_id=j,
                 pool_size=len(serving), burn_rate=burn))
@@ -706,18 +740,18 @@ class ScaleSimulator:
 
         def control_tick(now: float) -> None:
             nonlocal peak_burn
-            class_burns = signal.class_burns(now, overdue.counts(now),
-                                             auto.error_budget)
+            burns = class_burns(now, overdue_counts(now), budget)
             burn = 0.0
-            for i, class_burn in enumerate(class_burns):
+            for i, class_burn in enumerate(burns):
                 if class_burn > class_burn_peaks[i]:
                     class_burn_peaks[i] = class_burn
                 if class_burn > burn:
                     burn = class_burn
-            peak_burn = max(peak_burn, burn)
-            actions.append(ScaleAction(
-                kind="tick", t_s=now, pool_size=len(serving),
-                burn_rate=burn, class_burns=tuple(class_burns)))
+            if burn > peak_burn:
+                peak_burn = burn
+            actions.append(_new_tuple(ScaleAction, (
+                "tick", now, -1, len(serving), burn, 0.0, "", "",
+                tuple(burns))))
             pressure = 0
             if injector is not None:
                 # Fault pressure: deaths/stall onsets noted inside the
@@ -728,24 +762,24 @@ class ScaleSimulator:
                 for j in serving:
                     if injector.multiplier(j, now) > 1.0:
                         pressure += 1
-            verdict = controller.decide(now, burn, len(serving),
-                                        n_warming, pressure)
+            verdict = decide(now, burn, len(serving), n_warming, pressure)
             if verdict == SCALE_UP:
                 room = auto.max_shards - (len(serving) + n_warming)
                 attach_slots(now, burn, min(auto.scale_up_step, room))
             elif verdict == SCALE_DOWN:
                 scale_down(now, burn)
-            if work_remains():
-                push(now + auto.control_interval_s, _CONTROL, None)
+            if n_open > 0 or issues_pending > 0 or arr_ptr < n_arrivals \
+                    or issued < n_expected:  # work remains
+                push(now + interval_s, _CONTROL, None)
 
-        push(auto.control_interval_s, _CONTROL, None)
+        push(interval_s, _CONTROL, None)
 
         while heap or arr_ptr < n_arrivals:
             if arr_ptr < n_arrivals \
                     and (not heap or arr_times[arr_ptr] <= heap[0][0]):
                 # Taking arrivals on ``<=`` replays a heap where they
                 # were pushed before every other event.
-                if serving and all(shards[j].busy for j in serving):
+                if serving and all(map(_busy, serving_states)):
                     # Bulk admission: while every serving device is
                     # busy, an admitted arrival only appends to queues
                     # (each dispatch attempt would be a busy no-op), so
@@ -754,9 +788,10 @@ class ScaleSimulator:
                     # integer sum -- hence the float division -- that
                     # handle_arrival computes per arrival.
                     horizon = heap[0][0] if heap else math.inf
-                    queued = sum(len(shards[j].queue) for j in serving)
-                    denom = len(serving) * max_batch
+                    queued = sum(map(len, serving_queues))
                     width = len(serving)
+                    denom = width * max_batch
+                    queues = serving_queues
                     while arr_ptr < n_arrivals \
                             and arr_times[arr_ptr] <= horizon:
                         now = arr_times[arr_ptr]
@@ -764,8 +799,8 @@ class ScaleSimulator:
                         arr_ptr += 1
                         if admit(req_id, now, priorities[req_id],
                                  queued / denom):
-                            for shard_id in serving:
-                                shards[shard_id].queue.append(req_id)
+                            for queue in queues:
+                                queue.append(req_id)
                             queued += width
                 else:
                     now = arr_times[arr_ptr]
@@ -789,8 +824,7 @@ class ScaleSimulator:
                 n_warming -= 1
                 serving.append(payload)
                 serving.sort()
-                retopo()
-                note_pool_size()
+                regroup()
                 actions.append(ScaleAction(
                     kind="warm", t_s=now, shard_id=payload,
                     pool_size=len(serving)))
@@ -811,10 +845,29 @@ class ScaleSimulator:
                                     merge_by_required, shed_counts, actions,
                                     pool_min, pool_max, len(serving),
                                     peak_burn, warmup_total,
-                                    class_burn_peaks)
+                                    class_burn_peaks, n_attaches,
+                                    n_detaches, n_failovers)
+        # Each batch's slice, replayed from the anchor log: here for a
+        # captured run's stage tables, else when a view first reads the
+        # batch bytes.
+        counts = _dispatch_counts(batches, anchors) if capture else None
+        stage_tables: Optional[List[StageTable]] = None
+        if counts is not None:
+            stage_tables = [
+                pool.stage_table(batch.shard_id, count,
+                                 len(batch.request_ids))
+                for batch, count in zip(batches, counts)]
+
+        def materialize() -> Tuple[Any, List[int]]:
+            slices = counts if counts is not None \
+                else _dispatch_counts(batches, anchors)
+            nbytes = {count: pool.embedding_bytes(count)
+                      for count in set(slices)}
+            return machine.result(), [nbytes[count] for count in slices]
+
         record = RunRecord(
             report=report, config=cfg, params=self.params,
-            materialize=lambda: (machine.result(), batch_bytes),
+            materialize=materialize,
             merge=merge_by_required,
             # A zero-width request (admitted while every device was
             # dead) merges nothing.
@@ -823,10 +876,10 @@ class ScaleSimulator:
                 for n in merge_by_required},
             prefill_s=self.prefill_s,
             metrics=build_scale_metrics,
-            error_budget=auto.error_budget,
+            error_budget=budget,
             host_lane=pool.capacity,
-            cadence_s=auto.control_interval_s,
-            stage_tables=stage_tables if capture else None,
+            cadence_s=interval_s,
+            stage_tables=stage_tables,
             tti_by_req=tti_latency,
             class_names=tuple(cls.name for cls in classes),
             priorities=priorities,
@@ -848,7 +901,8 @@ class ScaleSimulator:
                       actions: List[ScaleAction],
                       pool_min: int, pool_max: int, pool_final: int,
                       peak_burn: float, warmup_total: float,
-                      class_burn_peaks: List[float]) -> ScaleReport:
+                      class_burn_peaks: List[float], n_attaches: int,
+                      n_detaches: int, n_failovers: int) -> ScaleReport:
         """The report, read from the machine's per-request columns.
 
         Samples run in ``req_id`` order with the record arithmetic
@@ -902,8 +956,8 @@ class ScaleSimulator:
             pool_min=pool_min,
             pool_max=pool_max,
             pool_final=pool_final,
-            n_attaches=sum(1 for a in actions if a.kind == "attach"),
-            n_detaches=sum(1 for a in actions if a.kind == "detach"),
+            n_attaches=n_attaches,
+            n_detaches=n_detaches,
             warmup_total_s=warmup_total,
             shard_utilization=tuple(utilization(
                 [state.busy_s for state in machine.shards],
@@ -922,8 +976,7 @@ class ScaleSimulator:
                 (cls.name, class_burn_peaks[i])
                 for i, cls in enumerate(classes)),
             n_shard_failures=len(machine.death_times),
-            n_failovers=sum(1 for a in actions if a.kind == "attach"
-                            and a.reason == "failover"),
+            n_failovers=n_failovers,
             n_timeouts=machine.n_timeouts,
             n_interrupted=machine.n_interrupted,
             n_retries=machine.n_retries,

@@ -87,6 +87,10 @@ __all__ = [
     "DiscreteEventScheduler",
 ]
 
+#: Builds a NamedTuple from all of its fields without the generated
+#: ``__new__`` frame: ``_new_tuple(ExecutedBatch, (every field))``.
+_new_tuple = tuple.__new__
+
 #: Event kinds :meth:`ShardMachine.step` handles; drivers number their
 #: own kinds from :data:`FIRST_DRIVER_KIND` up on the same heap.
 TIMER, DONE, FAIL, WAKE = 0, 1, 2, 3
@@ -170,8 +174,11 @@ class ExecutedBatch(NamedTuple):
 
     An immutable typed tuple: the event loop builds one per dispatch,
     so construction cost is per-event cost (a frozen dataclass pays one
-    ``object.__setattr__`` per field).  Its ``repr`` is the dataclass
-    form, ``ExecutedBatch(shard_id=..., ...)``.
+    ``object.__setattr__`` per field).  The machine builds it with
+    ``tuple.__new__`` over every field, in field order, which skips the
+    generated ``__new__`` frame; a field added here must be added there
+    too.  Its ``repr`` is the dataclass form,
+    ``ExecutedBatch(shard_id=..., ...)``.
     """
 
     shard_id: int
@@ -383,8 +390,12 @@ class ShardMachine(_FaultTallies):
     Hooks:
 
     * ``service_time(shard_id, batch_size) -> seconds`` at every
-      dispatch (so a failover may reprice it mid-run);
-    * ``on_dispatch(batch)`` after every dispatch;
+      dispatch (so a failover may reprice it mid-run), checked positive
+      and finite;
+    * ``on_dispatch(batch)`` after every dispatch.  Optional, and one
+      Python call per batch when set: the static recorded path notes
+      each batch's slice with it, while the elastic loop passes none
+      and replays the slices from its log of re-anchors;
     * ``on_resolved(req_id, t_s)`` when a request's scatter-gather
       resolves;
     * ``on_death(shard_id, t_s)`` once per death, after the dead
@@ -485,18 +496,21 @@ class ShardMachine(_FaultTallies):
     def _dispatch(self, shard_id: int, now: float) -> None:
         state = self.shards[shard_id]
         queue = state.queue
-        take = min(self.max_batch, len(queue))
+        take = len(queue)
+        if take > self.max_batch:
+            take = self.max_batch
         head_enqueue = self.arrival_s[queue[0]]
         request_ids = tuple(queue[:take])
         del queue[:take]
         base = float(self.service_time(shard_id, take))
-        if not math.isfinite(base) or base <= 0:
+        if not 0.0 < base < math.inf:  # also rejects NaN
             raise ValueError(
                 f"service_time must be positive and finite, got "
                 f"{base!r} for shard {shard_id} batch {take}")
         if self.injector is None:
-            batch = ExecutedBatch(shard_id, state.batch_seq, now, base,
-                                  request_ids, head_enqueue, state.failures)
+            batch = _new_tuple(ExecutedBatch, (
+                shard_id, state.batch_seq, now, base, request_ids,
+                head_enqueue, state.failures, 1.0, OUTCOME_OK, False, False))
         else:
             batch = self._judge(shard_id, now, base, request_ids,
                                 head_enqueue)
@@ -506,11 +520,9 @@ class ShardMachine(_FaultTallies):
         self.batches.append(batch)
         if self.on_dispatch is not None:
             self.on_dispatch(batch)
-        if batch.outcome == OUTCOME_OK:
-            heapq.heappush(self.heap, (now + batch.service_s,
-                                       self._next_seq(), DONE, batch))
-        else:
-            self.push(now + batch.service_s, FAIL, batch)
+        heapq.heappush(self.heap, (
+            now + batch.service_s, self._next_seq(),
+            DONE if batch.outcome == OUTCOME_OK else FAIL, batch))
 
     def _judge(self, shard_id: int, now: float, base_s: float,
                request_ids: Tuple[int, ...], head_enqueue_s: float
@@ -580,9 +592,10 @@ class ShardMachine(_FaultTallies):
         # verification that rejects it happens at the end.
         occupied = service if outcome in (OUTCOME_OK, OUTCOME_CORRUPTED) \
             else fail_at - now
-        return ExecutedBatch(shard_id, state.batch_seq, now, occupied,
-                             request_ids, head_enqueue_s, state.failures,
-                             multiplier, outcome, corrupted, recompute)
+        return _new_tuple(ExecutedBatch, (
+            shard_id, state.batch_seq, now, occupied, request_ids,
+            head_enqueue_s, state.failures, multiplier, outcome, corrupted,
+            recompute))
 
     def _fail(self, batch: ExecutedBatch, now: float) -> None:
         """Book one failed attempt completing at ``now``.
@@ -637,7 +650,8 @@ class ShardMachine(_FaultTallies):
             self._dispatch(shard_id, now)
         elif state.timer_armed_gen != state.gen:
             state.timer_armed_gen = state.gen
-            self.push(deadline, TIMER, (shard_id, state.gen))
+            heapq.heappush(self.heap, (deadline, self._next_seq(), TIMER,
+                                       (shard_id, state.gen)))
 
     def step(self, kind: int, payload, now: float) -> None:
         """Process one of the machine's own events."""

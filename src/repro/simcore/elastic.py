@@ -14,7 +14,7 @@ brute-force oracle in ``tests/simcore`` pins the equivalence).
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Any, Dict, List
 
 __all__ = ["OverdueTracker"]
 
@@ -29,16 +29,24 @@ class OverdueTracker:
     non-decreasing ``now``, and ``now - arrival > slo`` is monotone in
     ``now`` for a fixed arrival -- so once a request crosses the
     threshold it stays crossed until it resolves, and the cursor never
-    backs up.
+    backs up.  The crossed requests are a prefix of the admissions, so
+    the last read counted a request exactly when it was still open and
+    ``read_s - arrival > slo``.
 
     Exactness matters more than speed: :meth:`counts` applies the
     *identical* float comparison (``now_s - arrival_s > slo_s``) the
     scan would, in admission order, so it counts the same requests at
     every tick.
+
+    A standalone tracker is fed per request through :meth:`admit` and
+    :meth:`resolve`.  One built by :meth:`sharing` reads a driver's own
+    columns instead, so the driver pays no call per request: it appends
+    each admitted id to :attr:`admitted`, and at a resolution calls
+    :meth:`settle` only for a request the last read counted.
     """
 
-    __slots__ = ("_slo_s", "_n_classes", "_arrivals", "_classes",
-                 "_resolved", "_pos", "_cursor", "_counts")
+    __slots__ = ("slo_s", "admitted", "read_s", "_arrival", "_class",
+                 "_resolved", "_cursor", "_counts")
 
     def __init__(self, slo_s: float, n_classes: int):
         if not (math.isfinite(slo_s) and slo_s > 0):
@@ -47,41 +55,63 @@ class OverdueTracker:
         if n_classes < 1:
             raise ValueError(
                 f"n_classes must be >= 1, got {n_classes!r}")
-        self._slo_s = slo_s
-        self._n_classes = n_classes
-        self._arrivals: List[float] = []
-        self._classes: List[int] = []
-        self._resolved: List[bool] = []
-        self._pos: Dict[int, int] = {}
+        self.slo_s = slo_s
+        #: Admitted request ids, in admission order.
+        self.admitted: List[int] = []
+        #: Time of the last :meth:`counts` read.
+        self.read_s = -math.inf
+        self._arrival: Dict[int, float] = {}
+        self._class: Dict[int, int] = {}
+        #: Resolved ``req_id`` -> anything (a driver's done-time column).
+        self._resolved: Dict[int, Any] = {}
         self._cursor = 0
         self._counts = [0] * n_classes
 
+    @classmethod
+    def sharing(cls, slo_s: float, n_classes: int,
+                arrival_s: Dict[int, float], classes: Dict[int, int],
+                resolved: Dict[int, Any]) -> "OverdueTracker":
+        """A tracker over a driver's ``req_id`` -> arrival, -> class
+        and -> resolution columns, each filled before the request's id
+        is appended to :attr:`admitted` or settled."""
+        tracker = cls(slo_s, n_classes)
+        tracker._arrival = arrival_s
+        tracker._class = classes
+        tracker._resolved = resolved
+        return tracker
+
     def admit(self, req_id: int, arrival_s: float, class_idx: int) -> None:
         """Record one admitted request (call in admission order)."""
-        self._pos[req_id] = len(self._arrivals)
-        self._arrivals.append(arrival_s)
-        self._classes.append(class_idx)
-        self._resolved.append(False)
+        self._arrival[req_id] = arrival_s
+        self._class[req_id] = class_idx
+        self.admitted.append(req_id)
 
     def resolve(self, req_id: int) -> None:
         """Mark one request resolved (idempotent for unknown ids)."""
-        index = self._pos.pop(req_id, None)
-        if index is None:
-            return
-        self._resolved[index] = True
-        if index < self._cursor:
-            # Already counted overdue; it no longer is.
-            self._counts[self._classes[index]] -= 1
+        if req_id in self._arrival and req_id not in self._resolved:
+            self._resolved[req_id] = True
+            self.settle(req_id)
+
+    def settle(self, req_id: int) -> None:
+        """Stop counting a request that just resolved, if the last read
+        counted it."""
+        if self.read_s - self._arrival[req_id] > self.slo_s:
+            self._counts[self._class[req_id]] -= 1
 
     def counts(self, now_s: float) -> List[int]:
         """Per-class overdue counts at ``now_s`` (non-decreasing calls)."""
-        arrivals = self._arrivals
+        admitted, arrival = self.admitted, self._arrival
+        resolved, classes, counts = self._resolved, self._class, self._counts
         cursor = self._cursor
-        end = len(arrivals)
-        slo = self._slo_s
-        while cursor < end and now_s - arrivals[cursor] > slo:
-            if not self._resolved[cursor]:
-                self._counts[self._classes[cursor]] += 1
+        end = len(admitted)
+        slo = self.slo_s
+        while cursor < end:
+            req_id = admitted[cursor]
+            if not now_s - arrival[req_id] > slo:
+                break
+            if req_id not in resolved:
+                counts[classes[req_id]] += 1
             cursor += 1
         self._cursor = cursor
-        return list(self._counts)
+        self.read_s = now_s
+        return list(counts)

@@ -36,6 +36,8 @@ __all__ = [
     "MetricRegistrationError",
     "MetricsRegistry",
     "BurnWindow",
+    "require_error_budget",
+    "unchecked_burn_rate",
     "window_burn_rate",
     "slo_burn_windows",
     "DEFAULT_LATENCY_BOUNDS_S",
@@ -366,15 +368,27 @@ class BurnWindow:
         return window_burn_rate(self.n_requests, self.n_violations, budget)
 
 
+def require_error_budget(budget: float) -> None:
+    """Reject a non-positive error budget."""
+    if budget <= 0:
+        raise ValueError(f"error budget must be positive, "
+                         f"got {budget!r}")
+
+
+def unchecked_burn_rate(n_requests: int, n_violations: int,
+                        budget: float) -> float:
+    """:func:`window_burn_rate` for a budget the caller has already
+    passed through :func:`require_error_budget`."""
+    rate = n_violations / n_requests if n_requests else 0.0
+    return rate / budget
+
+
 def window_burn_rate(n_requests: int, n_violations: int,
                      budget: float) -> float:
     """:meth:`BurnWindow.burn_rate` of a window's counts, without
     building the window."""
-    if budget <= 0:
-        raise ValueError(f"error budget must be positive, "
-                         f"got {budget!r}")
-    rate = n_violations / n_requests if n_requests else 0.0
-    return rate / budget
+    require_error_budget(budget)
+    return unchecked_burn_rate(n_requests, n_violations, budget)
 
 
 def slo_burn_windows(arrivals_s: Sequence[float],

@@ -88,3 +88,31 @@ def test_resolving_an_unknown_id_is_a_no_op():
     tracker.admit(0, 0.0, 0)
     tracker.resolve(7)
     assert tracker.counts(1.0) == [1]
+
+
+@settings(deadline=None, max_examples=200)
+@given(steps=EVENT_STREAMS)
+def test_shared_columns_match_brute_scan(steps):
+    """The elastic loop's use: the tracker reads the driver's columns,
+    and a resolution settles only what the last read counted."""
+    arrival_s, classes, done_s = {}, {}, {}
+    tracker = OverdueTracker.sharing(SLO_S, N_CLASSES, arrival_s, classes,
+                                     done_s)
+    open_requests = {}
+    now = 0.0
+    next_id = 0
+    for dt, op, class_idx, pick in steps:
+        now += dt
+        if op == "admit":
+            arrival_s[next_id], classes[next_id] = now, class_idx
+            tracker.admitted.append(next_id)
+            open_requests[next_id] = (now, class_idx)
+            next_id += 1
+        elif op == "resolve" and open_requests:
+            req_id = sorted(open_requests)[pick % len(open_requests)]
+            done_s[req_id] = now
+            if tracker.read_s - arrival_s[req_id] > SLO_S:
+                tracker.settle(req_id)
+            del open_requests[req_id]
+        elif op == "tick":
+            assert tracker.counts(now) == brute_counts(open_requests, now)
