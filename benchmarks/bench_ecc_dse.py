@@ -156,15 +156,18 @@ def _run_serve_grid():
 
 def _run_clock_dse():
     """Per-tier DSE: batch cost vs device clock (decode tax scaling)."""
-    from repro.serve.simulator import ShardServiceModel
+    from repro.serve.sharding import shard_chunk_counts
+    from repro.serve.simulator import SliceCostModel
 
     base = golden_ecc_config()
+    shard0 = shard_chunk_counts(base.spec.n_chunks, base.n_shards)[0]
     sweeps = {}
     for name, cfg in TIERS:
         def batch_latency_us(params, cfg=cfg):
-            model = ShardServiceModel(base.spec, base.n_shards, k=base.k,
-                                      params=params, ecc=cfg)
-            return model.batch_seconds(0, base.batch.max_batch) * 1e6
+            model = SliceCostModel(base.spec, k=base.k, params=params,
+                                   ecc=cfg)
+            return model.service_seconds(shard0,
+                                         base.batch.max_batch) * 1e6
 
         explorer = DesignSpaceExplorer(batch_latency_us, DEFAULT_PARAMS)
         result = explorer.sweep("clock_hz", CLOCK_SWEEP_HZ)

@@ -2,8 +2,8 @@
 
 Drives a million-query saturated Poisson stream (200 GB corpus, 8
 shards, full batches of 16) through ``VectorizedScheduler.run_arrays``
-and the same workload's leading slice through the scalar
-``DiscreteEventScheduler``, and reports simulated events per
+and the same workload's leading slice through the scalar event loop
+(``PoolLoop`` pinned to the fleet), and reports simulated events per
 wall-second for both.  A second, light-load row runs the plain
 ``repro serve`` shape (60k Poisson arrivals at 600 qps on the same
 fleet), where the scan spends its time in per-batch scalar steps
@@ -35,9 +35,8 @@ import time
 import pytest
 
 from repro.rag.corpus import PAPER_CORPORA
-from repro.serve import BatchPolicy, ServeConfig, ServingSimulator, \
-    poisson_arrival_times, poisson_arrivals
-from repro.serve.scheduler import DiscreteEventScheduler
+from repro.serve import BatchPolicy, PoolLoop, SliceCostModel, \
+    poisson_arrival_times, shard_chunk_counts
 from repro.simcore import VectorizedScheduler
 
 N_VECTORIZED = 1_000_000
@@ -57,12 +56,19 @@ _POLICY = BatchPolicy(max_batch=16, max_wait_s=2e-3)
 
 
 def _service_model():
-    """The anchored 200 GB / 8-shard batch-service model (the same one
-    ``ServeConfig`` deployments use -- not a synthetic stand-in)."""
-    config = ServeConfig(
-        spec=PAPER_CORPORA["200GB"], n_shards=N_SHARDS, batch=_POLICY,
-        qps=OFFERED_QPS, n_requests=N_SCALAR, seed=SEED, slo_s=5.0)
-    return ServingSimulator(config).service_model.batch_seconds
+    """The anchored 200 GB / 8-shard batch-service model: each shard's
+    slice priced by the ``SliceCostModel`` that ``ServeConfig``
+    deployments use -- not a synthetic stand-in."""
+    spec = PAPER_CORPORA["200GB"]
+    model = SliceCostModel(spec, k=5)
+    counts = shard_chunk_counts(spec.n_chunks, N_SHARDS)
+    return lambda shard, size: model.service_seconds(counts[shard], size)
+
+
+def _scalar_run(service, arrival_s):
+    """One run of the scalar event loop (a fresh loop: each is
+    single-use) over a sorted arrival array."""
+    return PoolLoop(N_SHARDS, _POLICY, service).run(arrival_s)
 
 
 def _best_wall_s(fn, n):
@@ -110,18 +116,17 @@ def _measure():
     vec_wall_s = _best_wall_s(
         lambda: vectorized.run_arrays(arrivals), N_VEC_RUNS)
 
-    requests = poisson_arrivals(OFFERED_QPS, N_SCALAR, SEED)
-    scalar = DiscreteEventScheduler(N_SHARDS, _POLICY, service)
-    scalar_result = scalar.run(requests)
-    scalar_wall_s = _best_wall_s(lambda: scalar.run(requests),
-                                 N_SCALAR_RUNS)
+    scalar_arrivals = poisson_arrival_times(OFFERED_QPS, N_SCALAR, SEED)
+    scalar_result = _scalar_run(service, scalar_arrivals).result()
+    scalar_wall_s = _best_wall_s(
+        lambda: _scalar_run(service, scalar_arrivals), N_SCALAR_RUNS)
     scalar_events = N_SCALAR * N_SHARDS + 2 * len(scalar_result.batches)
 
     # Bit-identity on the scalar slice (also what the differential
     # suite proves exhaustively; here it guards the benchmark's own
     # workload).
     slice_arrays = VectorizedScheduler(N_SHARDS, _POLICY, service) \
-        .run_arrays(poisson_arrival_times(OFFERED_QPS, N_SCALAR, SEED))
+        .run_arrays(scalar_arrivals)
     return {
         "arrays": arrays,
         "vec_wall_s": vec_wall_s,
@@ -138,10 +143,10 @@ def _measure_light():
     arrays = vectorized.run_arrays(arrivals)  # shape + warm-up run
     vec_wall_s = _best_wall_s(
         lambda: vectorized.run_arrays(arrivals), N_VEC_RUNS)
-    scalar_result = DiscreteEventScheduler(N_SHARDS, _POLICY, service).run(
-        poisson_arrivals(LIGHT_QPS, N_LIGHT_SCALAR, SEED))
+    light_slice = poisson_arrival_times(LIGHT_QPS, N_LIGHT_SCALAR, SEED)
+    scalar_result = _scalar_run(service, light_slice).result()
     slice_arrays = VectorizedScheduler(N_SHARDS, _POLICY, service) \
-        .run_arrays(poisson_arrival_times(LIGHT_QPS, N_LIGHT_SCALAR, SEED))
+        .run_arrays(light_slice)
     return {
         "arrays": arrays,
         "vec_wall_s": vec_wall_s,

@@ -6,9 +6,9 @@ corpus is statically split ``capacity`` ways (the same round-robin
 :func:`~repro.serve.sharding.shard_chunk_counts` placement the static
 simulator uses); slots that are currently detached have their chunks
 redistributed over the attached slots, so the attached set always
-covers the full corpus.  After one death this is exactly the static
-simulator's reroute takeover; after two or more the placements can
-differ (see :meth:`~ElasticAPUDevicePool.counts_for`).
+covers the full corpus -- the one takeover rule a static fleet's
+reroute failover also places by
+(:func:`~repro.serve.simulator.counts_for`).
 
 Batches are priced by the one
 :class:`~repro.serve.simulator.SliceCostModel` the static fleet also
@@ -37,7 +37,7 @@ from ..integrity.config import IntegrityConfig
 from ..obs import collector as _trace_collector
 from ..rag.corpus import CorpusSpec
 from ..serve.sharding import shard_chunk_counts
-from ..serve.simulator import SliceCostModel
+from ..serve.simulator import SliceCostModel, counts_for
 from .policy import ElasticPoolError
 
 __all__ = ["ElasticAPUDevicePool"]
@@ -76,34 +76,11 @@ class ElasticAPUDevicePool(SliceCostModel):
         self._warmups: Dict[int, float] = {}
 
     def counts_for(self, attached: Sequence[int]) -> Dict[int, int]:
-        """Chunk count per attached slot under this topology.
-
-        Attached slots keep their base slice; the chunks of every
-        detached slot are pooled and redistributed over the attached
-        ones in slot order, earlier slots taking the remainder.  For one
-        detached slot this is the static simulator's takeover; for more
-        it is not, because the static takeover splits each death's
-        slice on top of the survivors' enlarged slices, one death at a
-        time (4 chunks on 4 slots, slot 0 then slot 2 gone: the static
-        fleet holds ``{1: 3, 3: 1}``, the pool ``{1: 2, 3: 2}``).
-        """
-        slots = sorted(set(attached))
-        if not slots:
-            raise ElasticPoolError(
-                "topology needs at least one attached slot; the pool "
-                "cannot serve the corpus with every device detached")
-        if slots[0] < 0 or slots[-1] >= self.capacity:
-            raise ElasticPoolError(
-                f"attached slots {slots!r} outside pool of capacity "
-                f"{self.capacity}; slot ids must be in "
-                f"[0, {self.capacity - 1}]")
-        counts = {slot: self.base_counts[slot] for slot in slots}
-        orphaned = self.spec.n_chunks - sum(counts.values())
-        if orphaned > 0:
-            extra = shard_chunk_counts(orphaned, len(slots))
-            for slot, gained in zip(slots, extra):
-                counts[slot] += gained
-        return counts
+        """Chunk count per attached slot under this topology: the
+        serving layer's one takeover rule,
+        :func:`~repro.serve.simulator.counts_for`, over the base
+        placement."""
+        return counts_for(self.base_counts, attached)
 
     def warmup_seconds(self, chunk_count: int) -> float:
         """Corpus DMA-in cost of attaching a cold slot.

@@ -3,9 +3,9 @@
 :class:`ScaleSimulator` drives a request stream through an *elastic*
 pool of simulated APU shard devices.  With no :class:`ScalePolicy` the
 configuration is a plain static deployment and the simulator runs it
-through :class:`~repro.serve.simulator.ServingSimulator` -- same event
-loop, same engines, same reports, bit for bit (the differential suite
-in ``tests/scale`` proves it).  Either way a run ends in one
+through :class:`~repro.serve.simulator.ServingSimulator` -- the same
+event loop, pinned, the same engines and the same reports, bit for bit
+(the differential suite in ``tests/scale`` proves it).  Either way a run ends in one
 :class:`~repro.serve.record.RunRecord`, and traces, telemetry and the
 monitor are the same views of it in both modes.  With a policy
 attached, the run becomes a closed control loop:
@@ -27,30 +27,29 @@ attached, the run becomes a closed control loop:
   slice (the mirror image of the static simulator's shard-death
   takeover), while new arrivals fan out to the remaining devices.
 
-The elastic loop drives the same
-:class:`~repro.serve.scheduler.ShardMachine` as the static scheduler --
-one implementation of batching, timeouts, outage interrupts, backoff
-retries, corruption detection + recompute, the ECC verdict, and death
-on retry-budget exhaustion -- and prices every batch with the same
-:class:`~repro.serve.simulator.SliceCostModel` (the pool is one), keyed
-by the slot's chunk count.  It keeps only what is elastic: admission
-and shedding, controller ticks, attach/warm-up/detach/drain, and the
-failover reaction to a death.  Open-loop arrivals are pointer-merged
-against the event heap instead of heap-pushed (taken first at equal
-times, exactly as if pushed before every other event), admission runs
-in bulk while every serving device is busy, the per-tick overdue
-count is the amortized-O(1)
+An elastic run drives the one serving event loop,
+:class:`~repro.serve.scheduler.PoolLoop` -- the loop a static fleet
+runs pinned to its devices.  The loop and its
+:class:`~repro.serve.scheduler.ShardMachine` hold everything the two
+share: batching, timeouts, outage interrupts, backoff retries,
+corruption detection + recompute, the ECC verdict, death on
+retry-budget exhaustion, the arrival merge with bulk admission while
+every serving device is busy, and the re-anchor of every serving slot
+(priced by the pool, a
+:class:`~repro.serve.simulator.SliceCostModel`, and logged so the
+record replays each batch's slice without a per-dispatch hook).  This
+module adds only what is elastic, as callbacks the loop calls:
+admission and shedding, controller ticks, attach/warm-up/detach/drain,
+closed-loop issues, and the failover reaction to a death.  The
+per-tick overdue count is the amortized-O(1)
 :class:`~repro.simcore.elastic.OverdueTracker` over the machine's own
 columns, the per-tick burn is a forward-cursor read of the signal's
-columns, and each slot caches its service times per topology;
-``ServeConfig.engine`` selects only the static backend.  Per-request
-state stays in the machine's flat columns, so a plain :meth:`run`
-reports from them without building a ``RequestRecord``.  The loop
-runs no per-dispatch hook: the record replays each batch's slice
-(hence its bytes and stage table) from the log of re-anchors.  Every
-random draw (arrival process, priority classes, closed-loop think times) comes
-from seeded generators, so runs are bit-deterministic -- including
-across processes and ``PYTHONHASHSEED`` values.
+columns, and ``ServeConfig.engine`` selects only the static backend.
+Per-request state stays in the machine's flat columns, so a plain
+:meth:`run` reports from them without building a ``RequestRecord``.
+Every random draw (arrival process, priority classes, closed-loop think
+times) comes from seeded generators, so runs are bit-deterministic --
+including across processes and ``PYTHONHASHSEED`` values.
 
 **Fault plans and ABFT integrity compose with the elastic loop**, which
 closes the control loop over the shared fault machinery:
@@ -62,13 +61,11 @@ closes the control loop over the shared fault machinery:
   pressure* -- pressure forces the controller's scale-up branch and
   vetoes scale-down;
 * a shard death triggers an immediate **failover attach** (bypassing
-  the cooldown): the dead slice is redistributed over the survivors --
-  for a first death exactly as the static reroute, for later ones by
-  pooling every detached slice
-  (:meth:`~repro.scale.pool.ElasticAPUDevicePool.counts_for`), where
-  the static fleet splits each death's slice in turn -- and a cold
-  spare streams its corpus slice in through the HBM model before
-  joining;
+  the cooldown): the dead slice is redistributed over the survivors by
+  the one takeover rule a static fleet's reroute also uses
+  (:func:`~repro.serve.simulator.counts_for`, pooling every detached
+  slice), and a cold spare streams its corpus slice in through the HBM
+  model before joining;
 * a stuck-at cell under protection burns the retry budget and
   escalates to the same replace-and-drain, so integrity faults cost
   latency, not permanent capacity.
@@ -76,10 +73,7 @@ closes the control loop over the shared fault machinery:
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -94,22 +88,15 @@ from ..obs import collector as _trace_collector
 from ..rag.corpus import PAPER_CORPORA
 from ..rag.generation import GenerationModel
 from ..serve.metrics import LatencyStats, slo_attainment, utilization
-from ..serve.scheduler import (
-    DONE,
-    FIRST_DRIVER_KIND,
-    BatchPolicy,
-    ExecutedBatch,
-    RetryPolicy,
-    ShardMachine,
-)
+from ..serve.scheduler import FIRST_DRIVER_KIND, BatchPolicy, PoolLoop, \
+    RetryPolicy, ShardMachine
 from ..serve.record import RunRecord, emit_run_trace, observe_run
 from ..serve.sharding import merge_cycles, merge_seconds
 from ..serve.simulator import ServeConfig, ServeReport, \
     ServingSimulator, ecc_line, latency_lines
-from ..serve.workload import ClosedLoopConfig, spike_arrival_times, \
-    validate_arrival_times
+from ..serve.workload import ClosedLoopConfig, poisson_arrival_times, \
+    spike_arrival_times, validate_arrival_times
 from ..simcore.elastic import OverdueTracker
-from ..telemetry.build import StageTable
 from .controller import SCALE_DOWN, SCALE_UP, BurnRateController
 from .policy import AutoscalePolicy, PoolBoundsError, ScalePolicy, \
     ScalePolicyError
@@ -126,15 +113,14 @@ __all__ = [
     "golden_autoscale_fault_config",
 ]
 
-#: Driver event kinds, numbered after the shard machine's own.
+#: Driver event kinds, numbered after the shard machine's own, in the
+#: order of the loop's handler table.
 _WARM, _CONTROL, _ISSUE = \
     FIRST_DRIVER_KIND, FIRST_DRIVER_KIND + 1, FIRST_DRIVER_KIND + 2
 
-#: Per-event helpers: ``_new_tuple(Cls, (every field))`` builds a
-#: NamedTuple without its generated ``__new__`` frame, and ``_busy``
-#: reads a shard state's ``busy`` flag.
+#: Builds a NamedTuple without its generated ``__new__`` frame:
+#: ``_new_tuple(Cls, (every field))``.
 _new_tuple = tuple.__new__
-_busy = attrgetter("busy")
 
 
 class ScaleConfigError(ScalePolicyError):
@@ -343,51 +329,13 @@ class ScaleReport:
         return "\n".join(lines)
 
 
-class _Slot:
-    """Elastic lifecycle of one device slot (queues live in the
-    :class:`~repro.serve.scheduler.ShardMachine`)."""
-
-    __slots__ = ("chunk_count", "service_s", "serving", "warming",
-                 "draining")
-
-    def __init__(self) -> None:
-        #: Chunks this device scans per query (frozen while draining),
-        #: and the batch service time per batch size on that slice
-        #: (``service_s[b - 1]``), both set at every re-anchor.
-        self.chunk_count = 0
-        self.service_s: Tuple[float, ...] = ()
-        self.serving = False
-        self.warming = False
-        self.draining = False
-
-
-def _dispatch_counts(batches: List[ExecutedBatch],
-                     anchors: List[Tuple[int, int, int]]) -> List[int]:
-    """Each batch's slice chunk count at its dispatch.
-
-    ``anchors`` is the loop's ``(batch index, slot, chunk count)`` log,
-    one entry per re-anchor in event order: an entry applies to every
-    batch dispatched from that index on, until the slot's next entry
-    (a draining slot keeps its last one).
-    """
-    current: Dict[int, int] = {}
-    counts: List[int] = []
-    pending = iter(anchors)
-    entry = next(pending, None)
-    for index, batch in enumerate(batches):
-        while entry is not None and entry[0] <= index:
-            current[entry[1]] = entry[2]
-            entry = next(pending, None)
-        counts.append(current[batch.shard_id])
-    return counts
-
-
 class ScaleSimulator:
     """Drive a request stream through the elastic serving stack.
 
-    Every elastic entry point runs one loop (:meth:`_run_elastic`) and
-    one report function (:meth:`_build_report`, which reads the shard
-    machine's per-request columns), and ends with the run's
+    Every elastic entry point drives the serving loop once
+    (:meth:`_run_elastic`) and builds one report (:meth:`_build_report`,
+    which reads the shard machine's per-request columns), and ends with
+    the run's
     :class:`~repro.serve.record.RunRecord` -- the same record a static
     configuration's :meth:`ServingSimulator._simulate` leaves, read by
     the same views.  Its ``result`` -- the ``ScheduleResult`` with its
@@ -502,7 +450,6 @@ class ScaleSimulator:
         auto = policy.autoscale
         classes = policy.priorities
         shares = np.asarray(policy.shares, dtype=np.float64)
-        max_batch = cfg.batch.max_batch
         budget = auto.error_budget
         interval_s = auto.control_interval_s
         shed_at = [policy.admission.shed_queue_batches * cls.weight
@@ -510,19 +457,6 @@ class ScaleSimulator:
         controller = BurnRateController(auto)
         signal = BurnSignal(interval_s, cfg.slo_s, len(classes))
         injector = self._injector
-
-        slots = [_Slot() for _ in range(pool.capacity)]
-        serving: List[int] = list(range(cfg.n_shards))
-        for j in serving:
-            slots[j].serving = True
-        # The serving slots' shard states and queues, in ``serving``
-        # order; :func:`regroup` rebinds both (never edits them) at
-        # every change of ``serving``.
-        serving_states: List[Any] = []
-        serving_queues: List[List[int]] = []
-        # ``(batch index, slot, chunk count)`` per re-anchor: the
-        # record replays each batch's slice from it after the loop.
-        anchors: List[Tuple[int, int, int]] = []
         n_warming = 0
 
         priorities: Dict[int, int] = {}
@@ -532,7 +466,7 @@ class ScaleSimulator:
         class_burn_peaks = [0.0 for _ in classes]
         n_open = 0
         n_attaches = n_detaches = n_failovers = 0
-        pool_min = pool_max = len(serving)
+        pool_min = pool_max = cfg.n_shards
         peak_burn = 0.0
         warmup_total = 0.0
 
@@ -561,16 +495,16 @@ class ScaleSimulator:
             if closed is not None:
                 next_think(now + merge + prefill_s)
 
-        def on_death(shard_id: int, now: float) -> None:
-            """The failover reaction: drop the slot from the topology,
-            note the fault on the signal, and attach a spare."""
-            slot = slots[shard_id]
-            was_serving = slot.serving
-            slot.serving = slot.draining = False
-            if was_serving:
-                serving.remove(shard_id)
-                # Survivors take over the dead slice.
-                regroup()
+        def track_pool() -> None:
+            nonlocal pool_min, pool_max
+            pool_min = min(pool_min, len(serving))
+            pool_max = max(pool_max, len(serving))
+
+        def on_death(shard_id: int, now: float, was_serving: bool) -> None:
+            """The failover reaction, once the loop has regrouped the
+            survivors: note the death on the signal and attach a
+            spare."""
+            track_pool()
             actions.append(ScaleAction(
                 kind="dead", t_s=now, shard_id=shard_id,
                 pool_size=len(serving)))
@@ -580,121 +514,22 @@ class ScaleSimulator:
                                               n_warming):
                     attach_slots(now, 0.0, 1, reason="failover")
 
-        machine = ShardMachine(
-            pool.capacity, cfg.batch,
-            lambda j, take: slots[j].service_s[take - 1],
-            injector=injector, retry=cfg.retry,
-            protected=cfg.integrity.enabled,
-            ecc=ECCModel(cfg.ecc) if cfg.ecc.enabled else None,
-            on_resolved=on_resolved, on_death=on_death)
-        heap, push, step = machine.heap, machine.push, machine.step
-        shards, register = machine.shards, machine.register
-        arrival_col, required_col = machine.arrival_s, machine.n_required
-        maybe_dispatch, batches = machine.maybe_dispatch, machine.batches
-        # Overdue requests, counted over the machine's columns: each
-        # admission only appends its id.
-        overdue = OverdueTracker.sharing(slo_s, len(classes), arrival_col,
-                                         priorities, machine.done_s)
-        track_overdue = overdue.admitted.append
-        settle_overdue, overdue_counts = overdue.settle, overdue.counts
-
-        def regroup() -> None:
-            """Re-anchor every serving slot on the current topology,
-            and track the pool size and the serving states."""
-            nonlocal pool_min, pool_max, serving_states, serving_queues
-            if serving:
-                for j, count in pool.counts_for(serving).items():
-                    slots[j].chunk_count = count
-                    slots[j].service_s = tuple(
-                        pool.service_seconds(count, b)
-                        for b in range(1, max_batch + 1))
-                    anchors.append((len(batches), j, count))
-            pool_min = min(pool_min, len(serving))
-            pool_max = max(pool_max, len(serving))
-            serving_states = [shards[j] for j in serving]
-            serving_queues = [state.queue for state in serving_states]
-
-        regroup()
-
-        # Open-loop arrivals are never heap-pushed: they are
-        # pointer-merged against the heap, taken first at equal times.
-        closed = self.config.closed_loop
-        arr_times: List[float] = []
-        arr_ptr = 0
-        issues_pending = 0
-        if closed is None:
-            if self.config.arrivals is not None:
-                arr_times = list(self.config.arrivals)
-            else:
-                rng_arrival = np.random.default_rng(cfg.seed)
-                gaps = rng_arrival.exponential(
-                    1.0 / cfg.qps, size=cfg.n_requests)
-                arr_times = np.cumsum(gaps).tolist()
-            rng_priority = np.random.default_rng([cfg.seed, 101])
-            assigned = rng_priority.choice(
-                len(classes), size=len(arr_times), p=shares)
-            n_expected = issued = len(arr_times)
-            priorities.update(enumerate(assigned.tolist()))
-        else:
-            rng_priority = np.random.default_rng([closed.seed, 101])
-            rng_think = np.random.default_rng([closed.seed, 211])
-            n_expected = closed.n_requests
-            issued = 0
-            offsets = rng_think.exponential(
-                closed.think_time_s, size=closed.n_clients)
-            for client, offset in enumerate(offsets):
-                push(float(offset), _ISSUE, client)
-                issues_pending += 1
-        n_arrivals = len(arr_times)
-
-        def next_think(after_s: float) -> None:
-            nonlocal issues_pending
-            assert closed is not None
-            if issued >= n_expected:
-                return
-            think = float(rng_think.exponential(closed.think_time_s))
-            push(after_s + think, _ISSUE, -1)
-            issues_pending += 1
-
-        def admit(req_id: int, now: float, prio: int,
-                  pressure: float) -> bool:
+        def admit(req_id: int, now: float, pressure: float) -> bool:
             """Shed or register one arrival; True when admitted."""
             nonlocal n_open
+            prio = priorities[req_id]
             if pressure >= shed_at[prio]:
                 shed_counts[prio] += 1
                 actions.append(_new_tuple(ScaleAction, (
                     "shed", now, -1, len(serving), 0.0, 0.0,
                     classes[prio].name, "", ())))
+                if closed is not None:
+                    next_think(now)
                 return False
             register(req_id, now, len(serving))
             n_open += 1
             track_overdue(req_id)
             return True
-
-        def handle_arrival(req_id: int, now: float, prio: int) -> None:
-            nonlocal n_open
-            if not serving:
-                # Every device is dead, draining, or still warming:
-                # the request resolves empty-handed (the static
-                # scheduler's no-live-shards arrival), still counted
-                # against goodput.
-                n_open += 1
-                track_overdue(req_id)
-                register(req_id, now, 0)
-                return
-            if admit(req_id, now, prio, sum(map(len, serving_queues))
-                     / (len(serving) * max_batch)):
-                # Snapshot: a dispatch can declare the shard dead
-                # (permanent outage discovered at dispatch), and the
-                # death edits ``serving`` -- iterating the live list
-                # would silently skip the next member.
-                for shard_id in list(serving):
-                    state = shards[shard_id]
-                    state.queue.append(req_id)
-                    if not state.busy:
-                        maybe_dispatch(shard_id, now)
-            elif closed is not None:
-                next_think(now)
 
         def attach_slots(now: float, burn: float, want: int,
                          reason: str = "") -> None:
@@ -731,6 +566,7 @@ class ScaleSimulator:
             slots[j].serving = False
             slots[j].draining = True
             regroup()
+            track_pool()
             n_detaches += 1
             actions.append(ScaleAction(
                 kind="detach", t_s=now, shard_id=j,
@@ -738,7 +574,7 @@ class ScaleSimulator:
             if not shards[j].queue and not shards[j].busy:
                 note_drained(j, now)
 
-        def control_tick(now: float) -> None:
+        def control_tick(_payload: None, now: float) -> None:
             nonlocal peak_burn
             burns = class_burns(now, overdue_counts(now), budget)
             burn = 0.0
@@ -768,75 +604,93 @@ class ScaleSimulator:
                 attach_slots(now, burn, min(auto.scale_up_step, room))
             elif verdict == SCALE_DOWN:
                 scale_down(now, burn)
-            if n_open > 0 or issues_pending > 0 or arr_ptr < n_arrivals \
-                    or issued < n_expected:  # work remains
+            # Work remains: open requests, pending issues, or open-loop
+            # arrivals not yet taken (each taken one was registered or
+            # shed).
+            if n_open > 0 or issues_pending > 0 or issued < n_expected \
+                    or len(arrival_col) + sum(shed_counts) < n_arrivals:
                 push(now + interval_s, _CONTROL, None)
 
-        push(interval_s, _CONTROL, None)
+        def warm(j: int, now: float) -> None:
+            nonlocal n_warming
+            slots[j].warming = False
+            slots[j].serving = True
+            n_warming -= 1
+            serving.append(j)
+            serving.sort()
+            regroup()
+            track_pool()
+            actions.append(ScaleAction(
+                kind="warm", t_s=now, shard_id=j, pool_size=len(serving)))
 
-        while heap or arr_ptr < n_arrivals:
-            if arr_ptr < n_arrivals \
-                    and (not heap or arr_times[arr_ptr] <= heap[0][0]):
-                # Taking arrivals on ``<=`` replays a heap where they
-                # were pushed before every other event.
-                if serving and all(map(_busy, serving_states)):
-                    # Bulk admission: while every serving device is
-                    # busy, an admitted arrival only appends to queues
-                    # (each dispatch attempt would be a busy no-op), so
-                    # the queue-pressure shed test is the whole
-                    # decision.  The incremental counter reproduces the
-                    # integer sum -- hence the float division -- that
-                    # handle_arrival computes per arrival.
-                    horizon = heap[0][0] if heap else math.inf
-                    queued = sum(map(len, serving_queues))
-                    width = len(serving)
-                    denom = width * max_batch
-                    queues = serving_queues
-                    while arr_ptr < n_arrivals \
-                            and arr_times[arr_ptr] <= horizon:
-                        now = arr_times[arr_ptr]
-                        req_id = arr_ptr
-                        arr_ptr += 1
-                        if admit(req_id, now, priorities[req_id],
-                                 queued / denom):
-                            for queue in queues:
-                                queue.append(req_id)
-                            queued += width
-                else:
-                    now = arr_times[arr_ptr]
-                    req_id = arr_ptr
-                    arr_ptr += 1
-                    handle_arrival(req_id, now, priorities[req_id])
-                continue
-            now, _, kind, payload = heapq.heappop(heap)
-            if kind < FIRST_DRIVER_KIND:
-                step(kind, payload, now)
-                if kind == DONE:
-                    j = payload.shard_id
-                    if slots[j].draining and not shards[j].queue \
-                            and not shards[j].busy:
-                        note_drained(j, now)
-            elif kind == _CONTROL:
-                control_tick(now)
-            elif kind == _WARM:
-                slots[payload].warming = False
-                slots[payload].serving = True
-                n_warming -= 1
-                serving.append(payload)
-                serving.sort()
-                regroup()
-                actions.append(ScaleAction(
-                    kind="warm", t_s=now, shard_id=payload,
-                    pool_size=len(serving)))
-            else:  # _ISSUE
-                issues_pending -= 1
-                if issued >= n_expected:
-                    continue
-                req_id = issued
-                issued += 1
-                prio = int(rng_priority.choice(len(classes), p=shares))
-                priorities[req_id] = prio
-                handle_arrival(req_id, now, prio)
+        def issue(_client: int, now: float) -> None:
+            nonlocal issues_pending, issued
+            issues_pending -= 1
+            if issued >= n_expected:
+                return
+            req_id = issued
+            issued += 1
+            prio = int(rng_priority.choice(len(classes), p=shares))
+            priorities[req_id] = prio
+            loop.arrive(req_id, now)
+
+        loop = PoolLoop(
+            pool.capacity, cfg.batch, model=pool, place=pool.counts_for,
+            n_serving=cfg.n_shards, injector=injector, retry=cfg.retry,
+            protected=cfg.integrity.enabled,
+            ecc=ECCModel(cfg.ecc) if cfg.ecc.enabled else None,
+            on_resolved=on_resolved, on_death=on_death, admit=admit,
+            drivers=(warm, control_tick, issue),
+            drained=note_drained)
+        machine = loop.machine
+        serving, slots, regroup = loop.serving, loop.slots, loop.regroup
+        shards, register, push = machine.shards, machine.register, \
+            machine.push
+        arrival_col, required_col = machine.arrival_s, machine.n_required
+        # Overdue requests, counted over the machine's columns: each
+        # admission only appends its id.
+        overdue = OverdueTracker.sharing(slo_s, len(classes), arrival_col,
+                                         priorities, machine.done_s)
+        track_overdue = overdue.admitted.append
+        settle_overdue, overdue_counts = overdue.settle, overdue.counts
+
+        closed = self.config.closed_loop
+        arr_times: List[float] = []
+        issues_pending = 0
+        if closed is None:
+            if self.config.arrivals is not None:
+                arr_times = list(self.config.arrivals)
+            else:
+                arr_times = poisson_arrival_times(
+                    cfg.qps, cfg.n_requests, cfg.seed).tolist()
+            rng_priority = np.random.default_rng([cfg.seed, 101])
+            assigned = rng_priority.choice(
+                len(classes), size=len(arr_times), p=shares)
+            n_expected = issued = len(arr_times)
+            priorities.update(enumerate(assigned.tolist()))
+        else:
+            rng_priority = np.random.default_rng([closed.seed, 101])
+            rng_think = np.random.default_rng([closed.seed, 211])
+            n_expected = closed.n_requests
+            issued = 0
+            offsets = rng_think.exponential(
+                closed.think_time_s, size=closed.n_clients)
+            for client, offset in enumerate(offsets):
+                push(float(offset), _ISSUE, client)
+                issues_pending += 1
+        n_arrivals = len(arr_times)
+
+        def next_think(after_s: float) -> None:
+            nonlocal issues_pending
+            assert closed is not None
+            if issued >= n_expected:
+                return
+            think = float(rng_think.exponential(closed.think_time_s))
+            push(after_s + think, _ISSUE, -1)
+            issues_pending += 1
+
+        push(interval_s, _CONTROL, None)
+        loop.run(arr_times)
 
         if not arrival_col:  # pragma: no cover - first arrival admits
             raise RuntimeError("every offered request was shed")
@@ -847,27 +701,9 @@ class ScaleSimulator:
                                     peak_burn, warmup_total,
                                     class_burn_peaks, n_attaches,
                                     n_detaches, n_failovers)
-        # Each batch's slice, replayed from the anchor log: here for a
-        # captured run's stage tables, else when a view first reads the
-        # batch bytes.
-        counts = _dispatch_counts(batches, anchors) if capture else None
-        stage_tables: Optional[List[StageTable]] = None
-        if counts is not None:
-            stage_tables = [
-                pool.stage_table(batch.shard_id, count,
-                                 len(batch.request_ids))
-                for batch, count in zip(batches, counts)]
-
-        def materialize() -> Tuple[Any, List[int]]:
-            slices = counts if counts is not None \
-                else _dispatch_counts(batches, anchors)
-            nbytes = {count: pool.embedding_bytes(count)
-                      for count in set(slices)}
-            return machine.result(), [nbytes[count] for count in slices]
-
         record = RunRecord(
             report=report, config=cfg, params=self.params,
-            materialize=materialize,
+            materialize=loop.materialize,
             merge=merge_by_required,
             # A zero-width request (admitted while every device was
             # dead) merges nothing.
@@ -879,7 +715,7 @@ class ScaleSimulator:
             error_budget=budget,
             host_lane=pool.capacity,
             cadence_s=interval_s,
-            stage_tables=stage_tables,
+            stage_tables=loop.stage_tables() if capture else None,
             tti_by_req=tti_latency,
             class_names=tuple(cls.name for cls in classes),
             priorities=priorities,

@@ -1,4 +1,4 @@
-"""Deterministic discrete-event scheduler for sharded scatter-gather serving.
+"""Deterministic discrete-event loop for sharded scatter-gather serving.
 
 Every admitted request fans out to all ``N`` live shards (each device
 scans its slice of the corpus); per shard, sub-queries queue FIFO and
@@ -23,8 +23,8 @@ also models the unhappy paths:
   backoff, and once :attr:`RetryPolicy.max_retries` consecutive
   failures are exhausted (or a hard outage is reached) the shard is
   **declared dead**: its queue drains, pending requests record the
-  shard as failed, and the ``on_death`` hook lets the simulator apply
-  its failover policy;
+  shard as failed, and the loop re-anchors the survivors under the
+  simulator's failover placement;
 * a shard that is merely down (transient outage) holds its queue and
   resumes -- through the slow-start multiplier -- when the outage ends.
 
@@ -43,17 +43,18 @@ escapes silently: the affected requests record the shard in
 These per-shard rules are written once, in :class:`ShardMachine`: it
 runs queues, batching timers, wakes, completions, the two fault
 transitions (judging a dispatch; booking a failed attempt) and death
-on a binary heap ordered by ``(time, sequence)``.
-:class:`DiscreteEventScheduler` drives the machine over a static
-fleet, on either engine whenever a fault injector is attached, merging
-its sorted arrivals with the heap (an arrival goes first on a time
-tie, as if pushed before every other event), and the
-elastic :class:`~repro.scale.simulator.ScaleSimulator` drives it over
-an autoscaled pool.  The sequence number makes
-simultaneous events process in insertion order, so the whole
-simulation is bit-deterministic for a fixed request stream, fault plan,
-and service model -- and with no injector the fault paths are never
-entered, so the schedule is bit-identical to the fault-free scheduler.
+on a binary heap ordered by ``(time, sequence)``.  One event loop,
+:class:`PoolLoop`, drives the machine over a pool of device slots,
+merging sorted arrivals with the heap (an arrival goes first on a time
+tie, as if pushed before every other event).  A static fleet runs it
+pinned to its ``n_shards`` devices; the elastic
+:class:`~repro.scale.simulator.ScaleSimulator` drives it with
+admission, controller ticks, warm-ups and drains.  A shard death
+re-anchors the surviving slots through one placement rule.  The
+sequence number makes simultaneous events process in insertion order,
+so the whole simulation is bit-deterministic for a fixed request
+stream, fault plan, and cost model -- and with no injector the fault
+paths are never entered.
 A request's retrieval completes when every shard it was fanned out to
 has either finished or been declared dead; downstream costs (top-k
 merge, generator prefill) are applied by the simulator on top of the
@@ -67,15 +68,15 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Set, Tuple)
+from operator import attrgetter
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 import numpy as np
 
 from ..ecc.model import ECCModel
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultLogEntry
-from .workload import Request, validate_arrival_times
 
 __all__ = [
     "BatchPolicy",
@@ -84,12 +85,14 @@ __all__ = [
     "RequestRecord",
     "ScheduleResult",
     "ShardMachine",
-    "DiscreteEventScheduler",
+    "PoolLoop",
 ]
 
 #: Builds a NamedTuple from all of its fields without the generated
 #: ``__new__`` frame: ``_new_tuple(ExecutedBatch, (every field))``.
 _new_tuple = tuple.__new__
+#: Reads a shard state's ``busy`` flag.
+_busy = attrgetter("busy")
 
 #: Event kinds :meth:`ShardMachine.step` handles; drivers number their
 #: own kinds from :data:`FIRST_DRIVER_KIND` up on the same heap.
@@ -359,7 +362,7 @@ class _ShardState:
 
 
 class ShardMachine(_FaultTallies):
-    """Heap-driven per-shard machine shared by the event-loop drivers.
+    """Heap-driven per-shard machine under the serving event loop.
 
     Owns every shard's FIFO queue, the max-batch / max-wait batcher,
     backoff and outage wakes, completions, failures and death, plus the
@@ -392,10 +395,6 @@ class ShardMachine(_FaultTallies):
     * ``service_time(shard_id, batch_size) -> seconds`` at every
       dispatch (so a failover may reprice it mid-run), checked positive
       and finite;
-    * ``on_dispatch(batch)`` after every dispatch.  Optional, and one
-      Python call per batch when set: the static recorded path notes
-      each batch's slice with it, while the elastic loop passes none
-      and replays the slices from its log of re-anchors;
     * ``on_resolved(req_id, t_s)`` when a request's scatter-gather
       resolves;
     * ``on_death(shard_id, t_s)`` once per death, after the dead
@@ -408,7 +407,6 @@ class ShardMachine(_FaultTallies):
                  retry: RetryPolicy = RetryPolicy(),
                  protected: bool = False,
                  ecc: Optional[ECCModel] = None,
-                 on_dispatch: Optional[Callable[[ExecutedBatch], None]] = None,
                  on_resolved: Optional[Callable[[int, float], None]] = None,
                  on_death: Optional[Callable[[int, float], None]] = None):
         self.policy = policy
@@ -419,7 +417,6 @@ class ShardMachine(_FaultTallies):
         self.retry = retry
         self.protected = protected
         self.ecc = ecc
-        self.on_dispatch = on_dispatch
         self.on_resolved = on_resolved
         self.on_death = on_death
         #: ``(time, sequence, kind, payload)`` events; the sequence
@@ -518,8 +515,6 @@ class ShardMachine(_FaultTallies):
         state.busy = True
         state.gen += 1  # stale any armed max-wait timer
         self.batches.append(batch)
-        if self.on_dispatch is not None:
-            self.on_dispatch(batch)
         heapq.heappush(self.heap, (
             now + batch.service_s, self._next_seq(),
             DONE if batch.outcome == OUTCOME_OK else FAIL, batch))
@@ -749,130 +744,282 @@ class ShardMachine(_FaultTallies):
         )
 
 
-class DiscreteEventScheduler:
-    """Simulate scatter-gather serving over ``n_shards`` devices.
+class _Slot:
+    """Pool lifecycle of one device slot (queues live in the
+    :class:`ShardMachine`)."""
 
-    Parameters
-    ----------
-    n_shards:
-        Number of shard devices (each with its own FIFO + batcher).
-    policy:
-        Dynamic-batching policy applied identically on every shard.
-    service_time:
-        ``service_time(shard_id, batch_size) -> seconds`` cost model for
-        one batch on one shard's device (e.g. the amortized
-        ``BatchedAPURetrieval`` model over that shard's corpus slice).
-        Consulted at every dispatch, so a failover policy may update it
-        mid-run (corpus takeover after a shard death).
-    injector:
-        Optional :class:`~repro.faults.FaultInjector`; ``None`` (the
-        default) disables every fault path and reproduces the fault-free
-        schedule bit-for-bit.
-    retry:
-        Timeout/backoff policy; the default has no timeout.
-    on_death:
-        Optional ``on_death(shard_id, t_s)`` hook invoked exactly once
-        when a shard is declared dead, after its queue has drained.
-    protected:
-        ``True`` models ABFT-verified serving: a batch whose service
-        window a bit flip corrupts fails with outcome ``"corrupted"``
-        and is recomputed through the retry machinery.  ``False`` lets
-        the corruption escape silently (``"sdc"`` log entries,
-        ``corrupted_shards`` on the affected requests).  Irrelevant
-        when the plan has no bit flips.
-    ecc:
-        Optional :class:`~repro.ecc.ECCModel`.  When set, injected
-        upsets land in codewords instead of raw words: corrected
-        codewords leave the batch clean (an ``"ecc_corrected"`` log
-        entry is the only trace), decoder-flagged uncorrectables fail
-        the attempt with outcome ``"corrupted"`` even without ABFT
-        (the memory controller reports them), and beyond-capability
-        miscorrections deliver silently wrong data that only ABFT
-        (``protected=True``) can still catch.  ``None`` (the default)
-        reproduces the unprotected raw-word behavior bit-for-bit.
+    __slots__ = ("chunk_count", "service_s", "serving", "warming",
+                 "draining")
+
+    def __init__(self) -> None:
+        #: Chunks this device scans per query (frozen while draining),
+        #: and the batch service time per batch size on that slice
+        #: (``service_s[b - 1]``), both set at every re-anchor.
+        self.chunk_count = 0
+        self.service_s: Tuple[float, ...] = ()
+        self.serving = False
+        self.warming = False
+        self.draining = False
+
+
+class PoolLoop:
+    """The serving event loop over a pool of device slots.
+
+    Arrivals fan out to every *serving* slot's queue in the
+    :class:`ShardMachine`.  They are pointer-merged against the
+    machine's heap, taken first at equal times (exactly as if pushed
+    before every other event), and while every serving slot is busy
+    they are admitted in bulk: each admission only appends to queues,
+    since every dispatch attempt would be a busy no-op.  The machine's
+    own events go to :meth:`ShardMachine.step`; a driver's kind
+    ``FIRST_DRIVER_KIND + i`` goes to its handler ``drivers[i](payload,
+    t_s)``.
+
+    A static fleet runs the loop *pinned*: every slot serves from the
+    start, nothing drives it, and ``admit`` is the default that
+    registers every arrival.  The elastic
+    :class:`~repro.scale.simulator.ScaleSimulator` drives the same loop
+    with admission control, controller ticks, warm-ups and drains.
+
+    Batches are priced per slot.  With a cost ``model`` (a
+    :class:`~repro.serve.simulator.SliceCostModel`) and a placement
+    ``place(serving slots) -> {slot: chunk count}``, every change of the
+    serving set goes through :meth:`regroup`, which re-anchors each
+    serving slot on its slice and logs ``(batch index, slot, chunk
+    count)`` in :attr:`anchors`.  No hook runs per dispatch: after the
+    run :meth:`dispatch_counts` replays each batch's slice from the
+    log, and from it its stage table and resident bytes.  A synthetic
+    ``service_time(slot, batch size)`` replaces both model and
+    placement.
+
+    A death drops the slot from the serving set and regroups the
+    survivors before the driver's ``on_death(slot, t_s, was_serving)``
+    runs.  ``admit(req_id, t_s, pressure) -> bool`` registers an arrival
+    (through :meth:`ShardMachine.register`) or refuses it; ``pressure``
+    is the queued sub-queries per serving slot-batch, and ``-inf`` for
+    an arrival with no serving slot, which must register with none to
+    ask.  ``drained(slot, t_s)`` fires when a draining slot's last batch
+    completes.
     """
 
-    def __init__(self, n_shards: int, policy: BatchPolicy,
-                 service_time: Callable[[int, int], float],
+    def __init__(self, n_slots: int, policy: BatchPolicy,
+                 service_time: Optional[Callable[[int, int], float]] = None,
+                 *, model: Any = None,
+                 place: Optional[Callable[[List[int]], Dict[int, int]]] = None,
+                 n_serving: Optional[int] = None,
                  injector: Optional[FaultInjector] = None,
                  retry: Optional[RetryPolicy] = None,
-                 on_death: Optional[Callable[[int, float], None]] = None,
                  protected: bool = False,
-                 ecc: Optional[ECCModel] = None):
-        if not isinstance(n_shards, (int, np.integer)) \
-                or isinstance(n_shards, bool) or n_shards < 1:
+                 ecc: Optional[ECCModel] = None,
+                 on_resolved: Optional[Callable[[int, float], None]] = None,
+                 on_death: Optional[Callable[[int, float, bool], None]] = None,
+                 admit: Optional[Callable[[int, float, float], bool]] = None,
+                 drivers: Sequence[Callable[[Any, float], None]] = (),
+                 drained: Optional[Callable[[int, float], None]] = None):
+        if not isinstance(n_slots, (int, np.integer)) \
+                or isinstance(n_slots, bool) or n_slots < 1:
             raise ValueError(
-                f"shards must be an integer >= 1, got {n_shards!r}")
-        self.n_shards = int(n_shards)
-        self.policy = policy
-        self.service_time = service_time
-        self.injector = injector
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.on_death = on_death
-        self.protected = bool(protected)
-        self.ecc = ecc
-        if injector is not None and injector.n_shards != self.n_shards:
+                f"shards must be an integer >= 1, got {n_slots!r}")
+        if injector is not None and injector.n_shards != n_slots:
             raise ValueError(
                 f"injector covers {injector.n_shards} shard(s), "
-                f"scheduler has {self.n_shards}")
+                f"loop has {n_slots}")
+        if (service_time is not None) \
+                == (model is not None and place is not None):
+            raise ValueError(
+                "price batches with service_time or with model and "
+                "place, not both")
+        self._model = model
+        self._place = place
+        self._on_death = on_death
+        self.slots = [_Slot() for _ in range(n_slots)]
+        #: Serving slots, ascending; drivers edit it in place and then
+        #: call :meth:`regroup`.
+        self.serving: List[int] = list(range(
+            n_slots if n_serving is None else n_serving))
+        for j in self.serving:
+            self.slots[j].serving = True
+        #: ``(batch index, slot, chunk count)`` per re-anchor, in event
+        #: order.
+        self.anchors: List[Tuple[int, int, int]] = []
+        #: The serving slots' shard states and queues, in ``serving``
+        #: order, edited in place by :meth:`regroup`.
+        self.states: List[_ShardState] = []
+        self.queues: List[List[int]] = []
+        self._counts: Optional[List[int]] = None
+        if service_time is None:
+            slots = self.slots
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _ordered(requests: Sequence[Request]) -> List[Request]:
-        """Requests in arrival order (ties by id); ids must be unique
-        and the arrival times must pass
-        :func:`~repro.serve.workload.validate_arrival_times`."""
-        if not requests:
-            raise ValueError("at least one request is required")
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
-        seen: Set[int] = set()
-        for request in ordered:
-            if request.req_id in seen:
-                raise ValueError(f"duplicate req_id {request.req_id}")
-            seen.add(request.req_id)
-        validate_arrival_times([r.arrival_s for r in ordered])
-        return ordered
+            def service_time(j: int, take: int) -> float:
+                return slots[j].service_s[take - 1]
 
-    def run(self, requests: Sequence[Request],
-            on_dispatch: Optional[Callable[[ExecutedBatch], None]] = None
-            ) -> ScheduleResult:
-        """Run the simulation to completion (no open requests remain),
-        calling ``on_dispatch(batch)`` after every dispatch."""
-        machine = ShardMachine(self.n_shards, self.policy,
-                               self.service_time, self.injector, self.retry,
-                               self.protected, self.ecc,
-                               on_dispatch=on_dispatch,
-                               on_death=self.on_death)
-        ordered = self._ordered(requests)
-        arrival_s = [request.arrival_s for request in ordered]
-        req_ids = [request.req_id for request in ordered]
-        n_arrivals = len(ordered)
+        self.machine = ShardMachine(
+            n_slots, policy, service_time, injector,
+            retry if retry is not None else RetryPolicy(), protected, ecc,
+            on_resolved=on_resolved, on_death=self._death)
+        self.regroup()
+        self.arrive = self._arrive_closure(admit)
+        self._drivers = tuple(drivers)
+        self._drained = drained
 
-        heap, shards, step = machine.heap, machine.shards, machine.step
-        maybe_dispatch, register = machine.maybe_dispatch, machine.register
-        death_times = machine.death_times
-        live = list(range(len(shards)))
-        n_dead = 0
-        ptr = 0
-        while ptr < n_arrivals or heap:
-            if ptr < n_arrivals \
-                    and (not heap or arrival_s[ptr] <= heap[0][0]):
-                # Arrivals win equal-time ties: a heap holding them
-                # would have popped them first, pushed before any event.
-                now, req_id = arrival_s[ptr], req_ids[ptr]
-                ptr += 1
-                if len(death_times) != n_dead:
-                    n_dead = len(death_times)
-                    live = [shard_id for shard_id, state in enumerate(shards)
-                            if not state.dead]
-                # With no live shard left it resolves empty-handed.
-                register(req_id, now, len(live))
-                for shard_id in live:
+    def regroup(self) -> None:
+        """Re-anchor every serving slot on the current serving set, and
+        refresh :attr:`states` and :attr:`queues`."""
+        serving, machine = self.serving, self.machine
+        if self._place is not None and serving:
+            slots, price = self.slots, self._model.service_seconds
+            sizes = range(1, machine.max_batch + 1)
+            index = len(machine.batches)
+            for j, count in self._place(serving).items():
+                slot = slots[j]
+                slot.chunk_count = count
+                slot.service_s = tuple(price(count, b) for b in sizes)
+                self.anchors.append((index, j, count))
+        shards = machine.shards
+        self.states[:] = [shards[j] for j in serving]
+        self.queues[:] = [state.queue for state in self.states]
+
+    def _death(self, slot_id: int, now: float) -> None:
+        slot = self.slots[slot_id]
+        was_serving = slot.serving
+        slot.serving = slot.draining = False
+        if was_serving:
+            self.serving.remove(slot_id)
+            # Survivors take over the dead slice (or not, as the
+            # placement rules).
+            self.regroup()
+        if self._on_death is not None:
+            self._on_death(slot_id, now, was_serving)
+
+    def _arrive_closure(self, admit: Optional[Callable[[int, float, float],
+                                                       bool]]
+                        ) -> Callable[[int, float], None]:
+        serving, queues = self.serving, self.queues
+        machine = self.machine
+        shards, register = machine.shards, machine.register
+        maybe_dispatch, max_batch = machine.maybe_dispatch, machine.max_batch
+        if admit is None:
+            def admit(req_id: int, now: float, pressure: float) -> bool:
+                register(req_id, now, len(serving))
+                return True
+        self._admit = admit
+
+        def arrive(req_id: int, now: float) -> None:
+            """Admit one arrival and fan it out to the serving slots."""
+            if not serving:
+                # Every device is dead, draining or still warming: the
+                # request resolves empty-handed.
+                admit(req_id, now, -math.inf)
+                return
+            if admit(req_id, now, sum(map(len, queues))
+                     / (len(serving) * max_batch)):
+                # Snapshot: a dispatch can declare the slot dead
+                # (permanent outage discovered at dispatch), and the
+                # death edits ``serving``.
+                for shard_id in list(serving):
                     state = shards[shard_id]
                     state.queue.append(req_id)
                     if not state.busy:
                         maybe_dispatch(shard_id, now)
+
+        return arrive
+
+    def run(self, arrival_s: Sequence[float],
+            req_ids: Optional[Sequence[int]] = None) -> ShardMachine:
+        """Run until every arrival is taken and the heap is empty.
+
+        ``arrival_s`` are sorted arrival times (Python floats, or an
+        array converted here), ``req_ids`` one id per arrival
+        (positional when ``None``).  Returns the machine.
+        """
+        if isinstance(arrival_s, np.ndarray):
+            arrival_s = arrival_s.tolist()
+        if req_ids is None:
+            req_ids = list(range(len(arrival_s)))
+        elif isinstance(req_ids, np.ndarray):
+            req_ids = req_ids.tolist()
+        machine = self.machine
+        heap, step = machine.heap, machine.step
+        shards, slots = machine.shards, self.slots
+        serving, states, queues = self.serving, self.states, self.queues
+        max_batch = machine.max_batch
+        admit, arrive = self._admit, self.arrive
+        drivers, drained = self._drivers, self._drained
+        heappop = heapq.heappop
+        n_arrivals = len(arrival_s)
+        ptr = 0
+        while heap or ptr < n_arrivals:
+            if ptr < n_arrivals \
+                    and (not heap or arrival_s[ptr] <= heap[0][0]):
+                # Taking arrivals on ``<=`` replays a heap where they
+                # were pushed before every other event.
+                if serving and all(map(_busy, states)):
+                    # Bulk admission: the queue-pressure test is the
+                    # whole decision.  The incremental counter
+                    # reproduces the integer sum -- hence the float
+                    # division -- that ``arrive`` computes per arrival.
+                    horizon = heap[0][0] if heap else math.inf
+                    queued = sum(map(len, queues))
+                    width = len(serving)
+                    denom = width * max_batch
+                    while ptr < n_arrivals and arrival_s[ptr] <= horizon:
+                        now = arrival_s[ptr]
+                        req_id = req_ids[ptr]
+                        ptr += 1
+                        if admit(req_id, now, queued / denom):
+                            for queue in queues:
+                                queue.append(req_id)
+                            queued += width
+                else:
+                    now = arrival_s[ptr]
+                    req_id = req_ids[ptr]
+                    ptr += 1
+                    arrive(req_id, now)
                 continue
-            now, _, kind, payload = heapq.heappop(heap)
-            step(kind, payload, now)
-        return machine.result()
+            now, _, kind, payload = heappop(heap)
+            if kind < FIRST_DRIVER_KIND:
+                step(kind, payload, now)
+                if kind == DONE:
+                    j = payload.shard_id
+                    if slots[j].draining and not shards[j].queue \
+                            and not shards[j].busy:
+                        drained(j, now)
+            else:
+                drivers[kind - FIRST_DRIVER_KIND](payload, now)
+        return machine
+
+    def dispatch_counts(self) -> List[int]:
+        """Each executed batch's slice chunk count at its dispatch.
+
+        Replayed from :attr:`anchors`: an entry applies to every batch
+        dispatched from its index on, until the slot's next entry (a
+        draining or dead slot keeps its last one).
+        """
+        if self._counts is None:
+            current: Dict[int, int] = {}
+            counts: List[int] = []
+            pending = iter(self.anchors)
+            entry = next(pending, None)
+            for index, batch in enumerate(self.machine.batches):
+                while entry is not None and entry[0] <= index:
+                    current[entry[1]] = entry[2]
+                    entry = next(pending, None)
+                counts.append(current[batch.shard_id])
+            self._counts = counts
+        return self._counts
+
+    def stage_tables(self) -> List[Any]:
+        """One stage table per executed batch, priced on the slice its
+        slot held at dispatch."""
+        table = self._model.stage_table
+        return [table(batch.shard_id, count, len(batch.request_ids))
+                for batch, count in zip(self.machine.batches,
+                                        self.dispatch_counts())]
+
+    def materialize(self) -> Tuple[ScheduleResult, List[int]]:
+        """The run's :class:`ScheduleResult` and each batch's resident
+        slice bytes at dispatch (a run record's ``materialize``)."""
+        counts = self.dispatch_counts()
+        nbytes = {count: self._model.embedding_bytes(count)
+                  for count in set(counts)}
+        return self.machine.result(), [nbytes[count] for count in counts]

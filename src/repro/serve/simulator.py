@@ -1,29 +1,33 @@
 """The sharded serving simulator: corpus -> shards -> scheduler -> report.
 
 :class:`ServingSimulator` runs a request stream against ``N`` simulated
-APU shard devices.  Batch service times come from one cost model,
+APU shard devices, through the one serving event loop
+(:class:`~repro.serve.scheduler.PoolLoop`) pinned to the fleet: every
+device serves from the start, nothing scales it, and every arrival is
+admitted.  Batch service times come from one cost model,
 :class:`SliceCostModel`, keyed by the chunk count of the slice a device
 scans and shared with the elastic pool: the
 :class:`repro.rag.batching.BatchedAPURetrieval` model, *anchored* so
 that a batch of one costs exactly the single-device Table 8 latency
 (``APURetriever.latency_breakdown(...).total``) and each extra query in
-a batch adds the model's amortized per-query increment.
-:class:`ShardServiceModel` holds only the static placement (shard id ->
-chunk count) it prices.  Completed
+a batch adds the model's amortized per-query increment.  Completed
 requests pay the host top-k merge plus the generator prefill, giving a
 **time-to-interactive** distribution; with one shard and batches of one
 the simulated TTI is cycle-identical to
 ``RAGPipeline.time_to_interactive``.
 
 A :class:`~repro.faults.FaultPlan` in the config turns the run into a
-scripted chaos experiment: the scheduler gets a
+scripted chaos experiment: the loop gets a
 :class:`~repro.faults.FaultInjector` plus the config's
 :class:`~repro.serve.scheduler.RetryPolicy`, and when a shard is
-declared dead the simulator applies its **failover policy**:
+declared dead the loop re-anchors the survivors under the
+**failover policy**:
 
-* ``"reroute"`` -- survivors take over the dead shard's chunk slice
-  (later batches are priced on the enlarged slices), so requests
-  arriving after the death regain full corpus coverage;
+* ``"reroute"`` -- survivors take over every dead slice, pooled and
+  split by the one takeover rule, :func:`counts_for`, that the elastic
+  pool also places by (later batches are priced on the enlarged
+  slices), so requests arriving after the death regain full corpus
+  coverage;
 * ``"degraded"`` -- the dead slice is dropped and later requests merge
   partial top-k from the live shards only.
 
@@ -31,8 +35,9 @@ Either way, requests in flight at the death lose the dead shard's
 slice; the report's **coverage** numbers are the exact fraction of
 corpus chunks scanned per request, which for round-robin placement is
 also the expected recall@k against the unsharded oracle (exactly --
-see :mod:`repro.serve.degraded`).  An empty fault plan takes none of
-these paths and reproduces the fault-free simulation bit-for-bit.
+see :mod:`repro.serve.degraded`), computed from the loop's per-request
+columns.  An empty fault plan takes none of these paths and reproduces
+the fault-free simulation bit-for-bit.
 
 Bit-flip faults in the plan add the silent-data-corruption dimension.
 With :attr:`ServeConfig.integrity` enabled the scheduler runs
@@ -46,7 +51,8 @@ the same plan ships corrupted answers: the report counts the escapes
 request's shard answers that were neither lost nor corrupted.
 
 Every run ends in a :class:`~repro.serve.record.RunRecord`, the input
-of every post-run view (trace events, telemetry, the monitor).  When a
+of every post-run view (trace events, telemetry, the monitor); its
+``RequestRecord`` objects are built only when a view reads them.  When a
 :mod:`repro.obs` collector is active, every executed batch and host
 merge is emitted as a shard-tagged :class:`~repro.obs.events.TraceEvent`
 (``core_id`` = shard id), so the Chrome-trace export shows one Perfetto
@@ -61,8 +67,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, \
-    Union
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, \
+    Set, Tuple, Union
 
 import numpy as np
 
@@ -79,28 +86,22 @@ from ..rag.corpus import CorpusSpec, PAPER_CORPORA
 from ..rag.generation import GenerationModel
 from ..rag.retrieval import APURetriever, RetrievalBreakdown
 from ..simcore.engine import DEFAULT_ENGINE, validate_engine
-from ..simcore.vectorized import VectorizedScheduler, request_columns
+from ..simcore.vectorized import VectorizedScheduler
 from ..telemetry.build import SERVE_SLO_TARGET, StageTable, \
     build_serve_metrics
 from .metrics import LatencyStats, slo_attainment, utilization
 from .record import RunRecord, emit_run_trace, observe_run
-from .scheduler import (
-    BatchPolicy,
-    DiscreteEventScheduler,
-    ExecutedBatch,
-    RequestRecord,
-    RetryPolicy,
-    ScheduleResult,
-)
+from .scheduler import OUTCOME_OK, BatchPolicy, PoolLoop, RetryPolicy, \
+    ScheduleResult
 from .sharding import merge_cycles, merge_seconds, shard_chunk_counts
 from .workload import Request, _validate_stream, poisson_arrival_times, \
-    poisson_arrivals, trace_arrivals
+    request_columns, validate_arrival_times
 
 __all__ = [
     "FAILOVER_POLICIES",
     "ServeConfig",
     "SliceCostModel",
-    "ShardServiceModel",
+    "counts_for",
     "ServeReport",
     "ServingSimulator",
     "golden_serve_config",
@@ -162,7 +163,7 @@ class ServeConfig:
     #: reference event loop) or ``"vectorized"`` (the NumPy core, which
     #: reports from columns proven equal to the loop's by
     #: ``tests/simcore``).  Fault runs, telemetry, monitors and traces
-    #: use the scalar event loop on either engine.
+    #: use the event loop on either engine.
     engine: str = DEFAULT_ENGINE
 
     def __post_init__(self):
@@ -210,10 +211,9 @@ class SliceCostModel:
     ``BatchedAPURetrieval`` amortized per-query increment (query
     staging + MAC chain + top-k + return, the embedding stream shared).
     Anchors are memoized per chunk count and batch times per ``(chunk
-    count, batch size)``, so a placement -- the static fleet's
-    :class:`ShardServiceModel` or the elastic
-    :class:`~repro.scale.pool.ElasticAPUDevicePool` -- prices a batch
-    with a dict probe however often its slices change.
+    count, batch size)``, so a placement -- a static fleet's or the
+    elastic :class:`~repro.scale.pool.ElasticAPUDevicePool` -- prices a
+    batch with a dict probe however often its slices change.
 
     An enabled ``integrity`` config adds the protection overhead on top
     of the anchored times: each query in a batch pays the calibrated
@@ -411,58 +411,35 @@ class SliceCostModel:
         return table
 
 
-class ShardServiceModel(SliceCostModel):
-    """A static fleet's placement, priced by the slice cost model.
+def counts_for(base_counts: Sequence[int],
+               attached: Iterable[int]) -> Dict[int, int]:
+    """Chunk count per attached slot of a placement.
 
-    ``chunk_counts[shard]`` is the slice each shard scans, so
-    ``batch_seconds(shard, b)`` is the :class:`SliceCostModel` time of
-    that slice.  The placement is mutable under failover:
-    :meth:`apply_takeover` redistributes a dead shard's chunks over the
-    survivors (their batches then cost what scanning the larger slice
-    costs), :meth:`drop_shard` zeroes a degraded death, and
-    :meth:`reset` restores the original placement (so one simulator can
-    replay runs).
+    The one takeover rule.  Attached slots keep their ``base_counts``
+    slice; the chunks of every detached slot are pooled and
+    redistributed over the attached ones in slot order, earlier slots
+    taking the remainder.  A static fleet's reroute failover and the
+    elastic pool both place through it, so one death moves a slice the
+    same way in either, and so do several (4 chunks on 4 slots, slot 0
+    then slot 2 gone: ``{1: 2, 3: 2}``).
     """
-
-    def __init__(self, spec: CorpusSpec, n_shards: int, k: int = 5,
-                 params: APUParams = DEFAULT_PARAMS,
-                 integrity: Optional[IntegrityConfig] = None,
-                 ecc: Optional[ECCConfig] = None):
-        super().__init__(spec, k, params, integrity, ecc)
-        self._placement = tuple(shard_chunk_counts(spec.n_chunks, n_shards))
-        self.chunk_counts: List[int] = list(self._placement)
-        # Calibrate at construction, not on a run's first dispatch (an
-        # empty shard raises here).
-        for count in self._placement:
-            self._anchor(count)
-
-    def batch_seconds(self, shard_id: int, batch_size: int) -> float:
-        """Service time of one batch on one shard's current slice."""
-        return self.service_seconds(self.chunk_counts[shard_id], batch_size)
-
-    def reset(self) -> None:
-        """Undo every takeover (back to the calibrated placement)."""
-        self.chunk_counts = list(self._placement)
-
-    def drop_shard(self, shard_id: int) -> int:
-        """Zero a dead shard's slice; returns the chunks it held."""
-        dropped = self.chunk_counts[shard_id]
-        self.chunk_counts[shard_id] = 0
-        return dropped
-
-    def apply_takeover(self, dead_id: int, live_ids: Sequence[int]) -> None:
-        """Redistribute ``dead_id``'s chunks over ``live_ids``.
-
-        The orphaned slice splits as evenly as chunks allow (earlier
-        survivors take the remainder), on top of whatever each survivor
-        already holds.
-        """
-        if not live_ids:
-            raise ValueError("takeover needs at least one live shard")
-        orphaned = self.drop_shard(dead_id)
-        extra = shard_chunk_counts(orphaned, len(live_ids))
-        for live_id, gained in zip(live_ids, extra):
-            self.chunk_counts[live_id] += gained
+    slots = sorted(set(attached))
+    if not slots:
+        raise ValueError(
+            "topology needs at least one attached slot; the corpus "
+            "cannot be served with every device detached")
+    if slots[0] < 0 or slots[-1] >= len(base_counts):
+        raise ValueError(
+            f"attached slots {slots!r} outside a placement of "
+            f"{len(base_counts)} slots; slot ids must be in "
+            f"[0, {len(base_counts) - 1}]")
+    counts = {slot: base_counts[slot] for slot in slots}
+    orphaned = sum(base_counts) - sum(counts.values())
+    if orphaned > 0:
+        extra = shard_chunk_counts(orphaned, len(slots))
+        for slot, gained in zip(slots, extra):
+            counts[slot] += gained
+    return counts
 
 
 @dataclass(frozen=True)
@@ -595,61 +572,32 @@ class ServingSimulator:
         self.config = config
         self.params = params
         self.generator = generator or GenerationModel()
-        self.service_model = ShardServiceModel(
-            config.spec, config.n_shards, config.k, params,
-            integrity=config.integrity, ecc=config.ecc)
+        self.cost_model = SliceCostModel(
+            config.spec, config.k, params, integrity=config.integrity,
+            ecc=config.ecc)
+        #: Round-robin placement: shard id -> chunks it scans.
+        self.placement = tuple(shard_chunk_counts(config.spec.n_chunks,
+                                                  config.n_shards))
+        # Calibrate at construction, not on a run's first dispatch.
+        for count in set(self.placement):
+            self.cost_model.service_seconds(count, 1)
         self.merge_s = merge_seconds(config.n_shards, config.k, params)
         self.prefill_s = self.generator.prefill_seconds()
         self.injector = (FaultInjector(config.faults, config.n_shards)
                          if config.faults else None)
-        #: Shard id -> chunks that went dark with it (its slice at death).
-        self._chunks_lost_at_death: Dict[int, int] = {}
-        #: Deaths nobody took over (degraded mode, or no survivors):
-        #: these chunks stay missing for every later arrival.
-        self._permanent_loss: Dict[int, int] = {}
-        self._dead_shards: set = set()
-        if config.engine == "vectorized":
-            scheduler_cls = VectorizedScheduler
-        else:
-            scheduler_cls = DiscreteEventScheduler
-        self.scheduler = scheduler_cls(
-            config.n_shards, config.batch, self.service_model.batch_seconds,
-            injector=self.injector, retry=config.retry,
-            on_death=self._on_shard_death
-            if self.injector is not None else None,
-            protected=config.integrity.enabled,
-            ecc=ECCModel(config.ecc) if config.ecc.enabled else None)
-
-    # ------------------------------------------------------------------
-    def _on_shard_death(self, shard_id: int, t_s: float) -> None:
-        """Failover hook: apply the configured policy to a shard death."""
-        self._dead_shards.add(shard_id)
-        lost = self.service_model.chunk_counts[shard_id]
-        self._chunks_lost_at_death[shard_id] = lost
-        live = [i for i in range(self.config.n_shards)
-                if i not in self._dead_shards]
-        if self.config.failover == "reroute" and live:
-            self.service_model.apply_takeover(shard_id, live)
-        else:
-            self.service_model.drop_shard(shard_id)
-            self._permanent_loss[shard_id] = lost
-
-    def _coverage(self, record: RequestRecord,
-                  death_times: Dict[int, float]) -> float:
-        """Fraction of corpus chunks that served this request.
-
-        In-flight failures lose the dead shard's slice at death;
-        permanent losses (degraded mode, or a death with no survivors)
-        stay missing for every later arrival.  Overlapping multi-death
-        windows clamp at zero rather than double-count.
-        """
-        total = self.config.spec.n_chunks
-        missing = sum(self._chunks_lost_at_death[d]
-                      for d in record.failed_shards)
-        missing += sum(lost for d, lost in self._permanent_loss.items()
-                       if death_times[d] <= record.arrival_s
-                       and d not in record.failed_shards)
-        return max(0.0, 1.0 - min(missing, total) / total)
+        self._ecc = ECCModel(config.ecc) if config.ecc.enabled else None
+        placement = self.placement
+        if config.failover == "reroute":
+            self._place: Callable[[List[int]], Dict[int, int]] = \
+                partial(counts_for, placement)
+        else:  # "degraded": the dead slice is dropped, not pooled
+            self._place = lambda serving: {j: placement[j] for j in serving}
+        #: The columnar backend of plain fault-free runs.
+        self.scheduler = VectorizedScheduler(
+            config.n_shards, config.batch,
+            lambda shard, size: self.cost_model.service_seconds(
+                placement[shard], size)) \
+            if config.engine == "vectorized" else None
 
     # ------------------------------------------------------------------
     def run(self, requests: Optional[Arrivals] = None) -> ServeReport:
@@ -665,15 +613,13 @@ class ServingSimulator:
         """Simulate and derive request-level causal telemetry.
 
         Returns ``(report, telemetry)`` where the report is **bit-
-        identical** to :meth:`run` on the same stream: the only
-        instrumentation inside the event loop is the dispatch hook that
-        records each dispatch's stage decomposition (one
-        :class:`~repro.telemetry.build.StageTable` per executed batch,
-        read from the service model at that instant, so a takeover
-        mid-run is honored); critical
-        paths and the metrics registry are derived after the run from
-        its :class:`~repro.serve.record.RunRecord`, and the span trees
-        on first access to ``telemetry.traces``.
+        identical** to :meth:`run` on the same stream: nothing extra
+        runs inside the event loop.  Each batch's stage decomposition
+        is priced after the run on the slice its shard held at
+        dispatch (so a takeover mid-run is honored); critical paths and
+        the metrics registry are derived from the run's
+        :class:`~repro.serve.record.RunRecord`, and the span trees on
+        first access to ``telemetry.traces``.
         """
         from ..telemetry.build import build_run_telemetry
 
@@ -697,25 +643,16 @@ class ServingSimulator:
                                          cadence_s=cadence_s)
         return record.report, telemetry, monitor
 
-    def _run_recorded(self, requests: Sequence[Request], stages: bool = False
-                      ) -> Tuple[ScheduleResult, List[int],
-                                 Optional[List[StageTable]]]:
-        """Run the scalar event loop, recording per executed batch its
-        shard's resident embedding bytes and (with ``stages``) its stage
-        table, both read from the service model at the dispatch instant
-        -- so a takeover mid-run is honored."""
-        model = self.service_model
-        batch_bytes: List[int] = []
-        tables: Optional[List[StageTable]] = [] if stages else None
-
-        def on_dispatch(batch: ExecutedBatch) -> None:
-            count = model.chunk_counts[batch.shard_id]
-            batch_bytes.append(model.embedding_bytes(count))
-            if tables is not None:
-                tables.append(model.stage_table(
-                    batch.shard_id, count, len(batch.request_ids)))
-
-        return self.scheduler.run(requests, on_dispatch), batch_bytes, tables
+    def _loop(self, arrival_s: np.ndarray,
+              req_ids: Optional[np.ndarray]) -> PoolLoop:
+        """The pool loop, pinned to the fleet, run over one stream."""
+        cfg = self.config
+        loop = PoolLoop(cfg.n_shards, cfg.batch, model=self.cost_model,
+                        place=self._place, injector=self.injector,
+                        retry=cfg.retry, protected=cfg.integrity.enabled,
+                        ecc=self._ecc)
+        loop.run(arrival_s, req_ids)
+        return loop
 
     def _simulate(self, requests: Optional[Arrivals] = None,
                   capture: bool = False) -> RunRecord:
@@ -725,47 +662,112 @@ class ServingSimulator:
         table per executed batch, and each request's TTI.  A fault-free
         vectorized run without it reports straight from the
         :class:`~repro.simcore.arrays.ArraySchedule` columns, and its
-        record runs the scalar event loop on the same requests for its
-        ``ScheduleResult`` and batch bytes only when a view reads them
-        (an active trace collector).  Every other run is that scalar
-        loop, recorded as it runs.
+        record runs the pinned pool loop on the same stream only when a
+        view reads the ``ScheduleResult`` or batch bytes (an active
+        trace collector).  Every other run is that loop, and reports
+        from the shard machine's columns; its ``ScheduleResult`` and
+        ``RequestRecord`` objects are built only when a view reads them.
         """
-        cfg = self.config
+        times, ids = self._arrival_columns(requests)
         if self.injector is None and not capture \
-                and cfg.engine == "vectorized":
-            schedule = self.scheduler.run_arrays(
-                *self._arrival_columns(requests))
+                and self.scheduler is not None:
+            schedule = self.scheduler.run_arrays(times, ids)
             by_id = np.argsort(schedule.req_ids, kind="stable")
             report = self._report(
                 schedule.latency_s()[by_id], schedule.horizon_s,
-                schedule.busy_seconds.tolist(), schedule.batch_size)
-            return self._record(report, lambda: self._run_recorded(
-                self._requests(requests))[:2])
-        requests = self._requests(requests)
-        if self.injector is not None:
-            # Replays must start from the calibrated placement.
-            self.service_model.reset()
-            self._chunks_lost_at_death.clear()
-            self._permanent_loss.clear()
-            self._dead_shards.clear()
-        result, batch_bytes, tables = self._run_recorded(requests, capture)
+                schedule.busy_seconds.tolist(),
+                int(schedule.batch_size.size),
+                int(schedule.batch_size.sum()), {})
+            return self._record(
+                report, lambda: self._loop(times, ids).materialize())
+        loop = self._loop(times, ids)
+        machine = loop.machine
+        machine.check_complete()
+        arrival_col, done_col = machine.arrival_s, machine.done_s
+        req_ids = sorted(arrival_col)
+        n = len(req_ids)
+        arrival = np.fromiter(map(arrival_col.__getitem__, req_ids),
+                              float, n)
+        done = np.fromiter(map(done_col.__getitem__, req_ids), float, n)
+        batches = machine.batches
+        report = self._report(
+            done - arrival, max(done_col.values()),
+            [state.busy_s for state in machine.shards], len(batches),
+            sum(len(batch.request_ids) for batch in batches),
+            self._fault_fields(loop, req_ids)
+            if self.injector is not None else {})
         tti = None
         if capture:
             # Bitwise the report's TTI arithmetic: retrieval latency
             # plus merge, plus prefill.
-            tti = {r.req_id: (r.retrieval_done_s - r.arrival_s
-                              + self.merge_s) + self.prefill_s
-                   for r in result.records
-                   if r.retrieval_done_s is not None}
-        latency = np.asarray([r.retrieval_latency_s for r in result.records],
-                             dtype=np.float64)
-        sizes = np.asarray([len(batch.request_ids)
-                            for batch in result.batches],
-                           dtype=np.int64)
-        report = self._report(latency, result.horizon_s, result.busy_seconds,
-                              sizes, result)
-        return self._record(report, lambda: (result, batch_bytes), tables,
-                            tti)
+            merge_s, prefill_s = self.merge_s, self.prefill_s
+            tti = {req_id: (done_col[req_id] - arrival_col[req_id]
+                            + merge_s) + prefill_s
+                   for req_id in req_ids}
+        return self._record(report, loop.materialize,
+                            loop.stage_tables() if capture else None, tti)
+
+    def _fault_fields(self, loop: PoolLoop,
+                      req_ids: List[int]) -> Dict[str, Any]:
+        """Fault counters and per-request coverage, from the machine's
+        columns.
+
+        A request loses the slice each shard that died before answering
+        it held at the death.  A death nobody took over (degraded
+        failover, or the last shard's) also loses its slice for every
+        later arrival.  Overlapping losses clamp at zero rather than
+        double-count.
+        """
+        machine = loop.machine
+        deaths = machine.death_times
+        lost = {shard: loop.slots[shard].chunk_count for shard in deaths}
+        if self.config.failover == "degraded":
+            permanent = lost
+        elif len(deaths) == len(loop.slots):
+            last = next(reversed(deaths))
+            permanent = {last: lost[last]}
+        else:
+            permanent = {}
+        failed: Dict[int, Set[int]] = {}
+        for req_id, shard in machine.failed:
+            failed.setdefault(req_id, set()).add(shard)
+        corrupted: Dict[int, Set[int]] = {}
+        for batch in machine.batches:
+            if batch.corrupted and batch.outcome == OUTCOME_OK:
+                for req_id in batch.request_ids:
+                    corrupted.setdefault(req_id, set()).add(batch.shard_id)
+        total = self.config.spec.n_chunks
+        arrival, n_required = machine.arrival_s, machine.n_required
+        coverages = []
+        intact = []
+        for req_id in req_ids:
+            gone = failed.get(req_id, ())
+            missing = sum(lost[shard] for shard in gone)
+            missing += sum(chunks for shard, chunks in permanent.items()
+                           if deaths[shard] <= arrival[req_id]
+                           and shard not in gone)
+            coverages.append(max(0.0, 1.0 - min(missing, total) / total))
+            required = n_required[req_id]
+            if required > 0:
+                intact.append(max(0, required - len(gone)
+                                  - len(corrupted.get(req_id, ())))
+                              / required)
+        return dict(
+            n_timeouts=machine.n_timeouts,
+            n_retries=machine.n_retries,
+            n_shard_failures=len(deaths),
+            degraded_requests=sum(1 for c in coverages if c < 1.0),
+            mean_coverage=sum(coverages) / len(coverages),
+            min_coverage=min(coverages),
+            n_corruptions_detected=machine.n_corruptions_detected,
+            n_sdc_escapes=machine.n_sdc,
+            n_recomputes=machine.n_recomputes,
+            n_ecc_corrected=machine.n_ecc_corrected,
+            n_ecc_detected=machine.n_ecc_detected,
+            n_ecc_miscorrections=machine.n_ecc_miscorrections,
+            mean_intact_coverage=1.0 if not intact
+            else sum(intact) / len(intact),
+        )
 
     def _record(self, report: ServeReport,
                 materialize: Callable[[], Tuple[ScheduleResult, List[int]]],
@@ -791,70 +793,34 @@ class ServingSimulator:
             emit_run_trace(record, trace)
         return record
 
-    def _requests(self, requests: Optional[Arrivals]
-                  ) -> Sequence[Request]:
-        """The stream as ``Request`` objects (ids positional for an
-        arrival array or the config's Poisson stream)."""
-        if requests is None:
-            cfg = self.config
-            return poisson_arrivals(cfg.qps, cfg.n_requests, cfg.seed)
-        if isinstance(requests, np.ndarray):
-            return trace_arrivals(requests)
-        return requests
-
     def _arrival_columns(self, requests: Optional[Arrivals]
                          ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """``(arrival times, request ids or None for positional)``."""
+        """``(arrival times, request ids or None for positional)``,
+        validated."""
         if requests is None:
             cfg = self.config
             return poisson_arrival_times(cfg.qps, cfg.n_requests,
                                          cfg.seed), None
         if isinstance(requests, np.ndarray):
-            return requests, None
+            return validate_arrival_times(requests), None
         return request_columns(requests)
 
     def _report(self, latency_s: np.ndarray, horizon_s: float,
-                busy_seconds: Sequence[float], batch_sizes: np.ndarray,
-                result: Optional[ScheduleResult] = None) -> ServeReport:
+                busy_seconds: Sequence[float], n_batches: int,
+                n_queries: int, faults: Dict[str, Any]) -> ServeReport:
         """The report of one run, from its columns.
 
         ``latency_s`` is arrival -> scatter-gather resolution per
-        request in ``req_id`` order, ``batch_sizes`` one entry per
-        executed batch.  Fault runs also pass their ``result`` for the
-        fault counters and per-request coverage.  Every run entry point
-        ends here, columnar and object paths alike.
+        request in ``req_id`` order, ``n_queries`` the sub-queries the
+        ``n_batches`` executed batches carried; fault runs pass their
+        fault counters and coverage in ``faults``.  Every run entry
+        point ends here.
         """
         cfg = self.config
         retrieval_lat = latency_s + self.merge_s
         tti_lat = retrieval_lat + self.prefill_s
         makespan = horizon_s + self.merge_s + self.prefill_s
         n_completed = int(latency_s.size)
-        n_batches = int(batch_sizes.size)
-        faults: Dict[str, Any] = {}
-        if self.injector is not None:
-            assert result is not None
-            coverages = [self._coverage(r, result.death_times)
-                         for r in result.records]
-            intact = [
-                max(0, r.n_required - len(r.failed_shards)
-                    - len(r.corrupted_shards)) / r.n_required
-                for r in result.records if r.n_required > 0]
-            faults = dict(
-                n_timeouts=result.n_timeouts,
-                n_retries=result.n_retries,
-                n_shard_failures=len(result.death_times),
-                degraded_requests=sum(1 for c in coverages if c < 1.0),
-                mean_coverage=sum(coverages) / len(coverages),
-                min_coverage=min(coverages),
-                n_corruptions_detected=result.n_corruptions_detected,
-                n_sdc_escapes=result.n_sdc,
-                n_recomputes=result.n_recomputes,
-                n_ecc_corrected=result.n_ecc_corrected,
-                n_ecc_detected=result.n_ecc_detected,
-                n_ecc_miscorrections=result.n_ecc_miscorrections,
-                mean_intact_coverage=1.0 if not intact
-                else sum(intact) / len(intact),
-            )
         return ServeReport(
             config=cfg,
             n_completed=n_completed,
@@ -865,8 +831,7 @@ class ServingSimulator:
             slo_attainment=slo_attainment(tti_lat, cfg.slo_s),
             shard_utilization=tuple(utilization(busy_seconds, horizon_s)),
             n_batches=n_batches,
-            mean_batch_size=int(batch_sizes.sum()) / n_batches
-            if n_batches else 0.0,
+            mean_batch_size=n_queries / n_batches if n_batches else 0.0,
             **faults,
         )
 

@@ -21,7 +21,7 @@ Arrival processes driving the discrete-event schedulers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Type
+from typing import Callable, Iterable, List, Sequence, Set, Tuple, Type
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "poisson_arrivals",
     "trace_arrivals",
     "validate_arrival_times",
+    "request_columns",
     "bursty_arrival_times",
     "diurnal_arrival_times",
     "spike_arrival_times",
@@ -157,6 +158,30 @@ def validate_arrival_times(times_s: Iterable[float],
     if bool((times[1:] < times[:-1]).any()):
         raise error("arrival times must be sorted ascending")
     return times
+
+
+def _ordered(requests: Sequence[Request]) -> List[Request]:
+    """Requests in arrival order (ties by id); ids must be unique and
+    the arrival times must pass :func:`validate_arrival_times`."""
+    if not requests:
+        raise ValueError("at least one request is required")
+    ordered = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
+    seen: Set[int] = set()
+    for request in ordered:
+        if request.req_id in seen:
+            raise ValueError(f"duplicate req_id {request.req_id}")
+        seen.add(request.req_id)
+    validate_arrival_times([r.arrival_s for r in ordered])
+    return ordered
+
+
+def request_columns(requests: Sequence[Request]
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(arrival times, request ids)`` in the serving loops' processing
+    order (arrival, then id), validated by :func:`_ordered`."""
+    ordered = _ordered(requests)
+    return (np.asarray([r.arrival_s for r in ordered], dtype=np.float64),
+            np.asarray([r.req_id for r in ordered], dtype=np.int64))
 
 
 def trace_arrivals(times_s: Iterable[float]) -> List[Request]:

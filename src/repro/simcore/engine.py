@@ -3,8 +3,9 @@
 Two execution backends serve a plain fault-free static
 (autoscaler-off) ``run()``:
 
-* ``"scalar"`` -- the reference :class:`~repro.serve.scheduler.DiscreteEventScheduler`,
-  a plain binary-heap event loop.  Slow, obviously correct, and the
+* ``"scalar"`` -- the one serving event loop,
+  :class:`~repro.serve.scheduler.PoolLoop`, pinned to the fleet: a
+  plain binary-heap loop.  Slow, obviously correct, and the
   bit-exactness oracle for everything else.
 * ``"vectorized"`` -- :class:`~repro.simcore.vectorized.VectorizedScheduler`,
   which batch-evaluates independent per-shard timelines with NumPy into
@@ -12,8 +13,8 @@ Two execution backends serve a plain fault-free static
   against the scalar core by ``tests/simcore``.
 
 Every :class:`~repro.serve.scheduler.ScheduleResult` -- fault plans,
-telemetry, monitors, traces -- comes from the scalar event loop on
-either engine, and elastic (autoscaled) runs have a single event loop.
+telemetry, monitors, traces -- comes from that event loop on either
+engine, and elastic (autoscaled) runs drive the same loop.
 This module owns only the names and the validation so that config and
 CLI layers can import it without pulling in the heavy backends.
 """

@@ -1,15 +1,15 @@
 """Vectorized columnar core for fault-free static runs.
 
-The scalar :class:`~repro.serve.scheduler.DiscreteEventScheduler` pays
-Python-level heap traffic for every arrival, timer, wake, dispatch and
-completion.  For fault-free static runs this core exploits the
-structure of the problem instead and returns columns, not objects:
-:meth:`VectorizedScheduler.run_arrays` yields an
-:class:`~repro.simcore.arrays.ArraySchedule` that static ``run()``
-reports from.  Every object-form
+The serving event loop (:class:`~repro.serve.scheduler.PoolLoop`,
+pinned to a static fleet) pays Python-level heap traffic for every
+arrival, timer, wake, dispatch and completion.  For fault-free static
+runs this core exploits the structure of the problem instead and
+returns columns, not objects: :meth:`VectorizedScheduler.run_arrays`
+yields an :class:`~repro.simcore.arrays.ArraySchedule` that static
+``run()`` reports from.  Every object-form
 :class:`~repro.serve.scheduler.ScheduleResult` -- fault runs, telemetry,
-monitors, traces -- comes from the inherited scalar :meth:`run`, so
-event semantics and the global tie order live in exactly one place.
+monitors, traces -- comes from the pinned loop, so event semantics and
+the global tie order live in exactly one place.
 
 * **Shard timelines are independent.**  Every request fans out to all
   shards, so with no injector the per-shard schedule is a pure
@@ -37,27 +37,18 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..serve.scheduler import DiscreteEventScheduler
-from ..serve.workload import Request, validate_arrival_times
+from ..serve.scheduler import BatchPolicy
+from ..serve.workload import validate_arrival_times
 from .arrays import ArraySchedule
 
 __all__ = ["VectorizedScheduler"]
 
 #: Largest chunk of the saturated bulk path (bounds temporary arrays).
 _BULK = 4096
-
-
-def request_columns(requests: Sequence[Request]
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(arrival times, request ids)`` in the schedulers' processing
-    order (arrival, then id), validated as the scalar loop validates."""
-    ordered = DiscreteEventScheduler._ordered(requests)
-    return (np.asarray([r.arrival_s for r in ordered], dtype=np.float64),
-            np.asarray([r.req_id for r in ordered], dtype=np.int64))
 
 
 # ----------------------------------------------------------------------
@@ -190,18 +181,25 @@ def _scan_fault_free(
 # ----------------------------------------------------------------------
 # The scheduler
 # ----------------------------------------------------------------------
-class VectorizedScheduler(DiscreteEventScheduler):
+class VectorizedScheduler:
     """Columnar backend for fault-free static runs.
 
-    Same constructor as ``DiscreteEventScheduler``, whose scalar
-    :meth:`run` it inherits unchanged for every object-form result;
-    adds :meth:`run_arrays`, the allocation-free columnar path that
-    fault-free ``run()`` reports and the million-query benchmarks use
-    (``tests/simcore`` proves its columns equal the scalar loop's).
+    ``service_time(shard_id, batch_size) -> seconds`` prices one batch
+    on one shard.  :meth:`run_arrays` is the allocation-free columnar
+    path that fault-free ``run()`` reports and the million-query
+    benchmarks use (``tests/simcore`` proves its columns equal the
+    pinned pool loop's).
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, n_shards: int, policy: BatchPolicy,
+                 service_time: Callable[[int, int], float]):
+        if not isinstance(n_shards, (int, np.integer)) \
+                or isinstance(n_shards, bool) or n_shards < 1:
+            raise ValueError(
+                f"shards must be an integer >= 1, got {n_shards!r}")
+        self.n_shards = int(n_shards)
+        self.policy = policy
+        self.service_time = service_time
         self._svc_cache: Dict[Tuple[int, int], float] = {}
 
     # -- service memo ------------------------------------------------
@@ -220,18 +218,13 @@ class VectorizedScheduler(DiscreteEventScheduler):
     # -- public API ----------------------------------------------------
     def run_arrays(self, arrival_s: np.ndarray,
                    req_ids: Optional[np.ndarray] = None) -> ArraySchedule:
-        """Columnar fast path over a sorted arrival-time array.
+        """Columnar fault-free schedule over a sorted arrival-time array.
 
-        Fault-free only (an attached injector needs the event-faithful
-        path -- call :meth:`run`).  ``arrival_s`` must pass
+        ``arrival_s`` must pass
         :func:`~repro.serve.workload.validate_arrival_times`;
         ``req_ids`` (one per arrival, in the same order) defaults to
         positional.
         """
-        if self.injector is not None:
-            raise ValueError(
-                "run_arrays supports fault-free runs only; "
-                "use run() when a FaultInjector is attached")
         arrivals = validate_arrival_times(arrival_s)
         if req_ids is None:
             req_ids = np.arange(arrivals.size, dtype=np.int64)

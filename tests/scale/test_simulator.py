@@ -25,8 +25,9 @@ from repro.scale import (
 )
 from repro.serve import ClosedLoopConfig, RetryPolicy, ServeConfig, \
     ServeReport
-from repro.serve.simulator import ShardServiceModel, \
-    golden_fault_config, golden_integrity_config, golden_serve_config
+from repro.serve.sharding import shard_chunk_counts
+from repro.serve.simulator import ServingSimulator, golden_fault_config, \
+    golden_integrity_config, golden_serve_config
 from repro.simcore.elastic import OverdueTracker
 
 #: Every constructor that classifies completions against the SLO.
@@ -398,26 +399,25 @@ class TestPoolModel:
                              [(4, 4), (39, 6), (163_840, 6)])
     def test_one_death_places_chunks_like_the_static_takeover(
             self, n_chunks, n_shards):
+        """One dead slot's slice splits over the survivors as evenly as
+        chunks allow, earlier survivors taking the remainder."""
         spec = CorpusSpec(f"{n_chunks} chunks", 1e6 * n_chunks, n_chunks)
         pool = ElasticAPUDevicePool(spec, capacity=n_shards)
-        static = ShardServiceModel(spec, n_shards)
+        base = shard_chunk_counts(n_chunks, n_shards)
         for dead in range(n_shards):
-            static.reset()
             live = [i for i in range(n_shards) if i != dead]
-            static.apply_takeover(dead, live)
-            assert pool.counts_for(live) \
-                == {i: static.chunk_counts[i] for i in live}, dead
+            gained = shard_chunk_counts(base[dead], len(live))
+            assert pool.counts_for(live) == {
+                i: base[i] + extra for i, extra in zip(live, gained)}, dead
 
-    def test_two_deaths_can_place_chunks_unlike_the_static_takeover(self):
-        """The static fleet splits each death's slice over the survivors
-        in turn; the pool splits every detached slice at once."""
+    def test_two_deaths_pool_every_detached_slice(self):
+        """Every detached slice is pooled and split at once, for the
+        elastic pool and a static reroute fleet alike."""
         spec = CorpusSpec("4 chunks", 4e6, 4)
-        static = ShardServiceModel(spec, 4)
-        static.apply_takeover(0, [1, 2, 3])
-        static.apply_takeover(2, [1, 3])
-        assert static.chunk_counts == [0, 3, 0, 1]
         pool = ElasticAPUDevicePool(spec, capacity=4)
         assert pool.counts_for([1, 3]) == {1: 2, 3: 2}
+        static = ServingSimulator(ServeConfig(spec=spec, n_shards=4))
+        assert static._place([1, 3]) == {1: 2, 3: 2}
 
     def test_topology_errors(self, pool):
         with pytest.raises(ValueError):

@@ -32,7 +32,7 @@ from repro.obs import collecting, render_trace_golden
 from repro.rag.corpus import MiniCorpus, PAPER_CORPORA
 from repro.serve import (
     BatchPolicy,
-    DiscreteEventScheduler,
+    PoolLoop,
     RetryPolicy,
     ServeConfig,
     ServeReport,
@@ -44,8 +44,11 @@ from repro.serve import (
     golden_serve_config,
     measured_degraded_recall,
     oracle_live_recall,
+    shard_chunk_counts,
 )
 from repro.serve.workload import trace_arrivals
+
+from .test_scheduler import run_pinned
 
 
 def const_service(seconds: float):
@@ -58,11 +61,21 @@ def const_service(seconds: float):
     return service
 
 
-def make_scheduler(n_shards, plan, retry, service_s=1e-3, max_batch=8,
-                   max_wait_s=0.0, on_death=None):
-    return DiscreteEventScheduler(
+def _one_death_split(base, dead):
+    """Survivor -> chunks after ``dead``'s slice splits over the others
+    as evenly as chunks allow, earlier survivors taking the
+    remainder."""
+    live = [j for j in range(len(base)) if j != dead]
+    gained = shard_chunk_counts(base[dead], len(live))
+    return {j: base[j] + extra for j, extra in zip(live, gained)}
+
+
+def run_faulty(n_shards, plan, retry, requests, service_s=1e-3,
+               max_batch=8, max_wait_s=0.0, on_death=None):
+    """The pinned pool loop over ``requests`` under a fault ``plan``."""
+    return run_pinned(
         n_shards, BatchPolicy(max_batch=max_batch, max_wait_s=max_wait_s),
-        const_service(service_s),
+        const_service(service_s), requests,
         injector=FaultInjector(plan, n_shards), retry=retry,
         on_death=on_death)
 
@@ -167,54 +180,137 @@ class TestScriptedOutageDegradation:
         """Survivors take over the dead slice: only the request in
         flight at the death loses coverage."""
         simulator = ServingSimulator(self.chaos_config("reroute"))
-        report = simulator.run()
+        record = simulator._simulate()
+        report = record.report
         assert report.n_shard_failures == 1
         assert report.min_coverage == 0.75
         assert report.degraded_requests == 1
         assert report.mean_coverage == (31 * 1.0 + 0.75) / 32
-        # The dead slice was redistributed, none of it lost.
-        counts = simulator.service_model.chunk_counts
-        assert counts[2] == 0
-        assert sum(counts) == PAPER_CORPORA["10GB"].n_chunks
-        assert min(counts[0], counts[1], counts[3]) > 40960
+        # The dead slice was redistributed, none of it lost: every
+        # later batch streams its survivor's share of the split.
+        base = simulator.placement
+        split = _one_death_split(base, 2)
+        assert sum(split.values()) == PAPER_CORPORA["10GB"].n_chunks
+        [death] = record.result.death_times.values()
+        cost = simulator.cost_model
+        late = [(batch, nbytes) for batch, nbytes
+                in zip(record.result.batches, record.batch_bytes)
+                if batch.dispatch_s > death]
+        assert {batch.shard_id for batch, _ in late} == {0, 1, 3}
+        for batch, nbytes in late:
+            assert nbytes == cost.embedding_bytes(split[batch.shard_id])
 
     def test_reroute_slows_surviving_shards(self):
         """Post-takeover batches are costed on the enlarged slices."""
         simulator = ServingSimulator(self.chaos_config("reroute"))
-        before = simulator.service_model.batch_seconds(0, 1)
-        simulator.run()
-        after = simulator.service_model.batch_seconds(0, 1)
-        assert after > before
+        result = simulator._simulate().result
+        [death] = result.death_times.values()
+        cost, base = simulator.cost_model, simulator.placement
+        enlarged = _one_death_split(base, 2)[0]
+        after = [batch for batch in result.batches
+                 if batch.shard_id == 0 and batch.dispatch_s > death]
+        assert after
+        for batch in after:
+            assert batch.service_s \
+                == cost.service_seconds(enlarged, batch.batch_size) \
+                > cost.service_seconds(base[0], batch.batch_size)
 
     @pytest.mark.parametrize("failover", ["reroute", "degraded"])
     def test_memoized_batch_seconds_follow_the_slices(self, failover):
         """The memo, keyed by chunk count, never serves a time from
-        before a takeover or a degraded death: after either, every live
-        shard costs what a fresh model charges for its current slice
+        before a takeover or a degraded death: every batch costs what a
+        fresh model charges for the slice its shard held at dispatch
         (under ABFT the verification cost grows with the slice's MAC
-        blocks, two per 50 GB quarter), and the dead shard's empty slice
-        has no price at all."""
+        blocks, two per 50 GB quarter) -- the enlarged slice after a
+        reroute, the unchanged one after a degraded death -- and the
+        dead shard dispatches nothing after its death."""
         config = dataclasses.replace(
             self.chaos_config(failover), spec=PAPER_CORPORA["50GB"],
             faults=FaultPlan(outages=(OutageFault(shard_id=2,
                                                   start_s=0.02),)),
             integrity=golden_integrity_config().integrity)
         simulator = ServingSimulator(config)
-        record = simulator._simulate()
-        assert record.report.n_shard_failures == 1
-        model = simulator.service_model
-        assert model.chunk_counts[2] == 0
+        result = simulator._simulate().result
+        [death] = result.death_times.values()
         # Shard 2 served (and memoized) batches before it died.
-        assert any(batch.shard_id == 2 for batch in record.result.batches)
+        assert any(batch.shard_id == 2 for batch in result.batches)
+        assert all(batch.dispatch_s < death for batch in result.batches
+                   if batch.shard_id == 2)
+        base = simulator.placement
+        after = _one_death_split(base, 2) if failover == "reroute" \
+            else {j: base[j] for j in (0, 1, 3)}
         fresh = SliceCostModel(config.spec, config.k,
                                integrity=config.integrity)
-        for shard in (0, 1, 3):
-            for size in range(1, config.batch.max_batch + 1):
-                assert model.batch_seconds(shard, size) \
-                    == fresh.service_seconds(model.chunk_counts[shard],
-                                             size), (shard, size)
+        checked = 0
+        for batch in result.batches:
+            if batch.outcome != "ok" or batch.dispatch_s == death:
+                continue
+            count = base[batch.shard_id] if batch.dispatch_s < death \
+                else after[batch.shard_id]
+            assert batch.service_s \
+                == fresh.service_seconds(count, batch.batch_size), batch
+            checked += 1
+        assert checked > 0
         with pytest.raises(ValueError, match="chunk_count must be >= 1"):
-            model.batch_seconds(2, 1)
+            fresh.service_seconds(0, 1)
+
+    def two_death_config(self, failover):
+        """Four shards over a four-chunk corpus, one chunk each: shard
+        0 fails for good, then shard 2."""
+        return ServeConfig(
+            spec=dataclasses.replace(PAPER_CORPORA["10GB"], n_chunks=4),
+            n_shards=4, batch=BatchPolicy(max_batch=8, max_wait_s=2e-3),
+            qps=400.0, n_requests=48, seed=0,
+            faults=FaultPlan(outages=(
+                OutageFault(shard_id=0, start_s=0.02),
+                OutageFault(shard_id=2, start_s=0.06))),
+            failover=failover,
+        )
+
+    def test_reroute_pools_every_dead_slice(self):
+        """After one death its chunk goes to the first survivor; after
+        the second the two orphaned chunks are pooled and split one to
+        each survivor ({1: 2, 3: 2}), and every batch is priced on the
+        slice its shard held at dispatch."""
+        simulator = ServingSimulator(self.two_death_config("reroute"))
+        record = simulator._simulate()
+        result = record.result
+        assert list(result.death_times) == [0, 2]
+        first, second = result.death_times[0], result.death_times[2]
+        between = {1: 2, 2: 1, 3: 1}
+        pooled = {1: 2, 3: 2}
+        cost = simulator.cost_model
+        late = set()
+        for batch, nbytes in zip(result.batches, record.batch_bytes):
+            if batch.dispatch_s < first:
+                count = 1
+            elif first < batch.dispatch_s < second:
+                count = between[batch.shard_id]
+            elif batch.dispatch_s > second:
+                count = pooled[batch.shard_id]
+                late.add(batch.shard_id)
+            else:
+                continue
+            assert nbytes == cost.embedding_bytes(count), batch
+            if batch.outcome == "ok":
+                assert batch.service_s \
+                    == cost.service_seconds(count, batch.batch_size), batch
+        assert late == {1, 3}
+
+    def test_degraded_coverage_is_the_answered_share(self):
+        """Under degraded failover every shard keeps its one chunk, so
+        a request's coverage is the share of shards that answered it,
+        and the report's coverage numbers are those shares."""
+        simulator = ServingSimulator(self.two_death_config("degraded"))
+        record = simulator._simulate()
+        report, result = record.report, record.result
+        assert report.n_shard_failures == 2
+        shares = [len(r.shard_done_s) / 4 for r in result.records]
+        assert {0.5, 0.75, 1.0} <= set(shares)
+        assert report.mean_coverage == sum(shares) / len(shares)
+        assert report.min_coverage == min(shares) == 0.5
+        assert report.degraded_requests \
+            == sum(1 for share in shares if share < 1.0)
 
     @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
     def test_batch_bytes_are_charged_at_dispatch(self, engine):
@@ -305,8 +401,7 @@ class TestTimeoutRetryBackoff:
     def test_stall_multiplies_service_time(self):
         plan = FaultPlan(stalls=(StallFault(shard_id=0, start_s=0.0,
                                             duration_s=1.0, slowdown=4.0),))
-        scheduler = make_scheduler(1, plan, RetryPolicy())
-        result = scheduler.run(trace_arrivals([0.0]))
+        result = run_faulty(1, plan, RetryPolicy(), trace_arrivals([0.0]))
         (batch,) = result.batches
         assert batch.multiplier == 4.0
         assert batch.service_s == 4e-3
@@ -321,8 +416,7 @@ class TestTimeoutRetryBackoff:
                                             slowdown=10.0),))
         retry = RetryPolicy(timeout_s=5e-3, max_retries=3,
                             backoff_base_s=1e-3, backoff_cap_s=8e-3)
-        scheduler = make_scheduler(1, plan, retry)
-        result = scheduler.run(trace_arrivals([0.0, 1e-3]))
+        result = run_faulty(1, plan, retry, trace_arrivals([0.0, 1e-3]))
 
         assert [b.outcome for b in result.batches] \
             == ["timeout", "timeout", "timeout", "ok"]
@@ -358,9 +452,9 @@ class TestTimeoutRetryBackoff:
         retry = RetryPolicy(timeout_s=5e-3, max_retries=1,
                             backoff_base_s=1e-3, backoff_cap_s=8e-3)
         deaths = []
-        scheduler = make_scheduler(
-            2, plan, retry, on_death=lambda sid, t: deaths.append((sid, t)))
-        result = scheduler.run(trace_arrivals([0.0]))
+        result = run_faulty(
+            2, plan, retry, trace_arrivals([0.0]),
+            on_death=lambda sid, t, serving: deaths.append((sid, t)))
         assert list(result.death_times) == [0]
         assert deaths == [(0, result.death_times[0])]
         assert [e.kind for e in result.fault_log] \
@@ -374,8 +468,7 @@ class TestTimeoutRetryBackoff:
     def test_transient_outage_holds_queue_until_restart(self):
         plan = FaultPlan(outages=(OutageFault(shard_id=0, start_s=0.0,
                                               duration_s=10e-3),))
-        scheduler = make_scheduler(1, plan, RetryPolicy())
-        result = scheduler.run(trace_arrivals([0.0]))
+        result = run_faulty(1, plan, RetryPolicy(), trace_arrivals([0.0]))
         (batch,) = result.batches
         assert batch.dispatch_s == 10e-3
         assert batch.outcome == "ok"
@@ -385,9 +478,8 @@ class TestTimeoutRetryBackoff:
     def test_outage_interrupts_inflight_batch(self):
         plan = FaultPlan(outages=(OutageFault(shard_id=0, start_s=2e-3,
                                               duration_s=5e-3),))
-        scheduler = make_scheduler(1, plan, RetryPolicy(),
-                                   service_s=4e-3)
-        result = scheduler.run(trace_arrivals([0.0]))
+        result = run_faulty(1, plan, RetryPolicy(), trace_arrivals([0.0]),
+                            service_s=4e-3)
         first, second = result.batches
         assert first.outcome == "interrupted"
         assert first.service_s == 2e-3         # cut at the outage start
@@ -399,8 +491,8 @@ class TestTimeoutRetryBackoff:
 
     def test_permanent_outage_fails_over_pending_requests(self):
         plan = FaultPlan(outages=(OutageFault(shard_id=1, start_s=0.0),))
-        scheduler = make_scheduler(2, plan, RetryPolicy())
-        result = scheduler.run(trace_arrivals([0.0, 1e-4, 2e-4]))
+        result = run_faulty(2, plan, RetryPolicy(),
+                            trace_arrivals([0.0, 1e-4, 2e-4]))
         assert list(result.death_times) == [1]
         for record in result.records:
             assert record.retrieval_done_s is not None
@@ -455,14 +547,14 @@ class TestValidation:
     def test_scheduler_rejects_mismatched_injector(self):
         injector = FaultInjector(FaultPlan(), n_shards=2)
         with pytest.raises(ValueError, match="injector"):
-            DiscreteEventScheduler(4, BatchPolicy(), const_service(1e-3),
-                                   injector=injector)
+            PoolLoop(4, BatchPolicy(), const_service(1e-3),
+                     injector=injector)
 
     def test_infinite_timeout_never_fires(self):
         plan = FaultPlan(stalls=(StallFault(shard_id=0, start_s=0.0,
                                             duration_s=1.0,
                                             slowdown=100.0),))
-        scheduler = make_scheduler(1, plan, RetryPolicy())  # timeout inf
-        result = scheduler.run(trace_arrivals([0.0]))
+        # RetryPolicy() has an infinite timeout.
+        result = run_faulty(1, plan, RetryPolicy(), trace_arrivals([0.0]))
         assert result.n_timeouts == 0
         assert result.batches[0].service_s == pytest.approx(0.1)

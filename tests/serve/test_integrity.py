@@ -31,9 +31,10 @@ from repro.serve import (
     RetryPolicy,
     ServeConfig,
     ServingSimulator,
-    ShardServiceModel,
+    SliceCostModel,
     golden_integrity_config,
     golden_serve_config,
+    shard_chunk_counts,
 )
 
 
@@ -141,23 +142,25 @@ class TestConsumptionSemantics:
 class TestChargedOverhead:
     def test_verification_stretches_service_times(self):
         spec = PAPER_CORPORA["10GB"]
-        plain = ShardServiceModel(spec, n_shards=4)
-        checked = ShardServiceModel(
-            spec, n_shards=4, integrity=IntegrityConfig(enabled=True))
-        for shard in range(4):
-            assert checked.batch_seconds(shard, 4) \
-                > plain.batch_seconds(shard, 4)
-        assert checked.verify_seconds(checked.chunk_counts[0]) > 0.0
+        plain = SliceCostModel(spec)
+        checked = SliceCostModel(spec,
+                                 integrity=IntegrityConfig(enabled=True))
+        for count in shard_chunk_counts(spec.n_chunks, 4):
+            assert checked.service_seconds(count, 4) \
+                > plain.service_seconds(count, 4)
+            assert checked.verify_seconds(count) > 0.0
 
     def test_scrubbing_adds_duty_factor(self):
         spec = PAPER_CORPORA["10GB"]
-        checked = ShardServiceModel(
-            spec, n_shards=4, integrity=IntegrityConfig(enabled=True))
-        scrubbed = ShardServiceModel(
-            spec, n_shards=4,
+        checked = SliceCostModel(spec,
+                                 integrity=IntegrityConfig(enabled=True))
+        scrubbed = SliceCostModel(
+            spec,
             integrity=IntegrityConfig(enabled=True, scrub_interval_s=0.05))
         assert scrubbed.scrub_duty_factor > checked.scrub_duty_factor == 1.0
-        assert scrubbed.batch_seconds(0, 1) > checked.batch_seconds(0, 1)
+        quarter = shard_chunk_counts(spec.n_chunks, 4)[0]
+        assert scrubbed.service_seconds(quarter, 1) \
+            > checked.service_seconds(quarter, 1)
 
     def test_protected_throughput_cost_is_bounded(self):
         """The protection tax is real but small: sustained qps drops,

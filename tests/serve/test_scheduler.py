@@ -1,8 +1,9 @@
 """Property tests for the discrete-event serving scheduler.
 
 The hypothesis suite drives random arrival traces, shard counts, and
-batching policies through :class:`DiscreteEventScheduler` and checks
-the scheduling invariants:
+batching policies through the pinned :class:`PoolLoop` (every shard
+serving, priced by a synthetic service function) and checks the
+scheduling invariants:
 
 * every admitted request completes exactly once (per shard and overall);
 * no batch exceeds ``max_batch``;
@@ -21,9 +22,8 @@ from hypothesis import strategies as st
 
 from repro.scale.simulator import ScaleAction, ScaleSimulator, \
     golden_autoscale_config
-from repro.serve.scheduler import BatchPolicy, DiscreteEventScheduler, \
-    ExecutedBatch
-from repro.serve.workload import trace_arrivals
+from repro.serve.scheduler import BatchPolicy, ExecutedBatch, PoolLoop
+from repro.serve.workload import request_columns, trace_arrivals
 
 #: Slack for float comparisons on *derived* bounds (sums of different
 #: orderings); same-expression comparisons in the scheduler are exact.
@@ -55,11 +55,18 @@ service_bases = st.floats(min_value=1e-4, max_value=6e-3)
 service_incs = st.floats(min_value=0.0, max_value=1e-3)
 
 
+def run_pinned(n_shards, policy, service, requests, **kwargs):
+    """The pool loop pinned to ``n_shards`` devices priced by the
+    synthetic ``service``, run over ``requests``: its ScheduleResult.
+    ``kwargs`` go to :class:`PoolLoop` (injector, retry, ...)."""
+    loop = PoolLoop(n_shards, policy, service, **kwargs)
+    return loop.run(*request_columns(requests)).result()
+
+
 def run_case(gaps, n_shards, policy, base_s, inc_s):
     requests = trace_arrivals(np.cumsum(gaps).tolist())
-    scheduler = DiscreteEventScheduler(n_shards, policy,
-                                       make_service(base_s, inc_s))
-    return requests, scheduler.run(requests)
+    return requests, run_pinned(n_shards, policy,
+                                make_service(base_s, inc_s), requests)
 
 
 @settings(deadline=None, max_examples=60)
@@ -120,16 +127,16 @@ def test_scheduler_is_bit_deterministic(gaps, n_shards, policy, base_s,
 class TestSchedulerEdges:
     def test_max_wait_zero_dispatches_immediately(self):
         policy = BatchPolicy(max_batch=8, max_wait_s=0.0)
-        scheduler = DiscreteEventScheduler(1, policy, make_service(1e-3, 0))
-        result = scheduler.run(trace_arrivals([0.0]))
+        result = run_pinned(1, policy, make_service(1e-3, 0),
+                            trace_arrivals([0.0]))
         (batch,) = result.batches
         assert batch.dispatch_s == 0.0
         assert batch.batch_size == 1
 
     def test_full_batch_skips_the_wait(self):
         policy = BatchPolicy(max_batch=2, max_wait_s=1.0)
-        scheduler = DiscreteEventScheduler(1, policy, make_service(1e-3, 0))
-        result = scheduler.run(trace_arrivals([0.0, 1e-4]))
+        result = run_pinned(1, policy, make_service(1e-3, 0),
+                            trace_arrivals([0.0, 1e-4]))
         (batch,) = result.batches
         assert batch.batch_size == 2
         assert batch.dispatch_s == pytest.approx(1e-4)
@@ -137,9 +144,8 @@ class TestSchedulerEdges:
     def test_backlog_batches_on_device_free(self):
         """Requests queued behind a busy device batch up at completion."""
         policy = BatchPolicy(max_batch=4, max_wait_s=0.0)
-        scheduler = DiscreteEventScheduler(1, policy, make_service(1e-2, 0))
-        result = scheduler.run(
-            trace_arrivals([0.0, 1e-3, 2e-3, 3e-3, 4e-3]))
+        result = run_pinned(1, policy, make_service(1e-2, 0),
+                            trace_arrivals([0.0, 1e-3, 2e-3, 3e-3, 4e-3]))
         first, second = result.batches
         assert first.request_ids == (0,)
         assert second.request_ids == (1, 2, 3, 4)
@@ -152,9 +158,8 @@ class TestSchedulerEdges:
         lands on that batch's completion (0.75) and rides with r2, which
         had waited out its deadline behind the busy device."""
         policy = BatchPolicy(max_batch=2, max_wait_s=0.25)
-        scheduler = DiscreteEventScheduler(2, policy, make_service(0.5, 0))
-        result = scheduler.run(
-            trace_arrivals([0.0, 0.25, 0.375, 0.75]))
+        result = run_pinned(2, policy, make_service(0.5, 0),
+                            trace_arrivals([0.0, 0.25, 0.375, 0.75]))
         assert [(b.shard_id, b.request_ids, b.dispatch_s, b.complete_s)
                 for b in result.batches] == [
             (0, (0, 1), 0.25, 0.75), (1, (0, 1), 0.25, 0.75),
@@ -174,20 +179,16 @@ class TestSchedulerEdges:
     def test_invalid_shards_rejected(self):
         for bad in (0, -1, 2.5, True):
             with pytest.raises(ValueError):
-                DiscreteEventScheduler(bad, BatchPolicy(),
-                                       make_service(1e-3, 0))
+                PoolLoop(bad, BatchPolicy(), make_service(1e-3, 0))
 
     def test_empty_stream_rejected(self):
-        scheduler = DiscreteEventScheduler(1, BatchPolicy(),
-                                           make_service(1e-3, 0))
         with pytest.raises(ValueError):
-            scheduler.run([])
+            run_pinned(1, BatchPolicy(), make_service(1e-3, 0), [])
 
     def test_nonpositive_service_time_rejected(self):
-        scheduler = DiscreteEventScheduler(1, BatchPolicy(),
-                                           lambda s, b: 0.0)
         with pytest.raises(ValueError):
-            scheduler.run(trace_arrivals([0.0]))
+            run_pinned(1, BatchPolicy(), lambda s, b: 0.0,
+                       trace_arrivals([0.0]))
 
 
 class TestRecordContract:

@@ -7,8 +7,9 @@ from repro.rag.corpus import PAPER_CORPORA
 from repro.serve import (
     ServeConfig,
     ServingSimulator,
-    ShardServiceModel,
+    SliceCostModel,
     golden_serve_config,
+    shard_chunk_counts,
     poisson_arrivals,
     trace_arrivals,
 )
@@ -24,21 +25,26 @@ class TestServiceModel:
         from repro.rag.retrieval import APURetriever
 
         spec = PAPER_CORPORA["50GB"]
-        model = ShardServiceModel(spec, 1, k=5)
+        model = SliceCostModel(spec, k=5)
         single = APURetriever(optimized=True).retrieval_seconds(spec, 5)
-        assert model.batch_seconds(0, 1) == single
+        assert model.service_seconds(spec.n_chunks, 1) == single
 
     def test_batching_amortizes(self):
-        model = ShardServiceModel(PAPER_CORPORA["200GB"], 4, k=5)
-        b1, b8 = model.batch_seconds(0, 1), model.batch_seconds(0, 8)
+        spec = PAPER_CORPORA["200GB"]
+        model = SliceCostModel(spec, k=5)
+        quarter = shard_chunk_counts(spec.n_chunks, 4)[0]
+        b1 = model.service_seconds(quarter, 1)
+        b8 = model.service_seconds(quarter, 8)
         assert b8 > b1
         assert b8 / 8 < b1  # amortized per-query cost drops
 
     def test_smaller_shards_serve_faster(self):
         spec = PAPER_CORPORA["200GB"]
-        halves = ShardServiceModel(spec, 2, k=5)
-        quarters = ShardServiceModel(spec, 4, k=5)
-        assert quarters.batch_seconds(0, 8) < halves.batch_seconds(0, 8)
+        model = SliceCostModel(spec, k=5)
+        half, quarter = (shard_chunk_counts(spec.n_chunks, n)[0]
+                         for n in (2, 4))
+        assert model.service_seconds(quarter, 8) \
+            < model.service_seconds(half, 8)
 
 
 class TestReport:
@@ -111,7 +117,8 @@ class TestTraceEmission:
 
     def test_calibration_restores_collector(self):
         with collecting() as trace:
-            ShardServiceModel(PAPER_CORPORA["10GB"], 2)
+            ServingSimulator(ServeConfig(spec=PAPER_CORPORA["10GB"],
+                                         n_shards=2))
             from repro.obs import active_collector
 
             assert active_collector() is trace

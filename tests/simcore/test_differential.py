@@ -8,11 +8,13 @@ Layers of evidence, from cheapest to broadest:
    exposed metrics registry must compare *equal* -- no tolerances.
 2. **Scheduler-level hypothesis sweeps.**  Random arrival streams,
    batch policies, shard counts, and synthetic service models drive
-   both schedulers directly.  Fault-free, the ``run_arrays`` columns
-   must equal the scalar :class:`ScheduleResult` shard by shard (each
-   shard's batches in dispatch order, every request's resolution time,
-   busy seconds); with randomized fault / bit-flip plans the full
-   results (fault log, death times) must match.
+   the pinned pool loop (the event-loop oracle) and the vectorized
+   core directly.  Fault-free, the ``run_arrays`` columns must equal
+   the loop's :class:`ScheduleResult` shard by shard (each shard's
+   batches in dispatch order, every request's resolution time, busy
+   seconds); under randomized fault / bit-flip plans the loop must
+   resolve every request exactly once, never dispatch on a dead shard,
+   log exactly its deaths, and replay bit-identically.
 3. **Simulator-level hypothesis sweep.**  Whole ``ServeConfig``
    deployments (anchored service models, failover, integrity,
    telemetry on or off) compared end to end.
@@ -21,15 +23,16 @@ Layers of evidence, from cheapest to broadest:
    engine's, ``run_with_telemetry()``'s, and list arithmetic over the
    scalar loop's records, on tied / on-deadline arrivals, shuffled
    request ids, and fleets of several service classes.
-5. **A guard** that plain ``run()`` never runs the scalar event loop.
+5. **Guards**: plain fault-free vectorized ``run()`` never runs the
+   event loop, and a plain fault ``run()`` builds no ``RequestRecord``.
 
 Cross-shard ties at the exact same float64 instant are not hypothetical
 -- different per-shard service sums really do round to the same double
 under these sweeps.  The columns carry no global order, so such ties
 cannot change them, and every assertion here is strict equality with
 no tolerance.  Every object-form ``ScheduleResult`` (fault runs,
-telemetry, monitors, traces) comes from the scalar event loop on
-either engine, so those comparisons hold by construction and pin that
+telemetry, monitors, traces) comes from the pinned pool loop on either
+engine, so those comparisons hold by construction and pin that
 hand-off.
 """
 
@@ -48,7 +51,7 @@ from repro.rag.corpus import PAPER_CORPORA
 from repro.scale import ScaleConfig, ScaleSimulator
 from repro.serve import (
     BatchPolicy,
-    DiscreteEventScheduler,
+    PoolLoop,
     Request,
     RetryPolicy,
     ServeConfig,
@@ -63,8 +66,12 @@ from repro.serve import (
     trace_arrivals,
 )
 from repro.serve.metrics import LatencyStats, nearest_rank_percentile
+from repro.serve.scheduler import ShardMachine
+from repro.serve.workload import request_columns
 from repro.simcore import VectorizedScheduler
-from repro.simcore.vectorized import _BULK, request_columns
+from repro.simcore.vectorized import _BULK
+
+from ..serve.test_scheduler import run_pinned
 
 GOLDEN_FACTORIES = {
     "serve": golden_serve_config,
@@ -189,7 +196,7 @@ def test_heap_tie_across_unequal_histories():
     policy = BatchPolicy(max_batch=4, max_wait_s=5e-4)
     requests = poisson_arrivals(3000.0, 9, 0)
     service = _synthetic_service(base_ms=0.5, inc_ms=0.11)
-    res_s = DiscreteEventScheduler(7, policy, service).run(requests)
+    res_s = run_pinned(7, policy, service, requests)
     arrays = VectorizedScheduler(7, policy, service).run_arrays(
         *request_columns(requests))
     _assert_columns_match(arrays, res_s)
@@ -211,13 +218,8 @@ def test_death_observed_by_arrival_inside_backoff():
     retry = RetryPolicy(timeout_s=0.004, max_retries=1,
                         backoff_base_s=5e-4, backoff_cap_s=4e-3)
     service = _synthetic_service(base_ms=2.3, inc_ms=0.03)
-    res_s = DiscreteEventScheduler(
-        1, policy, service, injector=FaultInjector(plan, 1),
-        retry=retry).run(requests)
-    res_v = VectorizedScheduler(
-        1, policy, service, injector=FaultInjector(plan, 1),
-        retry=retry).run(requests)
-    _assert_results_equal(res_s, res_v)
+    res_s = run_pinned(1, policy, service, requests,
+                       injector=FaultInjector(plan, 1), retry=retry)
     # the death lands at the in-backoff arrival, not the backoff wake
     [death_s] = res_s.death_times.values()
     assert death_s in {r.arrival_s for r in requests}
@@ -289,7 +291,7 @@ def test_two_death_spike_completes_on_both_engines():
 # steps.
 def _assert_scan_matches_scalar(times, policy, service, n_shards=1):
     requests = trace_arrivals(times)
-    res_s = DiscreteEventScheduler(n_shards, policy, service).run(requests)
+    res_s = run_pinned(n_shards, policy, service, requests)
     arrays = VectorizedScheduler(n_shards, policy, service).run_arrays(
         np.asarray(times, dtype=np.float64))
     _assert_columns_match(arrays, res_s)
@@ -370,7 +372,7 @@ def test_arrival_exactly_on_zero_wait_deadline(times):
 def test_schedulers_agree_fault_free(scenario):
     n_shards, policy, qps, n_requests, seed, service = scenario
     requests = poisson_arrivals(qps, n_requests, seed)
-    res_s = DiscreteEventScheduler(n_shards, policy, service).run(requests)
+    res_s = run_pinned(n_shards, policy, service, requests)
     arrays = VectorizedScheduler(n_shards, policy, service).run_arrays(
         poisson_arrival_times(qps, n_requests, seed))
     _assert_columns_match(arrays, res_s)
@@ -386,6 +388,10 @@ def test_schedulers_agree_fault_free(scenario):
        max_retries=st.integers(min_value=0, max_value=3))
 def test_schedulers_agree_under_faults(scenario, fault_seed, with_flips,
                                        protected, max_retries):
+    """The pinned loop under random fault and bit-flip plans: every
+    request resolves exactly once, no batch dispatches on a shard at or
+    after its death, the fault log's deaths are the death times, and a
+    second run is bit-identical."""
     n_shards, policy, qps, n_requests, seed, service = scenario
     requests = poisson_arrivals(qps, n_requests, seed)
     horizon = requests[-1].arrival_s + 0.05
@@ -398,15 +404,28 @@ def test_schedulers_agree_under_faults(scenario, fault_seed, with_flips,
     retry = RetryPolicy(timeout_s=0.004, max_retries=max_retries,
                         backoff_base_s=5e-4, backoff_cap_s=4e-3)
 
-    res_s = DiscreteEventScheduler(
-        n_shards, policy, service,
-        injector=FaultInjector(plan, n_shards), retry=retry,
-        protected=protected).run(requests)
-    res_v = VectorizedScheduler(
-        n_shards, policy, service,
-        injector=FaultInjector(plan, n_shards), retry=retry,
-        protected=protected).run(requests)
-    _assert_results_equal(res_s, res_v)
+    def run():
+        return run_pinned(n_shards, policy, service, requests,
+                          injector=FaultInjector(plan, n_shards),
+                          retry=retry, protected=protected)
+
+    result = run()
+    assert sorted(r.req_id for r in result.records) \
+        == sorted(r.req_id for r in requests)
+    for record in result.records:
+        assert record.retrieval_done_s is not None
+        # Each shard it fanned out to answered it or failed it, once.
+        assert not record.failed_shards & set(record.shard_done_s)
+        assert len(record.shard_done_s) + len(record.failed_shards) \
+            == record.n_required
+    deaths = result.death_times
+    for batch in result.batches:
+        assert batch.dispatch_s < deaths.get(batch.shard_id, np.inf), batch
+    dead_entries = [entry for entry in result.fault_log
+                    if entry.kind == "dead"]
+    assert {entry.shard_id: entry.t_s for entry in dead_entries} == deaths
+    assert len(dead_entries) == len(deaths)
+    _assert_results_equal(result, run())
 
 
 # ----------------------------------------------------------------------
@@ -520,7 +539,9 @@ def _assert_columnar_report_agrees(config: ServeConfig, requests=None):
     assert with_telemetry == columnar
     stream = requests if requests is not None else poisson_arrivals(
         config.qps, config.n_requests, config.seed)
-    assert _materialized_report(sim, sim.scheduler.run(stream)) == columnar
+    pinned = run_pinned(config.n_shards, config.batch,
+                        sim.scheduler.service_time, stream)
+    assert _materialized_report(sim, pinned) == columnar
     # repr pins what == cannot see (e.g. the sign of a zero).
     assert repr(columnar) == repr(with_telemetry)
 
@@ -580,7 +601,7 @@ def test_schedulers_agree_on_quantized_class_fleets(
     policy = BatchPolicy(max_batch=max_batch,
                          max_wait_s=wait_quanta * _QUANTUM)
     service = _class_service(n_classes, base, step, inc)
-    res_s = DiscreteEventScheduler(n_shards, policy, service).run(requests)
+    res_s = run_pinned(n_shards, policy, service, requests)
     arrays = VectorizedScheduler(n_shards, policy, service).run_arrays(
         *request_columns(requests))
     _assert_columns_match(arrays, res_s)
@@ -623,15 +644,15 @@ def test_uneven_split_yields_several_service_classes():
 
 
 # ----------------------------------------------------------------------
-# 5. Guard: plain run() never runs the scalar event loop
+# 5. Guards: plain run() runs no more than its report needs
 # ----------------------------------------------------------------------
 def test_columnar_run_does_not_materialize(monkeypatch):
-    def refuse(self, requests):
-        raise AssertionError("fault-free run() ran the scalar event loop")
+    def refuse(self, arrival_s, req_ids=None):
+        raise AssertionError("fault-free run() ran the event loop")
 
     config = dataclasses.replace(golden_serve_config(), engine="vectorized")
     with monkeypatch.context() as patch:
-        patch.setattr(DiscreteEventScheduler, "run", refuse)
+        patch.setattr(PoolLoop, "run", refuse)
         report = ServingSimulator(config).run()
         assert report.n_completed == config.n_requests
         static = ScaleSimulator(ScaleConfig(
@@ -643,3 +664,20 @@ def test_columnar_run_does_not_materialize(monkeypatch):
     expected = (Path(__file__).parents[1] / "goldens"
                 / "trace_serve.txt").read_text()
     assert render_trace_golden(trace, "sharded serving") == expected
+
+
+def test_fault_run_builds_no_records(monkeypatch):
+    """A plain fault run reports from the machine's columns: it builds
+    no ``RequestRecord`` and runs no per-dispatch hook."""
+    def refuse(self):
+        raise AssertionError("a plain fault run() built its records")
+
+    config = golden_fault_config()
+    with monkeypatch.context() as patch:
+        patch.setattr(ShardMachine, "result", refuse)
+        report = ServingSimulator(config).run()
+        assert report.n_shard_failures == 2
+        static = ScaleSimulator(ScaleConfig(serve=config)).run()
+        assert static == report
+    assert not hasattr(ShardMachine(1, BatchPolicy(), lambda s, b: 1.0),
+                       "on_dispatch")

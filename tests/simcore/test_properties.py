@@ -24,10 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import BatchPolicy, DiscreteEventScheduler, \
-    poisson_arrival_times, poisson_arrivals
+from repro.serve import BatchPolicy, poisson_arrival_times, \
+    poisson_arrivals
 from repro.simcore import ArraySchedule, VectorizedScheduler
 
+from ..serve.test_scheduler import run_pinned
 from .test_differential import _assert_columns_match
 
 
@@ -118,9 +119,9 @@ def test_run_arrays_matches_run(run):
     assert np.all(arrays.latency_s() >= 0.0)
     assert arrays.n_events \
         == n_requests * n_shards + 2 * arrays.n_batches
-    # The columns hold exactly what the scalar run() produces.
-    reference = DiscreteEventScheduler(n_shards, policy, _service).run(
-        poisson_arrivals(qps, n_requests, seed))
+    # The columns hold exactly what the pinned event loop produces.
+    reference = run_pinned(n_shards, policy, _service,
+                           poisson_arrivals(qps, n_requests, seed))
     _assert_columns_match(arrays, reference)
 
 
