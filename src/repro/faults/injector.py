@@ -1,10 +1,12 @@
 """Deterministic fault-state queries over a :class:`FaultPlan`.
 
 The :class:`FaultInjector` is the runtime face of a plan: the scheduler
-asks it three questions -- *is this shard reachable now*, *how much
-slower is a batch dispatched now*, and *when does the next outage begin*
--- and every answer is a pure function of the plan, so a replay with the
-same plan and request stream is bit-identical.
+asks it four questions -- *is this shard reachable now*, *how much
+slower is a batch dispatched now*, *when does the next outage begin*,
+and *how long does the shard stay calm from now*
+(:meth:`FaultInjector.calm_until`: up, multiplier exactly one, no
+stuck-at cell) -- and every answer is a pure function of the plan, so a
+replay with the same plan and request stream is bit-identical.
 
 Each shard's script is compiled once, at construction, into sorted
 columns: the merged outage windows (overlapping scripted outages behave
@@ -223,6 +225,45 @@ class FaultInjector:
     def has_bit_flips(self, shard_id: int) -> bool:
         """Whether the plan scripts any corruption for this shard."""
         return shard_id in self._flip_shards
+
+    # ------------------------------------------------------------------
+    # Calm stretches
+    # ------------------------------------------------------------------
+    def calm_until(self, shard_id: int, t_s: float) -> float:
+        """End of the calm stretch ``[t_s, calm_until)`` (``t_s`` itself
+        when the shard is not calm at ``t_s``).
+
+        Throughout the stretch the shard is up, its :meth:`multiplier`
+        is exactly ``1.0`` and no stuck-at cell is active; no outage
+        starts, slowdown breakpoint or stuck-at onset lies inside it.
+        Transient flips are not consulted: the scheduler clamps the
+        stretch to its own consume-once cursor.
+        """
+        calm_hi = math.inf
+        windows = self._windows.get(shard_id)
+        if windows is not None:
+            starts, ends = windows
+            i = bisect_right(starts, t_s)
+            if i and t_s < ends[i - 1]:
+                return t_s
+            if i < len(starts):
+                calm_hi = starts[i]
+        timeline = self._slowdowns.get(shard_id)
+        if timeline is not None:
+            breaks = timeline.breaks
+            i = bisect_right(breaks, t_s)
+            if i and (timeline.factors[i - 1] != 1.0 or timeline.ramps[i - 1]):
+                return t_s
+            if i < len(breaks) and breaks[i] < calm_hi:
+                calm_hi = breaks[i]
+        stuck = self._stuck.get(shard_id)
+        if stuck is not None:
+            first_onset = stuck[1][0]
+            if first_onset <= t_s:
+                return t_s
+            if first_onset < calm_hi:
+                calm_hi = first_onset
+        return calm_hi
 
     # ------------------------------------------------------------------
     # Service-time degradation

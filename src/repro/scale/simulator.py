@@ -593,10 +593,13 @@ class ScaleSimulator:
                 # Fault pressure: deaths/stall onsets noted inside the
                 # trailing window plus devices currently running
                 # degraded.  Forces the scale-up branch and vetoes
-                # scale-down at the controller.
+                # scale-down at the controller.  A slot inside its calm
+                # window runs at multiplier one.
                 pressure = signal.recent_faults(now)
                 for j in serving:
-                    if injector.multiplier(j, now) > 1.0:
+                    state = shards[j]
+                    if not state.calm_lo <= now < state.calm_hi \
+                            and injector.multiplier(j, now) > 1.0:
                         pressure += 1
             verdict = decide(now, burn, len(serving), n_warming, pressure)
             if verdict == SCALE_UP:

@@ -59,6 +59,17 @@ A request's retrieval completes when every shard it was fanned out to
 has either finished or been declared dead; downstream costs (top-k
 merge, generator prefill) are applied by the simulator on top of the
 scheduler output.
+
+Most dispatches of a chaos run fall where the script does nothing.
+Each shard keeps a **calm window** ``[calm_lo, calm_hi)``, refreshed
+after every judged dispatch from
+:meth:`~repro.faults.FaultInjector.calm_until` and clamped to the
+shard's next unconsumed transient flip: inside it the shard is up, its
+multiplier is exactly one and no stuck-at cell is active.  A batch that
+starts and ends strictly inside the window, with no recompute due and
+no timeout below its service time, is exactly the fault-free batch, so
+it is built without asking the injector; ``maybe_dispatch`` skips the
+availability query there too.
 """
 
 from __future__ import annotations
@@ -335,7 +346,8 @@ class _ShardState:
 
     __slots__ = ("queue", "busy", "busy_s", "gen", "timer_armed_gen",
                  "batch_seq", "failures", "blocked_until", "wake_at",
-                 "dead", "last_corrupted", "flip_cursor")
+                 "dead", "last_corrupted", "flip_cursor", "calm_lo",
+                 "calm_hi")
 
     def __init__(self):
         #: Queued request ids; each was enqueued at its arrival.
@@ -359,6 +371,11 @@ class _ShardState:
         #: Consume-once cursor into the shard's scripted transient
         #: flips: each flip corrupts exactly one completing batch.
         self.flip_cursor = 0
+        #: Calm window ``[calm_lo, calm_hi)`` from the last judged
+        #: dispatch: up, multiplier one, no stuck-at cell, and no
+        #: unconsumed transient flip (empty until the first one).
+        self.calm_lo = 0.0
+        self.calm_hi = 0.0
 
 
 class ShardMachine(_FaultTallies):
@@ -388,7 +405,9 @@ class ShardMachine(_FaultTallies):
     With an ``injector`` attached the machine also applies the fault
     rules (see the module docstring) under the ``retry`` policy, with
     ``protected`` ABFT verification and an optional ``ecc`` decoder;
-    with none, no fault path is ever entered.
+    with none, no fault path is ever entered.  A dispatch inside the
+    shard's calm window (see the module docstring) skips the judge: the
+    judge would return the same fault-free batch.
 
     Hooks:
 
@@ -504,7 +523,12 @@ class ShardMachine(_FaultTallies):
             raise ValueError(
                 f"service_time must be positive and finite, got "
                 f"{base!r} for shard {shard_id} batch {take}")
-        if self.injector is None:
+        if self.injector is None or (
+                state.calm_lo <= now and now + base < state.calm_hi
+                and not state.last_corrupted
+                and not self.retry.timeout_s < base):
+            # Fault-free, or inside the calm window, where the judge
+            # would return this very batch.
             batch = _new_tuple(ExecutedBatch, (
                 shard_id, state.batch_seq, now, base, request_ids,
                 head_enqueue, state.failures, 1.0, OUTCOME_OK, False, False))
@@ -587,6 +611,14 @@ class ShardMachine(_FaultTallies):
         # verification that rejects it happens at the end.
         occupied = service if outcome in (OUTCOME_OK, OUTCOME_CORRUPTED) \
             else fail_at - now
+        # Refresh the calm window, clamped to the next unconsumed flip.
+        calm_hi = injector.calm_until(shard_id, now)
+        onsets = injector.transient_onsets(shard_id)
+        if state.flip_cursor < len(onsets) \
+                and onsets[state.flip_cursor] < calm_hi:
+            calm_hi = onsets[state.flip_cursor]
+        state.calm_lo = now
+        state.calm_hi = calm_hi
         return _new_tuple(ExecutedBatch, (
             shard_id, state.batch_seq, now, occupied, request_ids,
             head_enqueue_s, state.failures, multiplier, outcome, corrupted,
@@ -626,7 +658,8 @@ class ShardMachine(_FaultTallies):
         if state.dead or state.busy or not state.queue:
             return
         injector = self.injector
-        if injector is not None:
+        if injector is not None \
+                and not state.calm_lo <= now < state.calm_hi:
             up_at = injector.next_up(shard_id, now)
             if up_at > now:  # down: the covering outage ends at up_at
                 if math.isinf(up_at):
@@ -847,6 +880,9 @@ class PoolLoop:
         self.states: List[_ShardState] = []
         self.queues: List[List[int]] = []
         self._counts: Optional[List[int]] = None
+        #: Chunk count -> its batch service times by size (pricing is a
+        #: pure function of the count).
+        self._prices: Dict[int, Tuple[float, ...]] = {}
         if service_time is None:
             slots = self.slots
 
@@ -867,13 +903,18 @@ class PoolLoop:
         refresh :attr:`states` and :attr:`queues`."""
         serving, machine = self.serving, self.machine
         if self._place is not None and serving:
-            slots, price = self.slots, self._model.service_seconds
-            sizes = range(1, machine.max_batch + 1)
+            slots, prices = self.slots, self._prices
             index = len(machine.batches)
             for j, count in self._place(serving).items():
+                service_s = prices.get(count)
+                if service_s is None:
+                    price = self._model.service_seconds
+                    service_s = prices[count] = tuple(
+                        price(count, b)
+                        for b in range(1, machine.max_batch + 1))
                 slot = slots[j]
                 slot.chunk_count = count
-                slot.service_s = tuple(price(count, b) for b in sizes)
+                slot.service_s = service_s
                 self.anchors.append((index, j, count))
         shards = machine.shards
         self.states[:] = [shards[j] for j in serving]

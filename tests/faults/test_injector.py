@@ -290,6 +290,37 @@ def assert_matches_linear_scans(plan, n_shards, extra_times=()):
                     (shard_id, t0_s, t1_s)
 
 
+def assert_calm_windows_sound(plan, n_shards, extra_times=()):
+    """``calm_until`` against the scans, at every breakpoint, its
+    neighbours and ``extra_times``: for every sampled ``t'`` in ``[t,
+    calm_until(t))`` the shard is up, its multiplier is exactly one and
+    no stuck-at cell is active, and no outage starts inside the window;
+    the window is empty exactly when the scans find ``t`` not calm."""
+    compiled = FaultInjector(plan, n_shards)
+    reference = LinearInjector(plan, n_shards)
+    for shard_id in range(n_shards):
+        times = sorted(set(_breakpoints(plan, shard_id)) | set(extra_times))
+        for t_s in times:
+            calm_hi = compiled.calm_until(shard_id, t_s)
+            calm_at_t = (not reference.is_down(shard_id, t_s)
+                         and reference.multiplier_sources(shard_id, t_s) == ()
+                         and reference.stuck_active(shard_id, t_s) == ())
+            assert (calm_hi > t_s) == calm_at_t, (shard_id, t_s, calm_hi)
+            if calm_hi == t_s:
+                continue
+            assert reference.next_outage_start(shard_id, t_s) >= calm_hi, \
+                (shard_id, t_s, calm_hi)
+            inside = [t for t in times if t_s <= t < calm_hi]
+            if math.isfinite(calm_hi):
+                inside.append(math.nextafter(calm_hi, -math.inf))
+            for t in inside:
+                assert not reference.is_down(shard_id, t), (shard_id, t_s, t)
+                assert _bitwise(reference.multiplier(shard_id, t)) \
+                    == _bitwise(1.0), (shard_id, t_s, t)
+                assert reference.stuck_active(shard_id, t) == (), \
+                    (shard_id, t_s, t)
+
+
 def stacked_plan():
     """Overlapping stalls stacked on overlapping recovery ramps."""
     return FaultPlan(
@@ -366,3 +397,59 @@ class TestCompiledMatchesLinearScans:
             .merged_with(FaultPlan.random_bit_flips(
                 seed, 3, 1.0, flip_rate=flip_rate, stuck_fraction=0.25))
         assert_matches_linear_scans(plan, 3, times)
+
+
+class TestCalmUntil:
+    def test_window_ends_at_the_next_scripted_edge(self):
+        inj = FaultInjector(stacked_plan(), n_shards=4)
+        # Shard 0: ramps, stalls and a restart until 3.7; then calm.
+        assert inj.calm_until(0, 2.9) == 3.0       # after the last stall
+        assert inj.calm_until(0, 3.0) == 3.0       # on an outage start
+        assert inj.calm_until(0, 3.1) == 3.1       # outage end: ramp opens
+        assert inj.calm_until(0, 3.8) == math.inf  # past the ramp end
+        assert inj.calm_until(0, 3.1 + 0.7) == math.inf  # on the ramp end
+        # Shard 1: a stall edge, then the stuck-at onset at 0.9.
+        assert inj.calm_until(1, 0.0) == 0.1
+        assert inj.calm_until(1, 0.1) == 0.1       # on a stall start
+        assert inj.calm_until(1, 0.4) == 0.9       # on the stall end
+        assert inj.calm_until(1, 0.9) == 0.9       # on the stuck onset
+        # Shard 2 goes dark forever at 0.7; shard 3 is never touched.
+        assert inj.calm_until(2, 0.0) == 0.7
+        assert inj.calm_until(2, 0.7) == 0.7
+        assert inj.calm_until(3, 5.0) == math.inf
+
+    def test_transient_flips_do_not_end_the_window(self):
+        inj = FaultInjector(FaultPlan(bit_flips=(
+            BitFlipFault(shard_id=0, t_s=1.0, target="vr", vr=4, bit=3),)),
+            n_shards=1)
+        assert inj.calm_until(0, 0.5) == math.inf
+
+    def test_stacked_plan(self):
+        rng = np.random.default_rng(1)
+        assert_calm_windows_sound(stacked_plan(), 4,
+                                  rng.uniform(-0.5, 4.5, size=200))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_plans(self, seed):
+        plan = FaultPlan.random(seed, 4, 1.0, stall_rate=3.0,
+                                outage_rate=2.0, max_slowdown=4.0) \
+            .merged_with(FaultPlan.random_bit_flips(
+                seed, 4, 1.0, flip_rate=4.0, stuck_fraction=0.3))
+        rng = np.random.default_rng(seed)
+        assert_calm_windows_sound(plan, 5, rng.uniform(0.0, 1.5, size=100))
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           stall_rate=st.floats(0.0, 4.0), outage_rate=st.floats(0.0, 3.0),
+           permanent_fraction=st.floats(0.0, 1.0),
+           flip_rate=st.floats(0.0, 5.0),
+           times=st.lists(st.floats(-0.25, 1.5), max_size=20))
+    def test_drawn_plans(self, seed, stall_rate, outage_rate,
+                         permanent_fraction, flip_rate, times):
+        plan = FaultPlan.random(seed, 3, 1.0, stall_rate=stall_rate,
+                                outage_rate=outage_rate,
+                                permanent_fraction=permanent_fraction,
+                                max_slowdown=6.0) \
+            .merged_with(FaultPlan.random_bit_flips(
+                seed, 3, 1.0, flip_rate=flip_rate, stuck_fraction=0.25))
+        assert_calm_windows_sound(plan, 3, times)
