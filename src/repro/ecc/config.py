@@ -22,15 +22,17 @@ the latency model charges:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from .codecs import BCHCodec, SECDEDCodec
 from .errors import (
     ECCConfigError,
     ECCGeometryError,
     ECCStrengthError,
     ECCTierError,
 )
+
+if TYPE_CHECKING:
+    from .codecs import BCHCodec, SECDEDCodec
 
 __all__ = ["ECC_TIERS", "ECCConfig", "ECCCostModel", "make_codec"]
 
@@ -94,6 +96,9 @@ class ECCConfig:
 
 def make_codec(config: ECCConfig) -> Union[SECDEDCodec, BCHCodec]:
     """Build the codec an :class:`ECCConfig` describes."""
+    # Only an enabled config builds a codec, so only it loads them.
+    from .codecs import BCHCodec, SECDEDCodec
+
     if config.tier == "secded":
         return SECDEDCodec(config.data_bits)
     if config.tier == "bch":

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..apu.core import APUCore
 from ..core.params import APUParams, DEFAULT_PARAMS
 from ..obs import collector as _trace_collector
 
@@ -98,6 +97,9 @@ class IntegrityCostModel:
     """
 
     def __init__(self, params: APUParams = DEFAULT_PARAMS):
+        # Only enabled integrity calibrates, so only it loads the core.
+        from ..apu.core import APUCore
+
         self.params = params
         previous = _trace_collector.set_collector(None)
         try:

@@ -20,12 +20,10 @@ Distance, Top-K Aggregation, Return Top-K.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from ..apu.device import APUDevice
-from ..baselines.cpu import CPUModel
 from ..baselines.gpu import GPUModel
 from ..core.params import APUParams, DEFAULT_PARAMS
 from ..core.reduction_model import simulated_sg_add_cycles
@@ -33,6 +31,10 @@ from ..hbm.dram import DRAMModel
 from ..hbm.hbm2e import make_hbm2e
 from .corpus import CorpusSpec, MiniCorpus
 from .topk import apu_topk, topk_aggregation_cycles
+
+if TYPE_CHECKING:
+    from ..apu.device import APUDevice
+    from ..baselines.cpu import CPUModel
 
 __all__ = [
     "RetrievalBreakdown",
@@ -119,6 +121,10 @@ class APURetriever:
         device is created per query.
         """
         if device is None:
+            # Serving prices batches with the latency model below and
+            # never runs the functional simulator, so it loads here.
+            from ..apu.device import APUDevice
+
             device = APUDevice(self.params)
         if self.optimized:
             score_vrs, valid_counts = self._distances_dim_major(
@@ -213,6 +219,8 @@ class APURetriever:
         descending, global index ascending on ties) -- the device-level
         parallelism the paper's multi-core latency programs assume.
         """
+        from ..apu.device import APUDevice
+
         device = APUDevice(self.params)
         cores = device.cores
         shard = -(-corpus.n_chunks // len(cores))
@@ -319,6 +327,8 @@ class CPURetriever:
     """FAISS-IndexFlatIP retrieval on the Xeon baseline."""
 
     def __init__(self, model: Optional[CPUModel] = None):
+        from ..baselines.cpu import CPUModel
+
         self.model = model or CPUModel()
 
     def retrieve(self, corpus: MiniCorpus, query: np.ndarray,

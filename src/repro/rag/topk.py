@@ -10,11 +10,13 @@ All steps run genuinely on the simulator in functional mode.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
-from ..apu.device import APUDevice
 from ..core.params import APUParams, DEFAULT_PARAMS
 from ..core.reduction_model import simulated_sg_add_cycles
+
+if TYPE_CHECKING:
+    from ..apu.device import APUDevice
 
 __all__ = ["apu_topk", "topk_aggregation_cycles"]
 

@@ -79,8 +79,6 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from ..core.params import APUParams, DEFAULT_PARAMS
-from ..ecc.model import ECCModel
-from ..faults.injector import FaultInjector
 from ..faults.plan import BitFlipFault, FaultPlan, OutageFault, StallFault
 from ..integrity.config import IntegrityConfig
 from ..monitor.signal import BurnSignal
@@ -351,7 +349,9 @@ class ScaleSimulator:
         self.generator = generator or GenerationModel()
         self._static: Optional[ServingSimulator] = None
         self._pool: Optional[ElasticAPUDevicePool] = None
-        self._injector: Optional[FaultInjector] = None
+        # A fault or ECC model loads only when its switch is on.
+        self._injector = None
+        self._ecc = None
         if config.policy is None:
             self._static = ServingSimulator(
                 config.serve, params=params, generator=self.generator)
@@ -366,8 +366,14 @@ class ScaleSimulator:
                 # (ServeConfig already did), so scripted faults only
                 # ever strike the devices present at t=0; spare slots
                 # attached later are clean hardware.
+                from ..faults.injector import FaultInjector
+
                 self._injector = FaultInjector(
                     config.serve.faults, self._pool.capacity)
+            if config.serve.ecc.enabled:
+                from ..ecc.model import ECCModel
+
+                self._ecc = ECCModel(config.serve.ecc)
         self.prefill_s = self.generator.prefill_seconds()
         self._merge_memo: Dict[int, float] = {}
 
@@ -641,7 +647,7 @@ class ScaleSimulator:
             pool.capacity, cfg.batch, model=pool, place=pool.counts_for,
             n_serving=cfg.n_shards, injector=injector, retry=cfg.retry,
             protected=cfg.integrity.enabled,
-            ecc=ECCModel(cfg.ecc) if cfg.ecc.enabled else None,
+            ecc=self._ecc,
             on_resolved=on_resolved, on_death=on_death, admit=admit,
             drivers=(warm, control_tick, issue),
             drained=note_drained)

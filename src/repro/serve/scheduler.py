@@ -80,14 +80,16 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 import numpy as np
 
-from ..ecc.model import ECCModel
-from ..faults.injector import FaultInjector
 from ..faults.plan import FaultLogEntry
+
+if TYPE_CHECKING:
+    from ..ecc.model import ECCModel
+    from ..faults.injector import FaultInjector
 
 __all__ = [
     "BatchPolicy",

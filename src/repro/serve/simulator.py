@@ -75,8 +75,6 @@ import numpy as np
 
 from ..core.params import APUParams, DEFAULT_PARAMS
 from ..ecc.config import ECCConfig, ECCCostModel, make_codec
-from ..ecc.model import ECCModel
-from ..faults.injector import FaultInjector
 from ..faults.plan import BitFlipFault, FaultPlan, OutageFault, StallFault
 from ..integrity.config import IntegrityConfig, get_cost_model
 from ..monitor.build import DEFAULT_CADENCE_S
@@ -583,9 +581,17 @@ class ServingSimulator:
             self.cost_model.service_seconds(count, 1)
         self.merge_s = merge_seconds(config.n_shards, config.k, params)
         self.prefill_s = self.generator.prefill_seconds()
-        self.injector = (FaultInjector(config.faults, config.n_shards)
-                         if config.faults else None)
-        self._ecc = ECCModel(config.ecc) if config.ecc.enabled else None
+        # A fault or ECC model loads only when its switch is on.
+        self.injector = None
+        if config.faults:
+            from ..faults.injector import FaultInjector
+
+            self.injector = FaultInjector(config.faults, config.n_shards)
+        self._ecc = None
+        if config.ecc.enabled:
+            from ..ecc.model import ECCModel
+
+            self._ecc = ECCModel(config.ecc)
         placement = self.placement
         if config.failover == "reroute":
             self._place: Callable[[List[int]], Dict[int, int]] = \

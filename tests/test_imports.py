@@ -4,11 +4,13 @@ Every package except ``repro.scale`` exports lazily through
 :func:`repro.lazy_exports`, so a serving run loads the serving stack
 and nothing else.  These tests pin both halves:
 
-* the contract, in fresh interpreters: ``import repro.scale`` stays
-  under a module budget and loads none of the off-path modules below,
-  input generation and every serving action import no ``repro``
-  module after it (so no import cost hides in a timed action), and
-  ``repro serve`` loads none of the off-path modules either;
+* the contract, in one fresh interpreter per serving config:
+  ``import repro.scale`` stays under a module budget and loads none of
+  the off-path or feature-gated modules below, building a simulator
+  loads exactly the models its config switches on, and input
+  generation and every serving action import no ``repro`` module (so
+  no import cost hides in a timed action); ``repro serve`` loads none
+  of the off-path or gated modules either;
 * the tables: every exported name resolves through its package to the
   object its defining submodule holds, and no module inside ``repro``
   imports a name through a lazily exporting package.
@@ -35,13 +37,26 @@ PACKAGES = ["repro"] + sorted(
 OFF_PATH = (
     "repro.phoenix", "repro.opt", "repro.validation", "repro.cli",
     "repro.apu.assembler", "repro.apu.rvv", "repro.apu.profiler",
+    "repro.apu.device", "repro.baselines.cpu",
     "repro.monitor.dashboard", "repro.monitor.diff",
     "repro.telemetry.flame", "repro.telemetry.render",
     "repro.obs.golden", "repro.obs.timeline",
 )
+#: The models one config switch turns on.  A serving build loads a
+#: feature's modules exactly when its config enables the feature:
+#: integrity calibrates its costs on a timing-only ``APUCore``.
+FEATURE_MODULES = {
+    "integrity": ("repro.apu", "repro.apu.core", "repro.apu.dma",
+                  "repro.apu.dtypes", "repro.apu.gvml", "repro.apu.memory",
+                  "repro.core.estimator"),
+    "faults": ("repro.faults.injector",),
+    "ecc": ("repro.ecc.model", "repro.ecc.codecs"),
+}
+GATED = frozenset(name for names in FEATURE_MODULES.values()
+                  for name in names)
 #: ``repro.*`` modules ``import repro.scale`` may load (113 when every
 #: package imported all of its submodules eagerly).
-MAX_SERVING_MODULES = 65
+MAX_SERVING_MODULES = 53
 
 _CONTRACT_SCRIPT = """
 import dataclasses, json, sys
@@ -58,11 +73,32 @@ def step(name, action):
     action()
     steps[name] = sorted(loaded() - before)
 
+from repro.ecc import ECCConfig
 from repro.faults import FaultPlan
 from repro.scale import ScaleConfig, ScaleSimulator, \\
-    golden_autoscale_fault_config
+    golden_autoscale_config, golden_autoscale_fault_config
 from repro.serve import bursty_arrival_times, golden_ecc_config, \\
     golden_integrity_config, golden_serve_config, poisson_arrival_times
+
+def vectorized(serve, **changes):
+    return dataclasses.replace(serve, engine="vectorized", **changes)
+
+def elastic_all():
+    # The elastic fault golden with ECC on top: every model at once.
+    elastic = golden_autoscale_fault_config()
+    return dataclasses.replace(elastic, serve=vectorized(
+        elastic.serve, ecc=ECCConfig(enabled=True)))
+
+CONFIGS = {
+    # Fault-free vectorized columns: the plain ``repro serve`` path.
+    "plain": lambda: ScaleConfig(serve=vectorized(golden_serve_config())),
+    "elastic": golden_autoscale_config,
+    # Faults under ABFT, and under SEC-DED ECC, on both engines.
+    "integrity": lambda: ScaleConfig(
+        serve=vectorized(golden_integrity_config())),
+    "ecc": lambda: ScaleConfig(serve=golden_ecc_config()),
+    "elastic_all": elastic_all,
+}
 
 def inputs():
     poisson_arrival_times(400.0, 64, 0)
@@ -71,26 +107,26 @@ def inputs():
                      permanent_fraction=0.25).merged_with(
         FaultPlan.random_bit_flips(0, 4, 0.2, flip_rate=5.0))
 
-def vectorized(serve):
-    return dataclasses.replace(serve, engine="vectorized")
-
-elastic = golden_autoscale_fault_config()
-configs = [
-    # Fault-free vectorized columns: the plain ``repro serve`` path.
-    ScaleConfig(serve=vectorized(golden_serve_config())),
-    # Faults under ABFT, and under SEC-DED ECC, on both engines.
-    ScaleConfig(serve=vectorized(golden_integrity_config())),
-    ScaleConfig(serve=golden_ecc_config()),
-    dataclasses.replace(elastic, serve=vectorized(elastic.serve)),
-]
 simulators = []
+
+def build():
+    config = CONFIGS[sys.argv[1]]()
+    serve = config.serve
+    steps["features"] = sorted(
+        name for name, on in [("integrity", serve.integrity.enabled),
+                              ("faults", bool(serve.faults)),
+                              ("ecc", serve.ecc.enabled)] if on)
+    simulators.append(ScaleSimulator(config))
+
 step("inputs", inputs)
-step("build", lambda: simulators.extend(map(ScaleSimulator, configs)))
-step("run", lambda: [sim.run() for sim in simulators])
-step("run_with_monitor",
-     lambda: [sim.run_with_monitor() for sim in simulators])
+step("build", build)
+step("run", lambda: simulators[0].run())
+step("run_with_monitor", lambda: simulators[0].run_with_monitor())
 print(json.dumps(steps))
 """
+#: The script's configs.  Each runs in its own interpreter, so every
+#: step sees only the modules it loads itself.
+CONFIG_NAMES = ("plain", "elastic", "integrity", "ecc", "elastic_all")
 
 
 def _env():
@@ -108,28 +144,48 @@ def _off_path(modules):
 
 @pytest.fixture(scope="module")
 def contract_steps():
-    proc = subprocess.run([sys.executable, "-c", _CONTRACT_SCRIPT],
-                          env=_env(), capture_output=True, text=True,
-                          check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+    """``{config name: {step: modules it loaded}}``."""
+    steps = {}
+    for name in CONFIG_NAMES:
+        proc = subprocess.run([sys.executable, "-c", _CONTRACT_SCRIPT, name],
+                              env=_env(), capture_output=True, text=True,
+                              check=True)
+        steps[name] = json.loads(proc.stdout.splitlines()[-1])
+    return steps
 
 
 def test_off_path_modules_exist():
     # A renamed module would make the checks below pass vacuously.
-    for name in OFF_PATH:
+    for name in OFF_PATH + tuple(sorted(GATED)):
         assert importlib.util.find_spec(name) is not None, name
 
 
 def test_import_scale_loads_only_the_serving_stack(contract_steps):
-    loaded = contract_steps["import"]
+    loaded = contract_steps["plain"]["import"]
     assert _off_path(loaded) == []
+    assert sorted(GATED.intersection(loaded)) == []
     assert len(loaded) <= MAX_SERVING_MODULES, loaded
 
 
-@pytest.mark.parametrize("step", ["inputs", "build", "run",
-                                  "run_with_monitor"])
+def test_contract_covers_every_feature(contract_steps):
+    features = {feature for steps in contract_steps.values()
+                for feature in steps["features"]}
+    assert features == set(FEATURE_MODULES)
+    assert contract_steps["plain"]["features"] == []
+
+
+@pytest.mark.parametrize("config", CONFIG_NAMES)
+def test_build_loads_exactly_its_features_models(contract_steps, config):
+    steps = contract_steps[config]
+    expected = {name for feature in steps["features"]
+                for name in FEATURE_MODULES[feature]}
+    assert sorted(steps["build"]) == sorted(expected)
+
+
+@pytest.mark.parametrize("step", ["inputs", "run", "run_with_monitor"])
 def test_serving_steps_import_nothing(contract_steps, step):
-    assert contract_steps[step] == []
+    assert {config: steps[step] for config, steps in contract_steps.items()
+            if steps[step]} == {}
 
 
 def test_cli_serve_loads_no_off_path_module(tmp_path):
@@ -144,6 +200,7 @@ def test_cli_serve_loads_no_off_path_module(tmp_path):
                 if line.startswith("import time:")]
     assert "repro.scale.simulator" in imported
     assert _off_path(imported) == []
+    assert sorted(GATED.intersection(imported)) == []
 
 
 def _export_table(package):
