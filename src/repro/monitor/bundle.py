@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Union
 
-from .series import RunMonitor, json_field, json_object
+from .series import RunMonitor, json_field, json_float, json_int, \
+    json_object, json_str
 
 __all__ = [
     "RunBundle",
@@ -30,6 +31,9 @@ __all__ = [
 
 #: Bundle schema version, bumped on incompatible layout changes.
 BUNDLE_VERSION = 1
+#: Every top-level field of a version-1 bundle.
+_BUNDLE_FIELDS = ("version", "workload", "engine", "metrics",
+                  "stage_totals", "n_completed", "monitor")
 
 
 def _latency_metrics(prefix: str, stats: Any) -> Dict[str, float]:
@@ -114,28 +118,31 @@ class RunBundle:
 
     @classmethod
     def from_dict(cls, data: Any) -> "RunBundle":
-        """Parse :meth:`to_dict` output; a wrong type, version or
-        missing field, at any depth, raises ``ValueError`` naming its
-        path (e.g. ``monitor.series[0].help``)."""
+        """Parse :meth:`to_dict` output; a wrong type, version, or a
+        missing or unknown field, at any depth, raises ``ValueError``
+        naming its path (e.g. ``monitor.series[0].help``).  Scalars are
+        strict JSON: an integer field takes no float, ``bool`` or
+        string, a number field no ``bool`` or string."""
         data = json_object(data, "a run bundle")
         version = data.get("version")
-        if version != BUNDLE_VERSION:
+        if type(version) is not int or version != BUNDLE_VERSION:
             raise ValueError(
                 f"unsupported bundle version {version!r} "
                 f"(expected {BUNDLE_VERSION})")
+        for name in data:
+            if name not in _BUNDLE_FIELDS:
+                raise ValueError(f"unknown field {name!r}")
         for name in ("workload", "metrics", "n_completed", "monitor"):
             if name not in data:
                 raise ValueError(f"missing field {name!r}")
+        totals = json_object(data.get("stage_totals", {}), "stage_totals")
         return cls(
-            workload=str(data["workload"]),
-            engine=str(data.get("engine", "")),
+            workload=json_field(data, "", "workload", json_str),
+            engine=json_field(data, "", "engine", json_str, ""),
             metrics=dict(json_object(data["metrics"], "metrics")),
-            stage_totals=json_field(
-                data, "", "stage_totals",
-                lambda raw: {str(k): float(v) for k, v
-                             in json_object(raw, "value").items()},
-                {}),
-            n_completed=json_field(data, "", "n_completed", int),
+            stage_totals={key: json_field(totals, "stage_totals", key,
+                                          json_float) for key in totals},
+            n_completed=json_field(data, "", "n_completed", json_int),
             monitor=RunMonitor.from_dict(data["monitor"]),
         )
 

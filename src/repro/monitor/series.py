@@ -52,6 +52,27 @@ def json_field(data: Mapping[str, Any], where: str, key: str,
         raise ValueError(f"{path}: {exc}") from None
 
 
+def json_int(raw: Any) -> int:
+    """A JSON integer; ``true``, ``1.7`` and ``"64"`` are not one."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise TypeError(f"expected an integer, got {raw!r}")
+    return raw
+
+
+def json_float(raw: Any) -> float:
+    """A JSON number as a float; ``true`` and ``"0.5"`` are not one."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise TypeError(f"expected a number, got {raw!r}")
+    return float(raw)
+
+
+def json_str(raw: Any) -> str:
+    """A JSON string; ``3`` is not one."""
+    if not isinstance(raw, str):
+        raise TypeError(f"expected a string, got {raw!r}")
+    return raw
+
+
 def _json_list(raw: Any) -> List[Any]:
     if not isinstance(raw, list):
         raise TypeError(f"expected a list, got {type(raw).__name__}")
@@ -112,10 +133,11 @@ class Series:
         read: Callable[..., Any] = partial(
             json_field, json_object(data, where), where)
         try:
-            return cls(name=read("name", str), help_text=read("help", str),
-                       kind=read("kind", str),
-                       labels=read("labels", _pairs(str), []),
-                       points=read("points", _pairs(float), []))
+            return cls(name=read("name", json_str),
+                       help_text=read("help", json_str),
+                       kind=read("kind", json_str),
+                       labels=read("labels", _pairs(json_str), []),
+                       points=read("points", _pairs(json_float), []))
         except MonitorError as exc:
             raise MonitorError(f"{where}: {exc}") from None
 
@@ -183,13 +205,14 @@ class RunMonitor:
             for index, entry in enumerate(read("series", _json_list, [])))
         try:
             return cls(
-                workload=read("workload", str),
-                cadence_s=read("cadence_s", float),
-                horizon_s=read("horizon_s", float),
+                workload=read("workload", json_str),
+                cadence_s=read("cadence_s", json_float),
+                horizon_s=read("horizon_s", json_float),
                 instants=read("instants", lambda raw: tuple(
-                    float(t) for t in _json_list(raw)), []),
+                    map(json_float, _json_list(raw))), []),
                 series=series,
-                registry_exposition=read("registry_exposition", str, ""),
+                registry_exposition=read("registry_exposition", json_str,
+                                         ""),
             )
         except MonitorError as exc:
             raise MonitorError(f"{where}: {exc}") from None

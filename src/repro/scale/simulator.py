@@ -88,7 +88,8 @@ from ..rag.generation import GenerationModel
 from ..serve.metrics import LatencyStats, slo_attainment, utilization
 from ..serve.scheduler import FIRST_DRIVER_KIND, BatchPolicy, PoolLoop, \
     RetryPolicy, ShardMachine
-from ..serve.record import RunRecord, emit_run_trace, observe_run
+from ..serve.record import RunRecord, collector_paused, \
+    emit_run_trace, observe_run
 from ..serve.sharding import merge_cycles, merge_seconds
 from ..serve.simulator import ServeConfig, ServeReport, \
     ServingSimulator, ecc_line, latency_lines
@@ -405,6 +406,7 @@ class ScaleSimulator:
             return self._static._simulate(self._static_requests(), capture)
         return self._run_elastic(capture)
 
+    @collector_paused()
     def run(self) -> Union[ServeReport, ScaleReport]:
         """Simulate the configured stream.
 
@@ -415,6 +417,7 @@ class ScaleSimulator:
         """
         return self._run_record(capture=False).report
 
+    @collector_paused()
     def run_with_telemetry(self) -> Tuple[Any, Any]:
         """Simulate and derive request-level telemetry.
 
@@ -429,6 +432,7 @@ class ScaleSimulator:
         record = self._run_record(capture=True)
         return record.report, build_run_telemetry(record)
 
+    @collector_paused()
     def run_with_monitor(self, *, cadence_s: Optional[float] = None,
                          workload: str = "serve_autoscale"
                          ) -> Tuple[Any, Any, Any]:

@@ -21,13 +21,19 @@ merges nothing); pool-wide events land on the host lane, ``n_shards``
 for static runs and the pool capacity for elastic ones; only static
 fault runs carry the injector that labels slowdown spans with their
 cause.
+
+A record holds no reference cycle, so each public simulator action
+runs under :func:`collector_paused`.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, \
+    Tuple
 
 from .. import monitor as _monitor
 from ..core.params import APUParams
@@ -38,7 +44,27 @@ from ..obs.events import LANE_FAULT, LANE_INTEGRITY, LANE_SCALE, LANE_VCU, \
 from ..telemetry.build import MergeCost, StageTable, merge_lookup
 from .scheduler import ScheduleResult
 
-__all__ = ["RunRecord", "emit_run_trace", "observe_run"]
+__all__ = ["RunRecord", "collector_paused", "emit_run_trace", "observe_run"]
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause Python's cyclic garbage collector for one simulator action.
+
+    A finished run holds data, not callbacks (the event loop drops its
+    hooks when it ends), so reference counting frees all it leaves; the
+    collector's passes during the action would only walk the growing
+    run state and free nothing.  On exit, by return or by exception,
+    the collector is back as the caller had it, so nested pauses and a
+    caller's own ``gc.disable()`` hold.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass

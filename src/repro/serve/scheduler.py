@@ -70,6 +70,14 @@ starts and ends strictly inside the window, with no recompute due and
 no timeout below its service time, is exactly the fault-free batch, so
 it is built without asking the injector; ``maybe_dispatch`` skips the
 availability query there too.
+
+A finished loop holds data, not callbacks.  The drivers' closures and
+the machine's hooks reach back to the loop, so :meth:`PoolLoop.run`
+drops them when it ends, by return or by exception; what is left (the
+machine's columns, the batches, the anchor log, the cost model) is
+freed by reference counting once its last reader lets go.  That is what
+lets the simulators pause the cyclic garbage collector for a whole
+action (:func:`~repro.serve.record.collector_paused`).
 """
 
 from __future__ import annotations
@@ -973,7 +981,9 @@ class PoolLoop:
 
         ``arrival_s`` are sorted arrival times (Python floats, or an
         array converted here), ``req_ids`` one id per arrival
-        (positional when ``None``).  Returns the machine.
+        (positional when ``None``).  Returns the machine.  A loop runs
+        once: on the way out it drops its callbacks and the machine's
+        hooks, keeping only the run's data.
         """
         if isinstance(arrival_s, np.ndarray):
             arrival_s = arrival_s.tolist()
@@ -991,44 +1001,52 @@ class PoolLoop:
         heappop = heapq.heappop
         n_arrivals = len(arrival_s)
         ptr = 0
-        while heap or ptr < n_arrivals:
-            if ptr < n_arrivals \
-                    and (not heap or arrival_s[ptr] <= heap[0][0]):
-                # Taking arrivals on ``<=`` replays a heap where they
-                # were pushed before every other event.
-                if serving and all(map(_busy, states)):
-                    # Bulk admission: the queue-pressure test is the
-                    # whole decision.  The incremental counter
-                    # reproduces the integer sum -- hence the float
-                    # division -- that ``arrive`` computes per arrival.
-                    horizon = heap[0][0] if heap else math.inf
-                    queued = sum(map(len, queues))
-                    width = len(serving)
-                    denom = width * max_batch
-                    while ptr < n_arrivals and arrival_s[ptr] <= horizon:
+        try:
+            while heap or ptr < n_arrivals:
+                if ptr < n_arrivals \
+                        and (not heap or arrival_s[ptr] <= heap[0][0]):
+                    # Taking arrivals on ``<=`` replays a heap where they
+                    # were pushed before every other event.
+                    if serving and all(map(_busy, states)):
+                        # Bulk admission: the queue-pressure test is the
+                        # whole decision.  The incremental counter
+                        # reproduces the integer sum -- hence the float
+                        # division -- that ``arrive`` computes per arrival.
+                        horizon = heap[0][0] if heap else math.inf
+                        queued = sum(map(len, queues))
+                        width = len(serving)
+                        denom = width * max_batch
+                        while ptr < n_arrivals and arrival_s[ptr] <= horizon:
+                            now = arrival_s[ptr]
+                            req_id = req_ids[ptr]
+                            ptr += 1
+                            if admit(req_id, now, queued / denom):
+                                for queue in queues:
+                                    queue.append(req_id)
+                                queued += width
+                    else:
                         now = arrival_s[ptr]
                         req_id = req_ids[ptr]
                         ptr += 1
-                        if admit(req_id, now, queued / denom):
-                            for queue in queues:
-                                queue.append(req_id)
-                            queued += width
+                        arrive(req_id, now)
+                    continue
+                now, _, kind, payload = heappop(heap)
+                if kind < FIRST_DRIVER_KIND:
+                    step(kind, payload, now)
+                    if kind == DONE:
+                        j = payload.shard_id
+                        if slots[j].draining and not shards[j].queue \
+                                and not shards[j].busy:
+                            drained(j, now)
                 else:
-                    now = arrival_s[ptr]
-                    req_id = req_ids[ptr]
-                    ptr += 1
-                    arrive(req_id, now)
-                continue
-            now, _, kind, payload = heappop(heap)
-            if kind < FIRST_DRIVER_KIND:
-                step(kind, payload, now)
-                if kind == DONE:
-                    j = payload.shard_id
-                    if slots[j].draining and not shards[j].queue \
-                            and not shards[j].busy:
-                        drained(j, now)
-            else:
-                drivers[kind - FIRST_DRIVER_KIND](payload, now)
+                    drivers[kind - FIRST_DRIVER_KIND](payload, now)
+        finally:
+            # Hooks that reach back to the loop would leave the whole
+            # run as cyclic garbage (see the module docstring).
+            self._drivers = ()
+            self._drained = self._on_death = None
+            del self._admit, self.arrive
+            machine.on_resolved = machine.on_death = None
         return machine
 
     def dispatch_counts(self) -> List[int]:

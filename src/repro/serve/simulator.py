@@ -88,7 +88,8 @@ from ..simcore.vectorized import VectorizedScheduler
 from ..telemetry.build import SERVE_SLO_TARGET, StageTable, \
     build_serve_metrics
 from .metrics import LatencyStats, slo_attainment, utilization
-from .record import RunRecord, emit_run_trace, observe_run
+from .record import RunRecord, collector_paused, emit_run_trace, \
+    observe_run
 from .scheduler import OUTCOME_OK, BatchPolicy, PoolLoop, RetryPolicy, \
     ScheduleResult
 from .sharding import merge_cycles, merge_seconds, shard_chunk_counts
@@ -598,14 +599,17 @@ class ServingSimulator:
                 partial(counts_for, placement)
         else:  # "degraded": the dead slice is dropped, not pooled
             self._place = lambda serving: {j: placement[j] for j in serving}
+        # No hook holds ``self``, so a dropped simulator is freed by
+        # reference counting.
+        price = self.cost_model.service_seconds
         #: The columnar backend of plain fault-free runs.
         self.scheduler = VectorizedScheduler(
             config.n_shards, config.batch,
-            lambda shard, size: self.cost_model.service_seconds(
-                placement[shard], size)) \
+            lambda shard, size: price(placement[shard], size)) \
             if config.engine == "vectorized" else None
 
     # ------------------------------------------------------------------
+    @collector_paused()
     def run(self, requests: Optional[Arrivals] = None) -> ServeReport:
         """Simulate the configured (or a supplied) request stream.
 
@@ -615,6 +619,7 @@ class ServingSimulator:
         """
         return self._simulate(requests).report
 
+    @collector_paused()
     def run_with_telemetry(self, requests: Optional[Arrivals] = None):
         """Simulate and derive request-level causal telemetry.
 
@@ -632,6 +637,7 @@ class ServingSimulator:
         record = self._simulate(requests, capture=True)
         return record.report, build_run_telemetry(record)
 
+    @collector_paused()
     def run_with_monitor(self, requests: Optional[Arrivals] = None,
                          *, cadence_s: Optional[float] = None,
                          workload: str = "serve"):

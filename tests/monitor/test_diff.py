@@ -9,6 +9,7 @@ import pytest
 
 from repro.monitor import (
     RunBundle,
+    RunMonitor,
     bundle_from_run,
     diff_bundles,
     diff_metrics,
@@ -17,8 +18,10 @@ from repro.monitor import (
     write_run_bundle,
 )
 from repro.monitor.tolerance import gate_failures
-from repro.scale import ScaleSimulator, golden_autoscale_config
-from repro.serve.simulator import ServingSimulator, golden_serve_config
+from repro.scale import ScaleConfig, ScaleSimulator, \
+    golden_autoscale_config, golden_autoscale_fault_config
+from repro.serve.simulator import ServingSimulator, golden_ecc_config, \
+    golden_fault_config, golden_integrity_config, golden_serve_config
 
 BENCH_DIR = Path(__file__).resolve().parent.parent.parent / "benchmarks"
 
@@ -187,8 +190,65 @@ def test_format_diff_deterministic_and_reports_failures(serve_baseline):
         {k: v for k, v in data["monitor"]["series"][0].items()
          if k != "help"}])),
      r"missing field 'monitor\.series\[0\]\.help'"),
+    # Scalars are strict JSON: nothing is coerced.
+    (lambda data: dict(data, n_completed=1.7),
+     "n_completed: expected an integer, got 1.7"),
+    (lambda data: dict(data, n_completed=True),
+     "n_completed: expected an integer, got True"),
+    (lambda data: dict(data, n_completed="64"),
+     "n_completed: expected an integer, got '64'"),
+    (lambda data: dict(data, workload=3),
+     "workload: expected a string, got 3"),
+    (lambda data: dict(data, engine=None),
+     "engine: expected a string, got None"),
+    (lambda data: dict(data, stage_totals={"merge": True}),
+     r"stage_totals\.merge: expected a number, got True"),
+    (lambda data: dict(data, stage_totals=[]),
+     "stage_totals must be a JSON object, got list"),
+    (lambda data: dict(data, version=True),
+     r"unsupported bundle version True \(expected 1\)"),
+    (lambda data: dict(data, version=1.0),
+     r"unsupported bundle version 1\.0 \(expected 1\)"),
+    (lambda data: dict(data, bogus=1), "unknown field 'bogus'"),
+    (lambda data: dict(data, monitor=dict(data["monitor"], workload=3)),
+     r"monitor\.workload: expected a string, got 3"),
+    (lambda data: dict(data, monitor=dict(data["monitor"],
+                                          cadence_s="0.01")),
+     r"monitor\.cadence_s: expected a number, got '0\.01'"),
+    (lambda data: dict(data, monitor=dict(data["monitor"],
+                                          instants=[0.0, False])),
+     r"monitor\.instants: expected a number, got False"),
+    (lambda data: dict(data, monitor=dict(data["monitor"], series=[
+        dict(data["monitor"]["series"][0], points=[[0.0, "1"]])])),
+     r"monitor\.series\[0\]\.points: expected a number, got '1'"),
+    (lambda data: dict(data, monitor=dict(data["monitor"], series=[
+        dict(data["monitor"]["series"][0], labels=[["shard", 0]])])),
+     r"monitor\.series\[0\]\.labels: expected a string, got 0"),
 ])
 def test_from_dict_names_the_wrong_type_or_missing_field(
         golden_bundle_dict, mutate, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         RunBundle.from_dict(mutate(golden_bundle_dict))
+
+
+@pytest.mark.parametrize("workload, make_config", [
+    ("serve", golden_serve_config),
+    ("serve_faults", golden_fault_config),
+    ("serve_integrity", golden_integrity_config),
+    ("serve_ecc", golden_ecc_config),
+    ("serve_autoscale", golden_autoscale_config),
+    ("serve_autoscale_faults", golden_autoscale_fault_config),
+])
+def test_golden_bundles_round_trip_to_equal_objects(tmp_path, workload,
+                                                    make_config):
+    config = make_config()
+    simulator = ScaleSimulator(config) if isinstance(config, ScaleConfig) \
+        else ServingSimulator(config)
+    bundle = bundle_from_run(workload, *simulator.run_with_monitor())
+    assert RunBundle.from_dict(bundle.to_dict()) == bundle
+    assert RunBundle.from_dict(json.loads(json.dumps(bundle.to_dict()))) \
+        == bundle
+    assert RunMonitor.from_dict(bundle.monitor.to_dict()) == bundle.monitor
+    path = tmp_path / "run.json"
+    write_run_bundle(path, bundle)
+    assert read_run_bundle(path) == bundle
